@@ -21,8 +21,8 @@ from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
 from .complexes import DComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition
 from .groups import Group, conjugacy_classes, preset_group, whole_group
-from .harness import (ConfigError, DecClass, DecOps, IdentityZeroCertifier, JobConfig,
-                      _config_dict, _provenance, make_group)
+from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, IdentityZeroCertifier,
+                      JobConfig, _config_dict, _provenance, make_group)
 from .linalg import kernel_basis
 from .transfer import TransferContext
 
@@ -609,7 +609,7 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
     run("cyclicity", n, f)
 
     worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
-    if worst <= 200_000 and not mutate:
+    if worst <= DIRECT_COLUMN_CAP and not mutate:
         from .bv import induced_cup, lie_bracket
         spaces = {}
         classes = []

@@ -27,6 +27,18 @@ def test_dims_c2_vanish(capsys):
     assert data["dims"]["total"] == [0] * 6
 
 
+def test_dims_large_prime_exact(capsys):
+    # p = 65537 overflows int32 products, so elimination must stay on dict columns
+    rc, data = run_json(capsys, "dims", "--group", "symmetric:3", "--char", "65537",
+                        "--window", "-2..2")
+    assert rc == 0
+    dims = data["dims"]
+    direct = {int(n): d for n, d in dims["direct"].items()}
+    assert direct
+    for n, d in direct.items():
+        assert dims["total"][dims["degrees"].index(n)] == d
+
+
 def test_info_perms(capsys):
     rc, data = run_json(capsys, "info", "--group", "perms:(0 1 2),(0 1)", "--char", "3",
                         "--window", "-2..2")

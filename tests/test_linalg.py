@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tatebv.linalg import (FieldSpec, QuotientSpace, SparseMatrix, SparseVector,
-                           kernel_basis, pivot_columns, rank, solve)
+from tatebv.linalg import (ColumnReducer, FieldSpec, QuotientSpace, SparseMatrix, SparseVector,
+                           _dense_eligible, kernel_basis, pivot_columns, rank, solve)
 
 
 def mat(rows, p):
@@ -144,14 +146,70 @@ def test_determinism(s3_complex):
     assert pivot_columns(M) == pivot_columns(M)
 
 
-def test_dense_sparse_rank_agreement():
+PRIMES = (2, 3, 46337, 65537, 2 ** 31 - 1)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """A product L R of an nrows x k and a k x ncols matrix mod p (so rank
+    <= k), with some columns then zeroed; shapes include empty ones."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    residue = st.integers(0, p - 1)
+    L = draw(st.lists(st.lists(residue, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    R = draw(st.lists(st.lists(residue, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    M = SparseMatrix(nrows, ncols, p)
+    for i in range(nrows):
+        for j in range(ncols):
+            if j not in zero_cols:
+                M.set_entry(i, j, sum(L[i][t] * R[t][j] for t in range(k)))
+    return M
+
+
+def seeded_sparse(p):
+    """40x30 with 120 random entries: larger than the drawn matrices."""
     rng = random.Random(3)
-    p = 3
     M = SparseMatrix(40, 30, p)
     for _ in range(120):
         M.add_entry(rng.randrange(40), rng.randrange(30), rng.randrange(1, p))
-    from tatebv.linalg import ColumnReducer
-    red = ColumnReducer(p)
-    for col in M.columns:
-        red.feed(col, track=False)
-    assert rank(M) == red.rank
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_matrices())
+@example(seeded_sparse(3))
+@example(seeded_sparse(2))
+@example(seeded_sparse(65537))
+def test_engines_match_column_reducer(M):
+    """Every engine (bitsets at p = 2, numpy int32, dict columns) gives the
+    ColumnReducer's pivot set, rank and kernel basis; the bitset and numpy
+    engines list each kernel vector's own column first, then its pivot
+    columns ascending, and the dict engine keeps the reducer's order."""
+    red = ColumnReducer(M.p)
+    pivots = []
+    for j, col in enumerate(M.columns):
+        before = red.rank
+        red.feed(col)
+        if red.rank > before:
+            pivots.append(j)
+    assert pivot_columns(M) == pivots
+    assert rank(M) == len(pivots)
+    kern = kernel_basis(M)
+    assert [v.entries for v in kern] == red.kernel
+    if M.p == 2 or _dense_eligible(M):
+        order = [[max(c)] + sorted(c)[:-1] for c in red.kernel]
+    else:
+        order = [list(c) for c in red.kernel]
+    assert [list(v.entries) for v in kern] == order
+    for v in kern:
+        assert not M.apply(dict(v.entries))
+
+
+def test_engine_rule():
+    # numpy int32 only where a product of two residues fits: p <= 46337
+    small = SparseMatrix(4, 4, 46337)
+    assert _dense_eligible(small)
+    for p in (2, 65537, 2 ** 31 - 1):
+        assert not _dense_eligible(SparseMatrix(4, 4, p))
