@@ -11,7 +11,7 @@ from .groups import (ConjugacyData, CosetSystem, DoubleCosetSystem, Group, Group
                      intersect_subgroups, preset_group, right_coset_system,
                      trivial_subgroup, whole_group)
 from .linalg import (FieldSpec, QuotientSpace, SparseMatrix, SparseVector,
-                     kernel_basis, rank, solve)
+                     kernel_basis, rank)
 from .complexes import (CohomologySpace, DComplex, GroupComplex, GroupTateElement,
                         TateElement, WindowError, class_of_index, dim_degree,
                         group_tate_complex)

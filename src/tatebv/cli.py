@@ -5,7 +5,7 @@
 
 Commands: info, dims, tables, verify-s3, verify-appendix-b, selftest,
 export-diff.  Exit codes: 0 success, 1 verification failure, 2 invalid
-config, 3 cost cap exceeded.
+config, 3 cost cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -156,6 +156,9 @@ def main(argv=None) -> int:
         return 2
     except CostCapError as exc:
         print(f"cost cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("cost cap exceeded: out of memory", file=sys.stderr)
         return 3
 
     if args.fmt == "json":

@@ -43,8 +43,14 @@ def make_group(spec: str) -> Group:
     if spec.startswith("perms:"):
         return group_from_permutations(parse_cycles(spec[len("perms:"):]))
     if spec.startswith("file:"):
-        with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        path = spec[len("file:"):]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing or unreadable file, bad JSON
+            raise ConfigError(f"cannot read group file {path!r}: {exc}") from exc
+        if not isinstance(data, dict) or "mult" not in data:
+            raise ConfigError(f'group file {path!r} has no "mult" table')
         return group_from_mult_table(data["mult"], labels=data.get("labels"))
     name, _, param = spec.partition(":")
     try:

@@ -18,11 +18,14 @@ engines, chosen in ``_eliminate``:
 * otherwise: ``ColumnReducer`` on dict columns.
 
 All three give the same pivot set and the same kernel basis.
+``QuotientSpace`` eliminates only in the coordinates that such a kernel
+basis gives its span, never again in the full space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -165,8 +168,7 @@ class ColumnReducer:
     Columns are fed in order; each is reduced against the established
     pivots (applied in creation order).  A column that survives becomes a
     pivot (normalized, pivot row = minimal remaining row index); one that
-    dies yields a kernel combination.  The same engine answers membership
-    and solve queries afterwards.
+    dies yields a kernel combination.
     """
 
     def __init__(self, p: int):
@@ -175,25 +177,21 @@ class ColumnReducer:
         self.kernel: List[Dict[int, int]] = []
         self._fed = 0
 
-    def _reduce(self, v: Dict[int, int], combo: Optional[Dict[int, int]]):
+    def feed(self, column: Dict[int, int], track: bool = True) -> None:
         p = self.p
+        j = self._fed
+        self._fed += 1
+        v = dict(column)
+        combo: Optional[Dict[int, int]] = {j: 1} if track else None
         for row, col, pcombo in self.pivots:
             c = v.get(row)
             if c:
                 add_scaled_inplace(v, col, -c, p)
                 if combo is not None and pcombo is not None:
                     add_scaled_inplace(combo, pcombo, -c, p)
-        return v, combo
-
-    def feed(self, column: Dict[int, int], track: bool = True) -> None:
-        j = self._fed
-        self._fed += 1
-        v = dict(column)
-        combo: Optional[Dict[int, int]] = {j: 1} if track else None
-        v, combo = self._reduce(v, combo)
         if not v:
-            if track:
-                self.kernel.append(combo if combo is not None else {})
+            if combo is not None:
+                self.kernel.append(combo)
             return
         row = min(v)
         inv = pow(v[row], self.p - 2, self.p)
@@ -206,30 +204,6 @@ class ColumnReducer:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def residual(self, vec: Dict[int, int]) -> Dict[int, int]:
-        v = dict(vec)
-        v, _ = self._reduce(v, None)
-        return v
-
-    def contains(self, vec: Dict[int, int]) -> bool:
-        return not self.residual(vec)
-
-    def express(self, vec: Dict[int, int]) -> Optional[Dict[int, int]]:
-        """Coefficients over the original columns with vec = sum(coeff * col)."""
-        p = self.p
-        v = dict(vec)
-        out: Dict[int, int] = {}
-        for row, col, pcombo in self.pivots:
-            c = v.get(row)
-            if c:
-                add_scaled_inplace(v, col, -c, p)
-                if pcombo is None:
-                    raise ValueError("reducer was fed with track=False")
-                add_scaled_inplace(out, pcombo, c, p)
-        if v:
-            return None
-        return out
 
 
 def _dense_eligible(M: SparseMatrix) -> bool:
@@ -381,80 +355,79 @@ def kernel_basis(M: SparseMatrix) -> List[SparseVector]:
     """Vectors v (over column indices) with Mv = 0 spanning the kernel.
 
     Each kernel vector carries coefficient 1 at its own free column and
-    support only at pivot columns (reduced echelon shape), so the basis is
-    unique.  Vectors come in free-column order.
+    support only at pivot columns left of it (reduced echelon shape), so
+    the basis is unique and the free column is each vector's largest
+    index.  Vectors come in free-column order.
     """
     return _eliminate(M, True)[1]
 
 
-def solve(M: SparseMatrix, b: SparseVector) -> Optional[SparseVector]:
-    """A solution of Mx = b with free variables zero, or None if inconsistent."""
-    for k in b.entries:
-        if not (0 <= k < M.nrows):
-            raise ValueError("right-hand side has entries outside the row space")
-    red = ColumnReducer(M.p)
-    for col in M.columns:
-        red.feed(col, track=True)
-    coeffs = red.express(dict(b.entries))
-    if coeffs is None:
-        return None
-    out = SparseVector(M.p)
-    out.entries = coeffs
-    return out
+def _free_columns(kernel: Sequence[SparseVector]) -> Dict[int, int]:
+    """{free column f_k: k} of a reduced kernel basis, in O(nnz): vector k
+    has coefficient 1 at its largest index f_k and no other vector has an
+    entry there.  Raises ValueError for any other list of vectors."""
+    free: Dict[int, int] = {}
+    for k, v in enumerate(kernel):
+        f = max(v.entries, default=None)
+        if f is None or v.entries[f] != 1 or f in free:
+            raise ValueError("kernel basis is not reduced")
+        free[f] = k
+    for v in kernel:
+        if len(v.entries.keys() & free.keys()) != 1:
+            raise ValueError("kernel basis is not reduced")
+    return free
 
 
 class QuotientSpace:
     """ker / im with deterministic representatives and a coordinate solver.
 
-    Built from a spanning list of kernel vectors and a list of image
-    vectors that must lie in their span (violations signal a broken
-    differential).  project() expresses any vector of the kernel span in
-    the chosen representative basis mod the image; lift() goes back.
+    ``kernel`` must be a reduced basis as ``kernel_basis`` returns it
+    (checked), so a vector of its span has its entries at the free columns
+    as coordinates; ``image`` vectors must lie in that span (violations
+    signal a broken differential).  The representatives are the kernel
+    vectors whose columns of [Phi | I] are pivot columns, Phi holding the
+    image coordinates, so ``dim`` needs no full-space elimination.
+    project() expresses any vector of the kernel span in the
+    representative basis mod the image; lift() goes back.  Their
+    full-space pivots are built on first use.
     """
 
     def __init__(self, p: int, kernel: Sequence[SparseVector], image: Sequence[SparseVector]):
         self.p = p
         self.kernel_basis = list(kernel)
         self.image_basis = list(image)
-        kernel_red = ColumnReducer(p)
-        for v in kernel:
-            kernel_red.feed(dict(v.entries), track=False)
-        # pivots tagged None are image directions, an int k tags representative k
-        self._pivots: List[Tuple[int, Dict[int, int], Optional[int]]] = []
-        for v in image:
-            if not kernel_red.contains(dict(v.entries)):
+        free = _free_columns(self.kernel_basis)
+        n, m = len(self.image_basis), len(self.kernel_basis)
+        coords = SparseMatrix(m, n + m, p)
+        for j, v in enumerate(self.image_basis):
+            x = {free[i]: c for i, c in v.entries.items() if i in free}
+            w = dict(v.entries)
+            for k, c in x.items():
+                add_scaled_inplace(w, self.kernel_basis[k].entries, -c, p)
+            if w:
                 raise ValueError("image vector outside kernel span (d^2 != 0?)")
-            w = self._residual(dict(v.entries))
-            if w:
-                row = min(w)
-                inv = pow(w[row], p - 2, p)
-                if inv != 1:
-                    w = {k: (val * inv) % p for k, val in w.items()}
-                self._pivots.append((row, w, None))
-        self.representatives: List[SparseVector] = []
-        for v in kernel:
-            w = self._residual(dict(v.entries))
-            if w:
-                row = min(w)
-                inv = pow(w[row], p - 2, p)
-                if inv != 1:
-                    w = {k: (val * inv) % p for k, val in w.items()}
-                rep = SparseVector(p)
-                rep.entries = dict(w)
-                self._pivots.append((row, w, len(self.representatives)))
-                self.representatives.append(rep)
+            coords.columns[j] = x
+        coords.columns[n:] = [{k: 1} for k in range(m)]
+        cols = pivot_columns(coords)
+        self._image_pivots = [j for j in cols if j < n]
+        self._rep_kernel = [j - n for j in cols if j >= n]
+        self.dim = len(self._rep_kernel)
 
-    def _residual(self, v: Dict[int, int]) -> Dict[int, int]:
-        p = self.p
-        for row, col, _tag in self._pivots:
-            c = v.get(row)
-            if c:
-                add_scaled_inplace(v, col, -c, p)
-        return v
+    @cached_property
+    def _pivots(self) -> List[Tuple[int, Dict[int, int], Optional[int]]]:
+        """(row, vector, tag): the ColumnReducer pivots of the independent
+        image vectors (tag None), then of the representatives (tag k)."""
+        red = ColumnReducer(self.p)
+        for j in self._image_pivots:
+            red.feed(self.image_basis[j].entries, track=False)
+        for k in self._rep_kernel:
+            red.feed(self.kernel_basis[k].entries, track=False)
+        tags = [None] * len(self._image_pivots) + list(range(self.dim))
+        return [(row, w, tag) for (row, w, _), tag in zip(red.pivots, tags)]
 
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
+    @cached_property
+    def representatives(self) -> List[SparseVector]:
+        return [SparseVector(self.p, w) for _row, w, tag in self._pivots if tag is not None]
 
     def project(self, v: SparseVector) -> List[int]:
         """Coordinates of v's class; raises if v is not in the kernel span."""

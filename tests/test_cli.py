@@ -1,6 +1,7 @@
 import json
 import os
 
+from tatebv import cli
 from tatebv.cli import main
 from tatebv.harness import JobConfig, cmd_dims, cmd_tables
 
@@ -56,17 +57,31 @@ def test_group_from_file(tmp_path, capsys):
     assert data["order"] == 3
 
 
-def test_invalid_config_exit_codes(capsys):
+def test_invalid_config_exit_codes(tmp_path, capsys):
     assert main(["dims", "--group", "cyclic:2", "--char", "6", "--window", "-2..2"]) == 2
     assert main(["dims", "--group", "nosuch:3", "--char", "3", "--window", "-2..2"]) == 2
     assert main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "2..-2"]) == 2
+    # file: specs: a missing file, bad JSON, a table without "mult"
+    missing = tmp_path / "missing.json"
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_mult = tmp_path / "no_mult.json"
+    no_mult.write_text(json.dumps({"labels": ["e"]}))
+    for path in (missing, bad_json, no_mult):
+        assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
     capsys.readouterr()
 
 
-def test_cost_cap_exit_code(capsys):
+def test_cost_cap_exit_code(monkeypatch, capsys):
     assert main(["dims", "--group", "cyclic:5", "--char", "5", "--window", "-200..200"]) == 3
     assert main(["export-diff", "--group", "symmetric:4", "--char", "2",
                  "--window", "-9..9"]) == 3
+
+    def out_of_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_dims", out_of_memory)
+    assert main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "-2..2"]) == 3
     capsys.readouterr()
 
 

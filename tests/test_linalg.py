@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tatebv.linalg import (ColumnReducer, FieldSpec, QuotientSpace, SparseMatrix, SparseVector,
-                           _dense_eligible, kernel_basis, pivot_columns, rank, solve)
+                           _dense_eligible, add_scaled_inplace, kernel_basis, pivot_columns,
+                           rank)
 
 
 def mat(rows, p):
@@ -62,34 +63,6 @@ def test_kernel_vectors_annihilate(s3_complex):
             assert not M.apply(dict(v.entries))
 
 
-def test_solve_examples():
-    I2 = SparseMatrix(2, 2, 5)
-    I2.set_entry(0, 0, 1)
-    I2.set_entry(1, 1, 1)
-    b = SparseVector(5, {0: 2, 1: 3})
-    assert solve(I2, b).entries == b.entries
-    Z = SparseMatrix(2, 2, 5)
-    assert solve(Z, b) is None
-    M = mat([[1, 1], [0, 1]], 2)
-    x = solve(M, SparseVector(2, {1: 1}))
-    assert x.entries == {0: 1, 1: 1}
-    assert M.apply(dict(x.entries)) == {1: 1}
-
-
-def test_solve_consistency_random():
-    rng = random.Random(0)
-    p = 5
-    for _ in range(25):
-        M = SparseMatrix(8, 6, p)
-        for _ in range(12):
-            M.add_entry(rng.randrange(8), rng.randrange(6), rng.randrange(1, p))
-        x = {j: rng.randrange(p) for j in rng.sample(range(6), 3)}
-        b = SparseVector(p, M.apply(x))
-        sol = solve(M, b)
-        assert sol is not None
-        assert M.apply(dict(sol.entries)) == b.entries
-
-
 def test_quotient_examples():
     p = 2
     e1 = SparseVector(p, {0: 1})
@@ -113,9 +86,14 @@ def test_quotient_validates_image():
 def test_quotient_project_lift_roundtrip():
     rng = random.Random(1)
     p = 3
-    kern = [SparseVector(p, {i: 1, 5: rng.randrange(p)}) for i in range(4)]
+    M = SparseMatrix(2, 6, p)
+    for _ in range(8):
+        M.add_entry(rng.randrange(2), rng.randrange(6), rng.randrange(1, p))
+    kern = kernel_basis(M)
+    assert len(kern) >= 4
     image = [kern[0].add_scaled(kern[1], 1)]
     q = QuotientSpace(p, kern, image)
+    assert q.dim == len(kern) - 1
     for _ in range(10):
         coords = [rng.randrange(p) for _ in range(q.dim)]
         assert q.project(q.lift(coords)) == coords
@@ -127,7 +105,8 @@ def test_quotient_project_lift_roundtrip():
 def test_project_linear():
     rng = random.Random(2)
     p = 5
-    kern = [SparseVector(p, {0: 1, 2: 3}), SparseVector(p, {1: 1}), SparseVector(p, {3: 1, 2: 1})]
+    kern = kernel_basis(mat([[1, 0, 3, 0, 2], [0, 1, 4, 1, 0]], p))
+    assert len(kern) == 3
     q = QuotientSpace(p, kern, [kern[2]])
     for _ in range(10):
         a = q.lift([rng.randrange(p) for _ in range(q.dim)])
@@ -136,6 +115,18 @@ def test_project_linear():
         lhs = q.project(a.add_scaled(b, c))
         rhs = [(x + c * y) % p for x, y in zip(q.project(a), q.project(b))]
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("kern", [
+    [{}],                          # no free column
+    [{0: 2}],                      # coefficient 2 at its free column
+    [{0: 1, 1: 1}, {1: 1}],        # two vectors share free column 1
+    [{0: 1}, {0: 1, 1: 1}],        # vector 1 touches free column 0
+])
+def test_quotient_rejects_unreduced_kernel(kern):
+    p = 3
+    with pytest.raises(ValueError, match="not reduced"):
+        QuotientSpace(p, [SparseVector(p, v) for v in kern], [])
 
 
 def test_determinism(s3_complex):
@@ -213,3 +204,81 @@ def test_engine_rule():
     assert _dense_eligible(small)
     for p in (2, 65537, 2 ** 31 - 1):
         assert not _dense_eligible(SparseMatrix(4, 4, p))
+
+
+def reference_quotient(p, kernel, image):
+    """The full-space quotient on ColumnReducer: raises ValueError if an
+    image vector is outside the kernel span, else returns the pivots of
+    feeding the image vectors, then the kernel vectors, as (row, vector,
+    tag) with tag None for image directions and k for representative k."""
+    span = ColumnReducer(p)
+    for v in kernel:
+        span.feed(dict(v.entries), track=False)
+    red = ColumnReducer(p)
+    tags = []
+    for v in image:
+        before = span.rank
+        span.feed(dict(v.entries), track=False)
+        if span.rank > before:
+            raise ValueError("image vector outside kernel span")
+        before = red.rank
+        red.feed(dict(v.entries), track=False)
+        tags += [None] * (red.rank - before)
+    for v in kernel:
+        before = red.rank
+        red.feed(dict(v.entries), track=False)
+        if red.rank > before:
+            tags.append(sum(t is not None for t in tags))
+    return [(row, col, tag) for (row, col, _), tag in zip(red.pivots, tags)]
+
+
+def reference_project(p, pivots, v):
+    w = dict(v.entries)
+    coords = [0] * sum(t is not None for _, _, t in pivots)
+    for row, col, tag in pivots:
+        c = w.get(row)
+        if c:
+            add_scaled_inplace(w, col, -c, p)
+            if tag is not None:
+                coords[tag] = c
+    return None if w else coords
+
+
+def combination(draw, p, vectors):
+    out = SparseVector(p)
+    for v in vectors:
+        add_scaled_inplace(out.entries, v.entries, draw(st.integers(0, p - 1)), p)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_matrices(), st.data())
+def test_quotient_matches_full_space_reference(A, data):
+    """QuotientSpace on kernel_basis(A) and an image of drawn combinations
+    of it (so d^2 = 0) gives the full-space reference's dim,
+    representatives, pivots and project coordinates; one drawn image
+    column outside the kernel must raise."""
+    p = A.p
+    kern = kernel_basis(A)
+    image = [combination(data.draw, p, kern) for _ in range(data.draw(st.integers(0, len(kern) + 1)))]
+    q = QuotientSpace(p, kern, image)
+    pivots = reference_quotient(p, kern, image)
+    assert q.dim == sum(t is not None for _, _, t in pivots)
+    assert q._pivots == pivots
+    assert [v.entries for v in q.representatives] == [c for _, c, t in pivots if t is not None]
+    for _ in range(3):
+        v = combination(data.draw, p, kern + image)
+        assert q.project(v) == reference_project(p, pivots, v)
+        assert q.project(q.lift(q.project(v))) == q.project(v)
+    outside = pivot_columns(A)
+    if outside:
+        bad = combination(data.draw, p, kern)
+        add_scaled_inplace(bad.entries, {data.draw(st.sampled_from(outside)): 1}, 1, p)
+        assert reference_project(p, pivots, bad) is None
+        with pytest.raises(ValueError, match="not in the kernel span"):
+            q.project(bad)
+        image.insert(data.draw(st.integers(0, len(image))), bad)
+        with pytest.raises(ValueError, match="outside kernel span"):
+            reference_quotient(p, kern, image)
+        with pytest.raises(ValueError, match="outside kernel span"):
+            QuotientSpace(p, kern, image)
