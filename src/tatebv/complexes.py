@@ -460,10 +460,6 @@ class GroupComplex(_BaseComplex):
         return group_boundary_terms(G, key, -d - 1)
 
 
-def group_tate_complex(H: Subgroup, p: int, window: Optional[Tuple[int, int]] = None) -> GroupComplex:
-    return GroupComplex(H, p, window)
-
-
 def differential_triples(cplx: _BaseComplex, degrees: Iterable[int]):
     """Sparse dump of the signed differential: rows of (degree, row, col, value)."""
     for d in degrees:

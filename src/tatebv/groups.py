@@ -391,9 +391,6 @@ class CosetSystem:
     def count(self) -> int:
         return len(self.gamma)
 
-    def coset_index(self, g: int) -> int:
-        return self.decomp[g][1]
-
     def step(self, i: int, g: int) -> Tuple[int, int]:
         """gamma_i * g = h * gamma_j; returns (h, j)."""
         G = self.subgroup.parent

@@ -7,24 +7,26 @@ to right, so the pivot columns are the leftmost-greedy independent set),
 so ranks, kernel bases and quotient representatives are bit-identical
 across runs.
 
-``kernel_basis``, ``pivot_columns`` and ``rank`` pick one of three exact
-engines, chosen in ``_eliminate``:
+``kernel_basis``, ``pivot_columns`` and ``rank`` pick one of four exact
+engines, chosen in ``_eliminate`` from p (and, for numpy, the matrix
+size):
 
 * p = 2: every column is packed into one Python-int bitset over rows and
   XOR is the whole row operation (the M4RI idea, in pure Python);
-* odd p with (p-1)^2 < 2^31, i.e. p <= 46337, on matrices of at most
-  4096 columns and 16M entries: numpy int32 reduced row echelon form,
-  whose products of two residues cannot overflow;
+* p = 3: the same loop on bit-sliced columns, a pair of bitsets holding
+  the rows of entry 1 and of entry 2 = -1;
+* 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on matrices of at most 4096
+  columns and 16M entries: numpy int32 reduced row echelon form, whose
+  products of two residues cannot overflow;
 * otherwise: ``ColumnReducer`` on dict columns.
 
-All three give the same pivot set and the same kernel basis.
+All four give the same pivot set and the same kernel basis.
 ``QuotientSpace`` eliminates only in the coordinates that such a kernel
 basis gives its span, never again in the full space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,23 +49,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """The prime field F_p."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, self.p - 2, self.p)
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
 
 class SparseVector:
@@ -96,11 +81,6 @@ class SparseVector:
 
     def get(self, key: Hashable) -> int:
         return self.entries.get(key, 0)
-
-    def add_scaled(self, other: "SparseVector", c: int) -> "SparseVector":
-        out = self.copy()
-        add_scaled_inplace(out.entries, other.entries, c, self.p)
-        return out
 
     def scale(self, c: int) -> "SparseVector":
         c %= self.p
@@ -207,10 +187,10 @@ class ColumnReducer:
 
 
 def _dense_eligible(M: SparseMatrix) -> bool:
-    """Whether the numpy int32 engine runs on M: odd p with (p-1)^2 < 2^31,
+    """Whether the numpy int32 engine runs on M: p >= 5 with (p-1)^2 < 2^31,
     so that a product of two residues fits int32, on a matrix small enough
-    to hold densely.  p = 2 always takes the bitset engine."""
-    return (M.p != 2 and (M.p - 1) ** 2 < 2 ** 31
+    to hold densely.  p = 2 and p = 3 always take the bitset engines."""
+    return (M.p > 3 and (M.p - 1) ** 2 < 2 ** 31
             and M.ncols <= DENSE_COLUMN_LIMIT and M.nrows * max(M.ncols, 1) <= DENSE_ENTRY_LIMIT)
 
 
@@ -301,12 +281,76 @@ def _gf2_eliminate(M: SparseMatrix, track: bool):
     return pivots, kernel if track else None
 
 
+def _gf3_eliminate(M: SparseMatrix, track: bool):
+    """(pivot columns, kernel basis or None without track) over F_3, by the
+    loop of ``_gf2_eliminate`` on bit-sliced columns.
+
+    A column is a pair (P, N) of Python-int bitsets over rows, the rows
+    holding 1 and the rows holding 2 = -1, and its combination is such a
+    pair over columns.  Negation swaps the pair; addition takes six
+    OR/XOR operations, t = (P | N') ^ (N | P'), sum = ((N | N') ^ t,
+    (P | P') ^ t), and subtraction adds the swapped pair (bit-slicing after
+    Boothby & Bradshaw, 2009).  A column is reduced by the pivot at the
+    lowest pivot row it has set, subtracted where that entry is 1 and
+    added where it is 2, until none is left; a surviving column becomes a
+    pivot, negated if needed so that its lowest entry is 1.  A dead
+    column's combination is +1 at its own column (no pivot combination
+    reaches it) plus entries at pivot columns only: the canonical kernel
+    vector of that free column.
+    """
+    piv: List[Tuple[int, int, int, int]] = []  # (P, N, combination P, N)
+    slot = [0] * M.nrows  # pivot row -> index into piv
+    mask = 0
+    pivots: List[int] = []
+    kernel: List[SparseVector] = []
+    for j, col in enumerate(M.columns):
+        P = N = 0
+        for i, x in col.items():
+            if x == 1:
+                P |= 1 << i
+            else:
+                N |= 1 << i
+        cp, cn = (1 << j if track else 0), 0
+        hit = (P | N) & mask
+        while hit:
+            low = hit & -hit
+            qp, qn, rp, rn = piv[slot[low.bit_length() - 1]]
+            if P & low:  # entry 1: subtract the pivot, i.e. add its negation
+                qp, qn, rp, rn = qn, qp, rn, rp
+            t = (P | qn) ^ (N | qp)
+            P, N = (N | qn) ^ t, (P | qp) ^ t
+            if track:
+                t = (cp | rn) ^ (cn | rp)
+                cp, cn = (cn | rn) ^ t, (cp | rp) ^ t
+            hit = (P | N) & mask
+        v = P | N
+        if not v:
+            if track:
+                sv = SparseVector(3)
+                # own column first, then the pivot columns ascending
+                sv.entries = dict.fromkeys([j] + _bits(cp | cn)[:-1], 1)
+                for i in _bits(cn):
+                    sv.entries[i] = 2
+                kernel.append(sv)
+            continue
+        low = v & -v
+        if N & low:  # normalize the pivot to 1 at its lowest row
+            P, N, cp, cn = N, P, cn, cp
+        slot[low.bit_length() - 1] = len(piv)
+        piv.append((P, N, cp, cn))
+        mask |= low
+        pivots.append(j)
+    return pivots, kernel if track else None
+
+
 def _eliminate(M: SparseMatrix, track: bool):
     """(pivot columns, kernel basis or None without track) by the engine
     rule of the module docstring; the one place an engine is chosen."""
     p = M.p
     if p == 2:
         return _gf2_eliminate(M, track)
+    if p == 3:
+        return _gf3_eliminate(M, track)
     if _dense_eligible(M):
         R, pivots = _dense_rref(M)
         if not track:

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tatebv.linalg import (ColumnReducer, FieldSpec, QuotientSpace, SparseMatrix, SparseVector,
-                           _dense_eligible, add_scaled_inplace, kernel_basis, pivot_columns,
-                           rank)
+from tatebv import preset_group, whole_group
+from tatebv.complexes import GroupComplex
+from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, SparseVector,
+                           _dense_eligible, add_scaled_inplace, is_prime, kernel_basis,
+                           pivot_columns, rank)
 
 
 def mat(rows, p):
@@ -17,13 +19,11 @@ def mat(rows, p):
     return M
 
 
-def test_fieldspec():
-    assert FieldSpec(2).p == 2
-    assert FieldSpec(7).inv(3) == 5
-    with pytest.raises(ValueError):
-        FieldSpec(6)
-    with pytest.raises(ValueError):
-        FieldSpec(1)
+def test_is_prime_and_inverse():
+    assert is_prime(2) and is_prime(7)
+    assert pow(3, 7 - 2, 7) == 5
+    assert not is_prime(6)
+    assert not is_prime(1)
 
 
 def test_rank_examples():
@@ -91,7 +91,8 @@ def test_quotient_project_lift_roundtrip():
         M.add_entry(rng.randrange(2), rng.randrange(6), rng.randrange(1, p))
     kern = kernel_basis(M)
     assert len(kern) >= 4
-    image = [kern[0].add_scaled(kern[1], 1)]
+    image = [kern[0].copy()]
+    add_scaled_inplace(image[0].entries, kern[1].entries, 1, p)
     q = QuotientSpace(p, kern, image)
     assert q.dim == len(kern) - 1
     for _ in range(10):
@@ -112,7 +113,9 @@ def test_project_linear():
         a = q.lift([rng.randrange(p) for _ in range(q.dim)])
         b = q.lift([rng.randrange(p) for _ in range(q.dim)])
         c = rng.randrange(p)
-        lhs = q.project(a.add_scaled(b, c))
+        s = a.copy()
+        add_scaled_inplace(s.entries, b.entries, c, p)
+        lhs = q.project(s)
         rhs = [(x + c * y) % p for x, y in zip(q.project(a), q.project(b))]
         assert lhs == rhs
 
@@ -168,16 +171,9 @@ def seeded_sparse(p):
     return M
 
 
-@settings(max_examples=300, deadline=None)
-@given(rank_deficient_matrices())
-@example(seeded_sparse(3))
-@example(seeded_sparse(2))
-@example(seeded_sparse(65537))
-def test_engines_match_column_reducer(M):
-    """Every engine (bitsets at p = 2, numpy int32, dict columns) gives the
-    ColumnReducer's pivot set, rank and kernel basis; the bitset and numpy
-    engines list each kernel vector's own column first, then its pivot
-    columns ascending, and the dict engine keeps the reducer's order."""
+def reducer_run(M):
+    """(pivot columns, kernel combinations) of feeding M's columns to a
+    ColumnReducer in order."""
     red = ColumnReducer(M.p)
     pivots = []
     for j, col in enumerate(M.columns):
@@ -185,25 +181,61 @@ def test_engines_match_column_reducer(M):
         red.feed(col)
         if red.rank > before:
             pivots.append(j)
+    return pivots, red.kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_matrices())
+@example(seeded_sparse(3))
+@example(seeded_sparse(2))
+@example(seeded_sparse(65537))
+def test_engines_match_column_reducer(M):
+    """Every engine (bitsets at p = 2, bit-sliced pairs at p = 3, numpy
+    int32, dict columns) gives the ColumnReducer's pivot set, rank and
+    kernel basis; the bitset and numpy engines list each kernel vector's
+    own column first, then its pivot columns ascending, and the dict engine
+    keeps the reducer's order."""
+    pivots, red_kernel = reducer_run(M)
     assert pivot_columns(M) == pivots
     assert rank(M) == len(pivots)
     kern = kernel_basis(M)
-    assert [v.entries for v in kern] == red.kernel
-    if M.p == 2 or _dense_eligible(M):
-        order = [[max(c)] + sorted(c)[:-1] for c in red.kernel]
+    assert [v.entries for v in kern] == red_kernel
+    if M.p in (2, 3) or _dense_eligible(M):
+        order = [[max(c)] + sorted(c)[:-1] for c in red_kernel]
     else:
-        order = [list(c) for c in red.kernel]
+        order = [list(c) for c in red_kernel]
     assert [list(v.entries) for v in kern] == order
     for v in kern:
         assert not M.apply(dict(v.entries))
 
 
 def test_engine_rule():
-    # numpy int32 only where a product of two residues fits: p <= 46337
-    small = SparseMatrix(4, 4, 46337)
-    assert _dense_eligible(small)
-    for p in (2, 65537, 2 ** 31 - 1):
+    # numpy int32 only where a product of two residues fits, p <= 46337,
+    # and not at p = 2 or 3, which take the bitset engines
+    for p in (5, 46337):
+        assert _dense_eligible(SparseMatrix(4, 4, p))
+    for p in (2, 3, 65537, 2 ** 31 - 1):
         assert not _dense_eligible(SparseMatrix(4, 4, p))
+
+
+def test_gf3_engine_on_s3_complex():
+    """The p = 3 bit-sliced engine on whole-group S3 differentials, with
+    hundreds of rows and entries of both signs: the 625x125 kernel of
+    degree 3 (entries and their order) and the 125x625 pivots of degree -5
+    equal the ColumnReducer's."""
+    C = GroupComplex(whole_group(preset_group("symmetric", 3)), 3, (-6, 4))
+    M = C.matrix(3)
+    assert (M.nrows, M.ncols) == (625, 125)
+    assert {v for col in M.columns for v in col.values()} == {1, 2}
+    pivots, kern = reducer_run(M)
+    out = kernel_basis(M)
+    assert [v.entries for v in out] == kern
+    assert [list(v.entries) for v in out] == [[max(c)] + sorted(c)[:-1] for c in kern]
+    assert any(2 in c.values() for c in kern)
+    assert pivot_columns(M) == pivots
+    M = C.matrix(-5)
+    assert (M.nrows, M.ncols) == (125, 625)
+    assert pivot_columns(M) == reducer_run(M)[0]
 
 
 def reference_quotient(p, kernel, image):
