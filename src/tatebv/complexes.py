@@ -339,11 +339,11 @@ class _BaseComplex:
                 return self._matrix[d]
         src = self.basis(d)
         tgt_index = self.index(d + 1)
-        M = SparseMatrix(len(tgt_index), len(src), self.p)
-        sign = self.sign_of(d)
-        for j, key in enumerate(src):
-            for tkey, c in self.unsigned_terms(key, d).items():
-                M.add_entry(tgt_index[tkey], j, c * sign)
+        p, sign = self.p, self.sign_of(d)
+        M = SparseMatrix(len(tgt_index), len(src), p)
+        # unsigned_terms sums each target key once, so every column is one dict
+        M.columns = [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d).items()
+                      if (x := c * sign % p)} for key in src]
         with self._lock:
             self._matrix.setdefault(d, M)
             return self._matrix[d]

@@ -28,6 +28,13 @@ from .transfer import TransferContext
 
 DIRECT_COLUMN_CAP = 200_000
 DECOMPOSITION_CAP = 1_000_000
+# Degrees DecOps' D-complex of G accepts.  The D-complex only checks
+# degrees; bases are built lazily, in the degrees a job touches.  For
+# |G| >= 3 the identity class's centralizer G alone makes
+# DECOMPOSITION_CAP refuse any window outside [-19, 18] ((|G|-1)^s > 10^6
+# from s = 20), so cups, brackets and BV images of window classes stay
+# within -40..40.  For |G| = 2 the caps do not bound the window.
+DEC_WINDOW = (-64, 64)
 
 
 class ConfigError(ValueError):
@@ -136,7 +143,7 @@ class DecOps:
         self.p = p
         self.cd = conjugacy_classes(G)
         self.ctx = TransferContext(G, p, self.cd)
-        self.dc = DComplex(G, p, (-64, 64))
+        self.dc = DComplex(G, p, DEC_WINDOW)
         self.dec = ClassDecomposition(self.dc, self.cd,
                                       lambda sub: self.ctx.complex_for(sub))
         self.coord_cap = coord_cap or {}

@@ -2,27 +2,23 @@
 
 Everything here is integer arithmetic mod p: sparse vectors are dicts
 mapping basis indices to nonzero residues, matrices are column-major
-lists of such dicts.  Elimination is deterministic (columns are fed left
-to right, so the pivot columns are the leftmost-greedy independent set),
-so ranks, kernel bases and quotient representatives are bit-identical
-across runs.
+lists of such dicts.  Elimination is deterministic (the pivot columns are
+the leftmost-greedy independent set), so ranks, kernel bases and quotient
+representatives are bit-identical across runs.
 
-``kernel_basis``, ``pivot_columns`` and ``rank`` pick one of four exact
-engines, chosen in ``_eliminate`` from p (and, for numpy, the matrix
-size):
+``_eliminate``, the one place an engine is chosen, picks one by p and shape:
 
-* p = 2: every column is packed into one Python-int bitset over rows and
-  XOR is the whole row operation (the M4RI idea, in pure Python);
-* p = 3: the same loop on bit-sliced columns, a pair of bitsets holding
-  the rows of entry 1 and of entry 2 = -1;
-* 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on matrices of at most 4096
-  columns and 16M entries: numpy int32 reduced row echelon form, whose
-  products of two residues cannot overflow;
-* otherwise: ``ColumnReducer`` on dict columns.
+* p = 2 and p = 3: the bitset echelon core ``_Bitsets`` (one Python-int
+  bitset per vector at p = 2, a bit-sliced pair at p = 3), by rows for
+  ``pivot_columns`` and ``rank`` of wide matrices (ncols > nrows), else
+  by columns.  ``QuotientSpace`` keeps its pivots on the same core;
+* 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on at most 4096 columns and 16M
+  entries: numpy int32 reduced row echelon form, whose products of two
+  residues cannot overflow;
+* otherwise: ``ColumnReducer`` on dict columns, which also holds
+  ``QuotientSpace``'s pivots at p >= 5.
 
-All four give the same pivot set and the same kernel basis.
-``QuotientSpace`` eliminates only in the coordinates that such a kernel
-basis gives its span, never again in the full space.
+All engines give the same pivot set and the same kernel basis.
 """
 
 from __future__ import annotations
@@ -123,12 +119,6 @@ class SparseMatrix:
         else:
             self.columns[j].pop(i, None)
 
-    def add_entry(self, i: int, j: int, v: int) -> None:
-        self.set_entry(i, j, (self.columns[j].get(i, 0) + v) % self.p)
-
-    def column(self, j: int) -> Dict[int, int]:
-        return self.columns[j]
-
     def apply(self, v: Dict[int, int]) -> Dict[int, int]:
         """Matrix-vector product; v is a sparse vector over column indices."""
         out: Dict[int, int] = {}
@@ -143,12 +133,14 @@ class SparseMatrix:
 
 
 class ColumnReducer:
-    """Incremental column echelon form with combination tracking.
+    """Incremental column echelon form on dict columns with combination
+    tracking, the dict engine for p >= 5.
 
     Columns are fed in order; each is reduced against the established
     pivots (applied in creation order).  A column that survives becomes a
     pivot (normalized, pivot row = minimal remaining row index); one that
-    dies yields a kernel combination.
+    dies yields a kernel combination.  ``QuotientSpace`` uses the steps of
+    ``feed`` as it uses those of ``_Bitsets``.
     """
 
     def __init__(self, p: int):
@@ -158,28 +150,40 @@ class ColumnReducer:
         self._fed = 0
 
     def feed(self, column: Dict[int, int], track: bool = True) -> None:
-        p = self.p
-        j = self._fed
+        v, c = self.reduce(dict(column), {self._fed: 1} if track else None)
         self._fed += 1
-        v = dict(column)
-        combo: Optional[Dict[int, int]] = {j: 1} if track else None
-        for row, col, pcombo in self.pivots:
-            c = v.get(row)
-            if c:
-                add_scaled_inplace(v, col, -c, p)
-                if combo is not None and pcombo is not None:
-                    add_scaled_inplace(combo, pcombo, -c, p)
-        if not v:
-            if combo is not None:
-                self.kernel.append(combo)
-            return
-        row = min(v)
-        inv = pow(v[row], self.p - 2, self.p)
+        if v:
+            self.push(*self.normalize(v, c))
+        elif c is not None:
+            self.kernel.append(c)
+
+    split = staticmethod(dict)
+    support = entries = staticmethod(lambda v: v)
+    coords = staticmethod(lambda c, n: [c.get(k, 0) for k in range(n)])
+
+    def reduce(self, v: Dict[int, int], c: Optional[Dict[int, int]]):
+        """v minus the multiples of the pivots that clear their rows, c
+        (None: untracked) minus the same multiples of their combinations;
+        both are updated in place."""
+        p = self.p
+        for row, w, d in self.pivots:
+            x = v.get(row)
+            if x:
+                add_scaled_inplace(v, w, -x, p)
+                if c is not None:
+                    add_scaled_inplace(c, d, -x, p)
+        return v, c
+
+    def normalize(self, v: Dict[int, int], c: Optional[Dict[int, int]]):
+        """(v, c) scaled so that v's entry at its lowest row is 1."""
+        p = self.p
+        inv = pow(v[min(v)], p - 2, p)
         if inv != 1:
-            v = {k: (val * inv) % self.p for k, val in v.items()}
-            if combo is not None:
-                combo = {k: (val * inv) % self.p for k, val in combo.items()}
-        self.pivots.append((row, v, combo))
+            v, c = (u if u is None else {k: x * inv % p for k, x in u.items()} for u in (v, c))
+        return v, c
+
+    def push(self, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
+        self.pivots.append((min(v), v, c))
 
     @property
     def rank(self) -> int:
@@ -235,87 +239,107 @@ def _bits(x: int) -> List[int]:
     return out
 
 
-def _gf2_eliminate(M: SparseMatrix, track: bool):
-    """(pivot columns, kernel basis or None without track) over F_2, by
-    column elimination on Python-int bitsets.
+class _Bitsets:
+    """Pivots in row echelon form over F_2 or F_3 on Python-int bitsets,
+    the M4RI idea in pure Python; one instance per elimination.
 
-    Each column is a bitset over rows and its combination a bitset over
-    columns.  A column is reduced by XORing the pivot at the lowest pivot
-    row it has set until it has none (a pivot has no set bit at a pivot
-    row below its own, so each XOR only adds bits above that row); a
-    surviving column becomes a pivot at its lowest set row.  Pivots stay
-    in row echelon form, never back-substituted: keeping them Gauss-Jordan
-    reduced was measured 4-5x slower on the matrices of ``dims`` at p = 2.
-    A dead column's combination is its own bit plus bits at pivot columns
-    only: the canonical kernel vector of that free column.
+    Per field: ``split`` turns a dict of entries into a vector; ``reduce``
+    clears the lowest pivot row a vector has set until none is left,
+    adding the same multiples of pivot combinations to a tracked one (a
+    pivot has no set bit below its own row, so each step changes only
+    rows above it and applies every pivot at most once); ``normalize``
+    scales a vector to 1 at its lowest set row and ``push`` makes it the
+    pivot there; ``entries`` and ``coords`` read a vector back as a dict or
+    a list.  Pivots are never back-substituted: Gauss-Jordan reduced pivots
+    were measured 4-5x slower on the matrices of ``dims`` at p = 2.
     """
-    vecs: List[int] = []
-    combos: List[int] = []
-    slot = [0] * M.nrows  # pivot row -> index into vecs
-    mask = 0
-    pivots: List[int] = []
-    kernel: List[SparseVector] = []
-    for j, col in enumerate(M.columns):
-        v = sum(1 << i for i in col)
-        c = 1 << j if track else 0
+
+    def __init__(self):
+        self.at: List[Optional[tuple]] = []  # pivot row -> flat(vector, combination)
+        self.mask = 0  # the pivot rows
+
+    def push(self, v, c) -> None:
+        """Make v (nonzero, normalized, no set pivot row) the pivot at its
+        lowest set row, with combination c."""
+        s = self.support(v)
+        row = (s & -s).bit_length() - 1
+        if row >= len(self.at):
+            self.at.extend([None] * (row + 1 - len(self.at)))
+        self.at[row] = self.flat(v, c)
+        self.mask |= s & -s
+
+    def entries(self, v, first: Optional[int] = None) -> Dict[int, int]:
+        """v as {index: entry} ascending, or its largest index ``first`` first."""
+        keys = _bits(self.support(v))
+        out = dict.fromkeys(keys if first is None else [first] + keys[:-1], 1)
+        for i in _bits(self.twos(v)):
+            out[i] = 2
+        return out
+
+
+class _GF2(_Bitsets):
+    """F_2: a vector is one bitset, and XOR is the whole row operation."""
+
+    split = staticmethod(lambda entries: sum(1 << i for i in entries))
+    unit = staticmethod(lambda j: 1 << j)
+    support = staticmethod(lambda v: v)
+    twos = staticmethod(lambda v: 0)
+    coords = staticmethod(lambda c, n: [c >> k & 1 for k in range(n)])
+    normalize = flat = staticmethod(lambda v, c: (v, c))
+
+    def reduce(self, v: int, c: Optional[int]):
+        at, mask = self.at, self.mask
+        track = c is not None
         hit = v & mask
         while hit:
-            k = slot[(hit & -hit).bit_length() - 1]
-            v ^= vecs[k]
+            w, d = at[(hit & -hit).bit_length() - 1]
+            v ^= w
             if track:
-                c ^= combos[k]
+                c ^= d
             hit = v & mask
-        if not v:
-            if track:
-                sv = SparseVector(2)
-                # own column first, then the pivot columns ascending
-                sv.entries = dict.fromkeys([j] + _bits(c)[:-1], 1)
-                kernel.append(sv)
-            continue
-        low = v & -v
-        slot[low.bit_length() - 1] = len(vecs)
-        vecs.append(v)
-        combos.append(c)
-        mask |= low
-        pivots.append(j)
-    return pivots, kernel if track else None
+        return v, c
 
 
-def _gf3_eliminate(M: SparseMatrix, track: bool):
-    """(pivot columns, kernel basis or None without track) over F_3, by the
-    loop of ``_gf2_eliminate`` on bit-sliced columns.
+class _GF3(_Bitsets):
+    """F_3, bit-sliced (Boothby & Bradshaw, 2009): a vector is a pair (P, N)
+    of bitsets, the indices holding 1 and those holding 2 = -1.  Negation
+    swaps the pair; addition takes six OR/XOR operations,
+    t = (P | N') ^ (N | P'), sum = ((N | N') ^ t, (P | P') ^ t)."""
 
-    A column is a pair (P, N) of Python-int bitsets over rows, the rows
-    holding 1 and the rows holding 2 = -1, and its combination is such a
-    pair over columns.  Negation swaps the pair; addition takes six
-    OR/XOR operations, t = (P | N') ^ (N | P'), sum = ((N | N') ^ t,
-    (P | P') ^ t), and subtraction adds the swapped pair (bit-slicing after
-    Boothby & Bradshaw, 2009).  A column is reduced by the pivot at the
-    lowest pivot row it has set, subtracted where that entry is 1 and
-    added where it is 2, until none is left; a surviving column becomes a
-    pivot, negated if needed so that its lowest entry is 1.  A dead
-    column's combination is +1 at its own column (no pivot combination
-    reaches it) plus entries at pivot columns only: the canonical kernel
-    vector of that free column.
-    """
-    piv: List[Tuple[int, int, int, int]] = []  # (P, N, combination P, N)
-    slot = [0] * M.nrows  # pivot row -> index into piv
-    mask = 0
-    pivots: List[int] = []
-    kernel: List[SparseVector] = []
-    for j, col in enumerate(M.columns):
+    unit = staticmethod(lambda j: (1 << j, 0))
+    support = staticmethod(lambda v: v[0] | v[1])
+    twos = staticmethod(lambda v: v[1])
+    coords = staticmethod(lambda c, n: [c[0] >> k & 1 | (c[1] >> k & 1) << 1 for k in range(n)])
+    flat = staticmethod(lambda v, c: (*v, *(c or (0, 0))))
+
+    @staticmethod
+    def split(entries: Dict[int, int]) -> Tuple[int, int]:
         P = N = 0
-        for i, x in col.items():
+        for i, x in entries.items():
             if x == 1:
                 P |= 1 << i
             else:
                 N |= 1 << i
-        cp, cn = (1 << j if track else 0), 0
+        return P, N
+
+    @staticmethod
+    def normalize(v: Tuple[int, int], c):
+        """(v, c), both negated if v's lowest entry is 2."""
+        s = v[0] | v[1]
+        if v[1] & s & -s:
+            return (v[1], v[0]), c if c is None else (c[1], c[0])
+        return v, c
+
+    def reduce(self, v: Tuple[int, int], c: Optional[Tuple[int, int]]):
+        at, mask = self.at, self.mask
+        P, N = v
+        track = c is not None
+        cp, cn = c if track else (0, 0)
         hit = (P | N) & mask
         while hit:
             low = hit & -hit
-            qp, qn, rp, rn = piv[slot[low.bit_length() - 1]]
-            if P & low:  # entry 1: subtract the pivot, i.e. add its negation
+            qp, qn, rp, rn = at[low.bit_length() - 1]
+            if P & low:  # entry 1: subtract the pivot, i.e. add its negation; entry 2: add it
                 qp, qn, rp, rn = qn, qp, rn, rp
             t = (P | qn) ^ (N | qp)
             P, N = (N | qn) ^ t, (P | qp) ^ t
@@ -323,34 +347,52 @@ def _gf3_eliminate(M: SparseMatrix, track: bool):
                 t = (cp | rn) ^ (cn | rp)
                 cp, cn = (cn | rn) ^ t, (cp | rp) ^ t
             hit = (P | N) & mask
-        v = P | N
-        if not v:
-            if track:
-                sv = SparseVector(3)
-                # own column first, then the pivot columns ascending
-                sv.entries = dict.fromkeys([j] + _bits(cp | cn)[:-1], 1)
-                for i in _bits(cn):
-                    sv.entries[i] = 2
-                kernel.append(sv)
-            continue
-        low = v & -v
-        if N & low:  # normalize the pivot to 1 at its lowest row
-            P, N, cp, cn = N, P, cn, cp
-        slot[low.bit_length() - 1] = len(piv)
-        piv.append((P, N, cp, cn))
-        mask |= low
-        pivots.append(j)
-    return pivots, kernel if track else None
+        return (P, N), (cp, cn) if track else None
+
+
+_BITSETS = {2: _GF2, 3: _GF3}
+
+
+def _bitset_eliminate(vectors: Sequence[Dict[int, int]], p: int, track: bool):
+    """(echelon, indices of the vectors that became pivots, kernel basis or
+    None without track) of feeding dict vectors in order to a bitset
+    echelon at p <= 3.  A dead vector's combination is 1 at its own index
+    (no pivot combination reaches it) plus entries at pivot indices only:
+    the canonical kernel vector of that free index, own index first."""
+    E = _BITSETS[p]()
+    split, unit, reduce, support = E.split, E.unit, E.reduce, E.support
+    pivots: List[int] = []
+    kernel: List[SparseVector] = []
+    for j, col in enumerate(vectors):
+        v, c = reduce(split(col), unit(j) if track else None)
+        if support(v):
+            E.push(*E.normalize(v, c))
+            pivots.append(j)
+        elif track:
+            sv = SparseVector(p)
+            sv.entries = E.entries(c, first=j)
+            kernel.append(sv)
+    return E, pivots, kernel if track else None
+
+
+def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
+    rows: List[Dict[int, int]] = [{} for _ in range(M.nrows)]
+    for j, col in enumerate(M.columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
 
 
 def _eliminate(M: SparseMatrix, track: bool):
     """(pivot columns, kernel basis or None without track) by the engine
     rule of the module docstring; the one place an engine is chosen."""
     p = M.p
-    if p == 2:
-        return _gf2_eliminate(M, track)
-    if p == 3:
-        return _gf3_eliminate(M, track)
+    if p <= 3:
+        if not track and M.ncols > M.nrows:
+            # by rows: the lowest set columns of an echelon basis of M's row
+            # space are exactly M's leftmost-greedy independent columns
+            return _bits(_bitset_eliminate(_rows(M), p, False)[0].mask), None
+        return _bitset_eliminate(M.columns, p, track)[1:]
     if _dense_eligible(M):
         R, pivots = _dense_rref(M)
         if not track:
@@ -375,14 +417,7 @@ def _eliminate(M: SparseMatrix, track: bool):
         red.feed(col, track=track)
         if red.rank > before:
             pivots.append(j)
-    if not track:
-        return pivots, None
-    out = []
-    for combo in red.kernel:
-        sv = SparseVector(p)
-        sv.entries = dict(combo)
-        out.append(sv)
-    return pivots, out
+    return pivots, [SparseVector(p, c) for c in red.kernel] if track else None
 
 
 def rank(M: SparseMatrix) -> int:
@@ -432,8 +467,9 @@ class QuotientSpace:
     vectors whose columns of [Phi | I] are pivot columns, Phi holding the
     image coordinates, so ``dim`` needs no full-space elimination.
     project() expresses any vector of the kernel span in the
-    representative basis mod the image; lift() goes back.  Their
-    full-space pivots are built on first use.
+    representative basis mod the image; lift() goes back.  Both use the
+    full-space pivots of ``_echelon``, built on first use: bitsets at
+    p <= 3, a ``ColumnReducer`` at p >= 5.
     """
 
     def __init__(self, p: int, kernel: Sequence[SparseVector], image: Sequence[SparseVector]):
@@ -458,35 +494,39 @@ class QuotientSpace:
         self.dim = len(self._rep_kernel)
 
     @cached_property
-    def _pivots(self) -> List[Tuple[int, Dict[int, int], Optional[int]]]:
-        """(row, vector, tag): the ColumnReducer pivots of the independent
-        image vectors (tag None), then of the representatives (tag k)."""
-        red = ColumnReducer(self.p)
-        for j in self._image_pivots:
-            red.feed(self.image_basis[j].entries, track=False)
-        for k in self._rep_kernel:
-            red.feed(self.kernel_basis[k].entries, track=False)
-        tags = [None] * len(self._image_pivots) + list(range(self.dim))
-        return [(row, w, tag) for (row, w, _), tag in zip(red.pivots, tags)]
+    def _echelon(self):
+        """Full-space pivots: the independent image vectors, then the
+        representative kernel vectors, each reduced by the earlier pivots
+        and normalized to 1 at its lowest row.  Pivot k is the unique vector
+        of (fed vector + span of earlier pivots) that is zero at every
+        earlier pivot row, so neither it nor a coordinate of project()
+        depends on the order in which an engine clears those rows.  The
+        combination of representative k's pivot is -e_k, so that reducing
+        a vector collects its coordinates; an image pivot's is zero.
+        Returns the echelon and its pivot vectors in the order fed."""
+        p = self.p
+        E = _BITSETS[p]() if p <= 3 else ColumnReducer(p)
+        fed = [(self.image_basis[j], {}) for j in self._image_pivots]
+        fed += [(self.kernel_basis[j], {k: p - 1}) for k, j in enumerate(self._rep_kernel)]
+        pivots = []
+        for vec, tag in fed:
+            v, _ = E.reduce(E.split(vec.entries), None)
+            pivots.append(E.normalize(v, None)[0])
+            E.push(pivots[-1], E.split(tag))
+        return E, pivots
 
     @cached_property
     def representatives(self) -> List[SparseVector]:
-        return [SparseVector(self.p, w) for _row, w, tag in self._pivots if tag is not None]
+        E, pivots = self._echelon
+        return [SparseVector(self.p, E.entries(v)) for v in pivots[len(self._image_pivots):]]
 
     def project(self, v: SparseVector) -> List[int]:
         """Coordinates of v's class; raises if v is not in the kernel span."""
-        p = self.p
-        w = dict(v.entries)
-        coords = [0] * self.dim
-        for row, col, tag in self._pivots:
-            c = w.get(row)
-            if c:
-                add_scaled_inplace(w, col, -c, p)
-                if tag is not None:
-                    coords[tag] = c % p
-        if w:
+        E = self._echelon[0]
+        w, c = E.reduce(E.split(v.entries), E.split({}))
+        if E.support(w):
             raise ValueError("vector is not in the kernel span (not a cocycle)")
-        return coords
+        return E.coords(c, self.dim)
 
     def lift(self, coords: Sequence[int]) -> SparseVector:
         if len(coords) != self.dim:

@@ -30,6 +30,12 @@ from .groups import (ConjugacyData, CosetSystem, Group, Subgroup, class_rep_and_
 
 SubgroupClass = CohClass
 
+# Degrees of the D-complex of each subgroup's local model.  Transfers act
+# on classes of a job's products, whose degrees stay within -40..40 for
+# every group of order >= 3 that passes harness.DECOMPOSITION_CAP (see
+# harness.DEC_WINDOW); the margin costs nothing, as bases are built lazily.
+LOCAL_WINDOW = (-99, 99)
+
 
 class TransferContext:
     """Shared caches for one (group, characteristic) pair."""
@@ -66,7 +72,7 @@ class TransferContext:
         key = H.members
         if key not in self._locals:
             Gloc, to_local, from_local = H.as_group()
-            dc = DComplex(Gloc, self.p, (-99, 99))
+            dc = DComplex(Gloc, self.p, LOCAL_WINDOW)
             self._locals[key] = (Gloc, to_local, from_local, dc)
         return self._locals[key]
 

@@ -1,0 +1,46 @@
+"""Golden outputs: the SHA-256 of each job's CLI JSON, ``provenance``
+removed, serialized with ``json.dumps(..., sort_keys=True)``.
+
+The digests were computed from the code before quotient pivots and wide
+``pivot_columns`` moved onto the bitset echelon core, so they pin the
+outputs that change had to keep byte for byte.  ``tables`` prints its
+structure constants in the representative basis, so its digests also
+guard the representatives' entries.  Each job takes about a second or
+less in-process.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tatebv.cli import main
+
+GOLDEN = [
+    (("dims", "--group", "dihedral:4", "--char", "2", "--window", "-2..2"),
+     "92929537dde276d1188cacecc96a9e881043015205218a338027eb4e738a7954"),
+    (("dims", "--group", "quaternion8", "--char", "2", "--window", "-3..3"),
+     "930e2b7165d552e2722ff45fea97d7225c0d15746dddfafa6957f328c88ed70a"),
+    (("tables", "--group", "symmetric:3", "--char", "3", "--window", "-4..4"),
+     "78694b0951c4503a39d43983939e022f54e56777680539167b93762bf69fbccc"),
+    (("tables", "--group", "dihedral:4", "--char", "2", "--window", "-2..2"),
+     "fcf3e1326d919be15d015a2e6578a84204dfa481de7ba9afb9ae6904c9aee470"),
+    (("verify-s3", "--window", "-3..3"),
+     "9b52804e234cde91d806adaa45715bb55cf0a5bcbdfbd3d31a9a86f6f35dd4f0"),
+    (("selftest", "--group", "symmetric:3", "--char", "3", "--window", "-3..3", "--seed", "0"),
+     "860b528427cbc80558cd024efb47aa95d9cf5eefa23f44c5ba67a82e0f886b30"),
+    (("export-diff", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"),
+     "6025785572ce266aaf8b9315492d3acd15a66cd00dfb30a66465d180beaa3528"),
+    (("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"),
+     "7b47285c6feff3dc4424312c0fb574775e283897c33988b9f0bb0720201fdd67"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN,
+                         ids=["_".join(x for x in a if not x.startswith("--")) for a, _ in GOLDEN])
+def test_golden_output(capsys, args, digest):
+    rc = main(list(args) + ["--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    data.pop("provenance")
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest

@@ -1,10 +1,12 @@
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tatebv import preset_group, whole_group
+from tatebv import linalg, preset_group, whole_group
+from tatebv.cli import main
 from tatebv.complexes import GroupComplex
 from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, SparseVector,
                            _dense_eligible, add_scaled_inplace, is_prime, kernel_basis,
@@ -88,7 +90,8 @@ def test_quotient_project_lift_roundtrip():
     p = 3
     M = SparseMatrix(2, 6, p)
     for _ in range(8):
-        M.add_entry(rng.randrange(2), rng.randrange(6), rng.randrange(1, p))
+        i, j = rng.randrange(2), rng.randrange(6)
+        M.set_entry(i, j, M.columns[j].get(i, 0) + rng.randrange(1, p))
     kern = kernel_basis(M)
     assert len(kern) >= 4
     image = [kern[0].copy()]
@@ -146,9 +149,11 @@ PRIMES = (2, 3, 46337, 65537, 2 ** 31 - 1)
 @st.composite
 def rank_deficient_matrices(draw):
     """A product L R of an nrows x k and a k x ncols matrix mod p (so rank
-    <= k), with some columns then zeroed; shapes include empty ones."""
+    <= k), with some columns then zeroed; shapes include empty ones and
+    wide ones up to 6 x 20, which take the row path at p <= 3."""
     p = draw(st.sampled_from(PRIMES))
-    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    nrows, ncols = draw(st.one_of(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                                  st.tuples(st.integers(0, 6), st.integers(7, 20))))
     k = draw(st.integers(0, min(nrows, ncols)))
     residue = st.integers(0, p - 1)
     L = draw(st.lists(st.lists(residue, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
@@ -167,18 +172,19 @@ def seeded_sparse(p):
     rng = random.Random(3)
     M = SparseMatrix(40, 30, p)
     for _ in range(120):
-        M.add_entry(rng.randrange(40), rng.randrange(30), rng.randrange(1, p))
+        i, j = rng.randrange(40), rng.randrange(30)
+        M.set_entry(i, j, M.columns[j].get(i, 0) + rng.randrange(1, p))
     return M
 
 
-def reducer_run(M):
+def reducer_run(M, track=True):
     """(pivot columns, kernel combinations) of feeding M's columns to a
     ColumnReducer in order."""
     red = ColumnReducer(M.p)
     pivots = []
     for j, col in enumerate(M.columns):
         before = red.rank
-        red.feed(col)
+        red.feed(col, track=track)
         if red.rank > before:
             pivots.append(j)
     return pivots, red.kernel
@@ -216,6 +222,67 @@ def test_engine_rule():
         assert _dense_eligible(SparseMatrix(4, 4, p))
     for p in (2, 3, 65537, 2 ** 31 - 1):
         assert not _dense_eligible(SparseMatrix(4, 4, p))
+
+
+def test_engine_shape_rule(monkeypatch):
+    """pivot_columns and rank go by rows exactly for wide matrices
+    (ncols > nrows) at p <= 3; kernels, tall and square matrices go by
+    columns there, and p >= 5 takes no bitset path."""
+    calls = []
+
+    def recording(name):
+        step = getattr(linalg, name)
+
+        def run(*args):
+            calls.append(name)
+            return step(*args)
+        return run
+
+    for name in ("_rows", "_bitset_eliminate"):
+        monkeypatch.setattr(linalg, name, recording(name))
+
+    def paths(M, f):
+        calls.clear()
+        f(M)
+        return calls[:]
+
+    by_rows, by_columns = ["_rows", "_bitset_eliminate"], ["_bitset_eliminate"]
+    for p in (2, 3):
+        wide, tall, square = SparseMatrix(3, 5, p), SparseMatrix(5, 3, p), SparseMatrix(4, 4, p)
+        for f in (pivot_columns, rank):
+            assert paths(wide, f) == by_rows
+            assert paths(tall, f) == paths(square, f) == by_columns
+        for M in (wide, tall, square):
+            assert paths(M, kernel_basis) == by_columns
+    for p in (5, 65537):
+        for M in (SparseMatrix(3, 5, p), SparseMatrix(5, 3, p)):
+            assert paths(M, pivot_columns) == paths(M, kernel_basis) == []
+
+
+@pytest.mark.parametrize("group,p,degree,shape", [
+    (("symmetric", 3), 3, -6, (625, 3125)),
+    (("dihedral", 4), 2, -5, (343, 2401)),
+], ids=["S3-p3-degree-6", "D8-p2-degree-5"])
+def test_row_pivots_on_whole_group_matrices(group, p, degree, shape):
+    """The row path on the widest whole-group matrices of the benchmark
+    jobs gives the ColumnReducer's pivot columns."""
+    M = GroupComplex(whole_group(preset_group(*group)), p, (degree, degree + 1)).matrix(degree)
+    assert (M.nrows, M.ncols) == shape
+    pivots = reducer_run(M, track=False)[0]
+    assert pivot_columns(M) == pivots
+    assert rank(M) == len(pivots)
+
+
+def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):
+    """tables at p = 3 and p = 2 run without a single ColumnReducer step:
+    kernels, pivots and quotients all take the bitset core."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ColumnReducer used at p <= 3")
+    monkeypatch.setattr(ColumnReducer, "feed", refuse)
+    monkeypatch.setattr(ColumnReducer, "reduce", refuse)
+    for group, p, window in (("symmetric:3", "3", "-3..3"), ("dihedral:4", "2", "-2..2")):
+        assert main(["tables", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tables"]["cup"]
 
 
 def test_gf3_engine_on_s3_complex():
@@ -276,6 +343,19 @@ def reference_project(p, pivots, v):
     return None if w else coords
 
 
+def quotient_pivots(q):
+    """q's full-space pivots as (row, entries, tag) like reference_quotient's,
+    read from its echelon (bitsets at p <= 3): the image directions first,
+    then representative k's pivot."""
+    E, vectors = q._echelon
+    images = len(vectors) - q.dim
+    out = []
+    for i, v in enumerate(vectors):
+        entries = E.entries(v)
+        out.append((min(entries), entries, None if i < images else i - images))
+    return out
+
+
 def combination(draw, p, vectors):
     out = SparseVector(p)
     for v in vectors:
@@ -296,7 +376,7 @@ def test_quotient_matches_full_space_reference(A, data):
     q = QuotientSpace(p, kern, image)
     pivots = reference_quotient(p, kern, image)
     assert q.dim == sum(t is not None for _, _, t in pivots)
-    assert q._pivots == pivots
+    assert quotient_pivots(q) == pivots
     assert [v.entries for v in q.representatives] == [c for _, c, t in pivots if t is not None]
     for _ in range(3):
         v = combination(data.draw, p, kern + image)
