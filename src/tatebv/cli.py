@@ -1,7 +1,7 @@
 """Command-line interface.
 
     tatebv <command> --group <preset[:param] | perms:"(0 1 2),(0 1)" | file:PATH>
-           --char P --window LO..HI --seed N --format json|csv|text --threads T
+           --char P --window LO..HI --seed N --format json|csv|text --threads 1
 
 Commands: info, dims, tables, verify-s3, verify-appendix-b, selftest,
 export-diff.  Exit codes: 0 success, 1 verification failure, 2 invalid

@@ -21,8 +21,7 @@ of degree d < 0 (so -trace out of degree -1).
 from __future__ import annotations
 
 import itertools
-import threading
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .groups import ConjugacyData, Group, Subgroup
 from .linalg import QuotientSpace, SparseMatrix, SparseVector, add_scaled_inplace
@@ -276,7 +275,6 @@ class _BaseComplex:
         self._index: Dict[int, Dict[Key, int]] = {}
         self._matrix: Dict[int, SparseMatrix] = {}
         self._cohomology: Dict[int, CohomologySpace] = {}
-        self._lock = threading.Lock()
 
     # subclass API --------------------------------------------------------
     def check_degree(self, d: int) -> None:
@@ -300,17 +298,15 @@ class _BaseComplex:
 
     def basis(self, d: int) -> List[Key]:
         self.check_degree(d)
-        with self._lock:
-            if d not in self._basis:
-                self._basis[d] = list(self.iter_basis(d))
-            return self._basis[d]
+        if d not in self._basis:
+            self._basis[d] = list(self.iter_basis(d))
+        return self._basis[d]
 
     def index(self, d: int) -> Dict[Key, int]:
         basis = self.basis(d)
-        with self._lock:
-            if d not in self._index:
-                self._index[d] = {k: i for i, k in enumerate(basis)}
-            return self._index[d]
+        if d not in self._index:
+            self._index[d] = {k: i for i, k in enumerate(basis)}
+        return self._index[d]
 
     def element(self, d: int, coeffs: Optional[Dict[Key, int]] = None):
         self.check_degree(d)
@@ -334,9 +330,8 @@ class _BaseComplex:
         """Signed differential degree d -> d+1 over the canonical bases."""
         self.check_degree(d)
         self.check_degree(d + 1)
-        with self._lock:
-            if d in self._matrix:
-                return self._matrix[d]
+        if d in self._matrix:
+            return self._matrix[d]
         src = self.basis(d)
         tgt_index = self.index(d + 1)
         p, sign = self.p, self.sign_of(d)
@@ -344,15 +339,13 @@ class _BaseComplex:
         # unsigned_terms sums each target key once, so every column is one dict
         M.columns = [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d).items()
                       if (x := c * sign % p)} for key in src]
-        with self._lock:
-            self._matrix.setdefault(d, M)
-            return self._matrix[d]
+        self._matrix[d] = M
+        return M
 
     def cohomology(self, n: int) -> CohomologySpace:
         """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles."""
-        with self._lock:
-            if n in self._cohomology:
-                return self._cohomology[n]
+        if n in self._cohomology:
+            return self._cohomology[n]
         from .linalg import kernel_basis, pivot_columns
         out_mat = self.matrix(n)
         in_mat = self.matrix(n - 1)
@@ -364,9 +357,8 @@ class _BaseComplex:
             image.append(sv)
         quot = QuotientSpace(self.p, kern, image)
         space = CohomologySpace(self, n, quot)
-        with self._lock:
-            self._cohomology.setdefault(n, space)
-            return self._cohomology[n]
+        self._cohomology[n] = space
+        return space
 
     def random_element(self, d: int, rng, terms: int = 3):
         basis = self.basis(d)
@@ -458,11 +450,3 @@ class GroupComplex(_BaseComplex):
             norm = self.subgroup.order % self.p
             return {(): norm} if norm else {}
         return group_boundary_terms(G, key, -d - 1)
-
-
-def differential_triples(cplx: _BaseComplex, degrees: Iterable[int]):
-    """Sparse dump of the signed differential: rows of (degree, row, col, value)."""
-    for d in degrees:
-        M = cplx.matrix(d)
-        for i, j, v in M.triples():
-            yield (d, i, j, v)

@@ -16,12 +16,13 @@ x_i = gamma_i^-1 x gamma_i), this module realizes:
 All maps are implemented as pushforwards on basis keys: each basis element
 of the source contributes finitely many basis elements of the target, with
 terms dropped whenever the normalized convention puts an identity into a
-tuple slot.
+tuple slot.  The cochain-side maps sum over the coset paths of
+CosetSystem.paths, which drops a path at its first identity slot; the
+chain-side maps thread a key's one path with CosetSystem.thread.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (DComplex, GroupComplex, GroupTateElement, Key, TateElement,
@@ -108,26 +109,10 @@ class ClassDecomposition:
         G = self.group
         cs = self.cosets[cls]
         xs = self.twisted[cls]
-        t = cs.count
         out: Dict[Key, int] = {}
         for T, c in gelem.coeffs.items():
-            for start in range(t):
-                for path in itertools.product(range(t), repeat=n):
-                    prev = start
-                    gs = []
-                    ok = True
-                    for j in range(n):
-                        nxt = path[j]
-                        g = G.mult[G.inv[cs.gamma[prev]]][G.mult[T[j]][cs.gamma[nxt]]]
-                        if g == 0:
-                            ok = False
-                            break
-                        gs.append(g)
-                        prev = nxt
-                    if not ok:
-                        continue
-                    gt = tuple(gs)
-                    _acc(out, (gt, G.mult[xs[start]][G.prod(gt)]), c)
+            for start, gt in cs.paths(T):
+                _acc(out, (gt, G.mult[xs[start]][G.prod(gt)]), c)
         return self.dcomplex.element(n, out)
 
     def homotopy_cochain(self, cls: int, elem: TateElement) -> TateElement:
@@ -142,7 +127,6 @@ class ClassDecomposition:
         gamma_idx = self.gamma_index[cls]
         cent = self.cd.centralizers[cls]
         x = self.cd.reps[cls]
-        t = cs.count
         out: Dict[Key, int] = {}
         for (A, h), c in elem.coeffs.items():
             for j in range(n):
@@ -153,21 +137,8 @@ class ClassDecomposition:
                     continue
                 raw = A[j + 1:]
                 sign_c = c if j % 2 == 0 else -c
-                for path in itertools.product(range(t), repeat=j):
-                    full = path + (end,)
-                    prev = full[0]
-                    gs = []
-                    ok = True
-                    for k in range(j):
-                        g = G.mult[G.inv[cs.gamma[full[k]]]][G.mult[A[k]][cs.gamma[full[k + 1]]]]
-                        if g == 0:
-                            ok = False
-                            break
-                        gs.append(g)
-                    if not ok:
-                        continue
-                    start = full[0]
-                    gt = tuple(gs) + raw
+                for start, gs in cs.paths(A[:j], end):
+                    gt = gs + raw
                     pg = G.prod(gt)
                     if h != G.mult[x][G.mult[cs.gamma[start]][pg]]:
                         continue
@@ -200,7 +171,7 @@ class ClassDecomposition:
         out: Dict[Key, int] = {}
         for (g0, T), c in elem.coeffs.items():
             i = coset_of[G.mult[G.prod(T)][g0]]
-            hs, _end = cs.thread(i, T)
+            hs, _ = cs.thread(i, T)
             if all(hs):
                 _acc(out, hs, c)
         return self.complexes[cls].element(d, out)
@@ -217,23 +188,16 @@ class ClassDecomposition:
         x = self.cd.reps[cls]
         out: Dict[Key, int] = {}
         for (g0, T), c in elem.coeffs.items():
-            s = len(T)
             i = coset_of[G.mult[G.prod(T)][g0]]
             head = G.mult[G.inv[G.mult[cs.gamma[i]][G.prod(T)]]][x]
-            hs: List[int] = []
-            path = [i]
-            cur = i
-            for g in T:
-                h, cur = cs.step(cur, g)
-                hs.append(h)
-                path.append(cur)
-            for j in range(s + 1):
+            hs, path = cs.thread(i, T)
+            for j in range(len(T) + 1):
                 if j >= 1 and hs[j - 1] == 0:
                     break  # all later prefixes contain an identity slot
                 gslot = cs.gamma[path[j]]
                 if gslot == 0:
                     continue
-                tail = tuple(hs[:j]) + (gslot,) + T[j:]
+                tail = hs[:j] + (gslot,) + T[j:]
                 _acc(out, (head, tail), c if j % 2 == 0 else -c)
         return self.dcomplex.element(d - 1, out)
 

@@ -391,19 +391,36 @@ class CosetSystem:
     def count(self) -> int:
         return len(self.gamma)
 
-    def step(self, i: int, g: int) -> Tuple[int, int]:
-        """gamma_i * g = h * gamma_j; returns (h, j)."""
-        G = self.subgroup.parent
-        return self.decomp[G.mult[self.gamma[i]][g]]
-
-    def thread(self, i: int, elems: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-        """Thread gamma_i through elems left to right; returns (h-tuple, end coset)."""
+    def thread(self, i: int, elems: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Thread gamma_i through elems: gamma_{i_k} * elems[k] = h_k * gamma_{i_{k+1}}
+        from i_0 = i; returns ((h_0, ..., h_{n-1}), (i_0, ..., i_n))."""
+        mult = self.subgroup.parent.mult
         hs = []
-        cur = i
+        cosets = [i]
         for g in elems:
-            h, cur = self.step(cur, g)
+            h, i = self.decomp[mult[self.gamma[i]][g]]
             hs.append(h)
-        return tuple(hs), cur
+            cosets.append(i)
+        return tuple(hs), tuple(cosets)
+
+    def paths(self, elems: Sequence[int], end: Optional[int] = None
+              ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(i_0, slots) for each coset path i_0, ..., i_n (i_n = end if given)
+        whose slots gamma_{i_k}^-1 * elems[k] * gamma_{i_{k+1}} all avoid the
+        identity, in lexicographic order of the path.  Prefixes grow a level at
+        a time, coset by coset in ascending order, and die at their first
+        identity slot."""
+        if self.count == 1:
+            # a new tuple, not elems: sharing it moved GC runs and raised verify-s3's peak
+            return [(0, tuple(list(elems)))] if all(elems) else []
+        G = self.subgroup.parent
+        mult, inv, gamma = G.mult, G.inv, self.gamma
+        level = [(i, i, ()) for i in range(len(gamma))]  # (i_0, i_k, slots so far)
+        for g in elems:
+            step = [[mult[mult[inv[a]][g]][b] for b in gamma] for a in gamma]  # [i][j]: slot i -> j
+            level = [(start, j, slots + (s,)) for start, cur, slots in level
+                     for j, s in enumerate(step[cur]) if s]
+        return [(start, slots) for start, cur, slots in level if end is None or cur == end]
 
 
 def right_coset_system(H: Subgroup, ambient: Optional[Sequence[int]] = None) -> CosetSystem:

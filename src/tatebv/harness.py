@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,12 +27,12 @@ from .transfer import TransferContext
 
 DIRECT_COLUMN_CAP = 200_000
 DECOMPOSITION_CAP = 1_000_000
-# Degrees DecOps' D-complex of G accepts.  The D-complex only checks
-# degrees; bases are built lazily, in the degrees a job touches.  For
-# |G| >= 3 the identity class's centralizer G alone makes
-# DECOMPOSITION_CAP refuse any window outside [-19, 18] ((|G|-1)^s > 10^6
-# from s = 20), so cups, brackets and BV images of window classes stay
-# within -40..40.  For |G| = 2 the caps do not bound the window.
+# Degrees DecOps' D-complex of G accepts; bases are built lazily, in the
+# degrees a job touches.  A job on lo..hi touches lo-1..hi (BV images drop
+# a degree), and check_dec_window refuses windows that reach outside.  For
+# |G| >= 3, DECOMPOSITION_CAP refuses any window outside [-19, 18] anyway
+# ((|G|-1)^s > 10^6 from s = 20), so cups, brackets and BV images of window
+# classes stay within -40..40; for |G| = 2 only check_dec_window bounds it.
 DEC_WINDOW = (-64, 64)
 
 
@@ -84,8 +83,8 @@ class JobConfig:
             raise ConfigError(f"window {self.window} is empty")
         if self.fmt not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.threads != 1:
+            raise ConfigError(f"threads must be 1 (got {self.threads}): jobs run in one thread")
 
     def hash(self) -> str:
         import hashlib
@@ -103,6 +102,13 @@ def check_direct_cost(G: Group, window: Tuple[int, int]) -> None:
     worst = max(dim_degree(G, d) for d in range(window[0] - 1, window[1] + 2))
     if worst > DIRECT_COLUMN_CAP:
         raise CostCapError(f"direct path needs {worst} basis columns (cap {DIRECT_COLUMN_CAP})")
+
+
+def check_dec_window(window: Tuple[int, int]) -> None:
+    """Refuse a window whose degrees lo-1..hi reach outside DEC_WINDOW."""
+    lo, hi = window
+    if lo - 1 < DEC_WINDOW[0] or hi > DEC_WINDOW[1]:
+        raise ConfigError(f"window {lo}..{hi} reaches degrees outside DEC_WINDOW {DEC_WINDOW}")
 
 
 def check_decomposition_cost(G: Group, cd: ConjugacyData, window: Tuple[int, int]) -> None:
@@ -366,13 +372,8 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     check_decomposition_cost(G, cd, cfg.window)
     ctx = TransferContext(G, cfg.p, cd)
     degrees = list(range(lo, hi + 1))
-
-    def class_dims(k: int) -> List[int]:
-        cplx = ctx.complex_for(cd.centralizers[k])
-        return [cplx.cohomology(n).dim for n in degrees]
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        per_class = list(pool.map(class_dims, range(cd.num_classes)))
+    per_class = [[cplx.cohomology(n).dim for n in degrees]
+                 for cplx in map(ctx.complex_for, cd.centralizers)]
     totals = [sum(col) for col in zip(*per_class)] if per_class else []
 
     direct: Optional[Dict[str, int]] = None
@@ -429,6 +430,7 @@ def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Tuple[int, int, int]])
 
 
 def cmd_tables(cfg: JobConfig, rng: Optional[random.Random] = None) -> Dict:
+    check_dec_window(cfg.window)
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     check_decomposition_cost(G, cd, cfg.window)

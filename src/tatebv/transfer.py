@@ -10,7 +10,8 @@ centralizer retracts, applied to an arbitrary pair H <= K):
 * cochain restriction restricts the map to tuples over the subgroup, and
   chain corestriction includes tuples -- the two cheap directions;
 * cochain corestriction and chain restriction are the coset-threading
-  sums over a fixed right transversal.
+  sums over a fixed right transversal: over the coset paths of
+  CosetSystem.paths, and over CosetSystem.thread from each coset.
 
 The double-coset product evaluates, for each double coset representative,
 conjugate-restrict-cup-corestrict at the chain level and accumulates the
@@ -19,7 +20,6 @@ result per target conjugacy class.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Tuple
 
 from .bv import CohClass, class_of, cup
@@ -119,7 +119,6 @@ class TransferContext:
         H = elem.subgroup
         if not all(h in K for h in H.members):
             raise ValueError("corestriction source is not a subgroup of the target")
-        G = self.group
         target = self.complex_for(K)
         d = elem.degree
         out: Dict[Key, int] = {}
@@ -128,24 +127,9 @@ class TransferContext:
                 _acc(out, T, c)
             return target.element(d, out)
         cs = self.cosets_in(K, H)
-        t = cs.count
-        n = d
         for T, c in elem.coeffs.items():
-            for start in range(t):
-                for path in itertools.product(range(t), repeat=n):
-                    prev = start
-                    gs = []
-                    ok = True
-                    for j in range(n):
-                        nxt = path[j]
-                        g = G.mult[G.inv[cs.gamma[prev]]][G.mult[T[j]][cs.gamma[nxt]]]
-                        if g == 0:
-                            ok = False
-                            break
-                        gs.append(g)
-                        prev = nxt
-                    if ok:
-                        _acc(out, tuple(gs), c)
+            for _, gs in cs.paths(T):
+                _acc(out, gs, c)
         return target.element(d, out)
 
     # -- cup products through the ambient complex -----------------------------

@@ -22,7 +22,7 @@ from .complexes import DComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition
 from .groups import Group, conjugacy_classes, preset_group, whole_group
 from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, IdentityZeroCertifier,
-                      JobConfig, _config_dict, _provenance, make_group)
+                      JobConfig, _config_dict, _provenance, check_dec_window, make_group)
 from .linalg import kernel_basis
 from .transfer import TransferContext
 
@@ -366,6 +366,7 @@ class S3Verifier:
 
 
 def cmd_verify_s3(cfg: JobConfig) -> Dict:
+    check_dec_window(cfg.window)
     if cfg.p != 3:
         raise ConfigError("the flagship suite requires characteristic 3")
     report = S3Verifier().run()
@@ -378,6 +379,7 @@ def cmd_verify_s3(cfg: JobConfig) -> Dict:
 # triviality of the rotation operator on group homology
 
 def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
+    check_dec_window(cfg.window)
     G = make_group(cfg.group)
     if G.order % cfg.p:
         raise ConfigError("this check needs the characteristic to divide the group order")

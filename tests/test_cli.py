@@ -1,9 +1,11 @@
 import json
 import os
 
-from tatebv import cli
+import pytest
+
+from tatebv import cli, linalg
 from tatebv.cli import main
-from tatebv.harness import JobConfig, cmd_dims, cmd_tables
+from tatebv.harness import ConfigError, JobConfig, check_dec_window, cmd_dims, cmd_tables
 
 
 def run_json(capsys, *args):
@@ -61,6 +63,8 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     assert main(["dims", "--group", "cyclic:2", "--char", "6", "--window", "-2..2"]) == 2
     assert main(["dims", "--group", "nosuch:3", "--char", "3", "--window", "-2..2"]) == 2
     assert main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "2..-2"]) == 2
+    assert main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "-2..2",
+                 "--threads", "2"]) == 2
     # file: specs: a missing file, bad JSON, a table without "mult"
     missing = tmp_path / "missing.json"
     bad_json = tmp_path / "bad.json"
@@ -69,6 +73,23 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     no_mult.write_text(json.dumps({"labels": ["e"]}))
     for path in (missing, bad_json, no_mult):
         assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
+    capsys.readouterr()
+
+
+def test_decomposition_window_refused_up_front(monkeypatch, capsys):
+    # |G| = 2 passes every cost cap, so only the window check keeps a job's
+    # degrees lo-1..hi inside harness.DEC_WINDOW = (-64, 64)
+    check_dec_window((-63, 64))
+    for window in ((-64, 64), (-63, 65)):
+        with pytest.raises(ConfigError):
+            check_dec_window(window)
+
+    def no_elimination(*args):
+        raise AssertionError("elimination ran before the window was refused")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    for command, p in (("tables", "2"), ("verify-s3", "3"), ("verify-appendix-b", "2")):
+        assert main([command, "--group", "cyclic:2", "--char", p, "--window", "-70..70"]) == 2
     capsys.readouterr()
 
 
@@ -107,14 +128,6 @@ def test_json_determinism():
     ta = json.dumps(cmd_tables(cfg), sort_keys=True)
     tb = json.dumps(cmd_tables(cfg), sort_keys=True)
     assert ta == tb
-
-
-def test_threads_same_output():
-    base = JobConfig(group="symmetric:3", p=3, window=(-3, 2), seed=1)
-    multi = JobConfig(group="symmetric:3", p=3, window=(-3, 2), seed=1, threads=4)
-    a = json.dumps(cmd_dims(base), sort_keys=True)
-    b = json.dumps(cmd_dims(multi), sort_keys=True)
-    assert json.loads(a)["dims"] == json.loads(b)["dims"]
 
 
 def test_export_diff_triples(capsys):

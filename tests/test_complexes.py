@@ -1,10 +1,8 @@
 import random
-import threading
 
 import pytest
 
-from tatebv.complexes import (DComplex, GroupComplex, WindowError, class_of_index,
-                              differential_triples, dim_degree)
+from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
 from tatebv.groups import preset_group, whole_group
 
 
@@ -185,25 +183,3 @@ def test_representatives_are_cocycles(s3_complex):
             assert s3_complex.differential(rep).is_zero()
             coords = space.project(rep)
             assert coords == [1 if j == i else 0 for j in range(space.dim)]
-
-
-def test_differential_triples(s3):
-    dc = DComplex(s3, 3, (-1, 1))
-    rows = list(differential_triples(dc, [0]))
-    M = dc.matrix(0)
-    assert rows == [(0, i, j, v) for (i, j, v) in M.triples()]
-
-
-def test_concurrent_cohomology(s3):
-    dc = DComplex(s3, 3, (-2, 2))
-    results = []
-
-    def work():
-        results.append(dc.cohomology(0))
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -142,6 +144,53 @@ def test_coset_system(s3):
     triv = right_coset_system(trivial_subgroup(s3))
     assert triv.count == 6
     assert all(triv.decomp[g] == (0, triv.gamma.index(g)) for g in range(6))
+    # thread: gamma_{i_k} * g_k = h_k * gamma_{i_{k+1}} along the cosets i_0 = i, ..., i_n
+    for i in range(cs.count):
+        for elems in ((), (1,), (3, 4), (4, 0, 5)):
+            hs, cosets = cs.thread(i, elems)
+            assert len(hs) == len(elems) and len(cosets) == len(elems) + 1
+            assert cosets[0] == i
+            for k, g in enumerate(elems):
+                assert hs[k] in H
+                assert s3.mult[cs.gamma[cosets[k]]][g] == s3.mult[hs[k]][cs.gamma[cosets[k + 1]]]
+
+
+def _product_paths(cs, elems):
+    """Reference walk: every coset path i_0..i_n from itertools.product whose
+    slots gamma_{i_k}^-1 elems[k] gamma_{i_{k+1}} are all non-identity."""
+    G = cs.subgroup.parent
+    out = []
+    for path in itertools.product(range(cs.count), repeat=len(elems) + 1):
+        slots = tuple(G.mult[G.mult[G.inv[cs.gamma[path[k]]]][g]][cs.gamma[path[k + 1]]]
+                      for k, g in enumerate(elems))
+        if all(slots):
+            out.append((path, slots))
+    return out
+
+
+def test_coset_paths_match_product_enumeration(s3, d4):
+    systems = [right_coset_system(generated_subgroup(s3, gens)) for gens in ([], [3], [1], [1, 3])]
+    # the corestriction shape: the ambient is a proper subgroup K = <a>, not S3
+    K = generated_subgroup(s3, [1])
+    systems.append(right_coset_system(trivial_subgroup(s3), ambient=K.members))
+    systems.append(right_coset_system(generated_subgroup(d4, [2, 4])))  # order 4 in D8
+    assert [cs.count for cs in systems] == [6, 3, 2, 1, 3, 2]
+    rng = random.Random(11)
+    for cs in systems:
+        nontrivial = [g for g in cs.ambient if g]
+        for n in range(5):
+            for _ in range(4):
+                elems = [rng.choice(nontrivial) for _ in range(n)]
+                draws = [tuple(elems)]
+                if n:
+                    elems[rng.randrange(n)] = 0
+                    draws.append(tuple(elems))
+                for elems in draws:
+                    ref = _product_paths(cs, elems)
+                    assert cs.paths(elems) == [(path[0], slots) for path, slots in ref]
+                    for end in range(cs.count):
+                        assert cs.paths(elems, end) == [(path[0], slots) for path, slots in ref
+                                                        if path[-1] == end]
 
 
 def test_coset_system_rejects_non_subgroup(s3):
