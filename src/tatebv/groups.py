@@ -24,19 +24,17 @@ class GroupError(ValueError):
 class Group:
     __slots__ = ("order", "mult", "inv", "labels", "__dict__")
 
-    def __init__(self, mult: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None,
-                 validate: bool = True):
+    def __init__(self, mult: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         self.order = len(mult)
         self.mult: Tuple[Tuple[int, ...], ...] = tuple(tuple(row) for row in mult)
-        if validate:
-            _validate_table(self.mult)
+        _validate_table(self.mult)
         inv = [-1] * self.order
         for g in range(self.order):
             for h in range(self.order):
                 if self.mult[g][h] == 0:
                     inv[g] = h
                     break
-        if validate and any(i < 0 for i in inv):
+        if any(i < 0 for i in inv):
             raise GroupError("missing inverses")
         self.inv: Tuple[int, ...] = tuple(inv)
         if labels is not None:
@@ -289,20 +287,6 @@ class Subgroup:
     @cached_property
     def nontrivial(self) -> Tuple[int, ...]:
         return tuple(m for m in self.members if m != 0)
-
-    def as_group(self) -> Tuple[Group, Dict[int, int], Tuple[int, ...]]:
-        """Standalone Group on this subgroup plus index maps (to_local, from_local)."""
-        return self._as_group
-
-    @cached_property
-    def _as_group(self):
-        G = self.parent
-        from_local = self.members  # sorted, identity first
-        to_local = {g: i for i, g in enumerate(from_local)}
-        n = len(from_local)
-        mult = [[to_local[G.mult[from_local[a]][from_local[b]]] for b in range(n)] for a in range(n)]
-        labels = [G.label(g) for g in from_local] if G.labels else None
-        return Group(mult, labels=labels, validate=False), to_local, from_local
 
 
 def whole_group(G: Group) -> Subgroup:

@@ -260,8 +260,11 @@ class _Bitsets:
 
     def push(self, v, c) -> None:
         """Make v (nonzero, normalized, no set pivot row) the pivot at its
-        lowest set row, with combination c."""
+        lowest set row, with combination c.  A pivot holding 2 there would
+        never clear that row in ``reduce``, so it is refused."""
         s = self.support(v)
+        if self.twos(v) & s & -s:
+            raise AssertionError("pivot not normalized: its lowest entry is 2")
         row = (s & -s).bit_length() - 1
         if row >= len(self.at):
             self.at.extend([None] * (row + 1 - len(self.at)))

@@ -1,6 +1,5 @@
 """Conjugation, restriction and corestriction on subgroup Tate complexes,
-cup products on subgroup cohomology through the ambient Tate-Hochschild
-complex, and the double-coset product formula.
+cup products on subgroup cohomology, and the double-coset product formula.
 
 All three structure maps are realized on the standard complexes by the
 coset-threading comparison machinery (the same construction as the
@@ -13,6 +12,9 @@ centralizer retracts, applied to an arbitrary pair H <= K):
   sums over a fixed right transversal: over the coset paths of
   CosetSystem.paths, and over CosetSystem.thread from each coset.
 
+The cup product is the identity-class component of bv.cup on D*(kH, kH),
+which the cup keeps, read directly on the subgroup's tuples.
+
 The double-coset product evaluates, for each double coset representative,
 conjugate-restrict-cup-corestrict at the chain level and accumulates the
 result per target conjugacy class.
@@ -22,19 +24,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .bv import CohClass, class_of, cup
-from .complexes import DComplex, GroupComplex, GroupTateElement, Key, TateElement, _acc
+from .bv import CohClass, class_of
+from .complexes import GroupComplex, GroupTateElement, Key, _acc
 from .groups import (ConjugacyData, CosetSystem, Group, Subgroup, class_rep_and_witness,
                      conjugate_subgroup, double_cosets, intersect_subgroups,
                      right_coset_system)
 
 SubgroupClass = CohClass
-
-# Degrees of the D-complex of each subgroup's local model.  Transfers act
-# on classes of a job's products, whose degrees stay within -40..40 for
-# every group of order >= 3 that passes harness.DECOMPOSITION_CAP (see
-# harness.DEC_WINDOW); the margin costs nothing, as bases are built lazily.
-LOCAL_WINDOW = (-99, 99)
 
 
 class TransferContext:
@@ -47,7 +43,6 @@ class TransferContext:
         self._complexes: Dict[Tuple[int, ...], GroupComplex] = {}
         self._cosets: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], CosetSystem] = {}
         self._subgroups: Dict[Tuple[int, ...], Subgroup] = {}
-        self._locals: Dict[Tuple[int, ...], Tuple[Group, Dict[int, int], Tuple[int, ...], DComplex]] = {}
         self._dcs: Dict[Tuple[int, int], object] = {}
 
     def subgroup(self, members) -> Subgroup:
@@ -67,14 +62,6 @@ class TransferContext:
         if key not in self._cosets:
             self._cosets[key] = right_coset_system(H, ambient=K.members)
         return self._cosets[key]
-
-    def local_model(self, H: Subgroup):
-        key = H.members
-        if key not in self._locals:
-            Gloc, to_local, from_local = H.as_group()
-            dc = DComplex(Gloc, self.p, LOCAL_WINDOW)
-            self._locals[key] = (Gloc, to_local, from_local, dc)
-        return self._locals[key]
 
     def double_cosets(self, i: int, j: int):
         key = (i, j)
@@ -132,46 +119,59 @@ class TransferContext:
                 _acc(out, gs, c)
         return target.element(d, out)
 
-    # -- cup products through the ambient complex -----------------------------
-
-    def embed_identity(self, elem: GroupTateElement) -> TateElement:
-        """Identity-class embedding of a subgroup Tate element into D*(kH,kH)."""
-        Gloc, to_local, _, dc = self.local_model(elem.subgroup)
-        out: Dict[Key, int] = {}
-        if elem.degree >= 0:
-            for T, c in elem.coeffs.items():
-                loc = tuple(to_local[t] for t in T)
-                out[(loc, Gloc.prod(loc))] = c
-        else:
-            for T, c in elem.coeffs.items():
-                loc = tuple(to_local[t] for t in T)
-                out[(Gloc.inv[Gloc.prod(loc)], loc)] = c
-        return dc.element(elem.degree, out)
-
-    def project_identity(self, H: Subgroup, elem: TateElement) -> GroupTateElement:
-        """Identity-class projection back from D*(kH,kH); off-component keys
-        are rejected (the product of identity components must stay there)."""
-        Gloc, _, from_local, _ = self.local_model(H)
-        target = self.complex_for(H)
-        out: Dict[Key, int] = {}
-        if elem.degree >= 0:
-            for (A, h), c in elem.coeffs.items():
-                if h != Gloc.prod(A):
-                    raise ValueError("product left the identity-class component")
-                _acc(out, tuple(from_local[a] for a in A), c)
-        else:
-            for (g0, T), c in elem.coeffs.items():
-                if g0 != Gloc.inv[Gloc.prod(T)]:
-                    raise ValueError("product left the identity-class component")
-                _acc(out, tuple(from_local[a] for a in T), c)
-        return target.element(elem.degree, out)
+    # -- cup products on subgroup tuples -------------------------------------
 
     def group_cup_rep(self, a: GroupTateElement, b: GroupTateElement) -> GroupTateElement:
-        """Cup product of subgroup Tate cochains through D* of the subgroup."""
-        if a.subgroup.members != b.subgroup.members:
+        """Cup product of subgroup Tate cochains: bv.cup's six degree-sign
+        cases on the identity-class component of D*(kH, kH) (a cochain T as
+        (T, prod T), a chain T as ((prod T)^-1, T)), read on tuples in bv.cup's
+        loop order.  tests/test_transfer.py pins it to the ambient cup."""
+        H = a.subgroup
+        if H.members != b.subgroup.members:
             raise ValueError("cup factors live over different subgroups")
-        prod = cup(self.embed_identity(a), self.embed_identity(b))
-        return self.project_identity(a.subgroup, prod)
+        G = self.group
+        mult, inv = G.mult, G.inv
+        da, db = a.degree, b.degree
+        ac, bc = a.coeffs, b.coeffs
+        out: Dict[Key, int] = {}
+        if da >= 0 and db >= 0:
+            for A, ca in ac.items():
+                for B, cb in bc.items():
+                    _acc(out, A + B, ca * cb)
+        elif da <= -1 and db <= -1:
+            for gs, ca in ac.items():
+                g0 = inv[G.prod(gs)]
+                mids = [m for m in (mult[inv[g]][g0] for g in H.members) if m]
+                for ht, cb in bc.items():
+                    c = ca * cb
+                    for mid in mids:
+                        _acc(out, ht + (mid,) + gs, c)
+        elif da >= 0:
+            n, t = da, -db - 1
+            if da + db <= -1:
+                for ht, cb in bc.items():
+                    ca = ac.get(ht[t - n:])
+                    if ca:
+                        _acc(out, ht[:t - n], ca * cb)
+            else:
+                cut = n - t - 1
+                for A, ca in ac.items():
+                    cb = bc.get(A[cut + 1:])
+                    if cb:
+                        _acc(out, A[:cut], ca * cb)
+        else:
+            s, m = -da - 1, db
+            if da + db <= -1:
+                for gs, ca in ac.items():
+                    cb = bc.get(gs[:m])
+                    if cb:
+                        _acc(out, gs[m:], ca * cb)
+            else:
+                for B, cb in bc.items():
+                    ca = ac.get(B[:s])
+                    if ca:
+                        _acc(out, B[s + 1:], ca * cb)
+        return self.complex_for(H).element(da + db, out)
 
     def group_cup(self, a: SubgroupClass, b: SubgroupClass) -> SubgroupClass:
         rep = self.group_cup_rep(a.space.lift(list(a.coords)), b.space.lift(list(b.coords)))

@@ -295,10 +295,29 @@ def test_assemble_retract_helper(s3):
     assert dec.num_classes == 3
 
 
-def test_identity_class_embedding_formulas(s3_dec, s3):
+def test_identity_class_embedding_formulas(s3_dec, s3, d4_dec):
     # cochain side: tuple T goes to (T, prod T); chain side to ((prod T)^-1, T)
     gc = s3_dec.complexes[0]
     up = s3_dec.retract_up(0, gc.element(2, {(1, 3): 1}))
     assert up.coeffs == {((1, 3), s3.mult[1][3]): 1}
     up = s3_dec.retract_up(0, gc.element(-3, {(1, 3): 1}))
     assert up.coeffs == {(s3.inv[s3.mult[1][3]], (1, 3)): 1}
+    # a central x (r^2 in D8, -1 in Q8) has centralizer G and one coset: the
+    # cochain retract is T -> (T, x prod T), key by key in order
+    q8 = preset_group("quaternion8")
+    rng = random.Random(8)
+    for dec in (d4_dec, ClassDecomposition(DComplex(q8, 2, (-3, 4)), conjugacy_classes(q8))):
+        G, cd = dec.group, dec.cd
+        (cls,) = [k for k, x in enumerate(cd.reps)
+                  if x != 0 and cd.centralizers[k].order == G.order]
+        x = cd.reps[cls]
+        assert G.mult[x][x] == 0
+        gc = dec.complexes[cls]
+        for n in range(0, 4):
+            for _ in range(10):
+                psi = gc.random_element(n, rng, 4)
+                up = dec.retract_up(cls, psi)
+                assert list(up.coeffs.items()) == [((T, G.mult[x][G.prod(T)]), c)
+                                                   for T, c in psi.coeffs.items()]
+                assert set(dec.components(up)) <= {cls}
+                assert dec.iota_cochain(cls, up) == psi

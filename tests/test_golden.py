@@ -3,7 +3,9 @@ removed, serialized with ``json.dumps(..., sort_keys=True)``.
 
 The digests were computed from the code before quotient pivots and wide
 ``pivot_columns`` moved onto the bitset echelon core, so they pin the
-outputs that change had to keep byte for byte.  ``tables`` prints its
+outputs that change had to keep byte for byte; the ``verify-s3 -4..3``
+digest (the job that runs the largest identity-class cups) was computed
+before subgroup cups were read directly on tuples.  ``tables`` prints its
 structure constants in the representative basis, so its digests also
 guard the representatives' entries.  Each job takes about a second or
 less in-process.
@@ -27,6 +29,8 @@ GOLDEN = [
      "fcf3e1326d919be15d015a2e6578a84204dfa481de7ba9afb9ae6904c9aee470"),
     (("verify-s3", "--window", "-3..3"),
      "9b52804e234cde91d806adaa45715bb55cf0a5bcbdfbd3d31a9a86f6f35dd4f0"),
+    (("verify-s3", "--char", "3", "--window", "-4..3"),
+     "639f3cb4082ad86a5452a4e9fc32a963f678d3d3c8e33ab7406e4911bd9b575f"),
     (("selftest", "--group", "symmetric:3", "--char", "3", "--window", "-3..3", "--seed", "0"),
      "860b528427cbc80558cd024efb47aa95d9cf5eefa23f44c5ba67a82e0f886b30"),
     (("export-diff", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"),

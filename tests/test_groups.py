@@ -229,12 +229,3 @@ def test_subgroup_ops(s3):
 def test_json_roundtrip(s3):
     G2 = Group.from_json(s3.to_json())
     assert G2.mult == s3.mult and G2.labels == s3.labels
-
-
-def test_as_group(s3):
-    H = generated_subgroup(s3, [1])
-    loc, to_local, from_local = H.as_group()
-    assert loc.order == 3
-    for a in H.members:
-        for b in H.members:
-            assert from_local[loc.mult[to_local[a]][to_local[b]]] == s3.mult[a][b]

@@ -305,6 +305,19 @@ def test_gf3_engine_on_s3_complex():
     assert pivot_columns(M) == reducer_run(M)[0]
 
 
+def test_gf3_push_refuses_unnormalized_pivot():
+    """A p = 3 pivot holding 2 at its lowest row would make ``reduce`` loop
+    forever on any vector set there; ``push`` refuses it instead."""
+    eng = linalg._GF3()
+    v = eng.split({1: 2, 4: 1})
+    with pytest.raises(AssertionError, match="not normalized"):
+        eng.push(v, None)
+    assert eng.mask == 0
+    eng.push(*eng.normalize(v, None))
+    assert eng.mask == 1 << 1
+    assert eng.reduce(eng.split({1: 1, 3: 2}), None) == (eng.split({3: 2, 4: 1}), None)
+
+
 def reference_quotient(p, kernel, image):
     """The full-space quotient on ColumnReducer: raises ValueError if an
     image vector is outside the kernel span, else returns the pivots of

@@ -5,7 +5,7 @@ import pytest
 from tatebv.bv import class_of, cup
 from tatebv.complexes import DComplex
 from tatebv.decomposition import ClassDecomposition
-from tatebv.groups import generated_subgroup
+from tatebv.groups import conjugacy_classes, generated_subgroup, preset_group
 from tatebv.transfer import TransferContext
 
 P = 3
@@ -256,3 +256,43 @@ def test_path_equivalence(ctx, s3, s3_cd):
         assert p1 == p2
         done += 1
     assert done == 30
+
+
+# (da, db) pairs covering bv.cup's six degree-sign cases
+CUP_CASES = {
+    "cochain-cochain": [(0, 0), (1, 2), (2, 1)],
+    "chain-chain": [(-1, -1), (-2, -3), (-3, -2)],
+    "cap": [(0, -1), (1, -3), (2, -3)],
+    "cap-to-cochains": [(1, -1), (2, -1), (3, -2)],
+    "cap-right": [(-1, 0), (-3, 1), (-3, 2)],
+    "cap-right-to-cochains": [(-1, 1), (-1, 2), (-2, 3)],
+}
+
+
+@pytest.mark.parametrize("group,param,p", [("symmetric", 3, 3), ("cyclic", 3, 3),
+                                           ("dihedral", 4, 2), ("quaternion8", 0, 2)])
+def test_group_cup_rep_matches_ambient_cup(group, param, p):
+    """group_cup_rep on H = G is the identity-class component of bv.cup:
+    embed both factors with retract_up(0, .), cup in D*(kG, kG), and the
+    product stays in class 0 and retracts to the same element, with its
+    coefficients in the same order."""
+    G = preset_group(group, param)
+    cd = conjugacy_classes(G)
+    ctx = TransferContext(G, p, cd)
+    dec = ClassDecomposition(DComplex(G, p, (-6, 6)), cd, ctx.complex_for)
+    gc = ctx.complex_for(ctx.subgroup(range(G.order)))
+    rng = random.Random(7)
+    for case, degrees in CUP_CASES.items():
+        nonzero = 0
+        for da, db in degrees:
+            for _ in range(4):
+                a = gc.random_element(da, rng, 8)
+                b = gc.random_element(db, rng, 8)
+                direct = ctx.group_cup_rep(a, b)
+                down = dec.retract_down(cup(dec.retract_up(0, a), dec.retract_up(0, b)))
+                assert set(down) <= {0}, case
+                amb = down.get(0, gc.element(da + db))
+                assert direct.degree == amb.degree == da + db
+                assert list(direct.coeffs.items()) == list(amb.coeffs.items()), case
+                nonzero += not direct.is_zero()
+        assert nonzero, case
