@@ -54,12 +54,16 @@ def dim_degree(G: Group, d: int) -> int:
     return G.order * (G.order - 1) ** s
 
 
-def d_coboundary_terms(G: Group, key: Key, m: int) -> Dict[Key, int]:
+# The D-side differentials below take their end-term actions as tables:
+# left[a][h] is a acting on the value h from the head slot, right[h][b] is b
+# acting on it from the tail slot.  Both are G.mult for kG as a bimodule.
+
+def d_coboundary_terms(G: Group, key: Key, m: int, left, right) -> Dict[Key, int]:
     """Unsigned coboundary of a degree-m basis cochain (m >= 0)."""
     args, h = key
     out: Dict[Key, int] = {}
     for a in G.nontrivial:
-        _acc(out, ((a,) + args, G.mult[a][h]), 1)
+        _acc(out, ((a,) + args, left[a][h]), 1)
     sign = 1
     for i in range(1, m + 1):
         sign = -sign
@@ -71,22 +75,22 @@ def d_coboundary_terms(G: Group, key: Key, m: int) -> Dict[Key, int]:
                 _acc(out, (pre + (u, v) + post, h), sign)
     last = -sign
     for b in G.nontrivial:
-        _acc(out, (args + (b,), G.mult[h][b]), last)
+        _acc(out, (args + (b,), right[h][b]), last)
     return out
 
 
-def d_boundary_terms(G: Group, key: Key, s: int) -> Dict[Key, int]:
+def d_boundary_terms(G: Group, key: Key, s: int, left, right) -> Dict[Key, int]:
     """Unsigned boundary of a degree -s-1 basis chain (s >= 1)."""
     g0, tail = key
     out: Dict[Key, int] = {}
-    _acc(out, (G.mult[g0][tail[0]], tail[1:]), 1)
+    _acc(out, (right[g0][tail[0]], tail[1:]), 1)
     sign = 1
     for i in range(1, s):
         sign = -sign
         w = G.mult[tail[i - 1]][tail[i]]
         if w:
             _acc(out, (g0, tail[: i - 1] + (w,) + tail[i + 1:]), sign)
-    _acc(out, (G.mult[tail[-1]][g0], tail[:-1]), -sign if s > 1 else -1)
+    _acc(out, (left[tail[-1]][g0], tail[:-1]), -sign if s > 1 else -1)
     return out
 
 
@@ -97,14 +101,6 @@ def d_trace_terms(G: Group, key: Key) -> Dict[Key, int]:
     for g in range(G.order):
         _acc(out, ((), G.conj(g, g0)), 1)
     return out
-
-
-def d_unsigned_terms(G: Group, key: Key, d: int) -> Dict[Key, int]:
-    if d >= 0:
-        return d_coboundary_terms(G, key, d)
-    if d == -1:
-        return d_trace_terms(G, key)
-    return d_boundary_terms(G, key, -d - 1)
 
 
 def class_of_index(cd: ConjugacyData, d: int, key: Key) -> int:
@@ -385,6 +381,7 @@ class DComplex(_BaseComplex):
         self.group = group
         self.lo = lo
         self.hi = hi
+        self.left = self.right = group.mult
 
     def check_degree(self, d: int) -> None:
         if not (self.lo <= d <= self.hi):
@@ -406,7 +403,11 @@ class DComplex(_BaseComplex):
                     yield (g0, tail)
 
     def unsigned_terms(self, key: Key, d: int) -> Dict[Key, int]:
-        return d_unsigned_terms(self.group, key, d)
+        if d >= 0:
+            return d_coboundary_terms(self.group, key, d, self.left, self.right)
+        if d == -1:
+            return d_trace_terms(self.group, key)
+        return d_boundary_terms(self.group, key, -d - 1, self.left, self.right)
 
     def cohomology(self, n: int) -> CohomologySpace:
         if not (self.lo < n < self.hi):

@@ -298,49 +298,19 @@ def assemble_retract(group: Group, p: int, window: Tuple[int, int],
 class ConjComplex(DComplex):
     """Tate cochain complex of G with coefficients in kG under conjugation.
 
-    Shares basis keys with the D-side complex; only the end terms of the
-    differentials differ (module action instead of algebra multiplication).
+    Shares basis keys and the differential template with the D-side
+    complex; only the end-term actions differ.  The head slot acts by
+    conjugation, left[a][h] = a h a^-1, and the tail slot trivially,
+    right[x][y] = x: in negative degrees the identification transported
+    through the global isomorphism leaves the head alone in the leading term
+    and conjugates it by the last slot in the trailing term.
     """
 
-    def unsigned_terms(self, key: Key, d: int) -> Dict[Key, int]:
-        G = self.group
-        out: Dict[Key, int] = {}
-        if d >= 0:
-            args, h = key
-            for a in G.nontrivial:
-                _acc(out, ((a,) + args, G.conj(a, h)), 1)
-            sign = 1
-            for i in range(1, d + 1):
-                sign = -sign
-                t = args[i - 1]
-                pre, post = args[: i - 1], args[i:]
-                for u in G.nontrivial:
-                    v = G.mult[G.inv[u]][t]
-                    if v:
-                        _acc(out, (pre + (u, v) + post, h), sign)
-            last = -sign
-            for b in G.nontrivial:
-                _acc(out, (args + (b,), h), last)
-            return out
-        if d == -1:
-            g0, _ = key
-            for g in range(G.order):
-                _acc(out, ((), G.conj(g, g0)), 1)
-            return out
-        # negative degrees: the identification transported through the global
-        # isomorphism leaves the head alone in the leading term and conjugates
-        # it by the last slot in the trailing term
-        g0, tail = key
-        s = -d - 1
-        _acc(out, (g0, tail[1:]), 1)
-        sign = 1
-        for i in range(1, s):
-            sign = -sign
-            w = G.mult[tail[i - 1]][tail[i]]
-            if w:
-                _acc(out, (g0, tail[: i - 1] + (w,) + tail[i + 1:]), sign)
-        _acc(out, (G.conj(tail[-1], g0), tail[:-1]), -sign if s > 1 else -1)
-        return out
+    def __init__(self, group: Group, p: int, window: Tuple[int, int]):
+        super().__init__(group, p, window)
+        elems = range(group.order)
+        self.left = tuple(tuple(group.conj(a, h) for h in elems) for a in elems)
+        self.right = tuple((x,) * group.order for x in elems)
 
 
 def global_rho(target: ConjComplex, elem: TateElement) -> TateElement:

@@ -75,7 +75,10 @@ class JobConfig:
     threads: int = 1
 
     def __post_init__(self):
-        from .linalg import is_prime
+        from .linalg import PRIME_BOUND, is_prime
+        if self.p >= PRIME_BOUND:
+            raise ConfigError(f"characteristic {self.p} is not below {PRIME_BOUND}, "
+                              "the bound up to which primality is decided exactly")
         if not is_prime(self.p):
             raise ConfigError(f"characteristic {self.p} is not prime")
         lo, hi = self.window
@@ -266,10 +269,15 @@ class DecOps:
         return out
 
     def bracket(self, A: DecClass, B: DecClass) -> DecClass:
+        return self.bracket_with(A, B, self.delta(A), self.delta(B))
+
+    def bracket_with(self, A: DecClass, B: DecClass, dA: DecClass, dB: DecClass) -> DecClass:
+        """The bracket of A and B given dA = delta(A) and dB = delta(B), so a
+        caller bracketing the same classes many times computes each delta once."""
         da, db = A.degree, B.degree
         t1 = self.delta(self.cup(A, B))
-        t2 = self.cup(self.delta(A), B)
-        t3 = self.cup(A, self.delta(B))
+        t2 = self.cup(dA, B)
+        t3 = self.cup(A, dB)
         inner = self.add(self.add(t1, t2, -1), t3, -sign_pow(da))
         return self.scale(inner, -sign_pow((da - 1) * db))
 

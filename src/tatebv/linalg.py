@@ -14,7 +14,8 @@ representatives are bit-identical across runs.
   by columns.  ``QuotientSpace`` keeps its pivots on the same core;
 * 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on at most 4096 columns and 16M
   entries: numpy int32 reduced row echelon form, whose products of two
-  residues cannot overflow;
+  residues cannot overflow.  numpy is imported on the first use of this
+  engine, so jobs at p = 2 and p = 3 never load it;
 * otherwise: ``ColumnReducer`` on dict columns, which also holds
   ``QuotientSpace``'s pivots at p >= 5.
 
@@ -26,24 +27,40 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 DENSE_COLUMN_LIMIT = 4096
 DENSE_ENTRY_LIMIT = 16_000_000
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality of n < PRIME_BOUND; raises ValueError above it."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided exactly only below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -200,6 +217,7 @@ def _dense_eligible(M: SparseMatrix) -> bool:
 
 def _dense_rref(M: SparseMatrix):
     """Reduced row echelon form (numpy, int32 mod p): (R, pivot column list)."""
+    import numpy as np
     arr = np.zeros((M.nrows, M.ncols), dtype=np.int32)
     for j, col in enumerate(M.columns):
         for i, v in col.items():

@@ -285,9 +285,10 @@ class S3Verifier:
                 ck.add(f"graded commutativity {a}*{b}", ok)
         # the full bracket table: vanishing pattern now, values in phase B
         self.brackets: Dict[Tuple[str, str], DecClass] = {}
+        dgen = {k: ops.delta(g) for k, g in gen.items()}
         for item, a, b, expected in BRACKET_TABLE:
             if (a, b) not in self.brackets:
-                self.brackets[(a, b)] = ops.bracket(gen[a], gen[b])
+                self.brackets[(a, b)] = ops.bracket_with(gen[a], gen[b], dgen[a], dgen[b])
             v[f"bracket{item}"] = self.brackets[(a, b)]
             if expected is None:
                 ck.add(f"bracket ({item}) [{a},{b}] = 0", ops.is_zero(self.brackets[(a, b)]))

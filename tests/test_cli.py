@@ -1,7 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import tatebv
 
 from tatebv import cli, linalg
 from tatebv.cli import main
@@ -74,6 +79,46 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     for path in (missing, bad_json, no_mult):
         assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
     capsys.readouterr()
+
+
+def test_large_characteristic_decided_or_refused(capsys):
+    # 2^61 - 1 is prime, and deciding that takes no trial division up to 2^30.5
+    t0 = time.perf_counter()
+    rc, data = run_json(capsys, "info", "--group", "cyclic:2", "--char", str(2 ** 61 - 1),
+                        "--window", "-2..2")
+    assert rc == 0 and data["order"] == 2
+    assert time.perf_counter() - t0 < 1.0
+    # 2^89 - 1 is prime too, but above the bound where primality is decided exactly
+    assert main(["info", "--group", "cyclic:2", "--char", str(2 ** 89 - 1),
+                 "--window", "-2..2"]) == 2
+    assert str(linalg.PRIME_BOUND) in capsys.readouterr().err
+
+
+def _numpy_loaded_after(*jobs):
+    """Run the CLI jobs in a fresh interpreter; whether numpy got imported."""
+    code = ("import contextlib, io, sys\n"
+            "from tatebv.cli import main\n"
+            f"for argv in {[list(j) for j in jobs]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv + ['--format', 'json']) == 0, argv\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(tatebv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        x for x in (src, os.environ.get("PYTHONPATH")) if x))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+def test_cold_start_loads_numpy_only_for_the_dense_engine():
+    # p = 2 and p = 3 run on the bitset core and must not pay numpy's import
+    assert not _numpy_loaded_after(
+        ("dims", "--group", "quaternion8", "--char", "2", "--window", "-3..3"),
+        ("tables", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"))
+    # at p = 5 the matrices _dense_eligible admits still take the numpy engine
+    assert _numpy_loaded_after(
+        ("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"))
 
 
 def test_decomposition_window_refused_up_front(monkeypatch, capsys):

@@ -28,6 +28,26 @@ def test_is_prime_and_inverse():
     assert not is_prime(1)
 
 
+def test_is_prime_miller_rabin_exact_below_bound():
+    # every n < 10^5 against a sieve of Eratosthenes
+    N = 10 ** 5
+    sieve = [False, False] + [True] * (N - 2)
+    for q in range(2, int(N ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, N, q))
+    assert [n for n in range(N) if is_prime(n)] == [n for n in range(N) if sieve[n]]
+    # Carmichael numbers, and strong pseudoprimes to the first 4, 11 and 12
+    # prime bases: each base set below the 13 used here is fooled by one
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2 ** 61 - 1, 10 ** 12 + 39, 2 ** 31 - 1, 65537):
+        assert is_prime(n)
+    # the largest odd n admitted: 17 * 1709 * 1366183751 * 83570142193
+    assert not is_prime(linalg.PRIME_BOUND - 2)
+    with pytest.raises(ValueError, match=str(linalg.PRIME_BOUND)):
+        is_prime(linalg.PRIME_BOUND)
+
+
 def test_rank_examples():
     assert rank(mat([[0, 0], [0, 0]], 3)) == 0
     I5 = SparseMatrix(5, 5, 7)
