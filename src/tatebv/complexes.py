@@ -16,6 +16,12 @@ the identity, and any operator term that would put the identity into such
 a slot is dropped.  The official differential is the signed one: the
 coboundary on non-negative degrees and (-1)^d times the unsigned map out
 of degree d < 0 (so -trace out of degree -1).
+
+The key-level templates (``d_coboundary_terms`` and friends) define the
+differential of elements, and the matrices at p >= 5 and in negative
+degrees.  At p = 2 and p = 3 the matrix out of a degree d >= 0 streams
+its columns into elimination as bitsets from face-map tables
+(``coboundary_vectors``), unless a subclass overrides ``unsigned_terms``.
 """
 
 from __future__ import annotations
@@ -77,6 +83,64 @@ def d_coboundary_terms(G: Group, key: Key, m: int, left, right) -> Dict[Key, int
     for b in G.nontrivial:
         _acc(out, (args + (b,), right[h][b]), last)
     return out
+
+
+def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
+                       n: int, p: int) -> Iterator:
+    """Columns of the unsigned coboundary out of degree n >= 0, in basis
+    order, as vectors of the p <= 3 bitset core: a Python-int bitset over
+    rows at p = 2, a bit-sliced (P, N) pair at p = 3.
+
+    The same map as ``d_coboundary_terms`` (and ``group_coboundary_terms``
+    for V = 1 and trivial end-term tables), read on row indices.  A basis
+    key (args, h) of degree n has index idx(args)*V + h, idx being args in
+    base q = len(nontrivial), first slot most significant.  In that index
+    each face map of the bar complex is one fixed bitset shifted by an
+    offset: face 0 is T0[h] << idx(args)*V, face n+1 is TL[h] <<
+    idx(args)*q*V, and middle face i, which splits slot t = args[i-1] into
+    (u, u^-1 t), is S[k][t] << idx(pre)*q^(k+2)*V + idx(post)*V + h, with k
+    = n - i and pre, post the slots before and after t.  Face i carries
+    the sign (-1)^i; faces may meet on a row, so they are added in the
+    field, not merged."""
+    q = len(nontrivial)
+    pos = {a: i for i, a in enumerate(nontrivial)}
+    Q = [q ** k * V for k in range(n + 2)]
+    T0 = [sum(1 << (pos[a] * Q[n] + left[a][h]) for a in nontrivial) for h in range(V)]
+    TL = [sum(1 << (pos[b] * V + right[h][b]) for b in nontrivial) for h in range(V)]
+    mult, inv = G.mult, G.inv
+    splits = [[pos[u] * q + pos[v] for u in nontrivial if (v := mult[inv[u]][t])] for t in nontrivial]
+    S = [[sum(1 << (x * Q[k]) for x in row) for row in splits] for k in range(n)]
+    # (S[k], face i = n - k, q^(k+1), q^(k+2)*V, q^k) per middle slot, first slot first
+    mids = [(S[k], n - k, q ** (k + 1), Q[k + 2], q ** k) for k in range(n - 1, -1, -1)]
+    for idx, digits in enumerate(itertools.product(range(q), repeat=n)):
+        a, b = idx * V, idx * Q[1]
+        if p == 2:
+            mid = 0
+            for (Sk, _, hi, step, lo), t in zip(mids, digits):
+                mid ^= Sk[t] << (idx // hi * step + idx % lo * V)
+            for h in range(V):
+                yield (mid << h) ^ (T0[h] << a) ^ (TL[h] << b)
+            continue
+        P = N = 0
+        # the six-operation add of _GF3 with one half zero: + F is (F, 0), - F is (0, F)
+        for (Sk, i, hi, step, lo), t in zip(mids, digits):
+            F = Sk[t] << (idx // hi * step + idx % lo * V)
+            if i % 2:  # subtract F
+                x = (P | F) ^ N
+                P, N = (N | F) ^ x, P ^ x
+            else:
+                x = P ^ (N | F)
+                P, N = N ^ x, (P | F) ^ x
+        for h in range(V):
+            mP, mN, F = P << h, N << h, T0[h] << a
+            x = mP ^ (mN | F)
+            mP, mN, F = mN ^ x, (mP | F) ^ x, TL[h] << b
+            if n % 2:  # face n+1 is even
+                x = mP ^ (mN | F)
+                yield mN ^ x, (mP | F) ^ x
+            else:
+                x = (mP | F) ^ mN
+                yield (mN | F) ^ x, mP ^ x
 
 
 def d_boundary_terms(G: Group, key: Key, s: int, left, right) -> Dict[Key, int]:
@@ -293,13 +357,18 @@ class _BaseComplex:
         return 1 if d >= 0 else sign_pow(-d - 1)
 
     def basis(self, d: int) -> List[Key]:
+        return self._keys(d)
+
+    def _keys(self, d: int) -> List[Key]:
+        # ``basis`` without its span under perfbench's tracer, whose span
+        # observers hold a lock: they may read a matrix's lazy ``columns``
         self.check_degree(d)
         if d not in self._basis:
             self._basis[d] = list(self.iter_basis(d))
         return self._basis[d]
 
     def index(self, d: int) -> Dict[Key, int]:
-        basis = self.basis(d)
+        basis = self._keys(d)
         if d not in self._index:
             self._index[d] = {k: i for i, k in enumerate(basis)}
         return self._index[d]
@@ -322,19 +391,38 @@ class _BaseComplex:
             add_scaled_inplace(out, self.unsigned_terms(key, d), c * sign, p)
         return self.element(d + 1, out)
 
+    def _columns(self, d: int) -> List[Dict[int, int]]:
+        """The signed differential out of degree d as dict columns, from
+        ``unsigned_terms``, which sums each target key once."""
+        tgt_index = self.index(d + 1)
+        p, sign = self.p, self.sign_of(d)
+        return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d).items()
+                 if (x := c * sign % p)} for key in self._keys(d)]
+
+    def _face_built(self, d: int) -> bool:
+        """Whether matrix(d) streams its columns from ``coboundary_vectors``:
+        p <= 3, d >= 0, and the class that defines ``unsigned_terms``
+        supplies the face tables too, so a subclass that overrides
+        ``unsigned_terms`` alone keeps getting its matrices from it."""
+        owner = next(c for c in type(self).__mro__ if "unsigned_terms" in vars(c))
+        return self.p <= 3 and d >= 0 and "coboundary_faces" in vars(owner)
+
     def matrix(self, d: int) -> SparseMatrix:
-        """Signed differential degree d -> d+1 over the canonical bases."""
+        """Signed differential degree d -> d+1 over the canonical bases.
+
+        Its dict columns are built from ``unsigned_terms`` on first read of
+        ``columns``.  A face-built matrix never needs them: elimination
+        regenerates its bitset vectors on each pass, and nothing holds them."""
         self.check_degree(d)
         self.check_degree(d + 1)
         if d in self._matrix:
             return self._matrix[d]
-        src = self.basis(d)
-        tgt_index = self.index(d + 1)
-        p, sign = self.p, self.sign_of(d)
-        M = SparseMatrix(len(tgt_index), len(src), p)
-        # unsigned_terms sums each target key once, so every column is one dict
-        M.columns = [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d).items()
-                      if (x := c * sign % p)} for key in src]
+        vectors = None
+        if self._face_built(d):
+            faces = self.coboundary_faces()
+            vectors = lambda: coboundary_vectors(*faces, d, self.p)
+        M = SparseMatrix(self.dim(d + 1), len(self.basis(d)), self.p,
+                         build=lambda: self._columns(d), vectors=vectors)
         self._matrix[d] = M
         return M
 
@@ -342,16 +430,10 @@ class _BaseComplex:
         """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles."""
         if n in self._cohomology:
             return self._cohomology[n]
-        from .linalg import kernel_basis, pivot_columns
-        out_mat = self.matrix(n)
+        from .linalg import column_vectors, kernel_basis, pivot_columns
+        kern = kernel_basis(self.matrix(n))
         in_mat = self.matrix(n - 1)
-        kern = kernel_basis(out_mat)
-        image: List[SparseVector] = []
-        for j in pivot_columns(in_mat):
-            sv = SparseVector(self.p)
-            sv.entries = dict(in_mat.columns[j])
-            image.append(sv)
-        quot = QuotientSpace(self.p, kern, image)
+        quot = QuotientSpace(self.p, kern, column_vectors(in_mat, pivot_columns(in_mat)))
         space = CohomologySpace(self, n, quot)
         self._cohomology[n] = space
         return space
@@ -409,6 +491,10 @@ class DComplex(_BaseComplex):
             return d_trace_terms(self.group, key)
         return d_boundary_terms(self.group, key, -d - 1, self.left, self.right)
 
+    def coboundary_faces(self):
+        """The arguments of ``coboundary_vectors`` before the degree."""
+        return self.group, self.group.nontrivial, self.group.order, self.left, self.right
+
     def cohomology(self, n: int) -> CohomologySpace:
         if not (self.lo < n < self.hi):
             raise WindowError(f"cohomology at degree {n} needs window margin around it")
@@ -451,3 +537,9 @@ class GroupComplex(_BaseComplex):
             norm = self.subgroup.order % self.p
             return {(): norm} if norm else {}
         return group_boundary_terms(G, key, -d - 1)
+
+    def coboundary_faces(self):
+        """The arguments of ``coboundary_vectors`` before the degree: one
+        value (V = 1) that both end terms leave fixed."""
+        G = self.subgroup.parent
+        return G, self.subgroup.nontrivial, 1, [(0,)] * G.order, [(0,) * G.order]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bv import CohClass, bv_operator, class_of, cup
 from .complexes import (DComplex, GroupComplex, GroupTateElement, TateElement,
@@ -269,15 +269,17 @@ class DecOps:
         return out
 
     def bracket(self, A: DecClass, B: DecClass) -> DecClass:
-        return self.bracket_with(A, B, self.delta(A), self.delta(B))
+        return self.bracket_with(A, B, self.delta)
 
-    def bracket_with(self, A: DecClass, B: DecClass, dA: DecClass, dB: DecClass) -> DecClass:
-        """The bracket of A and B given dA = delta(A) and dB = delta(B), so a
-        caller bracketing the same classes many times computes each delta once."""
+    def bracket_with(self, A: DecClass, B: DecClass,
+                     delta: Callable[[DecClass], DecClass]) -> DecClass:
+        """The bracket of A and B with every BV operator in it (of A, of B
+        and of A*B) taken by ``delta``, so that a caller bracketing many
+        classes can pass a memo of ``self.delta``."""
         da, db = A.degree, B.degree
-        t1 = self.delta(self.cup(A, B))
-        t2 = self.cup(dA, B)
-        t3 = self.cup(A, dB)
+        t1 = delta(self.cup(A, B))
+        t2 = self.cup(delta(A), B)
+        t3 = self.cup(A, delta(B))
         inner = self.add(self.add(t1, t2, -1), t3, -sign_pow(da))
         return self.scale(inner, -sign_pow((da - 1) * db))
 

@@ -11,7 +11,10 @@ representatives are bit-identical across runs.
 * p = 2 and p = 3: the bitset echelon core ``_Bitsets`` (one Python-int
   bitset per vector at p = 2, a bit-sliced pair at p = 3), by rows for
   ``pivot_columns`` and ``rank`` of wide matrices (ncols > nrows), else
-  by columns.  ``QuotientSpace`` keeps its pivots on the same core;
+  by columns.  A matrix with packed ``vectors`` (the coboundaries that
+  ``complexes`` builds from face maps) streams them straight in and
+  skips ``split``; its dict ``columns`` are built only on demand.
+  ``QuotientSpace`` keeps its pivots on the same core;
 * 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on at most 4096 columns and 16M
   entries: numpy int32 reduced row echelon form, whose products of two
   residues cannot overflow.  numpy is imported on the first use of this
@@ -25,7 +28,8 @@ All engines give the same pivot set and the same kernel basis.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 DENSE_COLUMN_LIMIT = 4096
 DENSE_ENTRY_LIMIT = 16_000_000
@@ -117,15 +121,29 @@ def add_scaled_inplace(dst: Dict, src: Dict, c: int, p: int) -> None:
 
 
 class SparseMatrix:
-    """Column-major sparse matrix over F_p."""
+    """Column-major sparse matrix over F_p.
 
-    __slots__ = ("nrows", "ncols", "p", "columns")
+    ``columns`` is a list of dicts.  A matrix made with ``build`` computes
+    it on first read.  ``vectors``, if given, is a zero-argument callable
+    yielding the same columns in order as vectors of the p <= 3 bitset
+    core; elimination then streams them and never reads ``columns``."""
 
-    def __init__(self, nrows: int, ncols: int, p: int):
+    __slots__ = ("nrows", "ncols", "p", "_columns", "_build", "vectors")
+
+    def __init__(self, nrows: int, ncols: int, p: int, build: Optional[Callable] = None,
+                 vectors: Optional[Callable[[], Iterable]] = None):
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
-        self.columns: List[Dict[int, int]] = [dict() for _ in range(ncols)]
+        self._build = build
+        self._columns: Optional[List[Dict[int, int]]] = None if build else [dict() for _ in range(ncols)]
+        self.vectors = vectors
+
+    @property
+    def columns(self) -> List[Dict[int, int]]:
+        if self._columns is None:
+            self._columns = self._build()
+        return self._columns
 
     def set_entry(self, i: int, j: int, v: int) -> None:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -374,18 +392,19 @@ class _GF3(_Bitsets):
 _BITSETS = {2: _GF2, 3: _GF3}
 
 
-def _bitset_eliminate(vectors: Sequence[Dict[int, int]], p: int, track: bool):
+def _bitset_eliminate(vectors: Iterable, p: int, track: bool):
     """(echelon, indices of the vectors that became pivots, kernel basis or
-    None without track) of feeding dict vectors in order to a bitset
-    echelon at p <= 3.  A dead vector's combination is 1 at its own index
-    (no pivot combination reaches it) plus entries at pivot indices only:
-    the canonical kernel vector of that free index, own index first."""
+    None without track) of feeding vectors of the bitset core in order to
+    a bitset echelon at p <= 3.  A dead vector's combination is 1 at its
+    own index (no pivot combination reaches it) plus entries at pivot
+    indices only: the canonical kernel vector of that free index, own
+    index first."""
     E = _BITSETS[p]()
-    split, unit, reduce, support = E.split, E.unit, E.reduce, E.support
+    unit, reduce, support = E.unit, E.reduce, E.support
     pivots: List[int] = []
     kernel: List[SparseVector] = []
-    for j, col in enumerate(vectors):
-        v, c = reduce(split(col), unit(j) if track else None)
+    for j, v in enumerate(vectors):
+        v, c = reduce(v, unit(j) if track else None)
         if support(v):
             E.push(*E.normalize(v, c))
             pivots.append(j)
@@ -396,9 +415,30 @@ def _bitset_eliminate(vectors: Sequence[Dict[int, int]], p: int, track: bool):
     return E, pivots, kernel if track else None
 
 
+def _dict_columns(M: SparseMatrix) -> Iterable[Dict[int, int]]:
+    """M's columns as dicts in order; a matrix with ``vectors`` is read
+    back from them, and nothing is stored."""
+    if M.vectors is None:
+        return M.columns
+    return map(_BITSETS[M.p]().entries, M.vectors())
+
+
+def column_vectors(M: SparseMatrix, js: Sequence[int]) -> List[SparseVector]:
+    """M's columns js (ascending) as SparseVectors."""
+    flags = bytearray(M.ncols)
+    for j in js:
+        flags[j] = 1
+    out = []
+    for col in compress(_dict_columns(M), flags):
+        sv = SparseVector(M.p)
+        sv.entries = dict(col)
+        out.append(sv)
+    return out
+
+
 def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
     rows: List[Dict[int, int]] = [{} for _ in range(M.nrows)]
-    for j, col in enumerate(M.columns):
+    for j, col in enumerate(_dict_columns(M)):
         for i, x in col.items():
             rows[i][j] = x
     return rows
@@ -409,11 +449,13 @@ def _eliminate(M: SparseMatrix, track: bool):
     rule of the module docstring; the one place an engine is chosen."""
     p = M.p
     if p <= 3:
+        split = _BITSETS[p].split
         if not track and M.ncols > M.nrows:
             # by rows: the lowest set columns of an echelon basis of M's row
             # space are exactly M's leftmost-greedy independent columns
-            return _bits(_bitset_eliminate(_rows(M), p, False)[0].mask), None
-        return _bitset_eliminate(M.columns, p, track)[1:]
+            return _bits(_bitset_eliminate(map(split, _rows(M)), p, False)[0].mask), None
+        vectors = M.vectors() if M.vectors is not None else map(split, M.columns)
+        return _bitset_eliminate(vectors, p, track)[1:]
     if _dense_eligible(M):
         R, pivots = _dense_rref(M)
         if not track:

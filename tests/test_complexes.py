@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from tatebv import linalg
 from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
-from tatebv.groups import preset_group, whole_group
+from tatebv.decomposition import ConjComplex
+from tatebv.groups import conjugacy_classes, preset_group, trivial_subgroup, whole_group
+from tatebv.linalg import SparseMatrix, kernel_basis, pivot_columns
+from tatebv.verify import _MutatedDComplex
 
 
 def test_dim_degree(s3):
@@ -183,3 +187,69 @@ def test_representatives_are_cocycles(s3_complex):
             assert s3_complex.differential(rep).is_zero()
             coords = space.project(rep)
             assert coords == [1 if j == i else 0 for j in range(space.dim)]
+
+
+def _face_complexes(G, p, top):
+    """DComplex, ConjComplex and the GroupComplex of the whole group, of
+    each distinct centralizer and of the trivial subgroup, with matrices
+    in degrees 0..top."""
+    subgroups = {H.members: H for H in (whole_group(G), *conjugacy_classes(G).centralizers,
+                                         trivial_subgroup(G))}
+    window = (0, top + 1)
+    return [DComplex(G, p, window), ConjComplex(G, p, window),
+            *(GroupComplex(H, p, window) for H in subgroups.values())]
+
+
+@pytest.mark.parametrize("group,top", [
+    (("cyclic", 1), 3), (("cyclic", 2), 3), (("cyclic", 3), 3), (("symmetric", 3), 3),
+    (("dihedral", 4), 3), (("quaternion8", 0), 3), (("symmetric", 4), 1),
+], ids=["C1", "C2", "C3", "S3", "D8", "Q8", "S4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_face_built_columns_equal_template(group, top, p):
+    """At p <= 3 the coboundary out of every degree d >= 0 is streamed from
+    face-map tables: its vectors are exactly the split dict columns of the
+    key-level template, and kernels and pivots equal those of the dict
+    columns.  Elimination is a function of the vectors alone, so kernels
+    and pivots are compared up to 400 columns (all but the D-side S4
+    degree-1 and order-8 degree-3 matrices, to keep the test short)."""
+    E = linalg._BITSETS[p]
+    for C in _face_complexes(preset_group(*group), p, top):
+        for d in range(top + 1):
+            M = C.matrix(d)
+            assert M.vectors is not None and M._columns is None
+            assert list(M.vectors()) == [E.split(col) for col in M.columns]
+            if M.ncols > 400:
+                continue
+            D = SparseMatrix(M.nrows, M.ncols, p, build=lambda: M.columns)
+            assert [v.entries for v in kernel_basis(M)] == [v.entries for v in kernel_basis(D)]
+            assert pivot_columns(M) == pivot_columns(D)
+
+
+def test_overridden_unsigned_terms_keeps_template(s3):
+    """A subclass that overrides unsigned_terms gets its matrices from the
+    override, not from the face tables: the selftest's mutated complex
+    carries its bogus +1 at row ((g1,), e) of every degree-0 column."""
+    M = _MutatedDComplex(s3, 3, (-2, 2)).matrix(0)
+    ref = DComplex(s3, 3, (-2, 2)).matrix(0)
+    assert M.vectors is None
+    for col, good in zip(M.columns, ref.columns):
+        assert (col.get(0, 0) - good.get(0, 0)) % 3 == 1
+        assert {i: x for i, x in col.items() if i} == {i: x for i, x in good.items() if i}
+
+
+@pytest.mark.parametrize("group,p", [(("dihedral", 4), 2), (("symmetric", 3), 3)])
+def test_face_built_matrices_keep_no_columns(group, p):
+    """cohomology reads kernels and image vectors off the streamed vectors:
+    afterwards no face-built matrix holds per-column storage (dict columns
+    or a list of vectors), only the callables that regenerate them."""
+    G = preset_group(*group)
+    complexes = [DComplex(G, p, (-2, 3)), GroupComplex(whole_group(G), p, (-2, 3))]
+    for C in complexes:
+        for n in range(-1, 3):
+            C.cohomology(n)
+        built = [M for M in C._matrix.values() if M.vectors is not None]
+        assert len(built) == 3
+        for M in built:
+            held = [getattr(M, s) for s in type(M).__slots__] + list(getattr(M, "__dict__", {}).values())
+            assert M._columns is None and callable(M.vectors)
+            assert not any(isinstance(x, (list, tuple, dict)) for x in held)
