@@ -10,7 +10,7 @@ from .groups import (ConjugacyData, CosetSystem, DoubleCosetSystem, Group, Group
                      group_from_mult_table, group_from_permutations,
                      intersect_subgroups, preset_group, right_coset_system,
                      trivial_subgroup, whole_group)
-from .linalg import QuotientSpace, SparseMatrix, SparseVector, kernel_basis, rank
+from .linalg import QuotientSpace, SparseMatrix, kernel_basis, rank
 from .complexes import (CohomologySpace, DComplex, GroupComplex, GroupTateElement,
                         TateElement, WindowError, class_of_index, dim_degree)
 from .bv import (CohClass, bv_operator, class_of, connes_b, cup, induced_cup,

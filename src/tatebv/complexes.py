@@ -30,7 +30,7 @@ import itertools
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .groups import ConjugacyData, Group, Subgroup
-from .linalg import QuotientSpace, SparseMatrix, SparseVector, add_scaled_inplace
+from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace
 
 Key = Hashable
 
@@ -317,13 +317,12 @@ class CohomologySpace:
         if elem.degree != self.degree:
             raise ValueError("degree mismatch")
         idx = self.complex.index(self.degree)
-        vec = SparseVector(self.complex.p, {idx[k]: v for k, v in elem.coeffs.items()})
-        return self.quotient.project(vec)
+        return self.quotient.project({idx[k]: v for k, v in elem.coeffs.items()})
 
     def lift(self, coords: Sequence[int]):
         basis = self.complex.basis(self.degree)
         vec = self.quotient.lift(coords)
-        return self.complex.element(self.degree, {basis[i]: v for i, v in vec.entries.items()})
+        return self.complex.element(self.degree, {basis[i]: v for i, v in vec.items()})
 
 
 class _BaseComplex:
@@ -430,11 +429,7 @@ class _BaseComplex:
         """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles."""
         if n in self._cohomology:
             return self._cohomology[n]
-        from .linalg import column_vectors, kernel_basis, pivot_columns
-        kern = kernel_basis(self.matrix(n))
-        in_mat = self.matrix(n - 1)
-        quot = QuotientSpace(self.p, kern, column_vectors(in_mat, pivot_columns(in_mat)))
-        space = CohomologySpace(self, n, quot)
+        space = CohomologySpace(self, n, QuotientSpace(self.matrix(n), self.matrix(n - 1)))
         self._cohomology[n] = space
         return space
 

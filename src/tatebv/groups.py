@@ -8,7 +8,6 @@ every derived object is reproducible.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,17 +66,6 @@ class Group:
     def is_abelian(self) -> bool:
         m = self.mult
         return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(a))
-
-    def to_json(self) -> str:
-        data = {"order": self.order, "mult": [list(r) for r in self.mult]}
-        if self.labels:
-            data["labels"] = list(self.labels)
-        return json.dumps(data)
-
-    @staticmethod
-    def from_json(text: str) -> "Group":
-        data = json.loads(text)
-        return group_from_mult_table(data["mult"], labels=data.get("labels"))
 
 
 def _validate_table(mult: Tuple[Tuple[int, ...], ...]) -> None:

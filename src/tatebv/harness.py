@@ -140,9 +140,6 @@ class DecClass:
     def copy(self) -> "DecClass":
         return DecClass(self.degree, dict(self.parts))
 
-    def structurally_zero(self) -> bool:
-        return not self.parts
-
 
 class DecOps:
     """Operations on decomposition-path classes for one (group, p) pair."""

@@ -1,10 +1,13 @@
 """Exact linear algebra over prime fields F_p.
 
-Everything here is integer arithmetic mod p: sparse vectors are dicts
-mapping basis indices to nonzero residues, matrices are column-major
-lists of such dicts.  Elimination is deterministic (the pivot columns are
-the leftmost-greedy independent set), so ranks, kernel bases and quotient
-representatives are bit-identical across runs.
+Everything here is integer arithmetic mod p.  Matrices are column-major,
+each column a dict mapping row indices to nonzero residues.  Each
+elimination engine keeps vectors in its own format; plain
+{index: residue} dicts go in and come out only at the edges:
+``kernel_basis``, and ``QuotientSpace``'s ``representatives``, ``lift``
+and the argument of ``project``.  Elimination is deterministic (the pivot
+columns are the leftmost-greedy independent set), so ranks, kernel bases
+and quotient representatives are bit-identical across runs.
 
 ``_eliminate``, the one place an engine is chosen, picks one by p and shape:
 
@@ -13,23 +16,26 @@ representatives are bit-identical across runs.
   ``pivot_columns`` and ``rank`` of wide matrices (ncols > nrows), else
   by columns.  A matrix with packed ``vectors`` (the coboundaries that
   ``complexes`` builds from face maps) streams them straight in and
-  skips ``split``; its dict ``columns`` are built only on demand.
-  ``QuotientSpace`` keeps its pivots on the same core;
+  skips ``split``; its dict ``columns`` are built only on demand;
 * 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on at most 4096 columns and 16M
   entries: numpy int32 reduced row echelon form, whose products of two
   residues cannot overflow.  numpy is imported on the first use of this
   engine, so jobs at p = 2 and p = 3 never load it;
-* otherwise: ``ColumnReducer`` on dict columns, which also holds
-  ``QuotientSpace``'s pivots at p >= 5.
+* otherwise: ``ColumnReducer``, the same steps on dict vectors.
 
-All engines give the same pivot set and the same kernel basis.
+The bitset core and ``ColumnReducer`` share their steps (``split``,
+``unit``, ``reduce``, ``normalize``, ``push``, ``place``, ``entries``,
+``coords``); ``_engine(p)`` picks one of them, ``_feed`` is the one loop
+that eliminates with either, and ``QuotientSpace`` builds its echelons on
+the same engine.  All engines give the same pivot set and the same kernel
+basis.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, compress
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 DENSE_COLUMN_LIMIT = 4096
 DENSE_ENTRY_LIMIT = 16_000_000
@@ -66,45 +72,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class SparseVector:
-    """Sparse vector over F_p, keyed by arbitrary hashable basis indices."""
-
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p: int, entries: Optional[Dict[Hashable, int]] = None):
-        self.p = p
-        self.entries: Dict[Hashable, int] = {}
-        if entries:
-            for k, v in entries.items():
-                v %= p
-                if v:
-                    self.entries[k] = v
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparseVector) and self.p == other.p and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"SparseVector(p={self.p}, {self.entries!r})"
-
-    def copy(self) -> "SparseVector":
-        out = SparseVector(self.p)
-        out.entries = dict(self.entries)
-        return out
-
-    def get(self, key: Hashable) -> int:
-        return self.entries.get(key, 0)
-
-    def scale(self, c: int) -> "SparseVector":
-        c %= self.p
-        out = SparseVector(self.p)
-        if c:
-            out.entries = {k: (v * c) % self.p for k, v in self.entries.items()}
-        return out
 
 
 def add_scaled_inplace(dst: Dict, src: Dict, c: int, p: int) -> None:
@@ -154,13 +121,6 @@ class SparseMatrix:
         else:
             self.columns[j].pop(i, None)
 
-    def apply(self, v: Dict[int, int]) -> Dict[int, int]:
-        """Matrix-vector product; v is a sparse vector over column indices."""
-        out: Dict[int, int] = {}
-        for j, c in v.items():
-            add_scaled_inplace(out, self.columns[j], c, self.p)
-        return out
-
     def triples(self) -> Iterable[Tuple[int, int, int]]:
         for j, col in enumerate(self.columns):
             for i in sorted(col):
@@ -168,39 +128,29 @@ class SparseMatrix:
 
 
 class ColumnReducer:
-    """Incremental column echelon form on dict columns with combination
-    tracking, the dict engine for p >= 5.
-
-    Columns are fed in order; each is reduced against the established
-    pivots (applied in creation order).  A column that survives becomes a
-    pivot (normalized, pivot row = minimal remaining row index); one that
-    dies yields a kernel combination.  ``QuotientSpace`` uses the steps of
-    ``feed`` as it uses those of ``_Bitsets``.
+    """Column echelon form on dict vectors with combination tracking, the
+    dict engine for p >= 5.  It has the steps of ``_Bitsets`` on dicts, so
+    ``_feed`` and ``QuotientSpace`` drive both alike; pivots are applied in
+    creation order, and ``push`` makes a vector the pivot at its minimal
+    row.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: List[Tuple[int, Dict[int, int], Optional[Dict[int, int]]]] = []
-        self.kernel: List[Dict[int, int]] = []
-        self._fed = 0
 
-    def feed(self, column: Dict[int, int], track: bool = True) -> None:
-        v, c = self.reduce(dict(column), {self._fed: 1} if track else None)
-        self._fed += 1
-        if v:
-            self.push(*self.normalize(v, c))
-        elif c is not None:
-            self.kernel.append(c)
-
-    split = staticmethod(dict)
-    support = entries = staticmethod(lambda v: v)
+    split = support = staticmethod(lambda v: v)
+    unit = staticmethod(lambda j: {j: 1})
+    entries = staticmethod(lambda v, first=None: dict(v))
     coords = staticmethod(lambda c, n: [c.get(k, 0) for k in range(n)])
 
     def reduce(self, v: Dict[int, int], c: Optional[Dict[int, int]]):
-        """v minus the multiples of the pivots that clear their rows, c
-        (None: untracked) minus the same multiples of their combinations;
-        both are updated in place."""
+        """Copies of v minus the multiples of the pivots that clear their
+        rows and of c (None: untracked) minus the same multiples of their
+        combinations; v and c themselves are left as they are."""
         p = self.p
+        v = dict(v)
+        c = c if c is None else dict(c)
         for row, w, d in self.pivots:
             x = v.get(row)
             if x:
@@ -218,11 +168,11 @@ class ColumnReducer:
         return v, c
 
     def push(self, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
-        self.pivots.append((min(v), v, c))
+        self.place(min(v), v, c)
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def place(self, row: int, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
+        """Make v, which holds 1 at row, the pivot there with combination c."""
+        self.pivots.append((row, v, c))
 
 
 def _dense_eligible(M: SparseMatrix) -> bool:
@@ -279,15 +229,16 @@ class _Bitsets:
     """Pivots in row echelon form over F_2 or F_3 on Python-int bitsets,
     the M4RI idea in pure Python; one instance per elimination.
 
-    Per field: ``split`` turns a dict of entries into a vector; ``reduce``
-    clears the lowest pivot row a vector has set until none is left,
-    adding the same multiples of pivot combinations to a tracked one (a
-    pivot has no set bit below its own row, so each step changes only
-    rows above it and applies every pivot at most once); ``normalize``
-    scales a vector to 1 at its lowest set row and ``push`` makes it the
-    pivot there; ``entries`` and ``coords`` read a vector back as a dict or
-    a list.  Pivots are never back-substituted: Gauss-Jordan reduced pivots
-    were measured 4-5x slower on the matrices of ``dims`` at p = 2.
+    Per field: ``split`` turns a dict of entries into a vector and
+    ``unit`` gives a unit vector; ``reduce`` clears the lowest pivot row a
+    vector has set until none is left, adding the same multiples of pivot
+    combinations to a tracked one (a pivot has no set bit below its own
+    row, so each step changes only rows above it and applies every pivot
+    at most once); ``normalize`` scales a vector to 1 at its lowest set
+    row and ``push`` makes it the pivot there; ``entries`` and ``coords``
+    read a vector back as a dict or a list.  Pivots are never
+    back-substituted: Gauss-Jordan reduced pivots were measured 4-5x slower
+    on the matrices of ``dims`` at p = 2.
     """
 
     def __init__(self):
@@ -301,11 +252,18 @@ class _Bitsets:
         s = self.support(v)
         if self.twos(v) & s & -s:
             raise AssertionError("pivot not normalized: its lowest entry is 2")
-        row = (s & -s).bit_length() - 1
+        self.place((s & -s).bit_length() - 1, v, c)
+
+    def place(self, row: int, v, c) -> None:
+        """Make v, which holds 1 at row, the pivot there with combination c.
+        Row need not be v's lowest set one: if no pivot has a set bit at
+        another pivot's row, ``reduce`` clears each pivot row at most once,
+        in any order, which is how ``QuotientSpace`` places each kernel
+        vector at its free column."""
         if row >= len(self.at):
             self.at.extend([None] * (row + 1 - len(self.at)))
         self.at[row] = self.flat(v, c)
-        self.mask |= s & -s
+        self.mask |= 1 << row
 
     def entries(self, v, first: Optional[int] = None) -> Dict[int, int]:
         """v as {index: entry} ascending, or its largest index ``first`` first."""
@@ -392,27 +350,35 @@ class _GF3(_Bitsets):
 _BITSETS = {2: _GF2, 3: _GF3}
 
 
-def _bitset_eliminate(vectors: Iterable, p: int, track: bool):
-    """(echelon, indices of the vectors that became pivots, kernel basis or
-    None without track) of feeding vectors of the bitset core in order to
-    a bitset echelon at p <= 3.  A dead vector's combination is 1 at its
-    own index (no pivot combination reaches it) plus entries at pivot
-    indices only: the canonical kernel vector of that free index, own
-    index first."""
-    E = _BITSETS[p]()
+def _engine(p: int):
+    """A new echelon of the engine for p: the bitset core at p <= 3, else a
+    ``ColumnReducer``; the numpy engine is chosen in ``_eliminate`` alone."""
+    return _BITSETS[p]() if p <= 3 else ColumnReducer(p)
+
+
+def _feed(E, vectors: Iterable, track: bool):
+    """(indices of the vectors that became pivots, [(index, combination)]
+    of the others or None without track) of feeding vectors of E's engine
+    in order to the echelon E.  A dead vector's combination is 1 at its own
+    index (no pivot combination reaches it) plus entries at pivot indices
+    only: the canonical kernel vector of that free index."""
     unit, reduce, support = E.unit, E.reduce, E.support
     pivots: List[int] = []
-    kernel: List[SparseVector] = []
+    kernel: List[tuple] = []
     for j, v in enumerate(vectors):
         v, c = reduce(v, unit(j) if track else None)
         if support(v):
             E.push(*E.normalize(v, c))
             pivots.append(j)
         elif track:
-            sv = SparseVector(p)
-            sv.entries = E.entries(c, first=j)
-            kernel.append(sv)
-    return E, pivots, kernel if track else None
+            kernel.append((j, c))
+    return pivots, kernel if track else None
+
+
+def _vectors(M: SparseMatrix, E) -> Iterable:
+    """M's columns in order as vectors of E's engine, streamed from M's
+    ``vectors`` where it has them."""
+    return M.vectors() if M.vectors is not None else map(E.split, M.columns)
 
 
 def _dict_columns(M: SparseMatrix) -> Iterable[Dict[int, int]]:
@@ -421,19 +387,6 @@ def _dict_columns(M: SparseMatrix) -> Iterable[Dict[int, int]]:
     if M.vectors is None:
         return M.columns
     return map(_BITSETS[M.p]().entries, M.vectors())
-
-
-def column_vectors(M: SparseMatrix, js: Sequence[int]) -> List[SparseVector]:
-    """M's columns js (ascending) as SparseVectors."""
-    flags = bytearray(M.ncols)
-    for j in js:
-        flags[j] = 1
-    out = []
-    for col in compress(_dict_columns(M), flags):
-        sv = SparseVector(M.p)
-        sv.entries = dict(col)
-        out.append(sv)
-    return out
 
 
 def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
@@ -445,42 +398,33 @@ def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
 
 
 def _eliminate(M: SparseMatrix, track: bool):
-    """(pivot columns, kernel basis or None without track) by the engine
-    rule of the module docstring; the one place an engine is chosen."""
+    """(pivot columns, kernel or None without track) by the engine rule of
+    the module docstring; the one place an engine is chosen.  The kernel
+    is a list of (free column, kernel vector) with the vector in the
+    format of ``_engine(M.p)``, dicts at p >= 5 for numpy too."""
     p = M.p
-    if p <= 3:
-        split = _BITSETS[p].split
-        if not track and M.ncols > M.nrows:
-            # by rows: the lowest set columns of an echelon basis of M's row
-            # space are exactly M's leftmost-greedy independent columns
-            return _bits(_bitset_eliminate(map(split, _rows(M)), p, False)[0].mask), None
-        vectors = M.vectors() if M.vectors is not None else map(split, M.columns)
-        return _bitset_eliminate(vectors, p, track)[1:]
-    if _dense_eligible(M):
-        R, pivots = _dense_rref(M)
-        if not track:
-            return pivots, None
-        pivot_set = set(pivots)
-        out = []
-        for j in range(M.ncols):
-            if j in pivot_set:
-                continue
-            sv = SparseVector(p)
-            sv.entries[j] = 1
+    E = _engine(p)
+    if p <= 3 and not track and M.ncols > M.nrows:
+        # by rows: the lowest set columns of an echelon basis of M's row
+        # space are exactly M's leftmost-greedy independent columns
+        _feed(E, map(E.split, _rows(M)), False)
+        return _bits(E.mask), None
+    if not _dense_eligible(M):
+        return _feed(E, _vectors(M, E), track)
+    R, pivots = _dense_rref(M)
+    if not track:
+        return pivots, None
+    pivot_set = set(pivots)
+    kernel = []
+    for j in range(M.ncols):
+        if j not in pivot_set:
+            c = {j: 1}
             for i, pc in enumerate(pivots):
                 v = int(R[i, j]) % p
                 if v:
-                    sv.entries[pc] = (-v) % p
-            out.append(sv)
-        return pivots, out
-    red = ColumnReducer(p)
-    pivots = []
-    for j, col in enumerate(M.columns):
-        before = red.rank
-        red.feed(col, track=track)
-        if red.rank > before:
-            pivots.append(j)
-    return pivots, [SparseVector(p, c) for c in red.kernel] if track else None
+                    c[pc] = -v % p
+            kernel.append((j, c))
+    return pivots, kernel
 
 
 def rank(M: SparseMatrix) -> int:
@@ -493,7 +437,7 @@ def pivot_columns(M: SparseMatrix) -> List[int]:
     return _eliminate(M, False)[0]
 
 
-def kernel_basis(M: SparseMatrix) -> List[SparseVector]:
+def kernel_basis(M: SparseMatrix) -> List[Dict[int, int]]:
     """Vectors v (over column indices) with Mv = 0 spanning the kernel.
 
     Each kernel vector carries coefficient 1 at its own free column and
@@ -501,100 +445,97 @@ def kernel_basis(M: SparseMatrix) -> List[SparseVector]:
     the basis is unique and the free column is each vector's largest
     index.  Vectors come in free-column order.
     """
-    return _eliminate(M, True)[1]
-
-
-def _free_columns(kernel: Sequence[SparseVector]) -> Dict[int, int]:
-    """{free column f_k: k} of a reduced kernel basis, in O(nnz): vector k
-    has coefficient 1 at its largest index f_k and no other vector has an
-    entry there.  Raises ValueError for any other list of vectors."""
-    free: Dict[int, int] = {}
-    for k, v in enumerate(kernel):
-        f = max(v.entries, default=None)
-        if f is None or v.entries[f] != 1 or f in free:
-            raise ValueError("kernel basis is not reduced")
-        free[f] = k
-    for v in kernel:
-        if len(v.entries.keys() & free.keys()) != 1:
-            raise ValueError("kernel basis is not reduced")
-    return free
+    entries = _engine(M.p).entries
+    return [entries(c, first=j) for j, c in _eliminate(M, True)[1]]
 
 
 class QuotientSpace:
-    """ker / im with deterministic representatives and a coordinate solver.
+    """ker(out) / im(into) for matrices with out * into = 0, with
+    deterministic representatives and a coordinate solver.
 
-    ``kernel`` must be a reduced basis as ``kernel_basis`` returns it
-    (checked), so a vector of its span has its entries at the free columns
-    as coordinates; ``image`` vectors must lie in that span (violations
-    signal a broken differential).  The representatives are the kernel
-    vectors whose columns of [Phi | I] are pivot columns, Phi holding the
-    image coordinates, so ``dim`` needs no full-space elimination.
-    project() expresses any vector of the kernel span in the
+    Vectors stay in the format of ``_engine(p)``: bitsets or bit-sliced
+    pairs at p <= 3, dicts at p >= 5.  Plain {index: residue} dicts appear
+    only at the edges: ``representatives``, ``lift`` and the argument of
+    ``project``.
+
+    The kernel of ``out`` comes out of elimination reduced: vector k has
+    coefficient 1 at its free column f_k, which no other kernel vector
+    touches.  Placed as the pivot of row f_k with combination -e_k, it lets
+    one ``reduce`` of each image vector (the pivot columns of ``into``)
+    both check it (a remainder means it is outside the kernel span: d^2 !=
+    0, and ValueError) and collect its kernel coordinates Phi.  Feeding the
+    columns of [Phi | I] picks the representatives: the kernel vectors
+    whose unit columns become pivots.  So ``dim`` needs no full-space
+    elimination.  project() expresses any vector of the kernel span in the
     representative basis mod the image; lift() goes back.  Both use the
-    full-space pivots of ``_echelon``, built on first use: bitsets at
-    p <= 3, a ``ColumnReducer`` at p >= 5.
+    full-space pivots of ``_echelon``, built on first use.
     """
 
-    def __init__(self, p: int, kernel: Sequence[SparseVector], image: Sequence[SparseVector]):
-        self.p = p
-        self.kernel_basis = list(kernel)
-        self.image_basis = list(image)
-        free = _free_columns(self.kernel_basis)
-        n, m = len(self.image_basis), len(self.kernel_basis)
-        coords = SparseMatrix(m, n + m, p)
-        for j, v in enumerate(self.image_basis):
-            x = {free[i]: c for i, c in v.entries.items() if i in free}
-            w = dict(v.entries)
-            for k, c in x.items():
-                add_scaled_inplace(w, self.kernel_basis[k].entries, -c, p)
-            if w:
+    def __init__(self, out: SparseMatrix, into: SparseMatrix):
+        if (into.p, into.nrows) != (out.p, out.ncols):
+            raise ValueError("out * into is undefined: field or shape mismatch")
+        p = self.p = out.p
+        kernel = _eliminate(out, True)[1]
+        E = _engine(p)
+        for k, (f, c) in enumerate(kernel):
+            E.place(f, c, E.split({k: p - 1}))
+        flags = bytearray(into.ncols)
+        for j in pivot_columns(into):
+            flags[j] = 1
+        self.image_basis = list(compress(_vectors(into, E), flags))
+        coords = []
+        for v in self.image_basis:
+            w, x = E.reduce(v, E.split({}))
+            if E.support(w):
                 raise ValueError("image vector outside kernel span (d^2 != 0?)")
-            coords.columns[j] = x
-        coords.columns[n:] = [{k: 1} for k in range(m)]
-        cols = pivot_columns(coords)
-        self._image_pivots = [j for j in cols if j < n]
-        self._rep_kernel = [j - n for j in cols if j >= n]
-        self.dim = len(self._rep_kernel)
+            coords.append(x)
+        # independent image vectors have independent coordinates, so they
+        # are the first len(coords) pivots
+        F = _engine(p)
+        n = len(coords)
+        pivots = _feed(F, chain(coords, map(F.unit, range(len(kernel)))), False)[0]
+        self._reps = [kernel[j - n][1] for j in pivots[n:]]
+        self.dim = len(self._reps)
 
     @cached_property
     def _echelon(self):
-        """Full-space pivots: the independent image vectors, then the
-        representative kernel vectors, each reduced by the earlier pivots
-        and normalized to 1 at its lowest row.  Pivot k is the unique vector
-        of (fed vector + span of earlier pivots) that is zero at every
-        earlier pivot row, so neither it nor a coordinate of project()
-        depends on the order in which an engine clears those rows.  The
-        combination of representative k's pivot is -e_k, so that reducing
-        a vector collects its coordinates; an image pivot's is zero.
-        Returns the echelon and its pivot vectors in the order fed."""
+        """Full-space pivots: the image vectors, then the representative
+        kernel vectors, each reduced by the earlier pivots and normalized to
+        1 at its lowest row.  Pivot k is the unique vector of (fed vector +
+        span of earlier pivots) that is zero at every earlier pivot row, so
+        neither it nor a coordinate of project() depends on the order in
+        which an engine clears those rows.  The combination of
+        representative k's pivot is -e_k, so that reducing a vector collects
+        its coordinates; an image pivot's is zero.  Returns the echelon and
+        its pivot vectors in the order fed."""
         p = self.p
-        E = _BITSETS[p]() if p <= 3 else ColumnReducer(p)
-        fed = [(self.image_basis[j], {}) for j in self._image_pivots]
-        fed += [(self.kernel_basis[j], {k: p - 1}) for k, j in enumerate(self._rep_kernel)]
+        E = _engine(p)
+        fed = [(v, E.split({})) for v in self.image_basis]
+        fed += [(v, E.split({k: p - 1})) for k, v in enumerate(self._reps)]
         pivots = []
         for vec, tag in fed:
-            v, _ = E.reduce(E.split(vec.entries), None)
-            pivots.append(E.normalize(v, None)[0])
-            E.push(pivots[-1], E.split(tag))
+            pivots.append(E.normalize(E.reduce(vec, None)[0], None)[0])
+            E.push(pivots[-1], tag)
         return E, pivots
 
     @cached_property
-    def representatives(self) -> List[SparseVector]:
+    def representatives(self) -> List[Dict[int, int]]:
         E, pivots = self._echelon
-        return [SparseVector(self.p, E.entries(v)) for v in pivots[len(self._image_pivots):]]
+        return [E.entries(v) for v in pivots[len(self.image_basis):]]
 
-    def project(self, v: SparseVector) -> List[int]:
-        """Coordinates of v's class; raises if v is not in the kernel span."""
+    def project(self, v: Dict[int, int]) -> List[int]:
+        """Coordinates of the class of v, a dict of residues in 1..p-1;
+        raises if v is not in the kernel span."""
         E = self._echelon[0]
-        w, c = E.reduce(E.split(v.entries), E.split({}))
+        w, c = E.reduce(E.split(v), E.split({}))
         if E.support(w):
             raise ValueError("vector is not in the kernel span (not a cocycle)")
         return E.coords(c, self.dim)
 
-    def lift(self, coords: Sequence[int]) -> SparseVector:
+    def lift(self, coords: Sequence[int]) -> Dict[int, int]:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        out = SparseVector(self.p)
+        out: Dict[int, int] = {}
         for c, rep in zip(coords, self.representatives):
-            add_scaled_inplace(out.entries, rep.entries, c, self.p)
+            add_scaled_inplace(out, rep, c, self.p)
         return out

@@ -39,12 +39,6 @@ class CheckList:
     def passed(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def first_failure(self) -> Optional[str]:
-        for c in self.checks:
-            if not c["ok"]:
-                return c["name"]
-        return None
-
 
 # ---------------------------------------------------------------------------
 # the S3 / F3 flagship suite
@@ -405,7 +399,7 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
         else:
             M = cplx.matrix(-s - 1)
             basis = cplx.basis(-s - 1)
-            cycles = [cplx.element(-s - 1, {basis[i]: c for i, c in kv.entries.items()})
+            cycles = [cplx.element(-s - 1, {basis[i]: c for i, c in kv.items()})
                       for kv in kernel_basis(M)]
         boundary_space = cplx.cohomology(-s - 2)
         ok = True
@@ -422,7 +416,7 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# duality and subalgebra checks (shared by selftest and acceptance)
+# duality and subalgebra checks (run by the acceptance tests)
 
 def check_duality(G: Group, p: int, degrees: Sequence[int]) -> Dict:
     """Nondegeneracy of the pairing between complementary cohomologies and

@@ -6,7 +6,7 @@ from tatebv import linalg
 from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
 from tatebv.decomposition import ConjComplex
 from tatebv.groups import conjugacy_classes, preset_group, trivial_subgroup, whole_group
-from tatebv.linalg import SparseMatrix, kernel_basis, pivot_columns
+from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns
 from tatebv.verify import _MutatedDComplex
 
 
@@ -160,7 +160,9 @@ def test_matrix_matches_operator(s3_complex):
         tgt = s3_complex.basis(d + 1)
         for _ in range(5):
             e = s3_complex.random_element(d, rng, 3)
-            vec = M.apply({idx[k]: v for k, v in e.coeffs.items()})
+            vec = {}
+            for k, c in e.coeffs.items():
+                add_scaled_inplace(vec, M.columns[idx[k]], c, M.p)
             direct = s3_complex.differential(e)
             assert direct.coeffs == {tgt[i]: v for i, v in vec.items()}
 
@@ -221,7 +223,7 @@ def test_face_built_columns_equal_template(group, top, p):
             if M.ncols > 400:
                 continue
             D = SparseMatrix(M.nrows, M.ncols, p, build=lambda: M.columns)
-            assert [v.entries for v in kernel_basis(M)] == [v.entries for v in kernel_basis(D)]
+            assert kernel_basis(M) == kernel_basis(D)
             assert pivot_columns(M) == pivot_columns(D)
 
 

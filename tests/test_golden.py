@@ -5,7 +5,10 @@ The digests were computed from the code before quotient pivots and wide
 ``pivot_columns`` moved onto the bitset echelon core, so they pin the
 outputs that change had to keep byte for byte; the ``verify-s3 -4..3``
 digest (the job that runs the largest identity-class cups) was computed
-before subgroup cups were read directly on tuples.  ``tables`` prints its
+before subgroup cups were read directly on tuples, and the ``tables
+dihedral:5`` digest (the one job here that takes representatives,
+``project`` and ``lift`` at p >= 5, on dict vectors) before
+``QuotientSpace`` was built from its two matrices.  ``tables`` prints its
 structure constants in the representative basis, so its digests also
 guard the representatives' entries.  Each job takes about a second or
 less in-process.
@@ -37,6 +40,8 @@ GOLDEN = [
      "6025785572ce266aaf8b9315492d3acd15a66cd00dfb30a66465d180beaa3528"),
     (("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"),
      "7b47285c6feff3dc4424312c0fb574775e283897c33988b9f0bb0720201fdd67"),
+    (("tables", "--group", "dihedral:5", "--char", "5", "--window", "-2..2"),
+     "257b1ad7528509ca5f12daacdba277de4a0d2c5897d71744a2ed73e2f05ddaf2"),
 ]
 
 

@@ -1,10 +1,9 @@
 import itertools
-import json
 import random
 
 import pytest
 
-from tatebv.groups import (Group, GroupError, Subgroup, class_rep_and_witness,
+from tatebv.groups import (GroupError, Subgroup, class_rep_and_witness,
                            conjugacy_classes, conjugate_subgroup, double_cosets,
                            generated_subgroup, group_from_mult_table,
                            group_from_permutations, intersect_subgroups, parse_cycles,
@@ -224,8 +223,3 @@ def test_subgroup_ops(s3):
     assert conjugate_subgroup(s3, 0, H).members == H.members
     assert intersect_subgroups(H, G).members == H.members
     assert conjugate_subgroup(s3, 3, H).members == H.members  # <a> is normal
-
-
-def test_json_roundtrip(s3):
-    G2 = Group.from_json(s3.to_json())
-    assert G2.mult == s3.mult and G2.labels == s3.labels

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from tatebv import linalg, preset_group, whole_group
 from tatebv.cli import main
 from tatebv.complexes import GroupComplex
-from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, SparseVector,
-                           _dense_eligible, add_scaled_inplace, is_prime, kernel_basis,
-                           pivot_columns, rank)
+from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, _dense_eligible, _feed,
+                           add_scaled_inplace, is_prime, kernel_basis, pivot_columns, rank)
 
 
 def mat(rows, p):
@@ -19,6 +18,23 @@ def mat(rows, p):
         for j, v in enumerate(row):
             M.set_entry(i, j, v)
     return M
+
+
+def from_columns(nrows, p, columns):
+    """The nrows x len(columns) matrix with the given dict columns."""
+    M = SparseMatrix(nrows, len(columns), p)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            M.set_entry(i, j, v)
+    return M
+
+
+def matvec(M, v):
+    """M v mod p for a dict v over M's column indices, zeros dropped."""
+    out = {}
+    for j, c in v.items():
+        add_scaled_inplace(out, M.columns[j], c, M.p)
+    return out
 
 
 def test_is_prime_and_inverse():
@@ -64,12 +80,12 @@ def test_kernel_examples():
     assert kernel_basis(I3) == []
     Z = SparseMatrix(3, 3, 3)
     ks = kernel_basis(Z)
-    assert [k.entries for k in ks] == [{0: 1}, {1: 1}, {2: 1}]
+    assert ks == [{0: 1}, {1: 1}, {2: 1}]
     ks = kernel_basis(mat([[1, 1]], 3))
     assert len(ks) == 1
     # x + y = 0 mod 3: the reduced vector has 1 at the free column
-    assert ks[0].entries in ({0: 2, 1: 1}, {0: 1, 1: 2})
-    v = ks[0].entries
+    assert ks[0] in ({0: 2, 1: 1}, {0: 1, 1: 2})
+    v = ks[0]
     assert (v.get(0, 0) + v.get(1, 0)) % 3 == 0
 
 
@@ -82,83 +98,78 @@ def test_kernel_vectors_annihilate(s3_complex):
     for d in (-2, 0, 1):
         M = s3_complex.matrix(d)
         for v in kernel_basis(M)[:5]:
-            assert not M.apply(dict(v.entries))
+            assert not matvec(M, v)
 
 
 def test_quotient_examples():
     p = 2
-    e1 = SparseVector(p, {0: 1})
-    e2 = SparseVector(p, {1: 1})
-    diag = SparseVector(p, {0: 1, 1: 1})
-    q = QuotientSpace(p, [e1, e2], [diag])
+    zero = SparseMatrix(1, 2, p)  # kernel e1, e2
+    q = QuotientSpace(zero, mat([[1], [1]], p))
     assert q.dim == 1
-    assert q.project(e1) == q.project(e2)
-    assert QuotientSpace(p, [e1, e2], [e1, e2]).dim == 0
-    assert QuotientSpace(p, [e1, e2], []).dim == 2
+    assert q.project({0: 1}) == q.project({1: 1})
+    assert q.representatives == [{1: 1}]
+    assert q.lift([1]) == {1: 1}
+    assert QuotientSpace(zero, mat([[1, 0], [0, 1]], p)).dim == 0
+    assert QuotientSpace(zero, SparseMatrix(2, 0, p)).dim == 2
+    with pytest.raises(ValueError, match="mismatch"):
+        QuotientSpace(zero, SparseMatrix(3, 1, p))
 
 
 def test_quotient_validates_image():
-    p = 3
-    e1 = SparseVector(p, {0: 1})
-    bad = SparseVector(p, {1: 1})
-    with pytest.raises(ValueError):
-        QuotientSpace(p, [e1], [bad])
+    """out * into != 0 raises at p = 2, 3 and 5, for an image column that
+    is outside the kernel whether or not it touches a free column."""
+    for p in (2, 3, 5):
+        out = mat([[0, 1, 0], [0, 0, 1]], p)  # kernel e0; rows 1, 2 pivots
+        assert QuotientSpace(out, mat([[p - 1], [0], [0]], p)).dim == 0
+        for bad in ([[0], [1], [0]], [[1], [0], [p - 1]]):
+            with pytest.raises(ValueError, match="outside kernel span"):
+                QuotientSpace(out, mat(bad, p))
 
 
 def test_quotient_project_lift_roundtrip():
     rng = random.Random(1)
-    p = 3
-    M = SparseMatrix(2, 6, p)
-    for _ in range(8):
-        i, j = rng.randrange(2), rng.randrange(6)
-        M.set_entry(i, j, M.columns[j].get(i, 0) + rng.randrange(1, p))
-    kern = kernel_basis(M)
-    assert len(kern) >= 4
-    image = [kern[0].copy()]
-    add_scaled_inplace(image[0].entries, kern[1].entries, 1, p)
-    q = QuotientSpace(p, kern, image)
-    assert q.dim == len(kern) - 1
-    for _ in range(10):
-        coords = [rng.randrange(p) for _ in range(q.dim)]
-        assert q.project(q.lift(coords)) == coords
-    # projecting something outside the kernel span must fail
-    with pytest.raises(ValueError):
-        q.project(SparseVector(p, {17: 1}))
+    for p in (2, 3, 5):
+        M = SparseMatrix(2, 6, p)
+        while rank(M) < 2:
+            i, j = rng.randrange(2), rng.randrange(6)
+            M.set_entry(i, j, M.columns[j].get(i, 0) + rng.randrange(1, p))
+        kern = kernel_basis(M)
+        assert len(kern) == 4
+        image = dict(kern[0])
+        add_scaled_inplace(image, kern[1], 1, p)
+        q = QuotientSpace(M, from_columns(6, p, [image]))
+        assert q.dim == len(kern) - 1
+        for _ in range(10):
+            coords = [rng.randrange(p) for _ in range(q.dim)]
+            assert q.project(q.lift(coords)) == coords
+        # projecting something outside the kernel span must fail
+        for j in pivot_columns(M):
+            with pytest.raises(ValueError, match="not in the kernel span"):
+                q.project({j: 1})
 
 
 def test_project_linear():
     rng = random.Random(2)
     p = 5
-    kern = kernel_basis(mat([[1, 0, 3, 0, 2], [0, 1, 4, 1, 0]], p))
+    M = mat([[1, 0, 3, 0, 2], [0, 1, 4, 1, 0]], p)
+    kern = kernel_basis(M)
     assert len(kern) == 3
-    q = QuotientSpace(p, kern, [kern[2]])
+    q = QuotientSpace(M, from_columns(5, p, [kern[2]]))
     for _ in range(10):
         a = q.lift([rng.randrange(p) for _ in range(q.dim)])
         b = q.lift([rng.randrange(p) for _ in range(q.dim)])
         c = rng.randrange(p)
-        s = a.copy()
-        add_scaled_inplace(s.entries, b.entries, c, p)
+        s = dict(a)
+        add_scaled_inplace(s, b, c, p)
         lhs = q.project(s)
         rhs = [(x + c * y) % p for x, y in zip(q.project(a), q.project(b))]
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("kern", [
-    [{}],                          # no free column
-    [{0: 2}],                      # coefficient 2 at its free column
-    [{0: 1, 1: 1}, {1: 1}],        # two vectors share free column 1
-    [{0: 1}, {0: 1, 1: 1}],        # vector 1 touches free column 0
-])
-def test_quotient_rejects_unreduced_kernel(kern):
-    p = 3
-    with pytest.raises(ValueError, match="not reduced"):
-        QuotientSpace(p, [SparseVector(p, v) for v in kern], [])
-
-
 def test_determinism(s3_complex):
     M = s3_complex.matrix(-2)
-    k1 = [v.entries for v in kernel_basis(M)]
-    k2 = [v.entries for v in kernel_basis(M)]
+    k1 = kernel_basis(M)
+    k2 = kernel_basis(M)
     assert k1 == k2
     assert pivot_columns(M) == pivot_columns(M)
 
@@ -200,14 +211,8 @@ def seeded_sparse(p):
 def reducer_run(M, track=True):
     """(pivot columns, kernel combinations) of feeding M's columns to a
     ColumnReducer in order."""
-    red = ColumnReducer(M.p)
-    pivots = []
-    for j, col in enumerate(M.columns):
-        before = red.rank
-        red.feed(col, track=track)
-        if red.rank > before:
-            pivots.append(j)
-    return pivots, red.kernel
+    pivots, kernel = _feed(ColumnReducer(M.p), M.columns, track)
+    return pivots, [c for _, c in kernel] if track else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,14 +230,14 @@ def test_engines_match_column_reducer(M):
     assert pivot_columns(M) == pivots
     assert rank(M) == len(pivots)
     kern = kernel_basis(M)
-    assert [v.entries for v in kern] == red_kernel
+    assert kern == red_kernel
     if M.p in (2, 3) or _dense_eligible(M):
         order = [[max(c)] + sorted(c)[:-1] for c in red_kernel]
     else:
         order = [list(c) for c in red_kernel]
-    assert [list(v.entries) for v in kern] == order
+    assert [list(v) for v in kern] == order
     for v in kern:
-        assert not M.apply(dict(v.entries))
+        assert not matvec(M, v)
 
 
 def test_engine_rule():
@@ -247,36 +252,37 @@ def test_engine_rule():
 def test_engine_shape_rule(monkeypatch):
     """pivot_columns and rank go by rows exactly for wide matrices
     (ncols > nrows) at p <= 3; kernels, tall and square matrices go by
-    columns there, and p >= 5 takes no bitset path."""
+    columns there.  p >= 5 takes no bitset path: numpy where it is
+    eligible, else the feed loop on a ColumnReducer."""
     calls = []
+    rows, feed = linalg._rows, linalg._feed
 
-    def recording(name):
-        step = getattr(linalg, name)
+    def recording_rows(M):
+        calls.append("_rows")
+        return rows(M)
 
-        def run(*args):
-            calls.append(name)
-            return step(*args)
-        return run
+    def recording_feed(E, vectors, track):
+        calls.append(type(E).__name__)
+        return feed(E, vectors, track)
 
-    for name in ("_rows", "_bitset_eliminate"):
-        monkeypatch.setattr(linalg, name, recording(name))
+    monkeypatch.setattr(linalg, "_rows", recording_rows)
+    monkeypatch.setattr(linalg, "_feed", recording_feed)
 
     def paths(M, f):
         calls.clear()
         f(M)
         return calls[:]
 
-    by_rows, by_columns = ["_rows", "_bitset_eliminate"], ["_bitset_eliminate"]
-    for p in (2, 3):
+    for p, engine in ((2, "_GF2"), (3, "_GF3")):
         wide, tall, square = SparseMatrix(3, 5, p), SparseMatrix(5, 3, p), SparseMatrix(4, 4, p)
         for f in (pivot_columns, rank):
-            assert paths(wide, f) == by_rows
-            assert paths(tall, f) == paths(square, f) == by_columns
+            assert paths(wide, f) == ["_rows", engine]
+            assert paths(tall, f) == paths(square, f) == [engine]
         for M in (wide, tall, square):
-            assert paths(M, kernel_basis) == by_columns
-    for p in (5, 65537):
+            assert paths(M, kernel_basis) == [engine]
+    for p, engine in ((5, []), (65537, ["ColumnReducer"])):
         for M in (SparseMatrix(3, 5, p), SparseMatrix(5, 3, p)):
-            assert paths(M, pivot_columns) == paths(M, kernel_basis) == []
+            assert paths(M, pivot_columns) == paths(M, kernel_basis) == engine
 
 
 @pytest.mark.parametrize("group,p,degree,shape", [
@@ -298,11 +304,25 @@ def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):
     kernels, pivots and quotients all take the bitset core."""
     def refuse(*args, **kwargs):
         raise AssertionError("ColumnReducer used at p <= 3")
-    monkeypatch.setattr(ColumnReducer, "feed", refuse)
     monkeypatch.setattr(ColumnReducer, "reduce", refuse)
+    monkeypatch.setattr(ColumnReducer, "place", refuse)
     for group, p, window in (("symmetric:3", "3", "-3..3"), ("dihedral:4", "2", "-2..2")):
         assert main(["tables", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["tables"]["cup"]
+
+
+@pytest.mark.parametrize("group,p,window", [
+    ("dihedral:4", "2", "-2..2"), ("quaternion8", "2", "-2..2"), ("symmetric:4", "2", "-2..2"),
+    ("symmetric:3", "3", "-3..3"),
+])
+def test_dims_stays_on_engine_vectors(monkeypatch, capsys, group, p, window):
+    """dims at p <= 3 never reads a bitset back as a dict: kernels and
+    image vectors stay in the engine's format through every quotient."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("bitset vector turned into a dict")
+    monkeypatch.setattr(linalg._Bitsets, "entries", refuse)
+    assert main(["dims", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"]["total"]
 
 
 def test_gf3_engine_on_s3_complex():
@@ -316,8 +336,8 @@ def test_gf3_engine_on_s3_complex():
     assert {v for col in M.columns for v in col.values()} == {1, 2}
     pivots, kern = reducer_run(M)
     out = kernel_basis(M)
-    assert [v.entries for v in out] == kern
-    assert [list(v.entries) for v in out] == [[max(c)] + sorted(c)[:-1] for c in kern]
+    assert out == kern
+    assert [list(v) for v in out] == [[max(c)] + sorted(c)[:-1] for c in kern]
     assert any(2 in c.values() for c in kern)
     assert pivot_columns(M) == pivots
     M = C.matrix(-5)
@@ -344,28 +364,21 @@ def reference_quotient(p, kernel, image):
     feeding the image vectors, then the kernel vectors, as (row, vector,
     tag) with tag None for image directions and k for representative k."""
     span = ColumnReducer(p)
-    for v in kernel:
-        span.feed(dict(v.entries), track=False)
+    _feed(span, kernel, False)
     red = ColumnReducer(p)
     tags = []
     for v in image:
-        before = span.rank
-        span.feed(dict(v.entries), track=False)
-        if span.rank > before:
+        if _feed(span, [v], False)[0]:
             raise ValueError("image vector outside kernel span")
-        before = red.rank
-        red.feed(dict(v.entries), track=False)
-        tags += [None] * (red.rank - before)
+        tags += [None] * len(_feed(red, [v], False)[0])
     for v in kernel:
-        before = red.rank
-        red.feed(dict(v.entries), track=False)
-        if red.rank > before:
+        if _feed(red, [v], False)[0]:
             tags.append(sum(t is not None for t in tags))
     return [(row, col, tag) for (row, col, _), tag in zip(red.pivots, tags)]
 
 
 def reference_project(p, pivots, v):
-    w = dict(v.entries)
+    w = dict(v)
     coords = [0] * sum(t is not None for _, _, t in pivots)
     for row, col, tag in pivots:
         c = w.get(row)
@@ -390,27 +403,27 @@ def quotient_pivots(q):
 
 
 def combination(draw, p, vectors):
-    out = SparseVector(p)
+    out = {}
     for v in vectors:
-        add_scaled_inplace(out.entries, v.entries, draw(st.integers(0, p - 1)), p)
+        add_scaled_inplace(out, v, draw(st.integers(0, p - 1)), p)
     return out
 
 
 @settings(max_examples=200, deadline=None)
 @given(rank_deficient_matrices(), st.data())
 def test_quotient_matches_full_space_reference(A, data):
-    """QuotientSpace on kernel_basis(A) and an image of drawn combinations
-    of it (so d^2 = 0) gives the full-space reference's dim,
+    """QuotientSpace(A, B), with B's columns drawn combinations of
+    kernel_basis(A) (so d^2 = 0), gives the full-space reference's dim,
     representatives, pivots and project coordinates; one drawn image
     column outside the kernel must raise."""
     p = A.p
     kern = kernel_basis(A)
     image = [combination(data.draw, p, kern) for _ in range(data.draw(st.integers(0, len(kern) + 1)))]
-    q = QuotientSpace(p, kern, image)
+    q = QuotientSpace(A, from_columns(A.ncols, p, image))
     pivots = reference_quotient(p, kern, image)
     assert q.dim == sum(t is not None for _, _, t in pivots)
     assert quotient_pivots(q) == pivots
-    assert [v.entries for v in q.representatives] == [c for _, c, t in pivots if t is not None]
+    assert q.representatives == [c for _, c, t in pivots if t is not None]
     for _ in range(3):
         v = combination(data.draw, p, kern + image)
         assert q.project(v) == reference_project(p, pivots, v)
@@ -418,7 +431,7 @@ def test_quotient_matches_full_space_reference(A, data):
     outside = pivot_columns(A)
     if outside:
         bad = combination(data.draw, p, kern)
-        add_scaled_inplace(bad.entries, {data.draw(st.sampled_from(outside)): 1}, 1, p)
+        add_scaled_inplace(bad, {data.draw(st.sampled_from(outside)): 1}, 1, p)
         assert reference_project(p, pivots, bad) is None
         with pytest.raises(ValueError, match="not in the kernel span"):
             q.project(bad)
@@ -426,4 +439,4 @@ def test_quotient_matches_full_space_reference(A, data):
         with pytest.raises(ValueError, match="outside kernel span"):
             reference_quotient(p, kern, image)
         with pytest.raises(ValueError, match="outside kernel span"):
-            QuotientSpace(p, kern, image)
+            QuotientSpace(A, from_columns(A.ncols, p, image))
