@@ -9,7 +9,6 @@ leaves the term alive (tuple slots never hold the identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .complexes import CohomologySpace, TateElement, _acc, sign_pow
@@ -46,7 +45,6 @@ def cup(a: TateElement, b: TateElement) -> TateElement:
         raise ValueError("cup needs elements of the same complex")
     cplx = a.complex
     G = cplx.group
-    p = cplx.p
     da, db = a.degree, b.degree
     out: Dict = {}
     if da >= 0 and db >= 0:
@@ -106,7 +104,7 @@ def cup(a: TateElement, b: TateElement) -> TateElement:
                     w = B[s]
                     tgt = G.mult[G.inv[w]][G.mult[g0][k]]
                     _acc(out, (B[s + 1:], tgt), ca * cb)
-    return cplx.element(da + db, {k: v % p for k, v in out.items() if v % p})
+    return cplx.element(da + db, out)
 
 
 def m3(a: TateElement, b: TateElement, c: TateElement) -> TateElement:
@@ -125,7 +123,7 @@ def m3(a: TateElement, b: TateElement, c: TateElement) -> TateElement:
 
 
 def _m3_mid_chain(cplx, phi, alpha, psi, deg) -> TateElement:
-    G, p = cplx.group, cplx.p
+    G = cplx.group
     m, n = phi.degree, psi.degree
     r = -alpha.degree - 1
     out: Dict = {}
@@ -147,13 +145,13 @@ def _m3_mid_chain(cplx, phi, alpha, psi, deg) -> TateElement:
                         sign = -1 if (m + r + j - 1) % 2 else 1
                         tgt = G.mult[G.mult[f][g0]][q]
                         _acc(out, (F[:cut] + P[j:], tgt), sign * pre * c3)
-    return cplx.element(deg, {k: v % p for k, v in out.items() if v % p})
+    return cplx.element(deg, out)
 
 
 def _m3_mid_cochain(cplx, alpha, phi, beta, deg) -> TateElement:
     # realized by cyclic duality from the (cochain, chain, cochain) case;
     # the output chain length is u = r + s + 2 - m
-    G, p = cplx.group, cplx.p
+    G = cplx.group
     r = -alpha.degree - 1
     m = phi.degree
     s = -beta.degree - 1
@@ -175,14 +173,13 @@ def _m3_mid_cochain(cplx, alpha, phi, beta, deg) -> TateElement:
                         tail = hs[:k] + (G.inv[g],) + gr[cut:]
                         sign = -1 if (u + k) % 2 else 1
                         _acc(out, (head, tail), sign * pre * c3)
-    return cplx.element(deg, {k: v % p for k, v in out.items() if v % p})
+    return cplx.element(deg, out)
 
 
 def connes_b(a: TateElement) -> TateElement:
     """The rotation operator on the chain part: (g0, g_{1,s}) goes to the
     signed cyclic sum of identity-headed rotations; zero on degrees >= 0."""
     cplx = a.complex
-    p = cplx.p
     d = a.degree
     if d >= 0:
         raise ValueError("the rotation operator acts on the chain part only")
@@ -198,7 +195,7 @@ def connes_b(a: TateElement) -> TateElement:
                 tup = tail[i - 1:] + (g0,) + tail[: i - 1]
             sign = -1 if (i * s) % 2 else 1
             _acc(out, (0, tup), sign * c)
-    return cplx.element(d - 1, {k: v % p for k, v in out.items() if v % p})
+    return cplx.element(d - 1, out)
 
 
 def bv_operator(a: TateElement) -> TateElement:
@@ -213,7 +210,7 @@ def bv_operator(a: TateElement) -> TateElement:
     part that the positive part forces through the BV identities.
     """
     cplx = a.complex
-    G, p = cplx.group, cplx.p
+    G = cplx.group
     d = a.degree
     if d == 0:
         return cplx.element(-1)
@@ -227,7 +224,7 @@ def bv_operator(a: TateElement) -> TateElement:
                 cut = n - i
                 sign = -1 if (i * (n - 1)) % 2 else 1
                 _acc(out, (A[cut + 1:] + A[:cut], G.inv[A[cut]]), sign * c)
-        return cplx.element(n - 1, {k: v % p for k, v in out.items() if v % p})
+        return cplx.element(n - 1, out)
     s = -d - 1
     img = connes_b(a)
     return img if s % 2 else img.scale(-1)
@@ -241,12 +238,18 @@ def signed_anticommutator(a: TateElement) -> TateElement:
     return first.add(second)
 
 
-@dataclass(frozen=True)
 class CohClass:
     """A cohomology class: coordinates in a CohomologySpace's basis."""
 
-    space: CohomologySpace
-    coords: Tuple[int, ...]
+    def __init__(self, space: CohomologySpace, coords: Tuple[int, ...]):
+        self.space, self.coords = space, coords
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CohClass) and self.space is other.space
+                and self.coords == other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.coords))
 
     @property
     def degree(self) -> int:

@@ -19,9 +19,13 @@ of degree d < 0 (so -trace out of degree -1).
 
 The key-level templates (``d_coboundary_terms`` and friends) define the
 differential of elements, and the matrices at p >= 5 and in negative
-degrees.  At p = 2 and p = 3 the matrix out of a degree d >= 0 streams
-its columns into elimination as bitsets from face-map tables
-(``coboundary_vectors``), unless a subclass overrides ``unsigned_terms``.
+degrees.  Each adds c times one key's terms into a dict that the caller
+passes, so ``differential`` sums every key into one dict.  Like every
+chain-level map, the templates leave sums unreduced and zeros in place:
+``element`` reduces mod p and drops zeros once.  At p = 2 and p = 3 the
+matrix out of a degree d >= 0 streams its columns into elimination as
+bitsets from face-map tables (``coboundary_vectors``), unless a subclass
+overrides ``unsigned_terms``.
 """
 
 from __future__ import annotations
@@ -45,11 +49,8 @@ def sign_pow(k: int) -> int:
 
 
 def _acc(out: Dict, key: Key, c: int) -> None:
-    v = out.get(key, 0) + c
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
+    """out[key] += c, unreduced: sums end in ``element``, which reduces them."""
+    out[key] = out.get(key, 0) + c
 
 
 # ---------------------------------------------------------------------------
@@ -64,24 +65,19 @@ def dim_degree(G: Group, d: int) -> int:
 # left[a][h] is a acting on the value h from the head slot, right[h][b] is b
 # acting on it from the tail slot.  Both are G.mult for kG as a bimodule.
 
-def d_coboundary_terms(G: Group, key: Key, m: int, left, right) -> Dict[Key, int]:
-    """Unsigned coboundary of a degree-m basis cochain (m >= 0)."""
+def d_coboundary_terms(G: Group, key: Key, m: int, left, right, out: Dict, c: int) -> Dict:
+    """Adds c times the unsigned coboundary of a degree-m basis cochain
+    (m >= 0) into out."""
     args, h = key
-    out: Dict[Key, int] = {}
     for a in G.nontrivial:
-        _acc(out, ((a,) + args, left[a][h]), 1)
-    sign = 1
+        _acc(out, ((a,) + args, left[a][h]), c)
     for i in range(1, m + 1):
-        sign = -sign
-        t = args[i - 1]
+        c = -c
         pre, post = args[: i - 1], args[i:]
-        for u in G.nontrivial:
-            v = G.mult[G.inv[u]][t]
-            if v:
-                _acc(out, (pre + (u, v) + post, h), sign)
-    last = -sign
+        for uv in G.splits[args[i - 1]]:
+            _acc(out, (pre + uv + post, h), c)
     for b in G.nontrivial:
-        _acc(out, (args + (b,), right[h][b]), last)
+        _acc(out, (args + (b,), right[h][b]), -c)
     return out
 
 
@@ -143,27 +139,26 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
                 yield (mN | F) ^ x, mP ^ x
 
 
-def d_boundary_terms(G: Group, key: Key, s: int, left, right) -> Dict[Key, int]:
-    """Unsigned boundary of a degree -s-1 basis chain (s >= 1)."""
+def d_boundary_terms(G: Group, key: Key, s: int, left, right, out: Dict, c: int) -> Dict:
+    """Adds c times the unsigned boundary of a degree -s-1 basis chain
+    (s >= 1) into out."""
     g0, tail = key
-    out: Dict[Key, int] = {}
-    _acc(out, (right[g0][tail[0]], tail[1:]), 1)
-    sign = 1
+    _acc(out, (right[g0][tail[0]], tail[1:]), c)
     for i in range(1, s):
-        sign = -sign
+        c = -c
         w = G.mult[tail[i - 1]][tail[i]]
         if w:
-            _acc(out, (g0, tail[: i - 1] + (w,) + tail[i + 1:]), sign)
-    _acc(out, (left[tail[-1]][g0], tail[:-1]), -sign if s > 1 else -1)
+            _acc(out, (g0, tail[: i - 1] + (w,) + tail[i + 1:]), c)
+    _acc(out, (left[tail[-1]][g0], tail[:-1]), -c)
     return out
 
 
-def d_trace_terms(G: Group, key: Key) -> Dict[Key, int]:
-    """Trace map out of degree -1: g0 -> sum_g g g0 g^-1 as degree-0 cochains."""
+def d_trace_terms(G: Group, key: Key, out: Dict, c: int) -> Dict:
+    """Adds c times the trace map out of degree -1 into out: g0 -> sum_g
+    g g0 g^-1 as degree-0 cochains."""
     g0, _tail = key
-    out: Dict[Key, int] = {}
     for g in range(G.order):
-        _acc(out, ((), G.conj(g, g0)), 1)
+        _acc(out, ((), G.conj(g, g0)), c)
     return out
 
 
@@ -185,39 +180,31 @@ def group_dim_degree(H_order: int, d: int) -> int:
     return (H_order - 1) ** s
 
 
-def group_coboundary_terms(G: Group, members: Sequence[int], key: Key, n: int) -> Dict[Key, int]:
-    out: Dict[Key, int] = {}
-    for a in members:
-        if a:
-            _acc(out, (a,) + key, 1)
-    sign = 1
+def group_coboundary_terms(G: Group, nontrivial: Sequence[int], key: Key, n: int,
+                           out: Dict, c: int) -> Dict:
+    for a in nontrivial:
+        _acc(out, (a,) + key, c)
     for i in range(1, n + 1):
-        sign = -sign
+        c = -c
         t = key[i - 1]
         pre, post = key[: i - 1], key[i:]
-        for u in members:
-            if not u:
-                continue
+        for u in nontrivial:
             v = G.mult[G.inv[u]][t]
             if v:
-                _acc(out, pre + (u, v) + post, sign)
-    last = -sign
-    for b in members:
-        if b:
-            _acc(out, key + (b,), last)
+                _acc(out, pre + (u, v) + post, c)
+    for b in nontrivial:
+        _acc(out, key + (b,), -c)
     return out
 
 
-def group_boundary_terms(G: Group, key: Key, s: int) -> Dict[Key, int]:
-    out: Dict[Key, int] = {}
-    _acc(out, key[1:], 1)
-    sign = 1
+def group_boundary_terms(G: Group, key: Key, s: int, out: Dict, c: int) -> Dict:
+    _acc(out, key[1:], c)
     for i in range(1, s):
-        sign = -sign
+        c = -c
         w = G.mult[key[i - 1]][key[i]]
         if w:
-            _acc(out, key[: i - 1] + (w,) + key[i + 1:], sign)
-    _acc(out, key[:-1], -sign if s > 1 else -1)
+            _acc(out, key[: i - 1] + (w,) + key[i + 1:], c)
+    _acc(out, key[:-1], -c)
     return out
 
 
@@ -263,10 +250,11 @@ class _Element:
         return self.add(other, -1)
 
     def scale(self, c: int):
-        c %= self.p
+        p = self.complex.p
+        c %= p
         out = type(self)(self.complex, self.degree)
         if c:
-            out.coeffs = {k: (v * c) % self.p for k, v in self.coeffs.items()}
+            out.coeffs = {k: v * c % p for k, v in self.coeffs.items()}
         return out
 
     def __eq__(self, other) -> bool:
@@ -342,7 +330,8 @@ class _BaseComplex:
     def iter_basis(self, d: int) -> Iterator[Key]:
         raise NotImplementedError
 
-    def unsigned_terms(self, key: Key, d: int) -> Dict[Key, int]:
+    def unsigned_terms(self, key: Key, d: int, out: Dict, c: int) -> Dict:
+        """Adds c times the unsigned differential of a basis key into out."""
         raise NotImplementedError
 
     def dim(self, d: int) -> int:
@@ -383,11 +372,10 @@ class _BaseComplex:
         """Apply the (signed) differential without materializing a matrix."""
         d = elem.degree
         self.check_degree(d + 1)
-        p = self.p
         sign = self.sign_of(d) if signed else 1
         out: Dict[Key, int] = {}
         for key, c in elem.coeffs.items():
-            add_scaled_inplace(out, self.unsigned_terms(key, d), c * sign, p)
+            self.unsigned_terms(key, d, out, c * sign)
         return self.element(d + 1, out)
 
     def _columns(self, d: int) -> List[Dict[int, int]]:
@@ -395,8 +383,8 @@ class _BaseComplex:
         ``unsigned_terms``, which sums each target key once."""
         tgt_index = self.index(d + 1)
         p, sign = self.p, self.sign_of(d)
-        return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d).items()
-                 if (x := c * sign % p)} for key in self._keys(d)]
+        return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d, {}, sign).items()
+                 if (x := c % p)} for key in self._keys(d)]
 
     def _face_built(self, d: int) -> bool:
         """Whether matrix(d) streams its columns from ``coboundary_vectors``:
@@ -479,12 +467,12 @@ class DComplex(_BaseComplex):
                 for tail in itertools.product(G.nontrivial, repeat=s):
                     yield (g0, tail)
 
-    def unsigned_terms(self, key: Key, d: int) -> Dict[Key, int]:
+    def unsigned_terms(self, key: Key, d: int, out: Dict, c: int) -> Dict:
         if d >= 0:
-            return d_coboundary_terms(self.group, key, d, self.left, self.right)
+            return d_coboundary_terms(self.group, key, d, self.left, self.right, out, c)
         if d == -1:
-            return d_trace_terms(self.group, key)
-        return d_boundary_terms(self.group, key, -d - 1, self.left, self.right)
+            return d_trace_terms(self.group, key, out, c)
+        return d_boundary_terms(self.group, key, -d - 1, self.left, self.right, out, c)
 
     def coboundary_faces(self):
         """The arguments of ``coboundary_vectors`` before the degree."""
@@ -524,14 +512,14 @@ class GroupComplex(_BaseComplex):
         s = d if d >= 0 else -d - 1
         return itertools.product(self.subgroup.nontrivial, repeat=s)
 
-    def unsigned_terms(self, key: Key, d: int) -> Dict[Key, int]:
+    def unsigned_terms(self, key: Key, d: int, out: Dict, c: int) -> Dict:
         G = self.subgroup.parent
         if d >= 0:
-            return group_coboundary_terms(G, self.subgroup.members, key, d)
+            return group_coboundary_terms(G, self.subgroup.nontrivial, key, d, out, c)
         if d == -1:
-            norm = self.subgroup.order % self.p
-            return {(): norm} if norm else {}
-        return group_boundary_terms(G, key, -d - 1)
+            _acc(out, (), self.subgroup.order * c)  # the norm map
+            return out
+        return group_boundary_terms(G, key, -d - 1, out, c)
 
     def coboundary_faces(self):
         """The arguments of ``coboundary_vectors`` before the degree: one

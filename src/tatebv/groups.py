@@ -9,7 +9,6 @@ every derived object is reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +60,13 @@ class Group:
     @cached_property
     def nontrivial(self) -> Tuple[int, ...]:
         return tuple(range(1, self.order))
+
+    @cached_property
+    def splits(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """splits[t]: the pairs (u, u^-1 t) with neither entry the identity."""
+        m, inv = self.mult, self.inv
+        return tuple(tuple((u, v) for u in self.nontrivial if (v := m[inv[u]][t]))
+                     for t in range(self.order))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -243,38 +249,35 @@ def preset_group(name: str, param: int = 0) -> Group:
     raise GroupError(f"unknown preset {name!r}")
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    parent: Group
-    members: Tuple[int, ...]
+    """A subgroup of ``parent``, checked for closure: ``members`` sorted
+    (the identity first) and ``member_set`` as a frozenset.  Equal to a
+    subgroup of the same parent with the same members."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-        G = self.parent
-        mem = set(self.members)
+    def __init__(self, parent: Group, members: Sequence[int]):
+        self.parent = parent
+        self.members: Tuple[int, ...] = tuple(sorted(members))
+        self.member_set = mem = frozenset(self.members)
         if 0 not in mem:
             raise GroupError("subgroup must contain the identity")
         for a in self.members:
-            if G.inv[a] not in mem:
+            if parent.inv[a] not in mem:
                 raise GroupError("subgroup not closed under inverse")
             for b in self.members:
-                if G.mult[a][b] not in mem:
+                if parent.mult[a][b] not in mem:
                     raise GroupError("subgroup not closed under multiplication")
+        self.order = len(self.members)
+        self.nontrivial = self.members[1:]
 
-    @property
-    def order(self) -> int:
-        return len(self.members)
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Subgroup) and self.parent is other.parent
+                and self.members == other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.members))
 
     def __contains__(self, g: int) -> bool:
-        return g in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    @cached_property
-    def nontrivial(self) -> Tuple[int, ...]:
-        return tuple(m for m in self.members if m != 0)
+        return g in self.member_set
 
 
 def whole_group(G: Group) -> Subgroup:
@@ -314,13 +317,11 @@ def centralizer(G: Group, x: int) -> Subgroup:
     return Subgroup(G, tuple(g for g in range(G.order) if G.conj(g, x) == x))
 
 
-@dataclass(frozen=True)
 class ConjugacyData:
-    group: Group
-    reps: Tuple[int, ...]
-    class_of: Tuple[int, ...]
-    classes: Tuple[Tuple[int, ...], ...]
-    centralizers: Tuple[Subgroup, ...]
+    def __init__(self, group: Group, reps: Tuple[int, ...], class_of: Tuple[int, ...],
+                 classes: Tuple[Tuple[int, ...], ...], centralizers: Tuple[Subgroup, ...]):
+        self.group, self.reps, self.class_of = group, reps, class_of
+        self.classes, self.centralizers = classes, centralizers
 
     @property
     def num_classes(self) -> int:
@@ -346,7 +347,6 @@ def conjugacy_classes(G: Group) -> ConjugacyData:
     return ConjugacyData(G, tuple(reps), tuple(class_of), tuple(classes), cents)
 
 
-@dataclass(frozen=True)
 class CosetSystem:
     """Right cosets H*gamma_i covering the ambient set, gamma_1 = identity.
 
@@ -354,10 +354,10 @@ class CosetSystem:
     decomp maps each ambient g to (h, i) with g = h * gamma_i.
     """
 
-    subgroup: Subgroup
-    ambient: Tuple[int, ...]
-    gamma: Tuple[int, ...]
-    decomp: Dict[int, Tuple[int, int]]
+    def __init__(self, subgroup: Subgroup, ambient: Tuple[int, ...], gamma: Tuple[int, ...],
+                 decomp: Dict[int, Tuple[int, int]]):
+        self.subgroup, self.ambient, self.gamma, self.decomp = subgroup, ambient, gamma, decomp
+        self._steps: Dict[int, List[List[Tuple[int, int]]]] = {}
 
     @property
     def count(self) -> int:
@@ -381,17 +381,19 @@ class CosetSystem:
         whose slots gamma_{i_k}^-1 * elems[k] * gamma_{i_{k+1}} all avoid the
         identity, in lexicographic order of the path.  Prefixes grow a level at
         a time, coset by coset in ascending order, and die at their first
-        identity slot."""
+        identity slot.  The step table of each g is built on first use."""
         if self.count == 1:
             # a new tuple, not elems: sharing it moved GC runs and raised verify-s3's peak
             return [(0, tuple(list(elems)))] if all(elems) else []
         G = self.subgroup.parent
-        mult, inv, gamma = G.mult, G.inv, self.gamma
+        mult, inv, gamma, steps = G.mult, G.inv, self.gamma, self._steps
         level = [(i, i, ()) for i in range(len(gamma))]  # (i_0, i_k, slots so far)
         for g in elems:
-            step = [[mult[mult[inv[a]][g]][b] for b in gamma] for a in gamma]  # [i][j]: slot i -> j
-            level = [(start, j, slots + (s,)) for start, cur, slots in level
-                     for j, s in enumerate(step[cur]) if s]
+            step = steps.get(g)
+            if step is None:  # step[i]: (j, slot) for each move i -> j whose slot is not 1
+                step = steps[g] = [[(j, s) for j, b in enumerate(gamma)
+                                    if (s := mult[mult[inv[a]][g]][b])] for a in gamma]
+            level = [(start, j, slots + (s,)) for start, cur, slots in level for j, s in step[cur]]
         return [(start, slots) for start, cur, slots in level if end is None or cur == end]
 
 
@@ -421,12 +423,10 @@ def right_coset_system(H: Subgroup, ambient: Optional[Sequence[int]] = None) -> 
     return CosetSystem(H, amb, tuple(gamma), decomp)
 
 
-@dataclass(frozen=True)
 class DoubleCosetSystem:
-    left: Subgroup
-    right: Subgroup
-    reps: Tuple[int, ...]
-    coset_of: Tuple[int, ...]
+    def __init__(self, left: Subgroup, right: Subgroup, reps: Tuple[int, ...],
+                 coset_of: Tuple[int, ...]):
+        self.left, self.right, self.reps, self.coset_of = left, right, reps, coset_of
 
 
 def double_cosets(G: Group, H: Subgroup, K: Subgroup) -> DoubleCosetSystem:

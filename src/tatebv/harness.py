@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bv import CohClass, bv_operator, class_of, cup
@@ -65,16 +64,11 @@ def make_group(spec: str) -> Group:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass
 class JobConfig:
-    group: str = "symmetric:3"
-    p: int = 3
-    window: Tuple[int, int] = (-4, 3)
-    seed: int = 0
-    fmt: str = "text"
-    threads: int = 1
-
-    def __post_init__(self):
+    def __init__(self, group: str = "symmetric:3", p: int = 3, window: Tuple[int, int] = (-4, 3),
+                 seed: int = 0, fmt: str = "text", threads: int = 1):
+        self.group, self.p, self.window = group, p, window
+        self.seed, self.fmt, self.threads = seed, fmt, threads
         from .linalg import PRIME_BOUND, is_prime
         if self.p >= PRIME_BOUND:
             raise ConfigError(f"characteristic {self.p} is not below {PRIME_BOUND}, "
@@ -130,12 +124,12 @@ def check_decomposition_cost(G: Group, cd: ConjugacyData, window: Tuple[int, int
 Entry = Tuple[str, object]  # ("c", coords tuple) or ("r", GroupTateElement)
 
 
-@dataclass
 class DecClass:
     """A cohomology class as per-conjugacy-class components."""
 
-    degree: int
-    parts: Dict[int, Entry] = field(default_factory=dict)
+    def __init__(self, degree: int, parts: Optional[Dict[int, Entry]] = None):
+        self.degree = degree
+        self.parts: Dict[int, Entry] = {} if parts is None else parts
 
     def copy(self) -> "DecClass":
         return DecClass(self.degree, dict(self.parts))

@@ -17,12 +17,16 @@ which the cup keeps, read directly on the subgroup's tuples.
 
 The double-coset product evaluates, for each double coset representative,
 conjugate-restrict-cup-corestrict at the chain level and accumulates the
-result per target conjugacy class.
+result per target conjugacy class.  Everything in it that depends only on
+the group is built once per context: the plan of each class pair (target
+class, conjugating elements, intersection subgroup and centralizer per
+double coset), the conjugation row and target complex of each (g, H), and
+(in CosetSystem) the coset step table of each g.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .bv import CohClass, class_of
 from .complexes import GroupComplex, GroupTateElement, Key, _acc
@@ -43,7 +47,8 @@ class TransferContext:
         self._complexes: Dict[Tuple[int, ...], GroupComplex] = {}
         self._cosets: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], CosetSystem] = {}
         self._subgroups: Dict[Tuple[int, ...], Subgroup] = {}
-        self._dcs: Dict[Tuple[int, int], object] = {}
+        self._conjugations: Dict[Tuple[int, Tuple[int, ...]], Tuple[List[int], GroupComplex]] = {}
+        self._plans: Dict[Tuple[int, int], List[Tuple[int, int, int, Subgroup, Subgroup]]] = {}
 
     def subgroup(self, members) -> Subgroup:
         key = tuple(sorted(members))
@@ -63,34 +68,30 @@ class TransferContext:
             self._cosets[key] = right_coset_system(H, ambient=K.members)
         return self._cosets[key]
 
-    def double_cosets(self, i: int, j: int):
-        key = (i, j)
-        if key not in self._dcs:
-            self._dcs[key] = double_cosets(self.group, self.cd.centralizers[i],
-                                           self.cd.centralizers[j])
-        return self._dcs[key]
-
     # -- chain-level structure maps ------------------------------------------
 
     def conjugate_element(self, g: int, elem: GroupTateElement) -> GroupTateElement:
         """Entrywise conjugation onto the complex of gHg^-1."""
-        G = self.group
-        H = elem.subgroup
-        target = self.complex_for(self.subgroup(G.conj(g, h) for h in H.members))
-        out = {tuple(G.conj(g, t) for t in T): c for T, c in elem.coeffs.items()}
-        return target.element(elem.degree, out)
+        key = (g, elem.subgroup.members)
+        if key not in self._conjugations:
+            row = [self.group.conj(g, t) for t in range(self.group.order)]
+            self._conjugations[key] = row, self.complex_for(self.subgroup(row[h] for h in key[1]))
+        row, target = self._conjugations[key]
+        return target.element(elem.degree, {tuple([row[t] for t in T]): c
+                                            for T, c in elem.coeffs.items()})
 
     def restrict_element(self, H: Subgroup, elem: GroupTateElement) -> GroupTateElement:
         """res^K_H at the complex level; K is the subgroup elem lives over."""
         K = elem.subgroup
-        if not all(h in K for h in H.members):
+        if not K.member_set.issuperset(H.members):
             raise ValueError("restriction target is not a subgroup of the source")
         target = self.complex_for(H)
         d = elem.degree
         out: Dict[Key, int] = {}
         if d >= 0:
+            inside = H.member_set.issuperset
             for T, c in elem.coeffs.items():
-                if all(t in H for t in T):
+                if inside(T):
                     _acc(out, T, c)
         else:
             cs = self.cosets_in(K, H)
@@ -104,7 +105,7 @@ class TransferContext:
     def corestrict_element(self, K: Subgroup, elem: GroupTateElement) -> GroupTateElement:
         """cor^K_H at the complex level; H is the subgroup elem lives over."""
         H = elem.subgroup
-        if not all(h in K for h in H.members):
+        if not K.member_set.issuperset(H.members):
             raise ValueError("corestriction source is not a subgroup of the target")
         target = self.complex_for(K)
         d = elem.degree
@@ -180,6 +181,25 @@ class TransferContext:
 
     # -- the double-coset product ---------------------------------------------
 
+    def double_coset_plan(self, i: int, j: int) -> List[Tuple[int, int, int, Subgroup, Subgroup]]:
+        """(k, y, yx, W, C_k) for each double coset C_i x C_j, built once per
+        (i, j): y conjugates g_i x g_j x^-1 to the k-th class representative,
+        and W = y C_i y^-1 meets yx C_j (yx)^-1, inside the centralizer C_k."""
+        if (i, j) not in self._plans:
+            G, cd = self.group, self.cd
+            Hi, Hj = cd.centralizers[i], cd.centralizers[j]
+            plan = []
+            for x in double_cosets(G, Hi, Hj).reps:
+                k, y = class_rep_and_witness(cd, G.mult[cd.reps[i]][G.conj(x, cd.reps[j])])
+                yx = G.mult[y][x]
+                W = self.subgroup(intersect_subgroups(conjugate_subgroup(G, y, Hi),
+                                                      conjugate_subgroup(G, yx, Hj)).members)
+                if not all(u in cd.centralizers[k] for u in W.members):
+                    raise AssertionError("double-coset intersection escaped the centralizer")
+                plan.append((k, y, yx, W, cd.centralizers[k]))
+            self._plans[i, j] = plan
+        return self._plans[i, j]
+
     def double_coset_cup_reps(self, i: int, j: int, a: GroupTateElement,
                               b: GroupTateElement) -> Dict[int, GroupTateElement]:
         """Chain-level double-coset product of centralizer classes.
@@ -187,20 +207,8 @@ class TransferContext:
         a lives over the centralizer of the i-th class representative, b over
         the j-th; the result collects one cocycle per target class k.
         """
-        G, cd = self.group, self.cd
-        gi, gj = cd.reps[i], cd.reps[j]
-        Hi, Hj = cd.centralizers[i], cd.centralizers[j]
         out: Dict[int, GroupTateElement] = {}
-        for x in self.double_cosets(i, j).reps:
-            w = G.mult[gi][G.conj(x, gj)]
-            k, y = class_rep_and_witness(cd, w)
-            yx = G.mult[y][x]
-            Hi_y = self.subgroup(conjugate_subgroup(G, y, Hi).members)
-            Hj_yx = self.subgroup(conjugate_subgroup(G, yx, Hj).members)
-            W = self.subgroup(intersect_subgroups(Hj_yx, Hi_y).members)
-            Hk = cd.centralizers[k]
-            if not all(u in Hk for u in W.members):
-                raise AssertionError("double-coset intersection escaped the centralizer")
+        for k, y, yx, W, Hk in self.double_coset_plan(i, j):
             ra = self.restrict_element(W, self.conjugate_element(y, a))
             rb = self.restrict_element(W, self.conjugate_element(yx, b))
             term = self.corestrict_element(Hk, self.group_cup_rep(ra, rb))

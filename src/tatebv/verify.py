@@ -496,11 +496,11 @@ def check_bv_subalgebra(G: Group, p: int, window: Tuple[int, int]) -> Dict:
 class _MutatedDComplex(DComplex):
     """Test hook: corrupts one differential to prove the suite has teeth."""
 
-    def unsigned_terms(self, key, d):
-        out = super().unsigned_terms(key, d)
+    def unsigned_terms(self, key, d, out, c):
+        super().unsigned_terms(key, d, out, c)
         if d == 0:
             bogus = (tuple([self.group.nontrivial[0]]), 0)
-            out[bogus] = out.get(bogus, 0) + 1
+            out[bogus] = out.get(bogus, 0) + c
         return out
 
 

@@ -102,13 +102,18 @@ def _numpy_loaded_after(*jobs):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv + ['--format', 'json']) == 0, argv\n"
             "print('numpy' in sys.modules)\n")
+    return _fresh_child(code) == "True"
+
+
+def _fresh_child(code):
+    """Run code in a fresh interpreter that imports this tatebv; its stdout."""
     src = os.path.dirname(os.path.dirname(tatebv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         x for x in (src, os.environ.get("PYTHONPATH")) if x))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    return proc.stdout.strip()
 
 
 def test_cold_start_loads_numpy_only_for_the_dense_engine():
@@ -119,6 +124,14 @@ def test_cold_start_loads_numpy_only_for_the_dense_engine():
     # at p = 5 the matrices _dense_eligible admits still take the numpy engine
     assert _numpy_loaded_after(
         ("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"))
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # every child compiles src/ without cached bytecode when
+    # PYTHONDONTWRITEBYTECODE is set; dataclasses would add inspect, ast,
+    # dis and tokenize to each start-up
+    code = "import sys, tatebv.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_child(code) == "[]"
 
 
 def test_decomposition_window_refused_up_front(monkeypatch, capsys):

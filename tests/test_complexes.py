@@ -255,3 +255,28 @@ def test_face_built_matrices_keep_no_columns(group, p):
             held = [getattr(M, s) for s in type(M).__slots__] + list(getattr(M, "__dict__", {}).values())
             assert M._columns is None and callable(M.vectors)
             assert not any(isinstance(x, (list, tuple, dict)) for x in held)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_differential_matches_per_key_template_sums(p):
+    """``differential`` adds every key's terms into one shared dict and
+    reduces once, in ``element``; it must equal the sum, key by key and mod
+    p, of c times each key's own ``unsigned_terms`` and the sign.  Both
+    degree signs, the group-side complex and the mutated complex (whose
+    override adds to the shared dict) are covered."""
+    s3 = preset_group("symmetric", 3)
+    rng = random.Random(p)
+    complexes = [DComplex(s3, p, (-4, 3)), GroupComplex(whole_group(s3), p),
+                 GroupComplex(trivial_subgroup(s3), p), _MutatedDComplex(s3, p, (-4, 3))]
+    for C in complexes:
+        for d in range(-4, 3):
+            for signed in (True, False):
+                e = C.random_element(d, rng, terms=6)
+                sign = C.sign_of(d) if signed else 1
+                ref = {}
+                for key, c in e.coeffs.items():
+                    for t, x in C.unsigned_terms(key, d, {}, 1).items():
+                        ref[t] = (ref.get(t, 0) + c * sign * x) % p
+                got = C.differential(e, signed=signed)
+                assert got.degree == d + 1
+                assert got.coeffs == {t: x for t, x in ref.items() if x}

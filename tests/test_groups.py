@@ -192,6 +192,28 @@ def test_coset_paths_match_product_enumeration(s3, d4):
                                                         if path[-1] == end]
 
 
+@pytest.mark.parametrize("group,param", [("symmetric", 3), ("dihedral", 4), ("symmetric", 4)])
+def test_coset_paths_match_enumeration_with_cached_steps(group, param):
+    """paths keeps one step table per g on its coset system: on random
+    subgroups and random keys (the identity included), a first call and a
+    repeat on the cached tables both equal the enumeration of coset
+    sequences."""
+    G = preset_group(group, param)
+    rng = random.Random(param)
+    for _ in range(6):
+        gens = rng.sample(range(1, G.order), rng.randrange(1, 3))
+        cs = right_coset_system(generated_subgroup(G, gens))
+        for _ in range(10):
+            n = rng.randrange((4 if cs.count <= 6 else 3) + 1)
+            elems = tuple(rng.randrange(G.order) for _ in range(n))
+            ref = _product_paths(cs, elems)
+            end = rng.randrange(cs.count)
+            for _ in range(2):
+                assert cs.paths(elems) == [(path[0], slots) for path, slots in ref]
+                assert cs.paths(elems, end) == [(path[0], slots) for path, slots in ref
+                                                if path[-1] == end]
+
+
 def test_coset_system_rejects_non_subgroup(s3):
     with pytest.raises(GroupError):
         Subgroup(s3, (0, 1))  # {e, a} not closed: a*a = a2

@@ -5,7 +5,9 @@ import pytest
 from tatebv.bv import class_of, cup
 from tatebv.complexes import DComplex
 from tatebv.decomposition import ClassDecomposition
-from tatebv.groups import conjugacy_classes, generated_subgroup, preset_group
+from tatebv.groups import (Subgroup, class_rep_and_witness, conjugacy_classes,
+                           conjugate_subgroup, double_cosets, generated_subgroup,
+                           intersect_subgroups, preset_group)
 from tatebv.transfer import TransferContext
 
 P = 3
@@ -296,3 +298,42 @@ def test_group_cup_rep_matches_ambient_cup(group, param, p):
                 assert list(direct.coeffs.items()) == list(amb.coeffs.items()), case
                 nonzero += not direct.is_zero()
         assert nonzero, case
+
+
+@pytest.mark.parametrize("group,param,p", [("symmetric", 3, 3), ("dihedral", 4, 2)])
+def test_double_coset_plans_are_built_once(monkeypatch, group, param, p):
+    """After one pass over every class pair, double_coset_cup_reps builds no
+    Subgroup (its plans, conjugation rows and coset step tables are cached),
+    gives the same cocycles again, and each cached plan equals the plan
+    recomputed from the double cosets, the conjugacy witnesses and the
+    conjugate subgroups' intersection."""
+    G = preset_group(group, param)
+    cd = conjugacy_classes(G)
+    ctx = TransferContext(G, p, cd)
+    rng = random.Random(3)
+    pairs = [(i, j) for i in range(cd.num_classes) for j in range(cd.num_classes)]
+    factors = {}
+    for i, j in pairs:
+        ci, cj = (ctx.complex_for(cd.centralizers[k]) for k in (i, j))
+        for da, db in ((1, 2), (-2, 1), (-1, -2), (2, -3)):
+            factors[i, j, da, db] = ci.random_element(da, rng, 4), cj.random_element(db, rng, 4)
+    warm = {key: ctx.double_coset_cup_reps(*key[:2], a, b) for key, (a, b) in factors.items()}
+
+    built = []
+    init = Subgroup.__init__
+    monkeypatch.setattr(Subgroup, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for key, (a, b) in factors.items():
+        assert ctx.double_coset_cup_reps(*key[:2], a, b) == warm[key]
+    assert built == []
+    monkeypatch.undo()
+
+    for i, j in pairs:
+        Hi, Hj = cd.centralizers[i], cd.centralizers[j]
+        fresh = []
+        for x in double_cosets(G, Hi, Hj).reps:
+            k, y = class_rep_and_witness(cd, G.mult[cd.reps[i]][G.conj(x, cd.reps[j])])
+            yx = G.mult[y][x]
+            W = intersect_subgroups(conjugate_subgroup(G, y, Hi), conjugate_subgroup(G, yx, Hj))
+            assert all(u in cd.centralizers[k] for u in W.members)
+            fresh.append((k, y, yx, W, cd.centralizers[k]))
+        assert ctx.double_coset_plan(i, j) == fresh
