@@ -9,7 +9,8 @@ x_i = gamma_i^-1 x gamma_i), this module realizes:
   complex of the centralizer (both cochain and chain families), together
   with the explicit homotopies making them deformation retracts,
 * the assembled retract on the whole complex,
-* the transferred BV operators on the centralizer complexes,
+* the transferred BV operators on the centralizer complexes, by which
+  DecOps computes the BV operator,
 * the isomorphism with the Tate cochain complex of G in the conjugation
   coefficient module (a cross-check model, not a computation path).
 
@@ -246,20 +247,23 @@ class ClassDecomposition:
     # -- transferred BV operators ---------------------------------------------
 
     def delta_tilde(self, cls: int, gelem: GroupTateElement) -> GroupTateElement:
-        """The BV operator transferred to the centralizer cochain complex."""
+        """The BV operator transferred to the centralizer cochain complex.
+
+        T rotates at a cut iff T[cut] = (x prod(h))^-1, h = T[cut+1:] + T[:cut].
+        With ab = prod(T[:cut+1]), prod(h) T[cut] = (ab)^-1 prod(T) ab and ab
+        commutes with x, so that test is prod(T) = x^-1 at every cut."""
         n = gelem.degree
         if n < 1:
             raise ValueError("delta_tilde needs degree >= 1")
         G = self.group
-        x = self.cd.reps[cls]
+        x_inv = G.inv[self.cd.reps[cls]]
         out: Dict[Key, int] = {}
         for T, c in gelem.coeffs.items():
+            if G.prod(T) != x_inv:
+                continue
             for i in range(1, n + 1):
                 cut = n - i
-                htuple = T[cut + 1:] + T[:cut]
-                if T[cut] != G.inv[G.mult[x][G.prod(htuple)]]:
-                    continue
-                _acc(out, htuple, c if (i * (n - 1)) % 2 == 0 else -c)
+                _acc(out, T[cut + 1:] + T[:cut], c if (i * (n - 1)) % 2 == 0 else -c)
         return self.complexes[cls].element(n - 1, out)
 
     def b_tilde(self, cls: int, gelem: GroupTateElement) -> GroupTateElement:

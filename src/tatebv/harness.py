@@ -3,8 +3,9 @@
 Cohomology classes of the ambient complex are carried as coordinate
 vectors over the per-conjugacy-class centralizer Tate cohomologies.  Cup
 products are evaluated with the double-coset formula, the BV operator by
-transporting representatives through the deformation retract, and the Lie
-bracket from those two.  Identity-component classes outside the
+the transferred formulas on each centralizer complex (delta_tilde in
+degrees >= 1, the signed Connes rotation b_tilde in degrees <= -1), and
+the Lie bracket from those two.  Identity-component classes outside the
 coordinatized range are kept as representative cocycles and decided by a
 degree-shifting zero certificate.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bv import CohClass, bv_operator, class_of, cup
+from .bv import CohClass, class_of, cup
 from .complexes import (DComplex, GroupComplex, GroupTateElement, TateElement,
                         dim_degree, sign_pow)
 from .decomposition import ClassDecomposition
@@ -148,6 +149,7 @@ class DecOps:
                                       lambda sub: self.ctx.complex_for(sub))
         self.coord_cap = coord_cap or {}
         self.zero_certifier = None  # optional hook for out-of-range identity parts
+        self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
 
     def space(self, cls: int, n: int):
         return self.ctx.complex_for(self.cd.centralizers[cls]).cohomology(n)
@@ -216,10 +218,14 @@ class DecOps:
         return self.add(A, B, -1)
 
     def lift_entry(self, cls: int, degree: int, entry: Entry) -> GroupTateElement:
+        """An entry's representative; coordinate entries are lifted once and shared."""
         tag, val = entry
         if tag == "r":
             return val
-        return self.space(cls, degree).lift(list(val))
+        key = (cls, degree, val)
+        if key not in self._lifts:
+            self._lifts[key] = self.space(cls, degree).lift(list(val))
+        return self._lifts[key]
 
     def cup(self, A: DecClass, B: DecClass) -> DecClass:
         deg = A.degree + B.degree
@@ -240,37 +246,27 @@ class DecOps:
         return out
 
     def delta(self, A: DecClass) -> DecClass:
-        """BV operator through the deformation retract, component by component."""
+        """BV operator component by component, by the transferred formulas on
+        the centralizer complex: delta_tilde in degrees >= 1, and b_tilde with
+        bv_operator's sign (-1)^(s+1) = (-1)^deg out of chain degree s = -deg-1."""
         deg = A.degree
         out = DecClass(deg - 1)
         if deg == 0:
             return out
         for cls, entry in A.parts.items():
             gelem = self.lift_entry(cls, deg, entry)
-            img = bv_operator(self.dec.retract_up(cls, gelem))
-            down = self.dec.retract_down(img)
-            for k, g in down.items():
-                if k != cls and not g.is_zero():
-                    raise AssertionError("BV operator left its class component")
-            piece = down.get(cls)
-            if piece is not None and not piece.is_zero():
-                e = self._entry_from_elem(cls, piece)
-                if e is not None:
-                    out = self.add(out, DecClass(deg - 1, {cls: e}))
+            piece = (self.dec.delta_tilde(cls, gelem) if deg >= 1
+                     else self.dec.b_tilde(cls, gelem).scale(sign_pow(deg)))
+            e = self._entry_from_elem(cls, piece)
+            if e is not None:
+                out = self.add(out, DecClass(deg - 1, {cls: e}))
         return out
 
     def bracket(self, A: DecClass, B: DecClass) -> DecClass:
-        return self.bracket_with(A, B, self.delta)
-
-    def bracket_with(self, A: DecClass, B: DecClass,
-                     delta: Callable[[DecClass], DecClass]) -> DecClass:
-        """The bracket of A and B with every BV operator in it (of A, of B
-        and of A*B) taken by ``delta``, so that a caller bracketing many
-        classes can pass a memo of ``self.delta``."""
         da, db = A.degree, B.degree
-        t1 = delta(self.cup(A, B))
-        t2 = self.cup(delta(A), B)
-        t3 = self.cup(A, delta(B))
+        t1 = self.delta(self.cup(A, B))
+        t2 = self.cup(self.delta(A), B)
+        t3 = self.cup(A, self.delta(B))
         inner = self.add(self.add(t1, t2, -1), t3, -sign_pow(da))
         return self.scale(inner, -sign_pow((da - 1) * db))
 

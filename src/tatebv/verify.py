@@ -163,7 +163,6 @@ class S3Verifier:
         self.ca = ops.ctx.complex_for(ops.cd.centralizers[1])
         self.cb = ops.ctx.complex_for(ops.cd.centralizers[2])
         self.checks = CheckList()
-        self._deltas: Dict[tuple, DecClass] = {}
 
     def _gen_class(self, cplx, cls: int, degree: int) -> DecClass:
         space = cplx.cohomology(degree)
@@ -251,25 +250,13 @@ class S3Verifier:
         v["xC-x"] = ops.sub(v["xC"], gen["x"])
         v["zC-z"] = ops.sub(v["zC"], gen["z"])
         v["ziC-zi"] = ops.sub(v["ziC"], gen["zi"])
-        v["D.W1"] = self._delta(gen["W1"])
-        v["D.W1W2"] = self._delta(v["W1W2"])
-        v["D.W1W2i"] = self._delta(v["W1W2i"])
+        v["D.W1"] = ops.delta(gen["W1"])
+        v["D.W1W2"] = ops.delta(v["W1W2"])
+        v["D.W1W2i"] = ops.delta(v["W1W2i"])
         for k in ZERO_DELTAS:
-            v["D." + k] = self._delta(v[k])
-        v["br6"] = ops.bracket_with(gen["x"], gen["C"], self._delta)
+            v["D." + k] = ops.delta(v[k])
+        v["br6"] = ops.bracket(gen["x"], gen["C"])
         return v
-
-    def _delta(self, X: DecClass) -> DecClass:
-        """ops.delta(X), memoized by value (degree and coordinate parts) when
-        every part of X is coordinatized.  Keys are values, not names: a
-        product is always computed and only its delta is shared, never read
-        off a commuted product, as commutativity is among the facts checked."""
-        if any(tag != "c" for tag, _ in X.parts.values()):
-            return self.ops.delta(X)
-        key = (X.degree, tuple(sorted((cls, val) for cls, (_, val) in X.parts.items())))
-        if key not in self._deltas:
-            self._deltas[key] = self.ops.delta(X)
-        return self._deltas[key]
 
     # -- phase A: scale-invariant facts ----------------------------------------
 
@@ -294,7 +281,7 @@ class S3Verifier:
         self.brackets: Dict[Tuple[str, str], DecClass] = {}
         for item, a, b, expected in BRACKET_TABLE:
             if (a, b) not in self.brackets:
-                self.brackets[(a, b)] = ops.bracket_with(gen[a], gen[b], self._delta)
+                self.brackets[(a, b)] = ops.bracket(gen[a], gen[b])
             v[f"bracket{item}"] = self.brackets[(a, b)]
             if expected is None:
                 ck.add(f"bracket ({item}) [{a},{b}] = 0", ops.is_zero(self.brackets[(a, b)]))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tatebv.bv import bv_operator, connes_b, cup, m3
-from tatebv.complexes import DComplex, class_of_index
+from tatebv.complexes import DComplex, class_of_index, sign_pow
 from tatebv.decomposition import (ClassDecomposition, ConjComplex, assemble_retract,
                                   global_rho, global_rho_inv)
 from tatebv.groups import conjugacy_classes, preset_group
@@ -232,16 +232,65 @@ def test_b_tilde_is_transferred_rotation(s3_dec):
                 assert lhs.sub(rhs).is_zero()
 
 
+def _delta_tilde_per_rotation(dec, cls, gelem):
+    """delta_tilde as the rotation sum with the membership test at every cut."""
+    n = gelem.degree
+    G = dec.group
+    x = dec.cd.reps[cls]
+    out = {}
+    for T, c in gelem.coeffs.items():
+        for i in range(1, n + 1):
+            cut = n - i
+            htuple = T[cut + 1:] + T[:cut]
+            if T[cut] != G.inv[G.mult[x][G.prod(htuple)]]:
+                continue
+            out[htuple] = out.get(htuple, 0) + (c if (i * (n - 1)) % 2 == 0 else -c)
+    return dec.complexes[cls].element(n - 1, out)
+
+
+@pytest.mark.parametrize("group", ["symmetric:3", "dihedral:4", "quaternion8", "cyclic:6"])
+def test_delta_tilde_one_product_per_tuple(group):
+    """On centralizer cochains the test at each cut is prod(T) = x^-1, so
+    delta_tilde's single product per tuple gives the per-rotation sum on
+    random cochains (cocycles or not), with tuples built to pass the test."""
+    name, _, param = group.partition(":")
+    G = preset_group(name, int(param) if param else 0)
+    dec = ClassDecomposition(DComplex(G, P, (-2, 6)), conjugacy_classes(G))
+    rng = random.Random(11)
+    hits = 0
+    for cls, x in enumerate(dec.cd.reps):
+        gc = dec.complexes[cls]
+        members = [g for g in dec.cd.centralizers[cls].members if g != 0]
+        for n in range(1, 6):
+            for _ in range(8):
+                coeffs = dict(gc.random_element(n, rng, 3).coeffs)
+                for _ in range(3):  # tuples with prod(T) = x^-1
+                    head = tuple(rng.choice(members) for _ in range(n - 1))
+                    last = G.mult[G.inv[G.prod(head)]][G.inv[x]]
+                    if last != 0:
+                        coeffs[head + (last,)] = rng.randrange(1, P)
+                psi = gc.element(n, coeffs)
+                got = dec.delta_tilde(cls, psi)
+                assert got == _delta_tilde_per_rotation(dec, cls, psi)
+                hits += not got.is_zero()
+    assert hits > 0
+
+
 def test_bv_commuting_square_on_classes(s3_dec):
-    # the transferred operators induce the BV operator through the retract
-    for cls in (0, 1):
+    # the transferred operators induce the BV operator through the retract:
+    # delta_tilde in degrees >= 1, b_tilde with the sign (-1)^(s+1) of
+    # bv_operator out of chain degree s = -n-1
+    for cls in range(3):
         gc = s3_dec.complexes[cls]
-        for n in range(1, 4):
+        for n in (-4, -3, -2, -1, 1, 2, 3):
             sp = gc.cohomology(n)
             tgt = gc.cohomology(n - 1)
             for i in range(sp.dim):
                 rep = sp.representative(i)
-                via_formula = tgt.project(s3_dec.delta_tilde(cls, rep))
+                if n >= 1:
+                    via_formula = tgt.project(s3_dec.delta_tilde(cls, rep))
+                else:
+                    via_formula = tgt.project(s3_dec.b_tilde(cls, rep).scale(sign_pow(n)))
                 img = bv_operator(s3_dec.retract_up(cls, rep))
                 down = s3_dec.retract_down(img)
                 via_retract = tgt.project(down.get(cls, gc.zero(n - 1)))

@@ -1,9 +1,14 @@
+import copy
+import random
+
 import pytest
 
-from tatebv.bv import class_of
+from tatebv import bv, harness
+from tatebv.bv import bv_operator, class_of
 from tatebv.complexes import GroupComplex, WindowError
+from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import preset_group, whole_group
-from tatebv.harness import (CostCapError, DecOps, IdentityZeroCertifier,
+from tatebv.harness import (CostCapError, DecClass, DecOps, IdentityZeroCertifier,
                             JobConfig, check_decomposition_cost, check_direct_cost,
                             cmd_dims, make_group)
 
@@ -75,3 +80,141 @@ def test_group_complex_window_enforcement(s3):
     with pytest.raises(WindowError):
         cplx.basis(3)
     assert len(cplx.basis(2)) == 25
+
+
+# ---------------------------------------------------------------------------
+# the BV operator on the centralizer complexes against the retract path
+
+def _retract_delta(ops, A):
+    """Class coordinates of the BV operator of A taken through the D-complex:
+    each component is lifted afresh, embedded by retract_up, sent through
+    the D-side bv_operator and split back by retract_down."""
+    d = A.degree
+    out = {}
+    for cls, (tag, val) in A.parts.items():
+        rep = ops.space(cls, d).lift(list(val)) if tag == "c" else val
+        down = ops.dec.retract_down(bv_operator(ops.dec.retract_up(cls, rep)))
+        for k, g in down.items():
+            assert k == cls or g.is_zero(), "BV operator left its class component"
+        if cls in down:
+            coords = ops.space(cls, d - 1).project(down[cls])
+            acc = out.get(cls, [0] * len(coords))
+            out[cls] = [(a + b) % ops.p for a, b in zip(acc, coords)]
+    return {k: tuple(v) for k, v in out.items() if any(v)}
+
+
+def _class_coords(ops, A):
+    """Nonzero class coordinates of each part; representative entries are
+    projected in their space."""
+    out = {}
+    for cls, (tag, val) in A.parts.items():
+        coords = tuple(val) if tag == "c" else tuple(ops.space(cls, A.degree).project(val))
+        if any(coords):
+            out[cls] = coords
+    return out
+
+
+def _delta_inputs(ops, d, rng):
+    """Every basis class of degree d, then 5 random combinations over all
+    classes; a class out of coordinate range becomes a representative."""
+    def entry(cls, coords):
+        if ops.in_range(cls, d):
+            return ("c", tuple(coords))
+        return ("r", ops.space(cls, d).lift(list(coords)))
+
+    dims = [ops.cls_dim(cls, d) for cls in range(ops.cd.num_classes)]
+    for cls, dim in enumerate(dims):
+        for i in range(dim):
+            yield DecClass(d, {cls: entry(cls, [int(j == i) for j in range(dim)])})
+    for _ in range(5):
+        parts = {}
+        for cls, dim in enumerate(dims):
+            coords = [rng.randrange(ops.p) for _ in range(dim)]
+            if any(coords):
+                parts[cls] = entry(cls, coords)
+        yield DecClass(d, parts)
+
+
+@pytest.fixture(scope="module")
+def shared_ops():
+    """One DecOps per (group, p) for this module, so that its cohomology
+    spaces are built once."""
+    cache = {}
+
+    def get(group, p):
+        if (group, p) not in cache:
+            cache[group, p] = DecOps(make_group(group), p)
+        return cache[group, p]
+    return get
+
+
+@pytest.mark.parametrize("group,p,lo,hi,coord_cap", [
+    ("symmetric:3", 3, -5, 5, None), ("dihedral:4", 2, -4, 4, None),
+    ("quaternion8", 2, -3, 3, None), ("cyclic:6", 3, -4, 4, None),
+    ("dihedral:5", 5, -2, 2, None), ("symmetric:4", 2, -2, 2, None),
+    pytest.param("symmetric:3", 3, -5, 5, {0: 2}, id="symmetric:3-3--5-5-cap0=2"),
+])
+def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):
+    """DecOps.delta on the centralizer complexes gives the classes of the
+    D-side BV operator taken through the deformation retract, on every
+    basis class and on random combinations, coordinate and representative
+    entries alike (class-0 parts outside coord_cap are representatives)."""
+    ops = shared_ops(group, p)
+    if coord_cap:
+        ops = copy.copy(ops)  # the same spaces and lifts, another cap
+        ops.coord_cap = coord_cap
+    rng = random.Random(14)
+    tags = set()
+    for d in range(lo, hi + 1):
+        if d == 0:
+            continue
+        for A in _delta_inputs(ops, d, rng):
+            got = ops.delta(A)
+            assert got.degree == d - 1
+            tags.update(tag for tag, _ in got.parts.values())
+            assert _class_coords(ops, got) == _retract_delta(ops, A), (d, A.parts)
+    assert tags == ({"c", "r"} if coord_cap else {"c"})
+
+
+@pytest.fixture(scope="module")
+def s3_plain_ops(shared_ops):
+    return shared_ops("symmetric:3", 3)
+
+
+def _s3_basis(ops, lo=-4, hi=4):
+    return [harness._dec_basis_class(ops, lab)
+            for lab in harness._basis_labels(ops, range(lo, hi + 1))]
+
+
+def test_delta_stays_on_centralizer_complexes(monkeypatch, s3_plain_ops):
+    """After a warm pass, DecOps.delta reaches neither the D-side BV
+    operator nor the retract maps."""
+    ops = s3_plain_ops
+    basis = _s3_basis(ops)
+    warm = [_class_coords(ops, ops.delta(A)) for A in basis]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("DecOps.delta went through the D-complex")
+    monkeypatch.setattr(bv, "bv_operator", refuse)
+    monkeypatch.setattr(harness, "bv_operator", refuse, raising=False)
+    monkeypatch.setattr(ClassDecomposition, "retract_up", refuse)
+    monkeypatch.setattr(ClassDecomposition, "retract_down", refuse)
+    assert [_class_coords(ops, ops.delta(A)) for A in basis] == warm
+    assert any(warm)
+
+
+def test_memoized_lifts_survive_class_ops(s3_plain_ops):
+    """A cup, delta and bracket pass over every S3/F3 basis pair leaves each
+    shared lifted representative equal to a fresh lift."""
+    ops = s3_plain_ops
+    basis = _s3_basis(ops)
+    for A in basis:
+        ops.delta(A)
+        for B in basis:
+            if -4 <= A.degree + B.degree <= 4:
+                ops.cup(A, B)
+                if A.degree + B.degree - 1 >= -4:
+                    ops.bracket(A, B)
+    assert len(ops._lifts) >= len(basis)
+    for (cls, d, coords), elem in ops._lifts.items():
+        assert elem == ops.space(cls, d).lift(list(coords))
