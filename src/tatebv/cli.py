@@ -16,8 +16,8 @@ import sys
 from typing import Dict
 
 from .groups import GroupError
-from .harness import (ConfigError, CostCapError, JobConfig, cmd_dims, cmd_export_diff,
-                      cmd_info, cmd_tables)
+from .harness import (ConfigError, CostCapError, JobConfig, VerificationError, cmd_dims,
+                      cmd_export_diff, cmd_info, cmd_tables)
 from .verify import cmd_selftest, cmd_verify_appendix_b, cmd_verify_s3
 
 COMMANDS = ("info", "dims", "tables", "verify-s3", "verify-appendix-b",
@@ -160,6 +160,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("cost cap exceeded: out of memory", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
     if args.fmt == "json":
         print(json.dumps(result, sort_keys=True))

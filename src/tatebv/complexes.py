@@ -18,14 +18,17 @@ coboundary on non-negative degrees and (-1)^d times the unsigned map out
 of degree d < 0 (so -trace out of degree -1).
 
 The key-level templates (``d_coboundary_terms`` and friends) define the
-differential of elements, and the matrices at p >= 5 and in negative
-degrees.  Each adds c times one key's terms into a dict that the caller
+differential of elements and the dict columns of every matrix.  Each adds c times one key's terms into a dict that the caller
 passes, so ``differential`` sums every key into one dict.  Like every
 chain-level map, the templates leave sums unreduced and zeros in place:
 ``element`` reduces mod p and drops zeros once.  At p = 2 and p = 3 the
 matrix out of a degree d >= 0 streams its columns into elimination as
-bitsets from face-map tables (``coboundary_vectors``), unless a subclass
-overrides ``unsigned_terms``.
+bitsets from face-map tables (``coboundary_vectors``), and the matrix out
+of a degree d <= -2 its rows, since the boundary out of -n-2 is, up to
+sign, the transpose of the coboundary out of n under the key map (g0,
+tail) <-> (tail, g0^-1), given transposed end-term tables.  A subclass that overrides ``unsigned_terms``
+gets neither.  ``cohomology_dim`` needs only ranks, each eliminated once
+and kept on the complex; ``cohomology`` builds a ``QuotientSpace``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .groups import ConjugacyData, Group, Subgroup
-from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace
+from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, rank as matrix_rank
 
 Key = Hashable
 
@@ -82,7 +85,7 @@ def d_coboundary_terms(G: Group, key: Key, m: int, left, right, out: Dict, c: in
 
 
 def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
-                       n: int, p: int) -> Iterator:
+                       n: int, p: int, rows: bool = False) -> Iterator:
     """Columns of the unsigned coboundary out of degree n >= 0, in basis
     order, as vectors of the p <= 3 bitset core: a Python-int bitset over
     rows at p = 2, a bit-sliced (P, N) pair at p = 3.
@@ -97,30 +100,39 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
     (u, u^-1 t), is S[k][t] << idx(pre)*q^(k+2)*V + idx(post)*V + h, with k
     = n - i and pre, post the slots before and after t.  Face i carries
     the sign (-1)^i; faces may meet on a row, so they are added in the
-    field, not merged."""
+    field, not merged.
+
+    ``rows`` reads the vectors in the layout of the chain keys (h^-1,
+    args) of degree -n-2, h at offset inv(h)*q^(n+1) and tail unit 1: then
+    the vector of (args, h) is the row of (h^-1, args) in the unsigned
+    boundary out of -n-2, face by face and sign by sign (merging slots i
+    and i+1 there is splitting slot i here), given the end-term tables of
+    ``DComplex.coboundary_faces(rows=True)``."""
     q = len(nontrivial)
     pos = {a: i for i, a in enumerate(nontrivial)}
-    Q = [q ** k * V for k in range(n + 2)]
-    T0 = [sum(1 << (pos[a] * Q[n] + left[a][h]) for a in nontrivial) for h in range(V)]
-    TL = [sum(1 << (pos[b] * V + right[h][b]) for b in nontrivial) for h in range(V)]
     mult, inv = G.mult, G.inv
+    U = 1 if rows else V
+    off = [inv[h] * q ** (n + 1) for h in range(V)] if rows else range(V)
+    Q = [q ** k * U for k in range(n + 2)]
+    T0 = [sum(1 << (pos[a] * Q[n] + off[left[a][h]]) for a in nontrivial) for h in range(V)]
+    TL = [sum(1 << (pos[b] * U + off[right[h][b]]) for b in nontrivial) for h in range(V)]
     splits = [[pos[u] * q + pos[v] for u in nontrivial if (v := mult[inv[u]][t])] for t in nontrivial]
     S = [[sum(1 << (x * Q[k]) for x in row) for row in splits] for k in range(n)]
-    # (S[k], face i = n - k, q^(k+1), q^(k+2)*V, q^k) per middle slot, first slot first
+    # (S[k], face i = n - k, q^(k+1), q^(k+2)*U, q^k) per middle slot, first slot first
     mids = [(S[k], n - k, q ** (k + 1), Q[k + 2], q ** k) for k in range(n - 1, -1, -1)]
     for idx, digits in enumerate(itertools.product(range(q), repeat=n)):
-        a, b = idx * V, idx * Q[1]
+        a, b = idx * U, idx * Q[1]
         if p == 2:
             mid = 0
             for (Sk, _, hi, step, lo), t in zip(mids, digits):
-                mid ^= Sk[t] << (idx // hi * step + idx % lo * V)
+                mid ^= Sk[t] << (idx // hi * step + idx % lo * U)
             for h in range(V):
-                yield (mid << h) ^ (T0[h] << a) ^ (TL[h] << b)
+                yield (mid << off[h]) ^ (T0[h] << a) ^ (TL[h] << b)
             continue
         P = N = 0
         # the six-operation add of _GF3 with one half zero: + F is (F, 0), - F is (0, F)
         for (Sk, i, hi, step, lo), t in zip(mids, digits):
-            F = Sk[t] << (idx // hi * step + idx % lo * V)
+            F = Sk[t] << (idx // hi * step + idx % lo * U)
             if i % 2:  # subtract F
                 x = (P | F) ^ N
                 P, N = (N | F) ^ x, P ^ x
@@ -128,7 +140,7 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
                 x = P ^ (N | F)
                 P, N = N ^ x, (P | F) ^ x
         for h in range(V):
-            mP, mN, F = P << h, N << h, T0[h] << a
+            mP, mN, F = P << off[h], N << off[h], T0[h] << a
             x = mP ^ (mN | F)
             mP, mN, F = mN ^ x, (mP | F) ^ x, TL[h] << b
             if n % 2:  # face n+1 is even
@@ -322,6 +334,7 @@ class _BaseComplex:
         self._index: Dict[int, Dict[Key, int]] = {}
         self._matrix: Dict[int, SparseMatrix] = {}
         self._cohomology: Dict[int, CohomologySpace] = {}
+        self._rank: Dict[int, int] = {}
 
     # subclass API --------------------------------------------------------
     def check_degree(self, d: int) -> None:
@@ -386,32 +399,46 @@ class _BaseComplex:
         return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d, {}, sign).items()
                  if (x := c % p)} for key in self._keys(d)]
 
-    def _face_built(self, d: int) -> bool:
-        """Whether matrix(d) streams its columns from ``coboundary_vectors``:
-        p <= 3, d >= 0, and the class that defines ``unsigned_terms``
-        supplies the face tables too, so a subclass that overrides
-        ``unsigned_terms`` alone keeps getting its matrices from it."""
+    def _face_built(self) -> bool:
+        """Whether matrices stream bitsets from ``coboundary_vectors``: p <=
+        3, and the class that defines ``unsigned_terms`` supplies the face
+        tables too, so a subclass that overrides ``unsigned_terms`` alone
+        keeps getting its matrices from it."""
         owner = next(c for c in type(self).__mro__ if "unsigned_terms" in vars(c))
-        return self.p <= 3 and d >= 0 and "coboundary_faces" in vars(owner)
+        return self.p <= 3 and "coboundary_faces" in vars(owner)
 
     def matrix(self, d: int) -> SparseMatrix:
         """Signed differential degree d -> d+1 over the canonical bases.
 
         Its dict columns are built from ``unsigned_terms`` on first read of
-        ``columns``.  A face-built matrix never needs them: elimination
-        regenerates its bitset vectors on each pass, and nothing holds them."""
+        ``columns``.  A face-built matrix streams its columns (d >= 0) or
+        its rows (d <= -2) on each pass instead, and nothing holds them."""
         self.check_degree(d)
         self.check_degree(d + 1)
         if d in self._matrix:
             return self._matrix[d]
-        vectors = None
-        if self._face_built(d):
-            faces = self.coboundary_faces()
-            vectors = lambda: coboundary_vectors(*faces, d, self.p)
-        M = SparseMatrix(self.dim(d + 1), len(self.basis(d)), self.p,
-                         build=lambda: self._columns(d), vectors=vectors)
+        vectors = rows = None
+        if self._face_built() and d != -1:
+            faces = self.coboundary_faces(rows=d < 0)
+            if d >= 0:
+                vectors = lambda: coboundary_vectors(*faces, d, self.p)
+            else:
+                rows = lambda: coboundary_vectors(*faces, -d - 2, self.p, rows=True)
+        M = SparseMatrix(self.dim(d + 1), self.dim(d), self.p,
+                         build=lambda: self._columns(d), vectors=vectors, rows=rows)
         self._matrix[d] = M
         return M
+
+    def rank(self, d: int) -> int:
+        """Rank of matrix(d), eliminated once per complex."""
+        if d not in self._rank:
+            self._rank[d] = matrix_rank(self.matrix(d))
+        return self._rank[d]
+
+    def cohomology_dim(self, n: int) -> int:
+        """dim C^n - rank d_n - rank d_{n-1}: the dimension of cohomology(n)
+        if d_n d_{n-1} = 0, which ``cohomology`` checks and this does not."""
+        return self.dim(n) - self.rank(n) - self.rank(n - 1)
 
     def cohomology(self, n: int) -> CohomologySpace:
         """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles."""
@@ -474,9 +501,21 @@ class DComplex(_BaseComplex):
             return d_trace_terms(self.group, key, out, c)
         return d_boundary_terms(self.group, key, -d - 1, self.left, self.right, out, c)
 
-    def coboundary_faces(self):
-        """The arguments of ``coboundary_vectors`` before the degree."""
-        return self.group, self.group.nontrivial, self.group.order, self.left, self.right
+    def coboundary_faces(self, rows: bool = False):
+        """The arguments of ``coboundary_vectors`` before the degree.  For
+        ``rows`` the end-term tables are transposed, L[a][h] = x^-1 where
+        right[x][a] = h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1, so
+        that the end faces meet those of ``d_boundary_terms``; for kG as a
+        bimodule both are G.mult again."""
+        G = self.group
+        left, right = self.left, self.right
+        if rows:
+            inv, r = G.inv, range(G.order)
+            left, right = [[0] * G.order for _ in r], [[0] * G.order for _ in r]
+            for x in r:
+                for a in r:
+                    left[a][inv[self.right[x][a]]] = right[inv[self.left[a][x]]][a] = inv[x]
+        return G, G.nontrivial, G.order, left, right
 
     def cohomology(self, n: int) -> CohomologySpace:
         if not (self.lo < n < self.hi):
@@ -521,8 +560,8 @@ class GroupComplex(_BaseComplex):
             return out
         return group_boundary_terms(G, key, -d - 1, out, c)
 
-    def coboundary_faces(self):
+    def coboundary_faces(self, rows: bool = False):
         """The arguments of ``coboundary_vectors`` before the degree: one
-        value (V = 1) that both end terms leave fixed."""
+        value (V = 1) that both end terms leave fixed, in either layout."""
         G = self.subgroup.parent
         return G, self.subgroup.nontrivial, 1, [(0,)] * G.order, [(0,) * G.order]

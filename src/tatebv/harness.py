@@ -12,6 +12,7 @@ degree-shifting zero certificate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,6 +43,10 @@ class ConfigError(ValueError):
 
 class CostCapError(RuntimeError):
     pass
+
+
+class VerificationError(AssertionError):
+    """A consistency check of a job's own results failed."""
 
 
 def make_group(spec: str) -> Group:
@@ -362,27 +367,49 @@ def _config_dict(cfg: JobConfig) -> Dict:
             "seed": cfg.seed, "format": cfg.fmt, "threads": cfg.threads}
 
 
+def checked_dims(cplx, degrees: Sequence[int], rng: random.Random) -> List[int]:
+    """``cohomology_dim`` of cplx in each degree, guarded: the rank formula
+    is right only if d_n d_{n-1} = 0, so d(d(e)) = 0 is checked with the
+    element-level differential on one seeded basis element e of each degree
+    n-1 (drawn without building the basis), and every dimension must be
+    >= 0."""
+    dims = []
+    for n in degrees:
+        size = cplx.dim(n - 1)
+        if size:
+            key = next(itertools.islice(cplx.iter_basis(n - 1), rng.randrange(size), None))
+            e = cplx.element(n - 1, {key: 1})
+            if not cplx.differential(cplx.differential(e)).is_zero():
+                raise VerificationError(f"d^2 != 0 out of degree {n - 1}")
+        dim = cplx.cohomology_dim(n)
+        if dim < 0:
+            raise VerificationError(f"negative cohomology dimension {dim} at degree {n}")
+        dims.append(dim)
+    return dims
+
+
 def cmd_dims(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
     check_decomposition_cost(G, cd, cfg.window)
     ctx = TransferContext(G, cfg.p, cd)
+    rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
-    per_class = [[cplx.cohomology(n).dim for n in degrees]
-                 for cplx in map(ctx.complex_for, cd.centralizers)]
+    # classes with the same centralizer share its complex: rank it and guard it once
+    complexes = [ctx.complex_for(H) for H in cd.centralizers]
+    dims = {C: checked_dims(C, degrees, rng) for C in dict.fromkeys(complexes)}
+    per_class = [dims[C] for C in complexes]
     totals = [sum(col) for col in zip(*per_class)] if per_class else []
 
     direct: Optional[Dict[str, int]] = None
     worst = max(dim_degree(G, d) for d in range(lo, hi + 1))
     if worst <= DIRECT_COLUMN_CAP:
-        dc = DComplex(G, cfg.p, (lo, hi))
-        direct = {}
-        for n in range(lo + 1, hi):
-            dim = dc.cohomology(n).dim
-            direct[str(n)] = dim
-            if dim != totals[n - lo]:
-                raise AssertionError(f"direct and decomposition dims disagree at degree {n}")
+        inner = range(lo + 1, hi)
+        direct = dict(zip(map(str, inner), checked_dims(DComplex(G, cfg.p, (lo, hi)), inner, rng)))
+        for n in inner:
+            if direct[str(n)] != totals[n - lo]:
+                raise VerificationError(f"direct and decomposition dims disagree at degree {n}")
     return {
         "config": _config_dict(cfg),
         "dims": {"degrees": degrees, "total": totals,
@@ -492,7 +519,7 @@ def cmd_tables(cfg: JobConfig, rng: Optional[random.Random] = None) -> Dict:
             if got != want:
                 spot["failed"] += 1
     if spot["failed"]:
-        raise AssertionError(f"direct-path spot check failed on {spot['failed']} products")
+        raise VerificationError(f"direct-path spot check failed on {spot['failed']} products")
 
     return {
         "config": _config_dict(cfg),

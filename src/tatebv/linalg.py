@@ -14,9 +14,10 @@ and quotient representatives are bit-identical across runs.
 * p = 2 and p = 3: the bitset echelon core ``_Bitsets`` (one Python-int
   bitset per vector at p = 2, a bit-sliced pair at p = 3), by rows for
   ``pivot_columns`` and ``rank`` of wide matrices (ncols > nrows), else
-  by columns.  A matrix with packed ``vectors`` (the coboundaries that
-  ``complexes`` builds from face maps) streams them straight in and
-  skips ``split``; its dict ``columns`` are built only on demand;
+  by columns.  A matrix with packed ``vectors`` or ``rows`` (the
+  differentials that ``complexes`` builds from face maps) streams them
+  straight into the pass that reads them and skips ``split``; its dict
+  ``columns`` are built only on demand;
 * 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on at most 4096 columns and 16M
   entries: numpy int32 reduced row echelon form, whose products of two
   residues cannot overflow.  numpy is imported on the first use of this
@@ -93,18 +94,23 @@ class SparseMatrix:
     ``columns`` is a list of dicts.  A matrix made with ``build`` computes
     it on first read.  ``vectors``, if given, is a zero-argument callable
     yielding the same columns in order as vectors of the p <= 3 bitset
-    core; elimination then streams them and never reads ``columns``."""
+    core; elimination by columns then streams them and never reads
+    ``columns``.  ``rows`` likewise yields the rows, in any order and each
+    up to sign, for the by-rows pivot search, which reads the row space
+    alone."""
 
-    __slots__ = ("nrows", "ncols", "p", "_columns", "_build", "vectors")
+    __slots__ = ("nrows", "ncols", "p", "_columns", "_build", "vectors", "rows")
 
     def __init__(self, nrows: int, ncols: int, p: int, build: Optional[Callable] = None,
-                 vectors: Optional[Callable[[], Iterable]] = None):
+                 vectors: Optional[Callable[[], Iterable]] = None,
+                 rows: Optional[Callable[[], Iterable]] = None):
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
         self._build = build
         self._columns: Optional[List[Dict[int, int]]] = None if build else [dict() for _ in range(ncols)]
         self.vectors = vectors
+        self.rows = rows
 
     @property
     def columns(self) -> List[Dict[int, int]]:
@@ -381,17 +387,9 @@ def _vectors(M: SparseMatrix, E) -> Iterable:
     return M.vectors() if M.vectors is not None else map(E.split, M.columns)
 
 
-def _dict_columns(M: SparseMatrix) -> Iterable[Dict[int, int]]:
-    """M's columns as dicts in order; a matrix with ``vectors`` is read
-    back from them, and nothing is stored."""
-    if M.vectors is None:
-        return M.columns
-    return map(_BITSETS[M.p]().entries, M.vectors())
-
-
 def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
     rows: List[Dict[int, int]] = [{} for _ in range(M.nrows)]
-    for j, col in enumerate(_dict_columns(M)):
+    for j, col in enumerate(M.columns):
         for i, x in col.items():
             rows[i][j] = x
     return rows
@@ -406,8 +404,9 @@ def _eliminate(M: SparseMatrix, track: bool):
     E = _engine(p)
     if p <= 3 and not track and M.ncols > M.nrows:
         # by rows: the lowest set columns of an echelon basis of M's row
-        # space are exactly M's leftmost-greedy independent columns
-        _feed(E, map(E.split, _rows(M)), False)
+        # space are exactly M's leftmost-greedy independent columns, so
+        # neither the order nor the signs of the rows matter
+        _feed(E, M.rows() if M.rows is not None else map(E.split, _rows(M)), False)
         return _bits(E.mask), None
     if not _dense_eligible(M):
         return _feed(E, _vectors(M, E), track)

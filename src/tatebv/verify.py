@@ -177,7 +177,7 @@ class S3Verifier:
         ck.add("dims decomposition path -4..3", dims_dec == [2, 1, 1, 2, 2, 1, 1, 2],
                str(dims_dec))
         dc = DComplex(ops.group, 3, (-4, 3))
-        dims_dir = [dc.cohomology(n).dim for n in range(-3, 3)]
+        dims_dir = [dc.cohomology_dim(n) for n in range(-3, 3)]
         ck.add("dims direct path -3..2", dims_dir == [1, 1, 2, 2, 1, 1], str(dims_dir))
 
         gen: Dict[str, DecClass] = {}

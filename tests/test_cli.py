@@ -164,6 +164,26 @@ def test_cost_cap_exit_code(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,check", [("dims", "dims disagree"), ("tables", "spot check")])
+def test_failed_consistency_check_exits_one(monkeypatch, capsys, command, check):
+    """A consistency check that fails (here the direct/decomposition
+    agreement of ``dims`` and the direct-path spot check of ``tables``)
+    is one stderr line and exit 1, with no traceback."""
+    from tatebv import harness
+    if command == "dims":
+        real = harness.DComplex.cohomology_dim
+        monkeypatch.setattr(harness.DComplex, "cohomology_dim", lambda self, n: real(self, n) + 1)
+    else:
+        # the spot check compares cups on the direct path: make them all zero
+        monkeypatch.setattr(harness, "cup", lambda a, b: a.complex.zero(a.degree + b.degree))
+    rc = main([command, "--group", "symmetric:3", "--char", "3", "--window", "-2..2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ") and check in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_selftest_and_verify_exit_zero(capsys):
     assert main(["selftest", "--group", "cyclic:3", "--char", "3", "--window", "-2..2",
                  "--seed", "5"]) == 0

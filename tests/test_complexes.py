@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 from tatebv import linalg
 from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
 from tatebv.decomposition import ConjComplex
-from tatebv.groups import conjugacy_classes, preset_group, trivial_subgroup, whole_group
-from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns
+from tatebv.groups import (conjugacy_classes, generated_subgroup, preset_group, trivial_subgroup,
+                           whole_group)
+from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns, rank
 from tatebv.verify import _MutatedDComplex
 
 
@@ -227,13 +229,50 @@ def test_face_built_columns_equal_template(group, top, p):
             assert pivot_columns(M) == pivot_columns(D)
 
 
+@pytest.mark.parametrize("group", [
+    ("symmetric", 3), ("dihedral", 4), ("quaternion8", 0), ("cyclic", 6), ("cyclic", 2),
+], ids=["S3", "D8", "Q8", "C6", "C2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_face_built_rows_are_transposed_coboundaries(group, p):
+    """At p <= 3 the boundary out of degree -n-2 streams its rows from the
+    coboundary out of n in the chain layout (``coboundary_vectors`` with
+    ``rows``).  For n = 0..3, on DComplex, ConjComplex and the GroupComplex
+    of the whole group, a proper subgroup (where G has one) and the trivial
+    subgroup, the rows equal the split rows of the dict template as a
+    multiset, up to one global sign, and rank and pivot_columns through
+    them equal those through the dict rows (up to 5000 columns: all but the
+    D-side degree -5 matrices of the groups of order 8, to keep the test
+    short)."""
+    G = preset_group(*group)
+    E = linalg._BITSETS[p]
+    proper = [H for g in G.nontrivial if (H := generated_subgroup(G, [g])).order < G.order][:1]
+    complexes = [DComplex(G, p, (-6, 0)), ConjComplex(G, p, (-6, 0)),
+                 *(GroupComplex(H, p) for H in (whole_group(G), *proper, trivial_subgroup(G)))]
+    for C in complexes:
+        for n in range(4):
+            M = C.matrix(-n - 2)
+            assert M.rows is not None and M.vectors is None
+            got = Counter(M.rows())
+            negated = Counter({(N, P): k for (P, N), k in got.items()}) if p == 3 else got
+            assert Counter(map(E.split, linalg._rows(M))) in (got, negated)
+            if M.ncols > 5000:
+                continue
+            D = SparseMatrix(M.nrows, M.ncols, p, build=lambda: M.columns)
+            assert D.rows is None
+            assert pivot_columns(M) == pivot_columns(D)
+            assert C.rank(-n - 2) == rank(D)
+
+
 def test_overridden_unsigned_terms_keeps_template(s3):
     """A subclass that overrides unsigned_terms gets its matrices from the
     override, not from the face tables: the selftest's mutated complex
-    carries its bogus +1 at row ((g1,), e) of every degree-0 column."""
+    carries its bogus +1 at row ((g1,), e) of every degree-0 column, and
+    streams no rows in negative degrees either."""
     M = _MutatedDComplex(s3, 3, (-2, 2)).matrix(0)
     ref = DComplex(s3, 3, (-2, 2)).matrix(0)
     assert M.vectors is None
+    assert all(_MutatedDComplex(s3, p, (-4, 0)).matrix(d).rows is None
+               for p in (2, 3) for d in (-4, -3, -2))
     for col, good in zip(M.columns, ref.columns):
         assert (col.get(0, 0) - good.get(0, 0)) % 3 == 1
         assert {i: x for i, x in col.items() if i} == {i: x for i, x in good.items() if i}
@@ -280,3 +319,30 @@ def test_differential_matches_per_key_template_sums(p):
                 got = C.differential(e, signed=signed)
                 assert got.degree == d + 1
                 assert got.coeffs == {t: x for t, x in ref.items() if x}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cohomology_dim_from_ranks_matches_quotient(s3, p):
+    """dim C^n - rank d_n - rank d_{n-1}, read on a fresh complex, equals
+    the dimension of the quotient that ``cohomology`` builds, on the
+    D-side complex and on the group side (whole group and a proper
+    subgroup), in both degree signs."""
+    make = [lambda: DComplex(s3, p, (-4, 3)), lambda: GroupComplex(whole_group(s3), p),
+            lambda: GroupComplex(generated_subgroup(s3, [1]), p)]
+    for new in make:
+        ranked, quotient = new(), new()
+        for n in range(-3, 3):
+            assert ranked.cohomology_dim(n) == quotient.cohomology(n).dim
+        assert not ranked._cohomology
+
+
+def test_rank_is_cached_on_the_complex(monkeypatch, s3):
+    """Each matrix is eliminated once per complex, however many degrees
+    read its rank."""
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda M, track: calls.append(M) or real(M, track))
+    C = GroupComplex(whole_group(s3), 2)
+    dims = [C.cohomology_dim(n) for n in range(-3, 4)] + [C.cohomology_dim(n) for n in range(-3, 4)]
+    assert dims[:7] == dims[7:]
+    assert len(calls) == len({id(M) for M in calls}) == 8

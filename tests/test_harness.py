@@ -1,16 +1,19 @@
 import copy
+import hashlib
+import json
 import random
 
 import pytest
 
-from tatebv import bv, harness
+from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
 from tatebv.complexes import GroupComplex, WindowError
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import preset_group, whole_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, IdentityZeroCertifier,
-                            JobConfig, check_decomposition_cost, check_direct_cost,
-                            cmd_dims, make_group)
+                            JobConfig, VerificationError, check_decomposition_cost,
+                            check_direct_cost, checked_dims, cmd_dims, make_group)
+from tatebv.verify import _MutatedDComplex
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,45 @@ def test_klein_four_dims():
 def test_quaternion_dims():
     d = cmd_dims(JobConfig(group="quaternion8", p=2, window=(-1, 1), seed=0))
     assert d["dims"]["total"] == [5, 5, 7]
+
+
+# SHA-256 of the CLI JSON of dims without provenance, as QuotientSpace dimensions
+# gave it; the D8, Q8 and S3 p = 5 digests are those of tests/test_golden.py
+RANK_ONLY_DIMS = [
+    ("dihedral:4", 2, (-2, 2), "92929537dde276d1188cacecc96a9e881043015205218a338027eb4e738a7954"),
+    ("quaternion8", 2, (-3, 3), "930e2b7165d552e2722ff45fea97d7225c0d15746dddfafa6957f328c88ed70a"),
+    ("symmetric:4", 2, (-2, 2), "5c4cd9f59e9ec981b7637d43d6a5fba5ea47dc552b477ac178984473fa73e3e1"),
+    ("symmetric:3", 3, (-4, 4), "ca218ba1b76df0d0be66687418a440e931e786643fdd8060982b2682b1c7ebf3"),
+    ("symmetric:3", 5, (-3, 3), "7b47285c6feff3dc4424312c0fb574775e283897c33988b9f0bb0720201fdd67"),
+]
+
+
+@pytest.mark.parametrize("group,p,window,digest", RANK_ONLY_DIMS,
+                         ids=[f"{g}-p{p}" for g, p, _, _ in RANK_ONLY_DIMS])
+def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, digest):
+    def no_quotient(*args):
+        raise AssertionError("dims built a QuotientSpace")
+
+    monkeypatch.setattr(linalg.QuotientSpace, "__init__", no_quotient)
+    data = cmd_dims(JobConfig(group=group, p=p, window=window, fmt="json"))
+    data.pop("provenance")
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dims_guard_catches_broken_differential(s3, p):
+    """The rank formula silently gives wrong, non-negative dimensions on a
+    complex whose differential breaks d^2 = 0 (the selftest's mutated
+    complex); the seeded d(d(e)) check refuses it."""
+    window = (-4, 3)
+    degrees = range(-3, 3)
+    wrong = [_MutatedDComplex(s3, p, window).cohomology_dim(n) for n in degrees]
+    assert min(wrong) >= 0
+    assert wrong != [harness.DComplex(s3, p, window).cohomology_dim(n) for n in degrees]
+    with pytest.raises(VerificationError, match=r"d\^2 != 0"):
+        checked_dims(_MutatedDComplex(s3, p, window), degrees, random.Random(0))
+    assert checked_dims(harness.DComplex(s3, p, window), degrees, random.Random(0)) == [
+        harness.DComplex(s3, p, window).cohomology(n).dim for n in degrees]
 
 
 def test_group_complex_window_enforcement(s3):

@@ -251,9 +251,10 @@ def test_engine_rule():
 
 def test_engine_shape_rule(monkeypatch):
     """pivot_columns and rank go by rows exactly for wide matrices
-    (ncols > nrows) at p <= 3; kernels, tall and square matrices go by
-    columns there.  p >= 5 takes no bitset path: numpy where it is
-    eligible, else the feed loop on a ColumnReducer."""
+    (ncols > nrows) at p <= 3, streaming a matrix's ``rows`` where it has
+    them and transposing its dict columns otherwise; kernels, tall and
+    square matrices go by columns there.  p >= 5 takes no bitset path:
+    numpy where it is eligible, else the feed loop on a ColumnReducer."""
     calls = []
     rows, feed = linalg._rows, linalg._feed
 
@@ -275,9 +276,12 @@ def test_engine_shape_rule(monkeypatch):
 
     for p, engine in ((2, "_GF2"), (3, "_GF3")):
         wide, tall, square = SparseMatrix(3, 5, p), SparseMatrix(5, 3, p), SparseMatrix(4, 4, p)
+        streamed = SparseMatrix(3, 5, p, rows=lambda: iter([linalg._BITSETS[p].unit(4)]))
         for f in (pivot_columns, rank):
             assert paths(wide, f) == ["_rows", engine]
+            assert paths(streamed, f) == [engine]
             assert paths(tall, f) == paths(square, f) == [engine]
+        assert pivot_columns(streamed) == [4]
         for M in (wide, tall, square):
             assert paths(M, kernel_basis) == [engine]
     for p, engine in ((5, []), (65537, ["ColumnReducer"])):
