@@ -8,6 +8,7 @@ every derived object is reproducible.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -301,6 +302,22 @@ def generated_subgroup(G: Group, gens: Sequence[int]) -> Subgroup:
                     nxt.append(c)
         frontier = nxt
     return Subgroup(G, tuple(sorted(mem)))
+
+
+def sylow_subgroup(H: Subgroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup of H, grown from the trivial group: adjoin the
+    first member g of H for which <Q, g> is still a p-group, until |Q| is
+    the p-part of |H|.  It cannot stall below that, since N_S(Q) > Q for a
+    Sylow S containing a p-subgroup Q < S."""
+    part = math.gcd(H.order, p ** H.order)
+    Q = trivial_subgroup(H.parent)
+    while Q.order < part:
+        for g in H.members:
+            R = generated_subgroup(H.parent, Q.members + (g,))
+            if R.order > Q.order and part % R.order == 0:
+                Q = R
+                break
+    return Q
 
 
 def conjugate_subgroup(G: Group, g: int, H: Subgroup) -> Subgroup:

@@ -5,9 +5,9 @@ vectors over the per-conjugacy-class centralizer Tate cohomologies.  Cup
 products are evaluated with the double-coset formula, the BV operator by
 the transferred formulas on each centralizer complex (delta_tilde in
 degrees >= 1, the signed Connes rotation b_tilde in degrees <= -1), and
-the Lie bracket from those two.  Identity-component classes outside the
-coordinatized range are kept as representative cocycles and decided by a
-degree-shifting zero certificate.
+the Lie bracket from those two.  Components outside the coordinatized
+range are kept as representative cocycles, and one is zero exactly when its
+restriction to a Sylow p-subgroup of its centralizer is.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bv import CohClass, class_of, cup
-from .complexes import (DComplex, GroupComplex, GroupTateElement, TateElement,
-                        dim_degree, sign_pow)
+from .complexes import DComplex, GroupComplex, GroupTateElement, dim_degree, sign_pow
 from .decomposition import ClassDecomposition
-from .groups import (ConjugacyData, Group, GroupError, conjugacy_classes,
+from .groups import (ConjugacyData, Group, GroupError, Subgroup, conjugacy_classes,
                      group_from_mult_table, group_from_permutations, parse_cycles,
-                     preset_group)
+                     preset_group, sylow_subgroup)
 from .transfer import TransferContext
 
 DIRECT_COLUMN_CAP = 200_000
@@ -153,8 +152,8 @@ class DecOps:
         self.dec = ClassDecomposition(self.dc, self.cd,
                                       lambda sub: self.ctx.complex_for(sub))
         self.coord_cap = coord_cap or {}
-        self.zero_certifier = None  # optional hook for out-of-range identity parts
         self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
+        self._sylows: Dict[int, Subgroup] = {}
 
     def space(self, cls: int, n: int):
         return self.ctx.complex_for(self.cd.centralizers[cls]).cohomology(n)
@@ -276,70 +275,26 @@ class DecOps:
         return self.scale(inner, -sign_pow((da - 1) * db))
 
     def is_zero(self, A: DecClass) -> bool:
+        """A representative entry v of class k is decided on a Sylow
+        p-subgroup P of C = C_G(x_k): cor o res is multiplication by the unit
+        [C:P] in every Tate degree, so [v] = 0 exactly when [res v] = 0 on P
+        (Brown III.9-10, VI.5; Cartan-Eilenberg XII.8-10).  project refuses a
+        res v with d(res v) != 0.  If P = 1, Tate cohomology of C vanishes."""
         for cls, (tag, val) in A.parts.items():
             if tag == "c":
                 if any(val):
                     return False
-            else:
-                if cls == 0 and self.zero_certifier is not None:
-                    if not self.zero_certifier(val):
-                        return False
-                elif self.in_range(cls, A.degree):
-                    if any(self.space(cls, A.degree).project(val)):
-                        return False
-                else:
-                    raise ValueError(f"cannot decide zero-ness of class component {cls} "
-                                     f"at degree {A.degree}")
+                continue
+            if cls not in self._sylows:
+                self._sylows[cls] = sylow_subgroup(self.cd.centralizers[cls], self.p)
+            P = self._sylows[cls]
+            if P.order > 1 and any(self.ctx.complex_for(P).cohomology(A.degree).project(
+                    self.ctx.restrict_element(P, val))):
+                return False
         return True
 
     def eq(self, A: DecClass, B: DecClass) -> bool:
         return self.is_zero(self.sub(A, B))
-
-
-class IdentityZeroCertifier:
-    """Decides [v] = 0 for identity-component cocycles of the ambient complex.
-
-    Inside the coordinatized range the class is projected through the
-    deformation retract.  Outside, the element is cup-multiplied with a
-    fixed pair of mutually inverse classes (degrees +4/-4 for S3) to shift
-    into range; soundness of the shift rests on z * z^-1 = 1 (checked here
-    with an explicit projection) and associativity of the cup product on
-    cohomology, which the randomized identity suites exercise separately.
-    """
-
-    def __init__(self, ops: DecOps, up_class: CohClass, down_class: CohClass, base: int = 4):
-        self.ops = ops
-        self.base = base
-        dec = ops.dec
-        self.up = dec.retract_up(0, up_class.space.lift(list(up_class.coords)))
-        self.down = dec.retract_up(0, down_class.space.lift(list(down_class.coords)))
-        dc = ops.dc
-        if not dc.differential(self.up).is_zero() or not dc.differential(self.down).is_zero():
-            raise AssertionError("shift representatives are not cocycles")
-        unit_coords = list(ops.unit().parts[0][1])
-        for a, b in ((self.up, self.down), (self.down, self.up)):
-            prod = cup(a, b)
-            coords = ops.space(0, 0).project(dec.retract_down(prod)[0])
-            # inverse up to a unit scalar: the product class must span the unit line
-            scalars = {(c * pow(u, ops.p - 2, ops.p)) % ops.p if u else None
-                       for c, u in zip(coords, unit_coords)}
-            scalars.discard(None)
-            if len(scalars) != 1 or 0 in scalars or any(
-                    c for c, u in zip(coords, unit_coords) if not u):
-                raise AssertionError("shift classes are not invertible against the unit")
-
-    def certify_elem(self, v: TateElement) -> bool:
-        d = v.degree
-        if abs(d) <= self.base:
-            g = self.ops.dec.retract_down(v).get(0)
-            if g is None:
-                return True
-            return not any(self.ops.space(0, d).project(g))
-        shifted = cup(self.down, v) if d > 0 else cup(self.up, v)
-        return self.certify_elem(shifted)
-
-    def __call__(self, gelem: GroupTateElement) -> bool:
-        return self.certify_elem(self.ops.dec.retract_up(0, gelem))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
 from .complexes import DComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition
 from .groups import Group, conjugacy_classes, preset_group, whole_group
-from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, IdentityZeroCertifier,
-                      JobConfig, _config_dict, _provenance, check_dec_window, make_group)
+from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig,
+                      _config_dict, _provenance, check_dec_window, make_group)
 from .linalg import kernel_basis
 from .transfer import TransferContext
 
@@ -193,10 +193,6 @@ class S3Verifier:
         gen["C"] = ops.add(gen["E1"], gen["E2"])
         self.gen = gen
 
-        ops.zero_certifier = IdentityZeroCertifier(
-            ops, class_of(self.cg.cohomology(4), self.cg.cohomology(4).representative(0)),
-            class_of(self.cg.cohomology(-4), self.cg.cohomology(-4).representative(0)))
-
         vals = self._values()
         self._phase_a(vals)
         scalars, first_violation = self._phase_b(vals)
@@ -363,6 +359,8 @@ def cmd_verify_s3(cfg: JobConfig) -> Dict:
     check_dec_window(cfg.window)
     if cfg.p != 3:
         raise ConfigError("the flagship suite requires characteristic 3")
+    if make_group(cfg.group).mult != preset_group("symmetric", 3).mult:
+        raise ConfigError(f"the flagship suite runs on symmetric:3, not {cfg.group}")
     report = S3Verifier().run()
     report["config"] = _config_dict(cfg)
     report["provenance"] = _provenance(cfg)

@@ -250,12 +250,18 @@ def test_tables_c2_f2_structure():
             assert val == {}
 
 
-def test_verify_s3_text_output(capsys):
+def test_verify_s3_text_output(monkeypatch, capsys):
     rc = main(["verify-s3", "--group", "symmetric:3", "--char", "3",
                "--window", "-4..3"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "result: PASS" in out
     assert "DIFFERS from source" in out
+
+    def no_elimination(*args):
+        raise AssertionError("elimination ran before the job was refused")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
     assert main(["verify-s3", "--char", "5", "--window", "-4..3"]) == 2
+    assert main(["verify-s3", "--group", "dihedral:4", "--char", "3", "--window", "-4..3"]) == 2
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from tatebv.groups import (GroupError, Subgroup, class_rep_and_witness,
                            conjugacy_classes, conjugate_subgroup, double_cosets,
                            generated_subgroup, group_from_mult_table,
                            group_from_permutations, intersect_subgroups, parse_cycles,
-                           preset_group, right_coset_system, trivial_subgroup,
-                           whole_group)
+                           preset_group, right_coset_system, sylow_subgroup,
+                           trivial_subgroup, whole_group)
+from tatebv.harness import make_group
 
 
 def test_trivial_group():
@@ -245,3 +247,28 @@ def test_subgroup_ops(s3):
     assert conjugate_subgroup(s3, 0, H).members == H.members
     assert intersect_subgroups(H, G).members == H.members
     assert conjugate_subgroup(s3, 3, H).members == H.members  # <a> is normal
+
+
+A4 = "perms:(0 1 2),(0 1)(2 3)"
+SYLOW_PAIRS = [("symmetric:3", 2), ("symmetric:3", 3), ("symmetric:3", 5),
+               ("symmetric:4", 2), ("symmetric:4", 3), ("dihedral:4", 2), ("quaternion8", 2),
+               ("dihedral:5", 2), ("dihedral:6", 2), ("dihedral:5", 5), ("dihedral:6", 3),
+               ("cyclic:6", 2), ("cyclic:6", 3), (A4, 2), (A4, 3)]
+
+
+@pytest.mark.parametrize("spec,p", SYLOW_PAIRS,
+                         ids=[f"{'A4' if spec == A4 else spec}-p{p}" for spec, p in SYLOW_PAIRS])
+def test_sylow_subgroup_of_each_centralizer(spec, p):
+    G = make_group(spec)
+    for H in conjugacy_classes(G).centralizers:
+        P = sylow_subgroup(H, p)
+        assert P.order == math.gcd(H.order, p ** H.order)  # the p-part of |H|
+        assert P.member_set <= H.member_set
+        for g in P.members:
+            order, power = 1, g
+            while power:
+                order, power = order + 1, G.mult[power][g]
+            while order % p == 0:
+                order //= p
+            assert order == 1, (G.label(g), p)
+

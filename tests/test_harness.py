@@ -10,35 +10,32 @@ from tatebv.bv import bv_operator, class_of
 from tatebv.complexes import GroupComplex, WindowError
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import preset_group, whole_group
-from tatebv.harness import (CostCapError, DecClass, DecOps, IdentityZeroCertifier,
-                            JobConfig, VerificationError, check_decomposition_cost,
-                            check_direct_cost, checked_dims, cmd_dims, make_group)
+from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
+                            check_decomposition_cost, check_direct_cost, checked_dims,
+                            cmd_dims, make_group)
 from tatebv.verify import _MutatedDComplex
 
 
 @pytest.fixture(scope="module")
-def s3_ops():
-    G = preset_group("symmetric", 3)
-    ops = DecOps(G, 3, coord_cap={0: 4})
-    cg = ops.ctx.complex_for(whole_group(G))
-    ops.zero_certifier = IdentityZeroCertifier(
-        ops, class_of(cg.cohomology(4), cg.cohomology(4).representative(0)),
-        class_of(cg.cohomology(-4), cg.cohomology(-4).representative(0)))
-    ops._cg = cg
+def s3_ops(shared_ops):
+    ops = copy.copy(shared_ops("symmetric:3", 3))  # the same spaces and lifts, another cap
+    ops.coord_cap = {0: 4}
     return ops
 
 
 def _gen(ops, n):
-    sp = ops._cg.cohomology(n)
+    sp = ops.space(0, n)
     return ops.from_class(0, class_of(sp, sp.representative(0)))
 
 
-def test_certifier_rejects_nonzero_high_degree_classes(s3_ops):
+def test_is_zero_rejects_nonzero_out_of_range_classes(s3_ops):
     ops = s3_ops
     x, z, zi = _gen(ops, 3), _gen(ops, 4), _gen(ops, -4)
-    assert not ops.is_zero(ops.cup(x, z))      # degree 7
-    assert not ops.is_zero(ops.cup(z, z))      # degree 8
-    assert not ops.is_zero(ops.cup(zi, zi))    # degree -8
+    assert not ops.is_zero(ops.cup(x, z))                 # degree 7
+    assert not ops.is_zero(ops.cup(z, z))                 # degree 8
+    assert not ops.is_zero(ops.cup(zi, zi))               # degree -8
+    assert not ops.is_zero(ops.cup(ops.cup(x, z), z))     # degree 11
+    assert not ops.is_zero(ops.cup(ops.cup(zi, zi), x))   # degree -5
     xz = ops.cup(x, z)
     assert ops.is_zero(ops.sub(xz, xz))
     assert ops.eq(xz, xz)
@@ -50,6 +47,44 @@ def test_decclass_arithmetic(s3_ops):
     two_x = ops.add(x, x)
     assert ops.eq(two_x, ops.scale(x, 2))
     assert ops.is_zero(ops.add(two_x, x))  # 3x = 0 over F3
+
+
+DECIDER_CASES = [("symmetric:3", 3, 3), ("symmetric:3", 2, 3), ("symmetric:4", 2, 2),
+                 ("dihedral:5", 5, 2), ("perms:(0 1 2),(0 1)(2 3)", 3, 3), ("cyclic:6", 3, 3),
+                 ("dihedral:6", 2, 2)]
+
+
+@pytest.mark.parametrize("group,p,m", DECIDER_CASES,
+                         ids=[f"{'A4' if g.startswith('perms') else g}-p{p}"
+                              for g, p, _ in DECIDER_CASES])
+def test_is_zero_on_sylow_matches_projection(shared_ops, group, p, m):
+    """With coord_cap 0 for every class, each entry in a nonzero degree is a
+    representative.  For v = lift(coords) + d(random element), deciding v on
+    a Sylow subgroup of the centralizer (P < C, P = C and P = 1 all occur)
+    says zero exactly when coords are all zero."""
+    ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another cap
+    ops.coord_cap = dict.fromkeys(range(ops.cd.num_classes), 0)
+    rng = random.Random(16)
+    for cls, C in enumerate(ops.cd.centralizers):
+        cplx = ops.ctx.complex_for(C)
+        for d in range(-m, m + 1):
+            if d == 0:
+                continue
+            dim, below = ops.cls_dim(cls, d), cplx.basis(d - 1)
+            for coords in [[0] * dim] + [[rng.randrange(p) for _ in range(dim)] for _ in range(3)]:
+                noise = cplx.element(d - 1, {T: rng.randrange(p)
+                                             for T in rng.sample(below, min(4, len(below)))})
+                v = ops.space(cls, d).lift(coords).add(cplx.differential(noise))
+                A = DecClass(d, {cls: ("r", v)})
+                assert ops.is_zero(A) == (not any(coords)), (cls, d, coords)
+
+
+def test_is_zero_refuses_a_non_cocycle_on_the_sylow_subgroup(s3_plain_ops):
+    ops = s3_plain_ops
+    for cls in (0, 1):  # P = C3 inside C = S3, and P = C = C3
+        v = ops.ctx.complex_for(ops.cd.centralizers[cls]).element(5, {(1,) * 5: 1})
+        with pytest.raises(ValueError):
+            ops.is_zero(DecClass(5, {cls: ("r", v)}))
 
 
 def test_cost_caps():
