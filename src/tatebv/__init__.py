@@ -15,7 +15,7 @@ from .complexes import (CohomologySpace, DComplex, GroupComplex, GroupTateElemen
                         TateElement, WindowError, class_of_index, dim_degree)
 from .bv import (CohClass, bv_operator, class_of, connes_b, cup, induced_cup,
                  induced_delta, lie_bracket, m3, pairing, signed_anticommutator)
-from .decomposition import ClassDecomposition, ConjComplex, assemble_retract, global_rho, global_rho_inv
+from .decomposition import ClassDecomposition, b_tilde, delta_tilde
 from .transfer import SubgroupClass, TransferContext
 
 __version__ = "0.1.0"

@@ -18,17 +18,21 @@ coboundary on non-negative degrees and (-1)^d times the unsigned map out
 of degree d < 0 (so -trace out of degree -1).
 
 The key-level templates (``d_coboundary_terms`` and friends) define the
-differential of elements and the dict columns of every matrix.  Each adds c times one key's terms into a dict that the caller
-passes, so ``differential`` sums every key into one dict.  Like every
-chain-level map, the templates leave sums unreduced and zeros in place:
-``element`` reduces mod p and drops zeros once.  At p = 2 and p = 3 the
-matrix out of a degree d >= 0 streams its columns into elimination as
-bitsets from face-map tables (``coboundary_vectors``), and the matrix out
-of a degree d <= -2 its rows, since the boundary out of -n-2 is, up to
-sign, the transpose of the coboundary out of n under the key map (g0,
-tail) <-> (tail, g0^-1), given transposed end-term tables.  A subclass that overrides ``unsigned_terms``
-gets neither.  ``cohomology_dim`` needs only ranks, each eliminated once
-and kept on the complex; ``cohomology`` builds a ``QuotientSpace``.
+differential of elements and the dict columns of every matrix.  Each adds
+c times one key's terms into a dict that the caller passes, so
+``differential`` sums every key into one dict.  Like every chain-level
+map, the templates leave sums unreduced and zeros in place: ``element``
+reduces mod p and drops zeros once.  The D side has one coefficient
+bimodule, kG, so both of its end terms act by G.mult.
+
+At p = 2 and p = 3 the matrix out of a degree d >= 0 streams its columns
+into elimination as bitsets from face-map tables (``coboundary_vectors``),
+and the matrix out of a degree d <= -2 its rows, since the boundary out of
+-n-2 is, up to sign, the transpose of the coboundary out of n under the
+key map (g0, tail) <-> (tail, g0^-1).  A subclass that overrides
+``unsigned_terms`` gets neither.  ``cohomology_dim`` needs only ranks,
+each eliminated once and kept on the complex; ``cohomology`` builds a
+``QuotientSpace``.
 """
 
 from __future__ import annotations
@@ -64,23 +68,20 @@ def dim_degree(G: Group, d: int) -> int:
     return G.order * (G.order - 1) ** s
 
 
-# The D-side differentials below take their end-term actions as tables:
-# left[a][h] is a acting on the value h from the head slot, right[h][b] is b
-# acting on it from the tail slot.  Both are G.mult for kG as a bimodule.
-
-def d_coboundary_terms(G: Group, key: Key, m: int, left, right, out: Dict, c: int) -> Dict:
+def d_coboundary_terms(G: Group, key: Key, m: int, out: Dict, c: int) -> Dict:
     """Adds c times the unsigned coboundary of a degree-m basis cochain
     (m >= 0) into out."""
     args, h = key
+    mult = G.mult
     for a in G.nontrivial:
-        _acc(out, ((a,) + args, left[a][h]), c)
+        _acc(out, ((a,) + args, mult[a][h]), c)
     for i in range(1, m + 1):
         c = -c
         pre, post = args[: i - 1], args[i:]
         for uv in G.splits[args[i - 1]]:
             _acc(out, (pre + uv + post, h), c)
     for b in G.nontrivial:
-        _acc(out, (args + (b,), right[h][b]), -c)
+        _acc(out, (args + (b,), mult[h][b]), -c)
     return out
 
 
@@ -102,12 +103,16 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
     the sign (-1)^i; faces may meet on a row, so they are added in the
     field, not merged.
 
-    ``rows`` reads the vectors in the layout of the chain keys (h^-1,
-    args) of degree -n-2, h at offset inv(h)*q^(n+1) and tail unit 1: then
-    the vector of (args, h) is the row of (h^-1, args) in the unsigned
-    boundary out of -n-2, face by face and sign by sign (merging slots i
-    and i+1 there is splitting slot i here), given the end-term tables of
-    ``DComplex.coboundary_faces(rows=True)``."""
+    ``left[a][h]`` and ``right[h][b]`` are the values a and b give h from
+    the head and tail slots: G.mult for kG, the value 0 unmoved for
+    trivial coefficients (V = 1).  ``rows`` reads the vectors in the
+    layout of the chain keys (h^-1, args) of degree -n-2, h at offset
+    inv(h)*q^(n+1) and tail unit 1: then the vector of (args, h) is the
+    row of (h^-1, args) in the unsigned boundary out of -n-2, face by face
+    and sign by sign (merging slots i and i+1 there is splitting slot i
+    here).  That needs the end-term tables transposed, L[a][h] = x^-1
+    where right[x][a] = h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1,
+    and both kinds of table are their own transposes."""
     q = len(nontrivial)
     pos = {a: i for i, a in enumerate(nontrivial)}
     mult, inv = G.mult, G.inv
@@ -151,17 +156,18 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
                 yield (mN | F) ^ x, mP ^ x
 
 
-def d_boundary_terms(G: Group, key: Key, s: int, left, right, out: Dict, c: int) -> Dict:
+def d_boundary_terms(G: Group, key: Key, s: int, out: Dict, c: int) -> Dict:
     """Adds c times the unsigned boundary of a degree -s-1 basis chain
     (s >= 1) into out."""
     g0, tail = key
-    _acc(out, (right[g0][tail[0]], tail[1:]), c)
+    mult = G.mult
+    _acc(out, (mult[g0][tail[0]], tail[1:]), c)
     for i in range(1, s):
         c = -c
-        w = G.mult[tail[i - 1]][tail[i]]
+        w = mult[tail[i - 1]][tail[i]]
         if w:
             _acc(out, (g0, tail[: i - 1] + (w,) + tail[i + 1:]), c)
-    _acc(out, (left[tail[-1]][g0], tail[:-1]), -c)
+    _acc(out, (mult[tail[-1]][g0], tail[:-1]), -c)
     return out
 
 
@@ -308,10 +314,6 @@ class CohomologySpace:
     def representative(self, i: int):
         return self.lift([1 if j == i else 0 for j in range(self.dim)])
 
-    @property
-    def representatives(self):
-        return [self.representative(i) for i in range(self.dim)]
-
     def project(self, elem) -> List[int]:
         """Coordinates of a cocycle's class; raises ValueError if not a cocycle."""
         if elem.degree != self.degree:
@@ -419,7 +421,7 @@ class _BaseComplex:
             return self._matrix[d]
         vectors = rows = None
         if self._face_built() and d != -1:
-            faces = self.coboundary_faces(rows=d < 0)
+            faces = self.coboundary_faces()
             if d >= 0:
                 vectors = lambda: coboundary_vectors(*faces, d, self.p)
             else:
@@ -473,7 +475,6 @@ class DComplex(_BaseComplex):
         self.group = group
         self.lo = lo
         self.hi = hi
-        self.left = self.right = group.mult
 
     def check_degree(self, d: int) -> None:
         if not (self.lo <= d <= self.hi):
@@ -496,26 +497,16 @@ class DComplex(_BaseComplex):
 
     def unsigned_terms(self, key: Key, d: int, out: Dict, c: int) -> Dict:
         if d >= 0:
-            return d_coboundary_terms(self.group, key, d, self.left, self.right, out, c)
+            return d_coboundary_terms(self.group, key, d, out, c)
         if d == -1:
             return d_trace_terms(self.group, key, out, c)
-        return d_boundary_terms(self.group, key, -d - 1, self.left, self.right, out, c)
+        return d_boundary_terms(self.group, key, -d - 1, out, c)
 
-    def coboundary_faces(self, rows: bool = False):
-        """The arguments of ``coboundary_vectors`` before the degree.  For
-        ``rows`` the end-term tables are transposed, L[a][h] = x^-1 where
-        right[x][a] = h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1, so
-        that the end faces meet those of ``d_boundary_terms``; for kG as a
-        bimodule both are G.mult again."""
+    def coboundary_faces(self):
+        """The arguments of ``coboundary_vectors`` before the degree, in
+        either layout: kG acts on both ends by G.mult."""
         G = self.group
-        left, right = self.left, self.right
-        if rows:
-            inv, r = G.inv, range(G.order)
-            left, right = [[0] * G.order for _ in r], [[0] * G.order for _ in r]
-            for x in r:
-                for a in r:
-                    left[a][inv[self.right[x][a]]] = right[inv[self.left[a][x]]][a] = inv[x]
-        return G, G.nontrivial, G.order, left, right
+        return G, G.nontrivial, G.order, G.mult, G.mult
 
     def cohomology(self, n: int) -> CohomologySpace:
         if not (self.lo < n < self.hi):
@@ -560,7 +551,7 @@ class GroupComplex(_BaseComplex):
             return out
         return group_boundary_terms(G, key, -d - 1, out, c)
 
-    def coboundary_faces(self, rows: bool = False):
+    def coboundary_faces(self):
         """The arguments of ``coboundary_vectors`` before the degree: one
         value (V = 1) that both end terms leave fixed, in either layout."""
         G = self.subgroup.parent

@@ -9,10 +9,9 @@ x_i = gamma_i^-1 x gamma_i), this module realizes:
   complex of the centralizer (both cochain and chain families), together
   with the explicit homotopies making them deformation retracts,
 * the assembled retract on the whole complex,
-* the transferred BV operators on the centralizer complexes, by which
-  DecOps computes the BV operator,
-* the isomorphism with the Tate cochain complex of G in the conjugation
-  coefficient module (a cross-check model, not a computation path).
+* the transferred BV operators ``delta_tilde`` and ``b_tilde``, module
+  functions that need only x and an element of the centralizer complex:
+  DecOps computes the BV operator with them and builds no D-complex.
 
 All maps are implemented as pushforwards on basis keys: each basis element
 of the source contributes finitely many basis elements of the target, with
@@ -26,29 +25,23 @@ CosetSystem.thread.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import (DComplex, GroupComplex, GroupTateElement, Key, TateElement,
                         _acc, class_of_index)
-from .groups import ConjugacyData, CosetSystem, Group, right_coset_system
+from .groups import ConjugacyData, CosetSystem, right_coset_system
 
 
 class ClassDecomposition:
     """Per-class bookkeeping for one group/field pair."""
 
-    def __init__(self, dcomplex: DComplex, cd: ConjugacyData, complex_provider=None):
+    def __init__(self, dcomplex: DComplex, cd: ConjugacyData):
         self.dcomplex = dcomplex
         self.cd = cd
         self.group = dcomplex.group
         self.p = dcomplex.p
         G = self.group
-        if complex_provider is None:
-            cache: Dict[Tuple[int, ...], GroupComplex] = {}
-
-            def complex_provider(sub):
-                if sub.members not in cache:
-                    cache[sub.members] = GroupComplex(sub, self.p)
-                return cache[sub.members]
+        shared: Dict[Tuple[int, ...], GroupComplex] = {}  # one complex per centralizer
         self.cosets: List[CosetSystem] = []
         self.complexes: List[GroupComplex] = []
         self.twisted: List[Tuple[int, ...]] = []  # x_i = gamma_i^-1 x gamma_i per class
@@ -59,7 +52,9 @@ class ClassDecomposition:
             cs = right_coset_system(cent)
             xs = tuple(G.conj(G.inv[g], x) for g in cs.gamma)
             self.cosets.append(cs)
-            self.complexes.append(complex_provider(cent))
+            if cent.members not in shared:
+                shared[cent.members] = GroupComplex(cent, self.p)
+            self.complexes.append(shared[cent.members])
             self.twisted.append(xs)
             self.coset_of_twisted.append({u: i for i, u in enumerate(xs)})
             self.gamma_index.append({g: i for i, g in enumerate(cs.gamma)})
@@ -244,99 +239,48 @@ class ClassDecomposition:
                 out = out.add(piece)
         return out
 
-    # -- transferred BV operators ---------------------------------------------
-
-    def delta_tilde(self, cls: int, gelem: GroupTateElement) -> GroupTateElement:
-        """The BV operator transferred to the centralizer cochain complex.
-
-        T rotates at a cut iff T[cut] = (x prod(h))^-1, h = T[cut+1:] + T[:cut].
-        With ab = prod(T[:cut+1]), prod(h) T[cut] = (ab)^-1 prod(T) ab and ab
-        commutes with x, so that test is prod(T) = x^-1 at every cut."""
-        n = gelem.degree
-        if n < 1:
-            raise ValueError("delta_tilde needs degree >= 1")
-        G = self.group
-        x_inv = G.inv[self.cd.reps[cls]]
-        out: Dict[Key, int] = {}
-        for T, c in gelem.coeffs.items():
-            if G.prod(T) != x_inv:
-                continue
-            for i in range(1, n + 1):
-                cut = n - i
-                _acc(out, T[cut + 1:] + T[:cut], c if (i * (n - 1)) % 2 == 0 else -c)
-        return self.complexes[cls].element(n - 1, out)
-
-    def b_tilde(self, cls: int, gelem: GroupTateElement) -> GroupTateElement:
-        """Connes' operator transferred to the centralizer chain complex."""
-        d = gelem.degree
-        if d > -1:
-            raise ValueError("b_tilde needs degree <= -1")
-        G = self.group
-        x = self.cd.reps[cls]
-        out: Dict[Key, int] = {}
-        for T, c in gelem.coeffs.items():
-            s = len(T)
-            ins = G.mult[G.inv[G.prod(T)]][x]
-            if ins == 0:
-                continue
-            for i in range(s + 1):
-                if i == 0:
-                    tup = (ins,) + T
-                else:
-                    tup = T[i - 1:] + (ins,) + T[: i - 1]
-                _acc(out, tup, c if (i * s) % 2 == 0 else -c)
-        return self.complexes[cls].element(d - 1, out)
-
-
-def assemble_retract(group: Group, p: int, window: Tuple[int, int],
-                     cd: Optional[ConjugacyData] = None) -> ClassDecomposition:
-    from .groups import conjugacy_classes
-    if cd is None:
-        cd = conjugacy_classes(group)
-    return ClassDecomposition(DComplex(group, p, window), cd)
-
 
 # ---------------------------------------------------------------------------
-# the conjugation-coefficient model (cross-check only)
+# transferred BV operators: the result lives on the argument's complex, the
+# Tate complex of C_G(x)
 
-class ConjComplex(DComplex):
-    """Tate cochain complex of G with coefficients in kG under conjugation.
+def delta_tilde(x: int, gelem: GroupTateElement) -> GroupTateElement:
+    """The BV operator transferred to the centralizer cochain complex.
 
-    Shares basis keys and the differential template with the D-side
-    complex; only the end-term actions differ.  The head slot acts by
-    conjugation, left[a][h] = a h a^-1, and the tail slot trivially,
-    right[x][y] = x: in negative degrees the identification transported
-    through the global isomorphism leaves the head alone in the leading term
-    and conjugates it by the last slot in the trailing term.
-    """
-
-    def __init__(self, group: Group, p: int, window: Tuple[int, int]):
-        super().__init__(group, p, window)
-        elems = range(group.order)
-        self.left = tuple(tuple(group.conj(a, h) for h in elems) for a in elems)
-        self.right = tuple((x,) * group.order for x in elems)
-
-
-def global_rho(target: ConjComplex, elem: TateElement) -> TateElement:
-    """The isomorphism D*(kG,kG) -> Tate complex of (G, conjugation kG)."""
-    G = elem.complex.group
+    T rotates at a cut iff T[cut] = (x prod(h))^-1, h = T[cut+1:] + T[:cut].
+    With ab = prod(T[:cut+1]), prod(h) T[cut] = (ab)^-1 prod(T) ab and ab
+    commutes with x, so that test is prod(T) = x^-1 at every cut."""
+    n = gelem.degree
+    if n < 1:
+        raise ValueError("delta_tilde needs degree >= 1")
+    G = gelem.complex.subgroup.parent
+    x_inv = G.inv[x]
     out: Dict[Key, int] = {}
-    if elem.degree >= 0:
-        for (A, h), c in elem.coeffs.items():
-            out[(A, G.mult[h][G.inv[G.prod(A)]])] = c
-    else:
-        for (g0, T), c in elem.coeffs.items():
-            out[(G.mult[g0][G.prod(T)], T)] = c
-    return target.element(elem.degree, out)
+    for T, c in gelem.coeffs.items():
+        if G.prod(T) != x_inv:
+            continue
+        for i in range(1, n + 1):
+            cut = n - i
+            _acc(out, T[cut + 1:] + T[:cut], c if (i * (n - 1)) % 2 == 0 else -c)
+    return gelem.complex.element(n - 1, out)
 
 
-def global_rho_inv(target: DComplex, elem: TateElement) -> TateElement:
-    G = elem.complex.group
+def b_tilde(x: int, gelem: GroupTateElement) -> GroupTateElement:
+    """Connes' operator transferred to the centralizer chain complex."""
+    d = gelem.degree
+    if d > -1:
+        raise ValueError("b_tilde needs degree <= -1")
+    G = gelem.complex.subgroup.parent
     out: Dict[Key, int] = {}
-    if elem.degree >= 0:
-        for (A, h), c in elem.coeffs.items():
-            out[(A, G.mult[h][G.prod(A)])] = c
-    else:
-        for (g0, T), c in elem.coeffs.items():
-            out[(G.mult[g0][G.inv[G.prod(T)]], T)] = c
-    return target.element(elem.degree, out)
+    for T, c in gelem.coeffs.items():
+        s = len(T)
+        ins = G.mult[G.inv[G.prod(T)]][x]
+        if ins == 0:
+            continue
+        for i in range(s + 1):
+            if i == 0:
+                tup = (ins,) + T
+            else:
+                tup = T[i - 1:] + (ins,) + T[: i - 1]
+            _acc(out, tup, c if (i * s) % 2 == 0 else -c)
+    return gelem.complex.element(d - 1, out)

@@ -42,9 +42,6 @@ class Group:
                 raise GroupError("labels must be distinct, one per element")
         self.labels = labels
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]

@@ -7,7 +7,9 @@ the transferred formulas on each centralizer complex (delta_tilde in
 degrees >= 1, the signed Connes rotation b_tilde in degrees <= -1), and
 the Lie bracket from those two.  Components outside the coordinatized
 range are kept as representative cocycles, and one is zero exactly when its
-restriction to a Sylow p-subgroup of its centralizer is.
+restriction to a Sylow p-subgroup of its centralizer is.  Class arithmetic
+builds no D-complex of G: only the direct-path cross-checks of ``dims`` and
+``tables`` do.
 """
 
 from __future__ import annotations
@@ -18,21 +20,21 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bv import CohClass, class_of, cup
-from .complexes import DComplex, GroupComplex, GroupTateElement, dim_degree, sign_pow
-from .decomposition import ClassDecomposition
-from .groups import (ConjugacyData, Group, GroupError, Subgroup, conjugacy_classes,
+from .complexes import DComplex, GroupTateElement, dim_degree, sign_pow
+from .decomposition import ClassDecomposition, b_tilde, delta_tilde
+from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes,
                      group_from_mult_table, group_from_permutations, parse_cycles,
                      preset_group, sylow_subgroup)
 from .transfer import TransferContext
 
 DIRECT_COLUMN_CAP = 200_000
 DECOMPOSITION_CAP = 1_000_000
-# Degrees DecOps' D-complex of G accepts; bases are built lazily, in the
-# degrees a job touches.  A job on lo..hi touches lo-1..hi (BV images drop
-# a degree), and check_dec_window refuses windows that reach outside.  For
-# |G| >= 3, DECOMPOSITION_CAP refuses any window outside [-19, 18] anyway
-# ((|G|-1)^s > 10^6 from s = 20), so cups, brackets and BV images of window
-# classes stay within -40..40; for |G| = 2 only check_dec_window bounds it.
+# The degrees a class-arithmetic job (tables, verify-s3, verify-appendix-b)
+# may touch: one on lo..hi touches lo-1..hi (BV images drop a degree), and
+# check_dec_window refuses windows that reach outside.  For |G| >= 3,
+# DECOMPOSITION_CAP refuses any window outside [-19, 18] anyway ((|G|-1)^s >
+# 10^6 from s = 20); for |G| <= 2 no cost cap applies, and this alone
+# bounds the window.
 DEC_WINDOW = (-64, 64)
 
 
@@ -49,9 +51,13 @@ class VerificationError(AssertionError):
 
 
 def make_group(spec: str) -> Group:
-    """Parse a group spec: preset[:param], perms:"(0 1 2),(0 1)" or file:PATH."""
+    """Parse a group spec: preset[:param], perms:"(0 1 2),(0 1)" or file:PATH.
+    Any malformed spec raises ConfigError."""
     if spec.startswith("perms:"):
-        return group_from_permutations(parse_cycles(spec[len("perms:"):]))
+        try:
+            return group_from_permutations(parse_cycles(spec[len("perms:"):]))
+        except ValueError as exc:  # GroupError, or a point that is not an integer
+            raise ConfigError(f"cannot parse permutations in {spec!r}: {exc}") from exc
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         try:
@@ -61,12 +67,18 @@ def make_group(spec: str) -> Group:
             raise ConfigError(f"cannot read group file {path!r}: {exc}") from exc
         if not isinstance(data, dict) or "mult" not in data:
             raise ConfigError(f'group file {path!r} has no "mult" table')
-        return group_from_mult_table(data["mult"], labels=data.get("labels"))
+        mult, labels = data["mult"], data.get("labels")
+        if not (isinstance(mult, list) and all(
+                isinstance(row, list) and all(type(v) is int for v in row) for row in mult)):
+            raise ConfigError(f'group file {path!r}: "mult" must be a list of lists of integers')
+        if labels is not None and not isinstance(labels, list):
+            raise ConfigError(f'group file {path!r}: "labels" must be a list')
+        return group_from_mult_table(mult, labels=labels)
     name, _, param = spec.partition(":")
     try:
         return preset_group(name, int(param) if param else 0)
-    except GroupError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # GroupError, or a parameter that is not an integer
+        raise ConfigError(f"invalid group spec {spec!r}: {exc}") from exc
 
 
 class JobConfig:
@@ -148,9 +160,6 @@ class DecOps:
         self.p = p
         self.cd = conjugacy_classes(G)
         self.ctx = TransferContext(G, p, self.cd)
-        self.dc = DComplex(G, p, DEC_WINDOW)
-        self.dec = ClassDecomposition(self.dc, self.cd,
-                                      lambda sub: self.ctx.complex_for(sub))
         self.coord_cap = coord_cap or {}
         self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
         self._sylows: Dict[int, Subgroup] = {}
@@ -259,8 +268,9 @@ class DecOps:
             return out
         for cls, entry in A.parts.items():
             gelem = self.lift_entry(cls, deg, entry)
-            piece = (self.dec.delta_tilde(cls, gelem) if deg >= 1
-                     else self.dec.b_tilde(cls, gelem).scale(sign_pow(deg)))
+            x = self.cd.reps[cls]
+            piece = (delta_tilde(x, gelem) if deg >= 1
+                     else b_tilde(x, gelem).scale(sign_pow(deg)))
             e = self._entry_from_elem(cls, piece)
             if e is not None:
                 out = self.add(out, DecClass(deg - 1, {cls: e}))
@@ -454,9 +464,7 @@ def cmd_tables(cfg: JobConfig, rng: Optional[random.Random] = None) -> Dict:
     worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
     spot = {"checked": 0, "failed": 0}
     if worst <= DIRECT_COLUMN_CAP:
-        dcd = DComplex(G, cfg.p, (lo - 1, hi + 1))
-        from .decomposition import ClassDecomposition as CDd
-        decd = CDd(dcd, cd)
+        decd = ClassDecomposition(DComplex(G, cfg.p, (lo - 1, hi + 1)), cd)
         pairs = [k for k in products if any(products[k].parts)]
         rng.shuffle(pairs)
         for (la, lb) in pairs[: max(1, len(pairs) // 10)]:

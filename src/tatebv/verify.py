@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
                  pairing, signed_anticommutator)
 from .complexes import DComplex, class_of_index, dim_degree, sign_pow
-from .decomposition import ClassDecomposition
+from .decomposition import ClassDecomposition, b_tilde
 from .groups import Group, conjugacy_classes, preset_group, whole_group
 from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig,
                       _config_dict, _provenance, check_dec_window, make_group)
@@ -376,7 +376,7 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
     if G.order % cfg.p:
         raise ConfigError("this check needs the characteristic to divide the group order")
     ops = DecOps(G, cfg.p)
-    cplx = ops.dec.complexes[0]
+    cplx = ops.ctx.complex_for(ops.cd.centralizers[0])
     ck = CheckList()
     for s in range(0, 3):
         if s == 0:
@@ -389,7 +389,7 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
         boundary_space = cplx.cohomology(-s - 2)
         ok = True
         for cyc in cycles:
-            img = ops.dec.b_tilde(0, cyc)
+            img = b_tilde(0, cyc)
             if img.is_zero():
                 continue
             if any(boundary_space.project(img)):

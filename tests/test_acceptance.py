@@ -174,7 +174,7 @@ def _path_equivalence(G, p, window, count, seed):
     cd = conjugacy_classes(G)
     ctx = TransferContext(G, p, cd)
     dc = DComplex(G, p, (window[0] - 1, window[1] + 1))
-    dec = ClassDecomposition(dc, cd, ctx.complex_for)
+    dec = ClassDecomposition(dc, cd)
     rng = random.Random(seed)
     lo, hi = window
     done = fails = 0

@@ -78,6 +78,15 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     no_mult.write_text(json.dumps({"labels": ["e"]}))
     for path in (missing, bad_json, no_mult):
         assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
+    # malformed specs: a preset parameter or a cycle point that is no
+    # integer, and file tables of the wrong shape
+    for spec in ("symmetric:x", "perms:(0 1 x)"):
+        assert main(["info", "--group", spec, "--char", "3", "--window", "-2..2"]) == 2
+    for i, table in enumerate(({"mult": 5}, {"mult": [[0, 1], [1, "a"]]},
+                               {"mult": [[0, 1], [1, 0]], "labels": 7})):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(table))
+        assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
     capsys.readouterr()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from tatebv import linalg
 from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
-from tatebv.decomposition import ConjComplex
 from tatebv.groups import (conjugacy_classes, generated_subgroup, preset_group, trivial_subgroup,
                            whole_group)
 from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns, rank
@@ -194,14 +193,13 @@ def test_representatives_are_cocycles(s3_complex):
 
 
 def _face_complexes(G, p, top):
-    """DComplex, ConjComplex and the GroupComplex of the whole group, of
-    each distinct centralizer and of the trivial subgroup, with matrices
-    in degrees 0..top."""
+    """DComplex and the GroupComplex of the whole group, of each distinct
+    centralizer and of the trivial subgroup, with matrices in degrees
+    0..top."""
     subgroups = {H.members: H for H in (whole_group(G), *conjugacy_classes(G).centralizers,
                                          trivial_subgroup(G))}
     window = (0, top + 1)
-    return [DComplex(G, p, window), ConjComplex(G, p, window),
-            *(GroupComplex(H, p, window) for H in subgroups.values())]
+    return [DComplex(G, p, window), *(GroupComplex(H, p, window) for H in subgroups.values())]
 
 
 @pytest.mark.parametrize("group,top", [
@@ -236,8 +234,8 @@ def test_face_built_columns_equal_template(group, top, p):
 def test_face_built_rows_are_transposed_coboundaries(group, p):
     """At p <= 3 the boundary out of degree -n-2 streams its rows from the
     coboundary out of n in the chain layout (``coboundary_vectors`` with
-    ``rows``).  For n = 0..3, on DComplex, ConjComplex and the GroupComplex
-    of the whole group, a proper subgroup (where G has one) and the trivial
+    ``rows``).  For n = 0..3, on DComplex and the GroupComplex of the
+    whole group, a proper subgroup (where G has one) and the trivial
     subgroup, the rows equal the split rows of the dict template as a
     multiset, up to one global sign, and rank and pivot_columns through
     them equal those through the dict rows (up to 5000 columns: all but the
@@ -246,8 +244,8 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
     G = preset_group(*group)
     E = linalg._BITSETS[p]
     proper = [H for g in G.nontrivial if (H := generated_subgroup(G, [g])).order < G.order][:1]
-    complexes = [DComplex(G, p, (-6, 0)), ConjComplex(G, p, (-6, 0)),
-                 *(GroupComplex(H, p) for H in (whole_group(G), *proper, trivial_subgroup(G)))]
+    subgroups = (whole_group(G), *proper, trivial_subgroup(G))
+    complexes = [DComplex(G, p, (-6, 0)), *(GroupComplex(H, p) for H in subgroups)]
     for C in complexes:
         for n in range(4):
             M = C.matrix(-n - 2)

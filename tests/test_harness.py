@@ -7,7 +7,7 @@ import pytest
 
 from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
-from tatebv.complexes import GroupComplex, WindowError
+from tatebv.complexes import DComplex, GroupComplex, WindowError
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import preset_group, whole_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
@@ -162,15 +162,15 @@ def test_group_complex_window_enforcement(s3):
 # ---------------------------------------------------------------------------
 # the BV operator on the centralizer complexes against the retract path
 
-def _retract_delta(ops, A):
-    """Class coordinates of the BV operator of A taken through the D-complex:
-    each component is lifted afresh, embedded by retract_up, sent through
-    the D-side bv_operator and split back by retract_down."""
+def _retract_delta(ops, dec, A):
+    """Class coordinates of the BV operator of A taken through dec's
+    D-complex: each component is lifted afresh, embedded by retract_up,
+    sent through the D-side bv_operator and split back by retract_down."""
     d = A.degree
     out = {}
     for cls, (tag, val) in A.parts.items():
         rep = ops.space(cls, d).lift(list(val)) if tag == "c" else val
-        down = ops.dec.retract_down(bv_operator(ops.dec.retract_up(cls, rep)))
+        down = dec.retract_down(bv_operator(dec.retract_up(cls, rep)))
         for k, g in down.items():
             assert k == cls or g.is_zero(), "BV operator left its class component"
         if cls in down:
@@ -240,6 +240,7 @@ def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):
     if coord_cap:
         ops = copy.copy(ops)  # the same spaces and lifts, another cap
         ops.coord_cap = coord_cap
+    dec = ClassDecomposition(DComplex(ops.group, p, (lo - 1, hi)), ops.cd)
     rng = random.Random(14)
     tags = set()
     for d in range(lo, hi + 1):
@@ -249,7 +250,7 @@ def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):
             got = ops.delta(A)
             assert got.degree == d - 1
             tags.update(tag for tag, _ in got.parts.values())
-            assert _class_coords(ops, got) == _retract_delta(ops, A), (d, A.parts)
+            assert _class_coords(ops, got) == _retract_delta(ops, dec, A), (d, A.parts)
     assert tags == ({"c", "r"} if coord_cap else {"c"})
 
 
@@ -278,6 +279,34 @@ def test_delta_stays_on_centralizer_complexes(monkeypatch, s3_plain_ops):
     monkeypatch.setattr(ClassDecomposition, "retract_down", refuse)
     assert [_class_coords(ops, ops.delta(A)) for A in basis] == warm
     assert any(warm)
+
+
+@pytest.mark.parametrize("group,p", [("symmetric:3", 3), ("dihedral:4", 2)])
+def test_class_arithmetic_builds_no_d_complex(monkeypatch, group, p):
+    """DecOps set-up, cup, delta in both degree signs, bracket and is_zero
+    on a representative entry run on the centralizer complexes alone:
+    neither a D-complex nor a ClassDecomposition is ever built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("class arithmetic built a D-complex")
+    monkeypatch.setattr(DComplex, "__init__", refuse)
+    monkeypatch.setattr(ClassDecomposition, "__init__", refuse)
+    ops = DecOps(make_group(group), p, coord_cap={0: 0})
+    basis = [harness._dec_basis_class(ops, lab)
+             for lab in harness._basis_labels(ops, range(-1, 2))]
+    assert {A.degree for A in basis} == {-1, 0, 1}
+    for A in basis:
+        ops.delta(A)
+        for B in basis:
+            ops.cup(A, B)
+            ops.bracket(A, B)
+    # class 0 outside degree 0 is kept as a representative entry: a
+    # representative cocycle is nonzero, a coboundary is zero
+    cplx = ops.ctx.complex_for(ops.cd.centralizers[0])
+    d = next(d for d in (-1, 1, -2, 2) if ops.cls_dim(0, d))
+    assert not ops.is_zero(DecClass(d, {0: ("r", ops.space(0, d).representative(0))}))
+    bd = next(b for key in cplx.basis(1)
+              if not (b := cplx.differential(cplx.element(1, {key: 1}))).is_zero())
+    assert ops.is_zero(DecClass(2, {0: ("r", bd)}))
 
 
 def test_memoized_lifts_survive_class_ops(s3_plain_ops):

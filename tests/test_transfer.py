@@ -232,7 +232,7 @@ def test_double_coset_degree_additivity(ctx):
 
 def test_path_equivalence(ctx, s3, s3_cd):
     dc = DComplex(s3, P, (-5, 4))
-    dec = ClassDecomposition(dc, s3_cd, ctx.complex_for)
+    dec = ClassDecomposition(dc, s3_cd)
     rng = random.Random(5)
     done = 0
     while done < 30:
@@ -281,7 +281,7 @@ def test_group_cup_rep_matches_ambient_cup(group, param, p):
     G = preset_group(group, param)
     cd = conjugacy_classes(G)
     ctx = TransferContext(G, p, cd)
-    dec = ClassDecomposition(DComplex(G, p, (-6, 6)), cd, ctx.complex_for)
+    dec = ClassDecomposition(DComplex(G, p, (-6, 6)), cd)
     gc = ctx.complex_for(ctx.subgroup(range(G.order)))
     rng = random.Random(7)
     for case, degrees in CUP_CASES.items():
