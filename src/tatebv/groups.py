@@ -186,7 +186,11 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> List[List[int]]:
 
 
 def preset_group(name: str, param: int = 0) -> Group:
+    """cyclic, dihedral and symmetric take a parameter n; klein_four and
+    quaternion8 take none (param 0), and any other param is refused."""
     name = name.lower()
+    if name in ("klein_four", "quaternion8") and param:
+        raise GroupError(f"preset {name!r} takes no parameter (got {param})")
     if name == "cyclic":
         if param < 1:
             raise GroupError("cyclic group needs order >= 1")

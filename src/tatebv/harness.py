@@ -7,7 +7,10 @@ the transferred formulas on each centralizer complex (delta_tilde in
 degrees >= 1, the signed Connes rotation b_tilde in degrees <= -1), and
 the Lie bracket from those two.  Components outside the coordinatized
 range are kept as representative cocycles, and one is zero exactly when its
-restriction to a Sylow p-subgroup of its centralizer is.  Class arithmetic
+restriction to a Sylow p-subgroup of its centralizer is.  ``tables``
+coordinatizes only the degrees lo..hi that it prints: the BV images at
+lo-1 inside its brackets stay representatives, which the next cup takes as
+they are, so no cohomology space of degree lo-1 is built.  Class arithmetic
 builds no D-complex of G: only the direct-path cross-checks of ``dims`` and
 ``tables`` do.
 """
@@ -153,9 +156,14 @@ class DecClass:
 
 
 class DecOps:
-    """Operations on decomposition-path classes for one (group, p) pair."""
+    """Operations on decomposition-path classes for one (group, p) pair.
 
-    def __init__(self, G: Group, p: int, coord_cap: Optional[Dict[int, int]] = None):
+    coord_cap maps a class to the degrees (lo, hi) in which its components
+    are put into coordinates; outside them a component stays a
+    representative cocycle, so no space of that degree is built for it.
+    A class without an entry is coordinatized in every degree."""
+
+    def __init__(self, G: Group, p: int, coord_cap: Optional[Dict[int, Tuple[int, int]]] = None):
         self.group = G
         self.p = p
         self.cd = conjugacy_classes(G)
@@ -172,7 +180,7 @@ class DecOps:
 
     def in_range(self, cls: int, n: int) -> bool:
         cap = self.coord_cap.get(cls)
-        return cap is None or abs(n) <= cap
+        return cap is None or cap[0] <= n <= cap[1]
 
     def _entry_from_elem(self, cls: int, gelem: GroupTateElement) -> Optional[Entry]:
         if self.in_range(cls, gelem.degree):
@@ -419,12 +427,17 @@ def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Tuple[int, int, int]])
 
 
 def cmd_tables(cfg: JobConfig, rng: Optional[random.Random] = None) -> Dict:
+    """Cup, BV and bracket structure constants on the basis classes of
+    degrees lo..hi.  Only the printed degrees lo..hi are put into
+    coordinates: the BV images of degree-lo classes inside the brackets,
+    in degree lo-1, stay representatives for the next cup, so no
+    cohomology space outside lo..hi is built."""
     check_dec_window(cfg.window)
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     check_decomposition_cost(G, cd, cfg.window)
     lo, hi = cfg.window
-    ops = DecOps(G, cfg.p)
+    ops = DecOps(G, cfg.p, coord_cap=dict.fromkeys(range(cd.num_classes), (lo, hi)))
     rng = rng or random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
     labels = _basis_labels(ops, degrees)

@@ -157,7 +157,7 @@ MEMBERSHIP_LINES = [
 class S3Verifier:
     def __init__(self):
         G = preset_group("symmetric", 3)
-        self.ops = DecOps(G, 3, coord_cap={0: 4})
+        self.ops = DecOps(G, 3, coord_cap={0: (-4, 4)})
         ops = self.ops
         self.cg = ops.ctx.complex_for(whole_group(G))
         self.ca = ops.ctx.complex_for(ops.cd.centralizers[1])

@@ -82,6 +82,10 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     # integer, and file tables of the wrong shape
     for spec in ("symmetric:x", "perms:(0 1 x)"):
         assert main(["info", "--group", spec, "--char", "3", "--window", "-2..2"]) == 2
+    # a parameter on a preset that takes none; without one it runs
+    for spec in ("quaternion8:5", "klein_four:2"):
+        assert main(["info", "--group", spec, "--char", "3", "--window", "-2..2"]) == 2
+    assert main(["info", "--group", "quaternion8", "--char", "3", "--window", "-2..2"]) == 0
     for i, table in enumerate(({"mult": 5}, {"mult": [[0, 1], [1, "a"]]},
                                {"mult": [[0, 1], [1, 0]], "labels": 7})):
         path = tmp_path / f"malformed{i}.json"

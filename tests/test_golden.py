@@ -10,8 +10,11 @@ dihedral:5`` digest (the one job here that takes representatives,
 ``project`` and ``lift`` at p >= 5, on dict vectors) before
 ``QuotientSpace`` was built from its two matrices.  ``tables`` prints its
 structure constants in the representative basis, so its digests also
-guard the representatives' entries.  Each job takes about a second or
-less in-process.
+guard the representatives' entries.  The ``tables symmetric:3`` digests
+of the windows -5..5 and -2..4 were computed on commit 85922a1, while
+``tables`` still built the cohomology spaces of degree lo-1, so they pin
+the outputs that ``tables`` had to keep when it stopped building them.
+Each job takes about a second or less in-process.
 """
 
 import hashlib
@@ -28,6 +31,10 @@ GOLDEN = [
      "930e2b7165d552e2722ff45fea97d7225c0d15746dddfafa6957f328c88ed70a"),
     (("tables", "--group", "symmetric:3", "--char", "3", "--window", "-4..4"),
      "78694b0951c4503a39d43983939e022f54e56777680539167b93762bf69fbccc"),
+    (("tables", "--group", "symmetric:3", "--char", "3", "--window", "-5..5"),
+     "99af893f21f9cf71a3c09e3e8381093cf0caa3da41095c60d9e42c254ce88679"),
+    (("tables", "--group", "symmetric:3", "--char", "3", "--window", "-2..4"),
+     "b785fee7a2e0765473af6f1d76789168fcf2fa3839adeefecd568558cb1b1996"),
     (("tables", "--group", "dihedral:4", "--char", "2", "--window", "-2..2"),
      "fcf3e1326d919be15d015a2e6578a84204dfa481de7ba9afb9ae6904c9aee470"),
     (("verify-s3", "--window", "-3..3"),

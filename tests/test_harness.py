@@ -7,19 +7,19 @@ import pytest
 
 from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
-from tatebv.complexes import DComplex, GroupComplex, WindowError
+from tatebv.complexes import DComplex, GroupComplex, WindowError, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import preset_group, whole_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
                             check_decomposition_cost, check_direct_cost, checked_dims,
-                            cmd_dims, make_group)
+                            cmd_dims, cmd_tables, make_group)
 from tatebv.verify import _MutatedDComplex
 
 
 @pytest.fixture(scope="module")
 def s3_ops(shared_ops):
     ops = copy.copy(shared_ops("symmetric:3", 3))  # the same spaces and lifts, another cap
-    ops.coord_cap = {0: 4}
+    ops.coord_cap = {0: (-4, 4)}
     return ops
 
 
@@ -58,12 +58,12 @@ DECIDER_CASES = [("symmetric:3", 3, 3), ("symmetric:3", 2, 3), ("symmetric:4", 2
                          ids=[f"{'A4' if g.startswith('perms') else g}-p{p}"
                               for g, p, _ in DECIDER_CASES])
 def test_is_zero_on_sylow_matches_projection(shared_ops, group, p, m):
-    """With coord_cap 0 for every class, each entry in a nonzero degree is a
+    """With coord_cap (0, 0) for every class, each entry in a nonzero degree is a
     representative.  For v = lift(coords) + d(random element), deciding v on
     a Sylow subgroup of the centralizer (P < C, P = C and P = 1 all occur)
     says zero exactly when coords are all zero."""
     ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another cap
-    ops.coord_cap = dict.fromkeys(range(ops.cd.num_classes), 0)
+    ops.coord_cap = dict.fromkeys(range(ops.cd.num_classes), (0, 0))
     rng = random.Random(16)
     for cls, C in enumerate(ops.cd.centralizers):
         cplx = ops.ctx.complex_for(C)
@@ -229,7 +229,7 @@ def shared_ops():
     ("symmetric:3", 3, -5, 5, None), ("dihedral:4", 2, -4, 4, None),
     ("quaternion8", 2, -3, 3, None), ("cyclic:6", 3, -4, 4, None),
     ("dihedral:5", 5, -2, 2, None), ("symmetric:4", 2, -2, 2, None),
-    pytest.param("symmetric:3", 3, -5, 5, {0: 2}, id="symmetric:3-3--5-5-cap0=2"),
+    pytest.param("symmetric:3", 3, -5, 5, {0: (-2, 2)}, id="symmetric:3-3--5-5-cap0=2"),
 ])
 def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):
     """DecOps.delta on the centralizer complexes gives the classes of the
@@ -290,7 +290,7 @@ def test_class_arithmetic_builds_no_d_complex(monkeypatch, group, p):
         raise AssertionError("class arithmetic built a D-complex")
     monkeypatch.setattr(DComplex, "__init__", refuse)
     monkeypatch.setattr(ClassDecomposition, "__init__", refuse)
-    ops = DecOps(make_group(group), p, coord_cap={0: 0})
+    ops = DecOps(make_group(group), p, coord_cap={0: (0, 0)})
     basis = [harness._dec_basis_class(ops, lab)
              for lab in harness._basis_labels(ops, range(-1, 2))]
     assert {A.degree for A in basis} == {-1, 0, 1}
@@ -324,3 +324,61 @@ def test_memoized_lifts_survive_class_ops(s3_plain_ops):
     assert len(ops._lifts) >= len(basis)
     for (cls, d, coords), elem in ops._lifts.items():
         assert elem == ops.space(cls, d).lift(list(coords))
+
+
+# ---------------------------------------------------------------------------
+# tables coordinatizes only the degrees it prints
+
+def _tables_json(group, p, window):
+    data = cmd_tables(JobConfig(group=group, p=p, window=window, fmt="json"))
+    data.pop("provenance")
+    return json.dumps(data, sort_keys=True)
+
+
+# SHA-256 of the CLI JSON of tables without provenance: the digests of
+# tests/test_golden.py, computed before tables stopped building degree lo-1
+TABLES_IN_WINDOW = [
+    ("symmetric:3", 3, (-4, 4), "78694b0951c4503a39d43983939e022f54e56777680539167b93762bf69fbccc"),
+    ("dihedral:4", 2, (-2, 2), "fcf3e1326d919be15d015a2e6578a84204dfa481de7ba9afb9ae6904c9aee470"),
+    ("symmetric:3", 3, (-2, 4), "b785fee7a2e0765473af6f1d76789168fcf2fa3839adeefecd568558cb1b1996"),
+]
+
+
+@pytest.mark.parametrize("group,p,window,digest", TABLES_IN_WINDOW,
+                         ids=[f"{g}-p{p}-{w[0]}..{w[1]}" for g, p, w, _ in TABLES_IN_WINDOW])
+def test_tables_builds_no_space_outside_its_window(monkeypatch, group, p, window, digest):
+    """Every cohomology space that tables asks for, on any complex, lies in
+    the printed degrees lo..hi: the BV images at lo-1 stay representatives."""
+    asked = []
+    cohomology = _BaseComplex.cohomology
+
+    def record(self, n):
+        asked.append(n)
+        return cohomology(self, n)
+
+    monkeypatch.setattr(_BaseComplex, "cohomology", record)
+    got = _tables_json(group, p, window)
+    lo, hi = window
+    assert lo in asked and hi in asked
+    assert all(lo <= n <= hi for n in asked), sorted(set(asked))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+TABLES_LO_MINUS_ONE = [
+    ("symmetric:3", 3, (-2, 4)), ("symmetric:3", 3, (-4, 2)),
+    ("cyclic:6", 3, (-2, 2)), ("dihedral:5", 5, (-2, 2)),
+    ("symmetric:3", 3, (-3, 3)), ("symmetric:3", 3, (-1, 4)),
+    ("cyclic:6", 3, (-3, 3)), ("cyclic:5", 5, (-3, 3)),
+]
+
+
+@pytest.mark.parametrize("group,p,window", TABLES_LO_MINUS_ONE,
+                         ids=[f"{g}-p{p}-{w[0]}..{w[1]}" for g, p, w in TABLES_LO_MINUS_ONE])
+def test_tables_matches_coordinatizing_every_degree(monkeypatch, group, p, window):
+    """Keeping the degree lo-1 components as representatives gives the same
+    tables as putting every component into coordinates, on asymmetric
+    windows too.  An entry at lo-1 scaled by 2 changes no printed number on
+    the windows here with even lo, only on those with odd lo."""
+    got = _tables_json(group, p, window)
+    monkeypatch.setattr(DecOps, "in_range", lambda self, cls, n: True)
+    assert got == _tables_json(group, p, window)

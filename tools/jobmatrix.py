@@ -1,0 +1,130 @@
+"""Run the job matrix of CLI jobs, one at a time, each in a child process.
+
+    python tools/jobmatrix.py --out BENCH_N.json [--quick] [--repeat N]
+                              [--src LABEL=DIR ...]
+
+Each job is ``python -m tatebv.cli ... --format json`` with ``PYTHONPATH``
+set to a source tree (``--src``, default this checkout's ``src``), started
+with ``RLIMIT_AS`` (address space) and ``RLIMIT_CPU`` set in the child.  Per run it records the wall time from
+spawn to reap, the child's own peak RSS (``ru_maxrss`` from ``os.wait4``)
+and its exit code, negative for the signal that killed it (``RLIMIT_CPU``
+sends SIGXCPU); a job that runs out of address space exits 3.
+
+With several ``--src`` trees the runs alternate between them job by job,
+so that a slow spell of a shared machine hits both alike.  Each tree first
+runs one untimed import, which writes its bytecode.  The results go under
+``runs[LABEL]`` of ``--out``; the other labels already in that file stay.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MEM_MB = 1024  # RLIMIT_AS of each child: tables S3 -7..7 reaches it in about 50 s
+CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes about 25 s
+
+# (command, group, char, window, in the quick subset); verify-s3 needs no group
+JOBS = [
+    ("verify-s3", None, 3, "-4..3", True),
+    ("selftest", "symmetric:3", 3, "-3..3", False),
+    ("tables", "symmetric:3", 3, "-4..4", True),
+    ("tables", "symmetric:3", 3, "-5..5", True),
+    ("tables", "symmetric:3", 3, "-6..6", False),
+    ("tables", "symmetric:3", 3, "-7..7", False),
+    ("tables", "dihedral:4", 2, "-2..2", False),
+    ("dims", "dihedral:4", 2, "-4..4", True),
+    ("dims", "quaternion8", 2, "-3..3", False),
+    ("dims", "symmetric:4", 2, "-3..3", False),
+    ("dims", "symmetric:4", 2, "-5..5", False),
+    ("dims", "symmetric:3", 5, "-5..5", False),
+]
+
+
+def job_args(cmd, group, p, window):
+    args = [cmd] + (["--group", group] if group else [])
+    return args + ["--char", str(p), f"--window={window}", "--format", "json"]
+
+
+def job_name(cmd, group, p, window):
+    return " ".join(filter(None, [cmd, group, f"p={p}", window]))
+
+
+def run_child(argv, src):
+    """One child run: wall seconds, peak RSS in MB, exit code, last stderr line."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEM_MB << 20, MEM_MB << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (CPU_S, CPU_S + 5))
+
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable] + argv, env=env, cwd=ROOT, preexec_fn=limit,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        err.seek(0)
+        lines = err.read().decode(errors="replace").strip().splitlines()
+    return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "exit": proc.returncode, "stderr": lines[-1][:200] if lines else ""}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--quick", action="store_true", help="run the quick subset only")
+    ap.add_argument("--repeat", type=int, default=1, help="runs of each job per tree")
+    ap.add_argument("--src", action="append", metavar="LABEL=DIR",
+                    help="a source tree to run, under a label (repeatable)")
+    ap.add_argument("--out", required=True, help="the BENCH_*.json file to write")
+    args = ap.parse_args(argv)
+
+    trees = {}
+    for spec in args.src or [f"this={ROOT / 'src'}"]:
+        label, sep, path = spec.partition("=")
+        if not sep:
+            ap.error(f"--src wants LABEL=DIR, got {spec!r}")
+        trees[label] = Path(path).resolve()
+    jobs = [j[:4] for j in JOBS if j[4] or not args.quick]
+
+    for src in trees.values():
+        run_child(["-c", "import tatebv.cli"], src)
+    machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
+               "platform": platform.platform()}
+    limits = {"address_space_mb": MEM_MB, "cpu_s": CPU_S}
+    runs = {label: {"machine": machine, "limits": limits, "repeat": args.repeat,
+                    "jobs": []} for label in trees}
+    for job in jobs:
+        argv = ["-m", "tatebv.cli"] + job_args(*job)
+        samples = {label: [] for label in trees}
+        for _ in range(args.repeat):
+            for label, src in trees.items():
+                samples[label].append(run_child(argv, src))
+        for label, got in samples.items():
+            rec = {"job": job_name(*job), "argv": argv[2:],
+                   "wall_s_median": round(statistics.median(s["wall_s"] for s in got), 3),
+                   "peak_rss_mb_max": max(s["peak_rss_mb"] for s in got),
+                   "exits": sorted({s["exit"] for s in got}), "samples": got}
+            runs[label]["jobs"].append(rec)
+            print(f"{label:>12}  {rec['job']:<34} wall {rec['wall_s_median']:7.3f} s  "
+                  f"rss {rec['peak_rss_mb_max']:7.1f} MB  exit {rec['exits']}", flush=True)
+
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data.setdefault("runs", {}).update(runs)
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
