@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_CLOSURE_CAP = 512
@@ -26,16 +27,7 @@ class Group:
     def __init__(self, mult: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
         self.order = len(mult)
         self.mult: Tuple[Tuple[int, ...], ...] = tuple(tuple(row) for row in mult)
-        _validate_table(self.mult)
-        inv = [-1] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.mult[g][h] == 0:
-                    inv[g] = h
-                    break
-        if any(i < 0 for i in inv):
-            raise GroupError("missing inverses")
-        self.inv: Tuple[int, ...] = tuple(inv)
+        self.inv: Tuple[int, ...] = _validate_table(self.mult)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != self.order or len(set(labels)) != self.order:
@@ -72,7 +64,16 @@ class Group:
         return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(a))
 
 
-def _validate_table(mult: Tuple[Tuple[int, ...], ...]) -> None:
+def _validate_table(mult: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    """Check that mult is a group table with identity 0; return the inverses.
+
+    Associativity is exact, by Light's test: the elements a with
+    (x a) y = x (a y) for all x, y contain 0 and are closed under products,
+    so it suffices to check every a of a set S whose right products from 0
+    reach the whole table.  S is built greedily, adding the least element
+    not yet reached; in a group each addition at least doubles the subgroup
+    reached, so more than log2 n generators mean the table, which has an
+    identity and inverses by then, is not associative."""
     n = len(mult)
     for row in mult:
         if len(row) != n:
@@ -82,14 +83,30 @@ def _validate_table(mult: Tuple[Tuple[int, ...], ...]) -> None:
                 raise GroupError("table entry out of range")
     if any(mult[0][x] != x or mult[x][0] != x for x in range(n)):
         raise GroupError("no identity")
-    # full associativity check for small orders, deterministic sampling beyond
-    if n <= 64:
-        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        triples = (((7 * t) % n, (11 * t + 3) % n, (13 * t + 5) % n) for t in range(30 * n))
-    for a, b, c in triples:
-        if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+    if any(0 not in row for row in mult):
+        raise GroupError("missing inverses")
+    gens: List[int] = []
+    reached = bytearray(n)
+    reached[0] = 1
+    while 0 in reached:
+        gens.append(reached.index(0))
+        if 1 << len(gens) > n:
             raise GroupError("not associative")
+        frontier = [x for x in range(n) if reached[x]]
+        while frontier:
+            new = []
+            for x in frontier:
+                for g in gens:
+                    y = mult[x][g]
+                    if not reached[y]:
+                        reached[y] = 1
+                        new.append(y)
+            frontier = new
+    for a in gens:
+        right = itemgetter(*mult[a])
+        if any(mult[mult[x][a]] != right(mult[x]) for x in range(n)):
+            raise GroupError("not associative")
+    return tuple(row.index(0) for row in mult)
 
 
 def group_from_mult_table(table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> Group:

@@ -24,12 +24,21 @@ and quotient representatives are bit-identical across runs.
   engine, so jobs at p = 2 and p = 3 never load it;
 * otherwise: ``ColumnReducer``, the same steps on dict vectors.
 
-The bitset core and ``ColumnReducer`` share their steps (``split``,
-``unit``, ``reduce``, ``normalize``, ``push``, ``place``, ``entries``,
-``coords``); ``_engine(p)`` picks one of them, ``_feed`` is the one loop
-that eliminates with either, and ``QuotientSpace`` builds its echelons on
-the same engine.  All engines give the same pivot set and the same kernel
-basis.
+``_engine(p)`` picks the bitset core or ``ColumnReducer``, and ``_feed``
+eliminates by columns with either.  On the bitset core it runs the core's
+``feed``, which reduces each vector by its leading (top) set row, one
+addition per step, and stops an independent vector at its first leading
+row that holds no pivot; on a ``ColumnReducer`` it runs the lowest-row
+steps, which apply the pivots in creation order.  The by-rows pivot
+search and ``QuotientSpace``'s image check, representatives, ``project``
+and ``lift`` read an echelon keyed by each pivot's lowest row (the steps
+``reduce``, ``normalize``, ``push`` and ``place``, shared by both
+engines), because the lowest rows of that echelon are what they output.
+Which entry leads cannot move an output of ``_feed``: the rank, the
+leftmost-greedy pivot columns (a column is a pivot iff it is independent
+of the columns before it) and each free column's kernel vector (1 there,
+support only on earlier pivot columns) are unique.  So all engines give
+the same pivot set and the same kernel basis.
 """
 
 from __future__ import annotations
@@ -135,10 +144,10 @@ class SparseMatrix:
 
 class ColumnReducer:
     """Column echelon form on dict vectors with combination tracking, the
-    dict engine for p >= 5.  It has the steps of ``_Bitsets`` on dicts, so
-    ``_feed`` and ``QuotientSpace`` drive both alike; pivots are applied in
-    creation order, and ``push`` makes a vector the pivot at its minimal
-    row.
+    dict engine for p >= 5.  It has the lowest-row steps of ``_Bitsets``
+    on dicts, so ``QuotientSpace`` drives both alike, and ``_feed`` runs
+    them in its loop; pivots are applied in creation order, and ``push``
+    makes a vector the pivot at its minimal row.
     """
 
     def __init__(self, p: int):
@@ -233,23 +242,44 @@ def _bits(x: int) -> List[int]:
 
 class _Bitsets:
     """Pivots in row echelon form over F_2 or F_3 on Python-int bitsets,
-    the M4RI idea in pure Python; one instance per elimination.
+    the M4RI idea in pure Python; one instance per elimination.  An
+    instance holds one of two echelons, never both.
 
-    Per field: ``split`` turns a dict of entries into a vector and
-    ``unit`` gives a unit vector; ``reduce`` clears the lowest pivot row a
+    ``feed`` keys each pivot by its leading (top) set row, the echelon form
+    of M4RI (Albrecht, Bard & Hart, 2010): a vector subtracts the pivot of
+    its top row, so it shortens at every step at the cost of one addition,
+    until its top row holds no pivot (it becomes the pivot there, scaled to
+    1 at that row) or it is zero.  This is ``_feed``'s loop on the bitset
+    core: ranks, pivot columns and kernels by columns, and ``QuotientSpace``'s
+    kernel and representative pick.  None of these reads the echelon
+    itself, and none depends on which entry leads: the rank, the
+    leftmost-greedy pivot columns (a column is a pivot iff it is
+    independent of the columns before it) and the kernel vector of each
+    free column (1 there, support only on earlier pivot columns) are each
+    unique.
+
+    ``reduce``, ``normalize``, ``push`` and ``place`` key each pivot by its
+    lowest set row, for the outputs that read that echelon: the by-rows
+    pivot columns (``mask``, the lowest set columns of an echelon basis of
+    the row space) and ``QuotientSpace``'s image check, representatives,
+    ``project`` and ``lift``.  ``reduce`` clears the lowest pivot row a
     vector has set until none is left, adding the same multiples of pivot
     combinations to a tracked one (a pivot has no set bit below its own
-    row, so each step changes only rows above it and applies every pivot
-    at most once); ``normalize`` scales a vector to 1 at its lowest set
-    row and ``push`` makes it the pivot there; ``entries`` and ``coords``
-    read a vector back as a dict or a list.  Pivots are never
-    back-substituted: Gauss-Jordan reduced pivots were measured 4-5x slower
-    on the matrices of ``dims`` at p = 2.
+    row, so each step changes only rows above it and applies every pivot at
+    most once); ``normalize`` scales a vector to 1 at its lowest set row
+    and ``push`` makes it the pivot there.
+
+    Per field, ``split`` turns a dict of entries into a vector, ``unit``
+    gives a unit vector, and ``entries`` and ``coords`` read a vector back
+    as a dict or a list.  Pivots are never back-substituted: Gauss-Jordan
+    reduced pivots were measured 4-5x slower on the matrices of ``dims`` at
+    p = 2.
     """
 
     def __init__(self):
-        self.at: List[Optional[tuple]] = []  # pivot row -> flat(vector, combination)
-        self.mask = 0  # the pivot rows
+        self.lead: Dict[int, tuple] = {}  # feed: leading row -> flat(vector, combination)
+        self.at: List[Optional[tuple]] = []  # push, place: lowest row -> flat(vector, combination)
+        self.mask = 0  # the lowest rows of the pivots in at
 
     def push(self, v, c) -> None:
         """Make v (nonzero, normalized, no set pivot row) the pivot at its
@@ -302,6 +332,26 @@ class _GF2(_Bitsets):
             hit = v & mask
         return v, c
 
+    def feed(self, vectors: Iterable[int], track: bool):
+        lead = self.lead
+        pivots: List[int] = []
+        kernel: List[tuple] = []
+        for j, v in enumerate(vectors):
+            c = 1 << j if track else 0
+            while v:
+                top = v.bit_length() - 1
+                q = lead.get(top)
+                if q is None:
+                    lead[top] = v, c
+                    pivots.append(j)
+                    break
+                v ^= q[0]
+                c ^= q[1]
+            else:
+                if track:
+                    kernel.append((j, c))
+        return pivots, kernel if track else None
+
 
 class _GF3(_Bitsets):
     """F_3, bit-sliced (Boothby & Bradshaw, 2009): a vector is a pair (P, N)
@@ -352,6 +402,34 @@ class _GF3(_Bitsets):
             hit = (P | N) & mask
         return (P, N), (cp, cn) if track else None
 
+    def feed(self, vectors: Iterable[Tuple[int, int]], track: bool):
+        lead = self.lead
+        pivots: List[int] = []
+        kernel: List[tuple] = []
+        for j, (P, N) in enumerate(vectors):
+            cp, cn = 1 << j if track else 0, 0
+            while P or N:
+                lp, ln = P.bit_length(), N.bit_length()
+                top = (lp if lp > ln else ln) - 1
+                q = lead.get(top)
+                if q is None:
+                    if ln > lp:  # entry 2 at the top row: store the negation
+                        P, N, cp, cn = N, P, cn, cp
+                    lead[top] = P, N, cp, cn
+                    pivots.append(j)
+                    break
+                qp, qn, rp, rn = q
+                if lp > ln:  # entry 1: subtract the pivot, i.e. add its negation; entry 2: add it
+                    qp, qn, rp, rn = qn, qp, rn, rp
+                t = (P | qn) ^ (N | qp)
+                P, N = (N | qn) ^ t, (P | qp) ^ t
+                t = (cp | rn) ^ (cn | rp)
+                cp, cn = (cn | rn) ^ t, (cp | rp) ^ t
+            else:
+                if track:
+                    kernel.append((j, (cp, cn)))
+        return pivots, kernel if track else None
+
 
 _BITSETS = {2: _GF2, 3: _GF3}
 
@@ -365,15 +443,18 @@ def _engine(p: int):
 def _feed(E, vectors: Iterable, track: bool):
     """(indices of the vectors that became pivots, [(index, combination)]
     of the others or None without track) of feeding vectors of E's engine
-    in order to the echelon E.  A dead vector's combination is 1 at its own
-    index (no pivot combination reaches it) plus entries at pivot indices
-    only: the canonical kernel vector of that free index."""
-    unit, reduce, support = E.unit, E.reduce, E.support
+    in order to the echelon E: the bitset core's leading-row ``feed``, or
+    the lowest-row steps of a ``ColumnReducer``.  A dead vector's
+    combination is 1 at its own index (no pivot combination reaches it)
+    plus entries at pivot indices only: the canonical kernel vector of that
+    free index."""
+    if isinstance(E, _Bitsets):
+        return E.feed(vectors, track)
     pivots: List[int] = []
     kernel: List[tuple] = []
     for j, v in enumerate(vectors):
-        v, c = reduce(v, unit(j) if track else None)
-        if support(v):
+        v, c = E.reduce(v, {j: 1} if track else None)
+        if v:
             E.push(*E.normalize(v, c))
             pivots.append(j)
         elif track:
@@ -403,10 +484,13 @@ def _eliminate(M: SparseMatrix, track: bool):
     p = M.p
     E = _engine(p)
     if p <= 3 and not track and M.ncols > M.nrows:
-        # by rows: the lowest set columns of an echelon basis of M's row
-        # space are exactly M's leftmost-greedy independent columns, so
-        # neither the order nor the signs of the rows matter
-        _feed(E, M.rows() if M.rows is not None else map(E.split, _rows(M)), False)
+        # by rows: the lowest set columns of a lowest-row echelon basis of
+        # M's row space are exactly M's leftmost-greedy independent
+        # columns, so neither the order nor the signs of the rows matter
+        for v in M.rows() if M.rows is not None else map(E.split, _rows(M)):
+            v = E.reduce(v, None)[0]
+            if E.support(v):
+                E.push(*E.normalize(v, None))
         return _bits(E.mask), None
     if not _dense_eligible(M):
         return _feed(E, _vectors(M, E), track)

@@ -50,6 +50,25 @@ def test_non_associative_rejected():
         group_from_mult_table(table)
 
 
+def test_non_associative_120_element_table_rejected():
+    """Associativity is checked exactly at every order: S5's table with
+    two entries of one row swapped keeps its identity and inverses, and a
+    deterministic sample of 30n triples, t -> (7t, 11t + 3, 13t + 5) mod n,
+    misses every violation, yet the table is refused."""
+    table = [list(row) for row in preset_group("symmetric", 5).mult]
+    n = len(table)
+    table[5][7], table[5][11] = table[5][11], table[5][7]
+
+    def violates(a, b, c):
+        return table[table[a][b]][c] != table[a][table[b][c]]
+
+    sample = [((7 * t) % n, (11 * t + 3) % n, (13 * t + 5) % n) for t in range(30 * n)]
+    assert not any(violates(*abc) for abc in sample)
+    assert any(violates(5, 7, c) for c in range(n))
+    with pytest.raises(GroupError, match="not associative"):
+        group_from_mult_table(table)
+
+
 def test_no_identity_rejected():
     with pytest.raises(GroupError, match="identity"):
         group_from_mult_table([[1, 0], [1, 0]])

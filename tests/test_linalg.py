@@ -250,43 +250,101 @@ def test_engine_rule():
 
 
 def test_engine_shape_rule(monkeypatch):
-    """pivot_columns and rank go by rows exactly for wide matrices
-    (ncols > nrows) at p <= 3, streaming a matrix's ``rows`` where it has
-    them and transposing its dict columns otherwise; kernels, tall and
-    square matrices go by columns there.  p >= 5 takes no bitset path:
-    numpy where it is eligible, else the feed loop on a ColumnReducer."""
-    calls = []
-    rows, feed = linalg._rows, linalg._feed
+    """At p <= 3, pivot_columns and rank of a wide matrix (ncols > nrows)
+    go by rows through the lowest-row steps ``reduce`` and ``push``, whose
+    ``mask`` names the pivot columns, streaming the matrix's ``rows`` where
+    it has them and transposing its dict columns otherwise; kernels, tall
+    and square matrices go by columns through ``_feed`` into the bitset
+    core's leading-row ``feed``.  p >= 5 takes no bitset path: numpy where
+    it is eligible, else ``_feed`` on a ColumnReducer."""
+    calls = set()
 
-    def recording_rows(M):
-        calls.append("_rows")
-        return rows(M)
+    def record(name, f):
+        def recorded(*args, **kwargs):
+            calls.add(name)
+            return f(*args, **kwargs)
+        return recorded
 
-    def recording_feed(E, vectors, track):
-        calls.append(type(E).__name__)
+    feed = linalg._feed
+
+    def recorded_feed(E, vectors, track):
+        calls.add(f"_feed {type(E).__name__}")
         return feed(E, vectors, track)
 
-    monkeypatch.setattr(linalg, "_rows", recording_rows)
-    monkeypatch.setattr(linalg, "_feed", recording_feed)
+    monkeypatch.setattr(linalg, "_rows", record("_rows", linalg._rows))
+    monkeypatch.setattr(linalg, "_feed", recorded_feed)
+    for cls in linalg._BITSETS.values():
+        for step in ("feed", "reduce", "push"):
+            monkeypatch.setattr(cls, step, record(step, getattr(cls, step)))
 
     def paths(M, f):
         calls.clear()
         f(M)
-        return calls[:]
+        return calls.copy()
 
     for p, engine in ((2, "_GF2"), (3, "_GF3")):
-        wide, tall, square = SparseMatrix(3, 5, p), SparseMatrix(5, 3, p), SparseMatrix(4, 4, p)
+        wide = mat([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1]], p)
+        tall = mat([[1, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], p)
+        square = mat([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]], p)
         streamed = SparseMatrix(3, 5, p, rows=lambda: iter([linalg._BITSETS[p].unit(4)]))
+        by_columns = {f"_feed {engine}", "feed"}
         for f in (pivot_columns, rank):
-            assert paths(wide, f) == ["_rows", engine]
-            assert paths(streamed, f) == [engine]
-            assert paths(tall, f) == paths(square, f) == [engine]
+            assert paths(wide, f) == {"_rows", "reduce", "push"}
+            assert paths(streamed, f) == {"reduce", "push"}
+            assert paths(tall, f) == paths(square, f) == by_columns
         assert pivot_columns(streamed) == [4]
         for M in (wide, tall, square):
-            assert paths(M, kernel_basis) == [engine]
-    for p, engine in ((5, []), (65537, ["ColumnReducer"])):
+            assert paths(M, kernel_basis) == by_columns
+    for p, engine in ((5, set()), (65537, {"_feed ColumnReducer"})):
         for M in (SparseMatrix(3, 5, p), SparseMatrix(5, 3, p)):
             assert paths(M, pivot_columns) == paths(M, kernel_basis) == engine
+
+
+def leading_row_examples():
+    """Columns that exercise each branch of the leading-row loop: at p = 3
+    columns whose top set entry is 2 (stored negated as a new pivot, and
+    adding rather than subtracting a pivot they meet), zero columns (kernel
+    vector e_j at once), and duplicate columns, also up to sign."""
+    yield "p3-top-entry-2", from_columns(4, 3, [
+        {3: 2}, {0: 1, 3: 2}, {1: 2, 3: 1}, {0: 1, 1: 1, 3: 2}, {2: 2, 3: 2},
+        {0: 2, 1: 1, 2: 1}, {0: 2, 2: 2}, {1: 1, 2: 2}])
+    for p in (2, 3):
+        yield f"p{p}-zero-and-duplicate", from_columns(3, p, [
+            {}, {0: 1, 2: 1}, {}, {0: 1, 2: 1}, {1: 1}, {0: p - 1, 2: p - 1},
+            {0: 1, 1: 1, 2: 1}, {}, {1: 1}, {1: p - 1}])
+
+
+@pytest.mark.parametrize("M", [M for _, M in leading_row_examples()],
+                         ids=[name for name, _ in leading_row_examples()])
+def test_leading_row_examples(M):
+    """The explicit examples give the ColumnReducer's pivots, rank and
+    kernel basis; every pivot the leading-row loop stores holds 1 at its
+    top row, its key."""
+    pivots, kern = reducer_run(M)
+    assert pivot_columns(M) == pivots
+    assert rank(M) == len(pivots)
+    assert kernel_basis(M) == kern
+    for v in kern:
+        assert not matvec(M, v)
+    E = linalg._engine(M.p)
+    _feed(E, map(E.split, M.columns), True)
+    assert len(E.lead) == len(pivots)
+    for top, pivot in E.lead.items():
+        entries = E.entries(pivot[:2] if M.p == 3 else pivot[0])
+        assert max(entries) == top and entries[top] == 1
+
+
+@pytest.mark.parametrize("group,p,shape", [
+    (("symmetric", 3), 3, (625, 125)),
+    (("dihedral", 4), 2, (2401, 343)),
+], ids=["S3-p3", "D8-p2"])
+def test_face_built_kernels_match_column_reducer(group, p, shape):
+    """The tracked kernel of the face-built whole-group matrix(3), streamed
+    from the coboundary face tables, equals the ColumnReducer's kernel on
+    the matrix's dict columns."""
+    M = GroupComplex(whole_group(preset_group(*group)), p, (3, 4)).matrix(3)
+    assert (M.nrows, M.ncols) == shape and M.vectors is not None
+    assert kernel_basis(M) == reducer_run(M)[1]
 
 
 @pytest.mark.parametrize("group,p,degree,shape", [

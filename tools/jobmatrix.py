@@ -5,10 +5,14 @@
 
 Each job is ``python -m tatebv.cli ... --format json`` with ``PYTHONPATH``
 set to a source tree (``--src``, default this checkout's ``src``), started
-with ``RLIMIT_AS`` (address space) and ``RLIMIT_CPU`` set in the child.  Per run it records the wall time from
-spawn to reap, the child's own peak RSS (``ru_maxrss`` from ``os.wait4``)
-and its exit code, negative for the signal that killed it (``RLIMIT_CPU``
-sends SIGXCPU); a job that runs out of address space exits 3.
+with ``RLIMIT_AS`` (address space) and ``RLIMIT_CPU`` set in the child.
+Per run it records the wall time from spawn to reap, the child's own peak
+RSS (``ru_maxrss`` from ``os.wait4``), its exit code, negative for the
+signal that killed it (``RLIMIT_CPU`` sends SIGXCPU; a job that runs out of
+address space exits 3), and ``out_sha256``, the SHA-256 of its stdout JSON
+without ``provenance`` (None if stdout is not JSON).  A job whose runs
+disagree on that digest, between trees or between repeats, prints a
+``MISMATCH`` line.
 
 With several ``--src`` trees the runs alternate between them job by job,
 so that a slow spell of a shared machine hits both alike.  Each tree first
@@ -19,6 +23,7 @@ runs one untimed import, which writes its bytecode.  The results go under
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,9 +50,12 @@ JOBS = [
     ("tables", "dihedral:4", 2, "-2..2", False),
     ("dims", "dihedral:4", 2, "-4..4", True),
     ("dims", "quaternion8", 2, "-3..3", False),
-    ("dims", "symmetric:4", 2, "-3..3", False),
+    ("dims", "symmetric:4", 2, "-3..3", True),
     ("dims", "symmetric:4", 2, "-5..5", False),
     ("dims", "symmetric:3", 5, "-5..5", False),
+    ("tables", "cyclic:6", 3, "-4..4", False),
+    ("tables", "dihedral:6", 2, "-3..3", False),
+    ("tables", "dihedral:6", 3, "-3..3", False),
 ]
 
 
@@ -60,24 +68,39 @@ def job_name(cmd, group, p, window):
     return " ".join(filter(None, [cmd, group, f"p={p}", window]))
 
 
+def output_digest(stdout: bytes):
+    """SHA-256 of a job's JSON output with its ``provenance`` removed, or
+    None if the output is not JSON."""
+    try:
+        data = json.loads(stdout)
+    except ValueError:
+        return None
+    data.pop("provenance", None)
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 def run_child(argv, src):
-    """One child run: wall seconds, peak RSS in MB, exit code, last stderr line."""
+    """One child run: wall seconds, peak RSS in MB, exit code, output
+    digest, last stderr line."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (MEM_MB << 20, MEM_MB << 20))
         resource.setrlimit(resource.RLIMIT_CPU, (CPU_S, CPU_S + 5))
 
     env = dict(os.environ, PYTHONPATH=str(src))
-    with tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable] + argv, env=env, cwd=ROOT, preexec_fn=limit,
-                                stdout=subprocess.DEVNULL, stderr=err)
+                                stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        out.seek(0)
         err.seek(0)
+        digest = output_digest(out.read())
         lines = err.read().decode(errors="replace").strip().splitlines()
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit": proc.returncode, "stderr": lines[-1][:200] if lines else ""}
+            "exit": proc.returncode, "out_sha256": digest,
+            "stderr": lines[-1][:200] if lines else ""}
 
 
 def main(argv=None):
@@ -118,6 +141,9 @@ def main(argv=None):
             runs[label]["jobs"].append(rec)
             print(f"{label:>12}  {rec['job']:<34} wall {rec['wall_s_median']:7.3f} s  "
                   f"rss {rec['peak_rss_mb_max']:7.1f} MB  exit {rec['exits']}", flush=True)
+        digests = {label: sorted({str(s["out_sha256"])[:12] for s in got}) for label, got in samples.items()}
+        if len(set().union(*digests.values())) > 1:
+            print(f"    MISMATCH  {job_name(*job)}: {digests}", flush=True)
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
