@@ -9,36 +9,28 @@ and the argument of ``project``.  Elimination is deterministic (the pivot
 columns are the leftmost-greedy independent set), so ranks, kernel bases
 and quotient representatives are bit-identical across runs.
 
-``_eliminate``, the one place an engine is chosen, picks one by p and shape:
+``_engine(p)``, the one place an engine is chosen, picks one by p alone:
 
 * p = 2 and p = 3: the bitset echelon core ``_Bitsets`` (one Python-int
-  bitset per vector at p = 2, a bit-sliced pair at p = 3), by rows for
-  ``pivot_columns`` and ``rank`` of wide matrices (ncols > nrows), else
-  by columns.  A matrix with packed ``vectors`` or ``rows`` (the
-  differentials that ``complexes`` builds from face maps) streams them
-  straight into the pass that reads them and skips ``split``; its dict
-  ``columns`` are built only on demand;
-* 5 <= p <= 46337, i.e. (p-1)^2 < 2^31, on at most 4096 columns and 16M
-  entries: numpy int32 reduced row echelon form, whose products of two
-  residues cannot overflow.  numpy is imported on the first use of this
-  engine, so jobs at p = 2 and p = 3 never load it;
-* otherwise: ``ColumnReducer``, the same steps on dict vectors.
+  bitset per vector at p = 2, a bit-sliced pair at p = 3).  A matrix with
+  packed ``vectors`` or ``rows`` (the differentials that ``complexes``
+  builds from face maps) streams them straight into the pass that reads
+  them and skips ``split``; its dict ``columns`` are built only on demand;
+* p >= 5: ``ColumnReducer``, the same steps on dict vectors.
 
-``_engine(p)`` picks the bitset core or ``ColumnReducer``, and ``_feed``
-eliminates by columns with either.  On the bitset core it runs the core's
-``feed``, which reduces each vector by its leading (top) set row, one
-addition per step, and stops an independent vector at its first leading
-row that holds no pivot; on a ``ColumnReducer`` it runs the lowest-row
-steps, which apply the pivots in creation order.  The by-rows pivot
+``_eliminate`` runs the engine's ``feed`` by columns, except for
+``pivot_columns`` and ``rank`` of a wide matrix (ncols > nrows) at
+p <= 3, which go by rows.  ``feed`` reduces each vector by the pivot of
+its leading (top) row, one addition per step, and stops an independent
+vector at its first leading row that holds no pivot.  The by-rows pivot
 search and ``QuotientSpace``'s image check, representatives, ``project``
 and ``lift`` read an echelon keyed by each pivot's lowest row (the steps
-``reduce``, ``normalize``, ``push`` and ``place``, shared by both
-engines), because the lowest rows of that echelon are what they output.
-Which entry leads cannot move an output of ``_feed``: the rank, the
+``reduce``, ``normalize``, ``push`` and ``place`` of both engines),
+because the lowest rows of that echelon are what they output.  Which
+entry leads cannot move an output of ``feed``: the rank, the
 leftmost-greedy pivot columns (a column is a pivot iff it is independent
 of the columns before it) and each free column's kernel vector (1 there,
-support only on earlier pivot columns) are unique.  So all engines give
-the same pivot set and the same kernel basis.
+support only on earlier pivot columns) are unique.
 """
 
 from __future__ import annotations
@@ -46,9 +38,6 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, compress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-DENSE_COLUMN_LIMIT = 4096
-DENSE_ENTRY_LIMIT = 16_000_000
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
@@ -144,20 +133,56 @@ class SparseMatrix:
 
 class ColumnReducer:
     """Column echelon form on dict vectors with combination tracking, the
-    dict engine for p >= 5.  It has the lowest-row steps of ``_Bitsets``
-    on dicts, so ``QuotientSpace`` drives both alike, and ``_feed`` runs
-    them in its loop; pivots are applied in creation order, and ``push``
-    makes a vector the pivot at its minimal row.
+    engine for p >= 5.  It has the steps of ``_Bitsets`` on dicts, so
+    ``_eliminate`` and ``QuotientSpace`` drive both alike: the leading-row
+    ``feed``, and the lowest-row ``reduce``, ``normalize``, ``push`` and
+    ``place``, which apply the pivots in creation order.
     """
 
     def __init__(self, p: int):
         self.p = p
+        self.lead: Dict[int, tuple] = {}  # feed: leading row -> (vector, combination)
         self.pivots: List[Tuple[int, Dict[int, int], Optional[Dict[int, int]]]] = []
 
     split = support = staticmethod(lambda v: v)
     unit = staticmethod(lambda j: {j: 1})
-    entries = staticmethod(lambda v, first=None: dict(v))
     coords = staticmethod(lambda c, n: [c.get(k, 0) for k in range(n)])
+
+    @staticmethod
+    def entries(v: Dict[int, int], first: Optional[int] = None) -> Dict[int, int]:
+        """A copy of v, or with its largest index ``first`` first and the
+        others ascending."""
+        if first is None:
+            return dict(v)
+        return {k: v[k] for k in [first] + sorted(v)[:-1]}
+
+    def feed(self, vectors: Iterable[Dict[int, int]], track: bool):
+        """The leading-row ``feed`` of ``_Bitsets`` on dicts: each vector
+        subtracts v[top] times the pivot of its top row, and the same
+        multiple of that pivot's combination from its own, until its top
+        row holds no pivot (it becomes the pivot there, scaled to 1 at that
+        row) or it is zero."""
+        p, lead = self.p, self.lead
+        pivots: List[int] = []
+        kernel: List[tuple] = []
+        for j, v in enumerate(vectors):
+            v = dict(v)
+            c = {j: 1} if track else None
+            while v:
+                top = max(v)
+                q = lead.get(top)
+                if q is None:
+                    lead[top] = self.normalize(v, c, top)
+                    pivots.append(j)
+                    break
+                x = -v[top]
+                add_scaled_inplace(v, q[0], x, p)
+                if track:
+                    add_scaled_inplace(c, q[1], x, p)
+            else:
+                if track:
+                    kernel.append((j, c))
+        return pivots, kernel if track else None
 
     def reduce(self, v: Dict[int, int], c: Optional[Dict[int, int]]):
         """Copies of v minus the multiples of the pivots that clear their
@@ -174,10 +199,11 @@ class ColumnReducer:
                     add_scaled_inplace(c, d, -x, p)
         return v, c
 
-    def normalize(self, v: Dict[int, int], c: Optional[Dict[int, int]]):
-        """(v, c) scaled so that v's entry at its lowest row is 1."""
+    def normalize(self, v: Dict[int, int], c: Optional[Dict[int, int]], row: Optional[int] = None):
+        """(v, c) scaled so that v's entry at row, by default its lowest
+        row, is 1."""
         p = self.p
-        inv = pow(v[min(v)], p - 2, p)
+        inv = pow(v[min(v) if row is None else row], p - 2, p)
         if inv != 1:
             v, c = (u if u is None else {k: x * inv % p for k, x in u.items()} for u in (v, c))
         return v, c
@@ -188,45 +214,6 @@ class ColumnReducer:
     def place(self, row: int, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
         """Make v, which holds 1 at row, the pivot there with combination c."""
         self.pivots.append((row, v, c))
-
-
-def _dense_eligible(M: SparseMatrix) -> bool:
-    """Whether the numpy int32 engine runs on M: p >= 5 with (p-1)^2 < 2^31,
-    so that a product of two residues fits int32, on a matrix small enough
-    to hold densely.  p = 2 and p = 3 always take the bitset engines."""
-    return (M.p > 3 and (M.p - 1) ** 2 < 2 ** 31
-            and M.ncols <= DENSE_COLUMN_LIMIT and M.nrows * max(M.ncols, 1) <= DENSE_ENTRY_LIMIT)
-
-
-def _dense_rref(M: SparseMatrix):
-    """Reduced row echelon form (numpy, int32 mod p): (R, pivot column list)."""
-    import numpy as np
-    arr = np.zeros((M.nrows, M.ncols), dtype=np.int32)
-    for j, col in enumerate(M.columns):
-        for i, v in col.items():
-            arr[i, j] = v
-    p = M.p
-    r = 0
-    pivots: List[int] = []
-    for j in range(M.ncols):
-        nz = np.nonzero(arr[r:, j])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            arr[[r, piv]] = arr[[piv, r]]
-        inv = pow(int(arr[r, j]), p - 2, p)
-        if inv != 1:
-            arr[r] = (arr[r] * inv) % p
-        rows = np.nonzero(arr[:, j])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            arr[rows] = (arr[rows] - np.outer(arr[rows, j], arr[r])) % p
-        pivots.append(j)
-        r += 1
-        if r == M.nrows:
-            break
-    return arr[:r], pivots
 
 
 def _bits(x: int) -> List[int]:
@@ -249,9 +236,9 @@ class _Bitsets:
     of M4RI (Albrecht, Bard & Hart, 2010): a vector subtracts the pivot of
     its top row, so it shortens at every step at the cost of one addition,
     until its top row holds no pivot (it becomes the pivot there, scaled to
-    1 at that row) or it is zero.  This is ``_feed``'s loop on the bitset
-    core: ranks, pivot columns and kernels by columns, and ``QuotientSpace``'s
-    kernel and representative pick.  None of these reads the echelon
+    1 at that row) or it is zero.  It gives ranks, pivot columns and
+    kernels by columns, and ``QuotientSpace``'s kernel and representative
+    pick.  None of these reads the echelon
     itself, and none depends on which entry leads: the rank, the
     leftmost-greedy pivot columns (a column is a pivot iff it is
     independent of the columns before it) and the kernel vector of each
@@ -436,30 +423,8 @@ _BITSETS = {2: _GF2, 3: _GF3}
 
 def _engine(p: int):
     """A new echelon of the engine for p: the bitset core at p <= 3, else a
-    ``ColumnReducer``; the numpy engine is chosen in ``_eliminate`` alone."""
+    ``ColumnReducer``."""
     return _BITSETS[p]() if p <= 3 else ColumnReducer(p)
-
-
-def _feed(E, vectors: Iterable, track: bool):
-    """(indices of the vectors that became pivots, [(index, combination)]
-    of the others or None without track) of feeding vectors of E's engine
-    in order to the echelon E: the bitset core's leading-row ``feed``, or
-    the lowest-row steps of a ``ColumnReducer``.  A dead vector's
-    combination is 1 at its own index (no pivot combination reaches it)
-    plus entries at pivot indices only: the canonical kernel vector of that
-    free index."""
-    if isinstance(E, _Bitsets):
-        return E.feed(vectors, track)
-    pivots: List[int] = []
-    kernel: List[tuple] = []
-    for j, v in enumerate(vectors):
-        v, c = E.reduce(v, {j: 1} if track else None)
-        if v:
-            E.push(*E.normalize(v, c))
-            pivots.append(j)
-        elif track:
-            kernel.append((j, c))
-    return pivots, kernel if track else None
 
 
 def _vectors(M: SparseMatrix, E) -> Iterable:
@@ -477,10 +442,12 @@ def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
 
 
 def _eliminate(M: SparseMatrix, track: bool):
-    """(pivot columns, kernel or None without track) by the engine rule of
-    the module docstring; the one place an engine is chosen.  The kernel
-    is a list of (free column, kernel vector) with the vector in the
-    format of ``_engine(M.p)``, dicts at p >= 5 for numpy too."""
+    """(pivot columns, kernel or None without track) of M, by rows or by
+    columns as the module docstring says.  The kernel is a list of (free
+    column, kernel vector) with the vector in the format of
+    ``_engine(M.p)``: a dead vector's combination is 1 at its own index (no
+    pivot combination reaches it) plus entries at pivot indices only, the
+    canonical kernel vector of that free index."""
     p = M.p
     E = _engine(p)
     if p <= 3 and not track and M.ncols > M.nrows:
@@ -492,22 +459,7 @@ def _eliminate(M: SparseMatrix, track: bool):
             if E.support(v):
                 E.push(*E.normalize(v, None))
         return _bits(E.mask), None
-    if not _dense_eligible(M):
-        return _feed(E, _vectors(M, E), track)
-    R, pivots = _dense_rref(M)
-    if not track:
-        return pivots, None
-    pivot_set = set(pivots)
-    kernel = []
-    for j in range(M.ncols):
-        if j not in pivot_set:
-            c = {j: 1}
-            for i, pc in enumerate(pivots):
-                v = int(R[i, j]) % p
-                if v:
-                    c[pc] = -v % p
-            kernel.append((j, c))
-    return pivots, kernel
+    return E.feed(_vectors(M, E), track)
 
 
 def rank(M: SparseMatrix) -> int:
@@ -526,7 +478,8 @@ def kernel_basis(M: SparseMatrix) -> List[Dict[int, int]]:
     Each kernel vector carries coefficient 1 at its own free column and
     support only at pivot columns left of it (reduced echelon shape), so
     the basis is unique and the free column is each vector's largest
-    index.  Vectors come in free-column order.
+    index.  Vectors come in free-column order, each listing its free
+    column first and then its pivot columns ascending.
     """
     entries = _engine(M.p).entries
     return [entries(c, first=j) for j, c in _eliminate(M, True)[1]]
@@ -576,7 +529,7 @@ class QuotientSpace:
         # are the first len(coords) pivots
         F = _engine(p)
         n = len(coords)
-        pivots = _feed(F, chain(coords, map(F.unit, range(len(kernel)))), False)[0]
+        pivots = F.feed(chain(coords, map(F.unit, range(len(kernel)))), False)[0]
         self._reps = [kernel[j - n][1] for j in pivots[n:]]
         self.dim = len(self._reps)
 

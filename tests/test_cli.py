@@ -129,14 +129,14 @@ def _fresh_child(code):
     return proc.stdout.strip()
 
 
-def test_cold_start_loads_numpy_only_for_the_dense_engine():
-    # p = 2 and p = 3 run on the bitset core and must not pay numpy's import
+def test_no_cli_job_imports_numpy():
+    # every p runs on pure-Python engines: bitsets at p = 2 and 3, dicts above
     assert not _numpy_loaded_after(
         ("dims", "--group", "quaternion8", "--char", "2", "--window", "-3..3"),
-        ("tables", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"))
-    # at p = 5 the matrices _dense_eligible admits still take the numpy engine
-    assert _numpy_loaded_after(
-        ("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"))
+        ("tables", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"),
+        ("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"),
+        ("tables", "--group", "dihedral:5", "--char", "5", "--window", "-2..2"),
+        ("dims", "--group", "cyclic:7", "--char", "7", "--window", "-3..3"))
 
 
 def test_cold_import_loads_no_dataclasses_or_inspect():

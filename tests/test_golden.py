@@ -14,7 +14,11 @@ guard the representatives' entries.  The ``tables symmetric:3`` digests
 of the windows -5..5 and -2..4 were computed on commit 85922a1, while
 ``tables`` still built the cohomology spaces of degree lo-1, so they pin
 the outputs that ``tables`` had to keep when it stopped building them.
-Each job takes about a second or less in-process.
+The digests of ``tables dihedral:5 -3..3``, ``dims cyclic:5 -5..5`` and
+``dims dihedral:5`` at p = 2^31 - 1 were computed on commit 911be06,
+while p >= 5 still took a numpy int32 engine on small matrices, so they
+pin the outputs that the dict leading-row loop had to keep.  Each job
+takes about a second or less in-process.
 """
 
 import hashlib
@@ -49,6 +53,12 @@ GOLDEN = [
      "7b47285c6feff3dc4424312c0fb574775e283897c33988b9f0bb0720201fdd67"),
     (("tables", "--group", "dihedral:5", "--char", "5", "--window", "-2..2"),
      "257b1ad7528509ca5f12daacdba277de4a0d2c5897d71744a2ed73e2f05ddaf2"),
+    (("tables", "--group", "dihedral:5", "--char", "5", "--window", "-3..3"),
+     "ed176dec9de3f028a171517c5ac334f14c6c4384f896b70790cf36e182388810"),
+    (("dims", "--group", "cyclic:5", "--char", "5", "--window", "-5..5"),
+     "02330416deee5c8156d5623adcc0aa490e612300f2be864f909f28375fd44b3e"),
+    (("dims", "--group", "dihedral:5", "--char", "2147483647", "--window", "-3..3"),
+     "990a3cd9ee63f2d1e2234f6a486d10e09a4ffd3dcfc60734b6d3305ac0fc5195"),
 ]
 
 

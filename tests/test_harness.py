@@ -228,7 +228,7 @@ def shared_ops():
 @pytest.mark.parametrize("group,p,lo,hi,coord_cap", [
     ("symmetric:3", 3, -5, 5, None), ("dihedral:4", 2, -4, 4, None),
     ("quaternion8", 2, -3, 3, None), ("cyclic:6", 3, -4, 4, None),
-    ("dihedral:5", 5, -2, 2, None), ("symmetric:4", 2, -2, 2, None),
+    ("dihedral:5", 5, -3, 3, None), ("symmetric:4", 2, -2, 2, None),
     pytest.param("symmetric:3", 3, -5, 5, {0: (-2, 2)}, id="symmetric:3-3--5-5-cap0=2"),
 ])
 def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from tatebv import linalg, preset_group, whole_group
 from tatebv.cli import main
 from tatebv.complexes import GroupComplex
-from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, _dense_eligible, _feed,
-                           add_scaled_inplace, is_prime, kernel_basis, pivot_columns, rank)
+from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, add_scaled_inplace, is_prime,
+                           kernel_basis, pivot_columns, rank)
 
 
 def mat(rows, p):
@@ -174,7 +174,7 @@ def test_determinism(s3_complex):
     assert pivot_columns(M) == pivot_columns(M)
 
 
-PRIMES = (2, 3, 46337, 65537, 2 ** 31 - 1)
+PRIMES = (2, 3, 5, 7, 46337, 65537, 2 ** 31 - 1, 2 ** 61 - 1)
 
 
 @st.composite
@@ -208,10 +208,29 @@ def seeded_sparse(p):
     return M
 
 
+def lowest_row_feed(E, vectors, track):
+    """The reference column loop, independent of the engines' ``feed``:
+    each vector in order is reduced by the lowest-row steps of the echelon
+    E, which apply its pivots in creation order, and becomes the pivot at
+    its lowest row if anything is left.  Returns (indices of the vectors
+    that became pivots, [(index, combination)] of the others or None
+    without track)."""
+    pivots = []
+    kernel = []
+    for j, v in enumerate(vectors):
+        v, c = E.reduce(v, {j: 1} if track else None)
+        if v:
+            E.push(*E.normalize(v, c))
+            pivots.append(j)
+        elif track:
+            kernel.append((j, c))
+    return pivots, kernel if track else None
+
+
 def reducer_run(M, track=True):
-    """(pivot columns, kernel combinations) of feeding M's columns to a
-    ColumnReducer in order."""
-    pivots, kernel = _feed(ColumnReducer(M.p), M.columns, track)
+    """(pivot columns, kernel combinations) of the reference loop on M's
+    columns in order."""
+    pivots, kernel = lowest_row_feed(ColumnReducer(M.p), M.columns, track)
     return pivots, [c for _, c in kernel] if track else None
 
 
@@ -220,33 +239,21 @@ def reducer_run(M, track=True):
 @example(seeded_sparse(3))
 @example(seeded_sparse(2))
 @example(seeded_sparse(65537))
+@example(seeded_sparse(5))
+@example(seeded_sparse(7))
 def test_engines_match_column_reducer(M):
-    """Every engine (bitsets at p = 2, bit-sliced pairs at p = 3, numpy
-    int32, dict columns) gives the ColumnReducer's pivot set, rank and
-    kernel basis; the bitset and numpy engines list each kernel vector's
-    own column first, then its pivot columns ascending, and the dict engine
-    keeps the reducer's order."""
+    """Every engine (bitsets at p = 2, bit-sliced pairs at p = 3, dict
+    columns at p >= 5) gives the reference loop's pivot set, rank and
+    kernel basis, and lists each kernel vector's own column first, then its
+    pivot columns ascending."""
     pivots, red_kernel = reducer_run(M)
     assert pivot_columns(M) == pivots
     assert rank(M) == len(pivots)
     kern = kernel_basis(M)
     assert kern == red_kernel
-    if M.p in (2, 3) or _dense_eligible(M):
-        order = [[max(c)] + sorted(c)[:-1] for c in red_kernel]
-    else:
-        order = [list(c) for c in red_kernel]
-    assert [list(v) for v in kern] == order
+    assert [list(v) for v in kern] == [[max(c)] + sorted(c)[:-1] for c in red_kernel]
     for v in kern:
         assert not matvec(M, v)
-
-
-def test_engine_rule():
-    # numpy int32 only where a product of two residues fits, p <= 46337,
-    # and not at p = 2 or 3, which take the bitset engines
-    for p in (5, 46337):
-        assert _dense_eligible(SparseMatrix(4, 4, p))
-    for p in (2, 3, 65537, 2 ** 31 - 1):
-        assert not _dense_eligible(SparseMatrix(4, 4, p))
 
 
 def test_engine_shape_rule(monkeypatch):
@@ -254,9 +261,9 @@ def test_engine_shape_rule(monkeypatch):
     go by rows through the lowest-row steps ``reduce`` and ``push``, whose
     ``mask`` names the pivot columns, streaming the matrix's ``rows`` where
     it has them and transposing its dict columns otherwise; kernels, tall
-    and square matrices go by columns through ``_feed`` into the bitset
-    core's leading-row ``feed``.  p >= 5 takes no bitset path: numpy where
-    it is eligible, else ``_feed`` on a ColumnReducer."""
+    and square matrices go by columns into the bitset core's leading-row
+    ``feed``.  Every p >= 5 takes ``ColumnReducer.feed`` alone, whatever
+    the shape."""
     calls = set()
 
     def record(name, f):
@@ -265,50 +272,53 @@ def test_engine_shape_rule(monkeypatch):
             return f(*args, **kwargs)
         return recorded
 
-    feed = linalg._feed
-
-    def recorded_feed(E, vectors, track):
-        calls.add(f"_feed {type(E).__name__}")
-        return feed(E, vectors, track)
-
     monkeypatch.setattr(linalg, "_rows", record("_rows", linalg._rows))
-    monkeypatch.setattr(linalg, "_feed", recorded_feed)
-    for cls in linalg._BITSETS.values():
+    for cls in (*linalg._BITSETS.values(), ColumnReducer):
         for step in ("feed", "reduce", "push"):
-            monkeypatch.setattr(cls, step, record(step, getattr(cls, step)))
+            monkeypatch.setattr(cls, step, record(f"{cls.__name__}.{step}", getattr(cls, step)))
 
     def paths(M, f):
         calls.clear()
         f(M)
         return calls.copy()
 
-    for p, engine in ((2, "_GF2"), (3, "_GF3")):
+    for p in PRIMES:
+        engine = type(linalg._engine(p)).__name__
         wide = mat([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1]], p)
         tall = mat([[1, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], p)
         square = mat([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]], p)
-        streamed = SparseMatrix(3, 5, p, rows=lambda: iter([linalg._BITSETS[p].unit(4)]))
-        by_columns = {f"_feed {engine}", "feed"}
-        for f in (pivot_columns, rank):
-            assert paths(wide, f) == {"_rows", "reduce", "push"}
-            assert paths(streamed, f) == {"reduce", "push"}
-            assert paths(tall, f) == paths(square, f) == by_columns
-        assert pivot_columns(streamed) == [4]
+        by_columns = {f"{engine}.feed"}
         for M in (wide, tall, square):
             assert paths(M, kernel_basis) == by_columns
-    for p, engine in ((5, set()), (65537, {"_feed ColumnReducer"})):
-        for M in (SparseMatrix(3, 5, p), SparseMatrix(5, 3, p)):
-            assert paths(M, pivot_columns) == paths(M, kernel_basis) == engine
+        by_rows = {"_rows", f"{engine}.reduce", f"{engine}.push"}
+        for f in (pivot_columns, rank):
+            assert paths(tall, f) == paths(square, f) == by_columns
+            assert paths(wide, f) == (by_rows if p <= 3 else {"ColumnReducer.feed"})
+        if p <= 3:
+            streamed = SparseMatrix(3, 5, p, rows=lambda: iter([linalg._BITSETS[p].unit(4)]))
+            for f in (pivot_columns, rank):
+                assert paths(streamed, f) == by_rows - {"_rows"}
+            assert pivot_columns(streamed) == [4]
+
+
+BIG_PRIMES = (5, 7, 2 ** 31 - 1, 2 ** 61 - 1)
 
 
 def leading_row_examples():
     """Columns that exercise each branch of the leading-row loop: at p = 3
     columns whose top set entry is 2 (stored negated as a new pivot, and
     adding rather than subtracting a pivot they meet), zero columns (kernel
-    vector e_j at once), and duplicate columns, also up to sign."""
+    vector e_j at once), and duplicate columns, also up to sign; at p >= 5
+    columns whose top entry is not 1 (scaled to 1 as a new pivot, and
+    subtracting a multiple other than 1 of a pivot they meet)."""
     yield "p3-top-entry-2", from_columns(4, 3, [
         {3: 2}, {0: 1, 3: 2}, {1: 2, 3: 1}, {0: 1, 1: 1, 3: 2}, {2: 2, 3: 2},
         {0: 2, 1: 1, 2: 1}, {0: 2, 2: 2}, {1: 1, 2: 2}])
-    for p in (2, 3):
+    for p in BIG_PRIMES:
+        yield f"p{p}-top-entry-not-1", from_columns(4, p, [
+            {3: 2}, {0: 1, 3: p - 1}, {1: 3, 3: 1}, {0: 1, 1: 1, 3: 3}, {2: p - 1, 3: 2},
+            {0: 2, 1: 1, 2: 3}, {0: 2, 2: (p + 1) // 2}, {1: p - 2, 2: 2}, {0: 3, 1: 3, 2: 3, 3: 3}])
+    for p in (2, 3) + BIG_PRIMES:
         yield f"p{p}-zero-and-duplicate", from_columns(3, p, [
             {}, {0: 1, 2: 1}, {}, {0: 1, 2: 1}, {1: 1}, {0: p - 1, 2: p - 1},
             {0: 1, 1: 1, 2: 1}, {}, {1: 1}, {1: p - 1}])
@@ -317,7 +327,7 @@ def leading_row_examples():
 @pytest.mark.parametrize("M", [M for _, M in leading_row_examples()],
                          ids=[name for name, _ in leading_row_examples()])
 def test_leading_row_examples(M):
-    """The explicit examples give the ColumnReducer's pivots, rank and
+    """The explicit examples give the reference loop's pivots, rank and
     kernel basis; every pivot the leading-row loop stores holds 1 at its
     top row, its key."""
     pivots, kern = reducer_run(M)
@@ -327,11 +337,23 @@ def test_leading_row_examples(M):
     for v in kern:
         assert not matvec(M, v)
     E = linalg._engine(M.p)
-    _feed(E, map(E.split, M.columns), True)
+    E.feed(map(E.split, M.columns), True)
     assert len(E.lead) == len(pivots)
     for top, pivot in E.lead.items():
         entries = E.entries(pivot[:2] if M.p == 3 else pivot[0])
         assert max(entries) == top and entries[top] == 1
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_column_reducer_feed_scales_pivots(p):
+    """ColumnReducer.feed stores each new pivot, vector and combination
+    alike, scaled to 1 at its top row; columns with distinct top rows meet
+    no pivot, so this holds before any reduction step runs."""
+    E = ColumnReducer(p)
+    assert E.feed([{0: 3}, {0: 1, 2: p - 1}, {1: 2, 3: 4}], True) == ([0, 1, 2], [])
+    third, quarter = pow(3, p - 2, p), pow(4, p - 2, p)
+    assert E.lead == {0: ({0: 1}, {0: third}), 2: ({0: p - 1, 2: 1}, {1: p - 1}),
+                      3: ({1: 2 * quarter % p, 3: 1}, {2: quarter})}
 
 
 @pytest.mark.parametrize("group,p,shape", [
@@ -366,8 +388,8 @@ def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):
     kernels, pivots and quotients all take the bitset core."""
     def refuse(*args, **kwargs):
         raise AssertionError("ColumnReducer used at p <= 3")
-    monkeypatch.setattr(ColumnReducer, "reduce", refuse)
-    monkeypatch.setattr(ColumnReducer, "place", refuse)
+    for step in ("feed", "reduce", "place"):
+        monkeypatch.setattr(ColumnReducer, step, refuse)
     for group, p, window in (("symmetric:3", "3", "-3..3"), ("dihedral:4", "2", "-2..2")):
         assert main(["tables", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["tables"]["cup"]
@@ -426,15 +448,15 @@ def reference_quotient(p, kernel, image):
     feeding the image vectors, then the kernel vectors, as (row, vector,
     tag) with tag None for image directions and k for representative k."""
     span = ColumnReducer(p)
-    _feed(span, kernel, False)
+    lowest_row_feed(span, kernel, False)
     red = ColumnReducer(p)
     tags = []
     for v in image:
-        if _feed(span, [v], False)[0]:
+        if lowest_row_feed(span, [v], False)[0]:
             raise ValueError("image vector outside kernel span")
-        tags += [None] * len(_feed(red, [v], False)[0])
+        tags += [None] * len(lowest_row_feed(red, [v], False)[0])
     for v in kernel:
-        if _feed(red, [v], False)[0]:
+        if lowest_row_feed(red, [v], False)[0]:
             tags.append(sum(t is not None for t in tags))
     return [(row, col, tag) for (row, col, _), tag in zip(red.pivots, tags)]
 

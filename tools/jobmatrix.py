@@ -12,7 +12,9 @@ signal that killed it (``RLIMIT_CPU`` sends SIGXCPU; a job that runs out of
 address space exits 3), and ``out_sha256``, the SHA-256 of its stdout JSON
 without ``provenance`` (None if stdout is not JSON).  A job whose runs
 disagree on that digest, between trees or between repeats, prints a
-``MISMATCH`` line.
+``MISMATCH`` line, and a run whose exit code is not the one its job
+expects prints an ``UNEXPECTED EXIT`` line; either makes the tool exit 1,
+after it has written ``--out``.
 
 With several ``--src`` trees the runs alternate between them job by job,
 so that a slow spell of a shared machine hits both alike.  Each tree first
@@ -39,23 +41,29 @@ ROOT = Path(__file__).resolve().parent.parent
 MEM_MB = 1024  # RLIMIT_AS of each child: tables S3 -7..7 reaches it in about 50 s
 CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes about 25 s
 
-# (command, group, char, window, in the quick subset); verify-s3 needs no group
+# (command, group, char, window, in the quick subset, expected exit code);
+# verify-s3 needs no group.  dims S4 -5..5 is refused by the cost caps, and
+# tables S3 -7..7 runs out of the address space MEM_MB allows: both exit 3.
 JOBS = [
-    ("verify-s3", None, 3, "-4..3", True),
-    ("selftest", "symmetric:3", 3, "-3..3", False),
-    ("tables", "symmetric:3", 3, "-4..4", True),
-    ("tables", "symmetric:3", 3, "-5..5", True),
-    ("tables", "symmetric:3", 3, "-6..6", False),
-    ("tables", "symmetric:3", 3, "-7..7", False),
-    ("tables", "dihedral:4", 2, "-2..2", False),
-    ("dims", "dihedral:4", 2, "-4..4", True),
-    ("dims", "quaternion8", 2, "-3..3", False),
-    ("dims", "symmetric:4", 2, "-3..3", True),
-    ("dims", "symmetric:4", 2, "-5..5", False),
-    ("dims", "symmetric:3", 5, "-5..5", False),
-    ("tables", "cyclic:6", 3, "-4..4", False),
-    ("tables", "dihedral:6", 2, "-3..3", False),
-    ("tables", "dihedral:6", 3, "-3..3", False),
+    ("verify-s3", None, 3, "-4..3", True, 0),
+    ("selftest", "symmetric:3", 3, "-3..3", False, 0),
+    ("tables", "symmetric:3", 3, "-4..4", True, 0),
+    ("tables", "symmetric:3", 3, "-5..5", True, 0),
+    ("tables", "symmetric:3", 3, "-6..6", False, 0),
+    ("tables", "symmetric:3", 3, "-7..7", False, 3),
+    ("tables", "dihedral:4", 2, "-2..2", False, 0),
+    ("dims", "dihedral:4", 2, "-4..4", True, 0),
+    ("dims", "quaternion8", 2, "-3..3", False, 0),
+    ("dims", "symmetric:4", 2, "-3..3", True, 0),
+    ("dims", "symmetric:4", 2, "-5..5", False, 3),
+    ("dims", "symmetric:3", 5, "-5..5", False, 0),
+    ("dims", "dihedral:5", 5, "-3..3", True, 0),
+    ("dims", "cyclic:7", 7, "-4..4", False, 0),
+    ("dims", "dihedral:7", 7, "-3..3", False, 0),
+    ("tables", "dihedral:5", 5, "-3..3", False, 0),
+    ("tables", "cyclic:6", 3, "-4..4", False, 0),
+    ("tables", "dihedral:6", 2, "-3..3", False, 0),
+    ("tables", "dihedral:6", 3, "-3..3", False, 0),
 ]
 
 
@@ -118,7 +126,7 @@ def main(argv=None):
         if not sep:
             ap.error(f"--src wants LABEL=DIR, got {spec!r}")
         trees[label] = Path(path).resolve()
-    jobs = [j[:4] for j in JOBS if j[4] or not args.quick]
+    jobs = [j for j in JOBS if j[4] or not args.quick]
 
     for src in trees.values():
         run_child(["-c", "import tatebv.cli"], src)
@@ -127,7 +135,8 @@ def main(argv=None):
     limits = {"address_space_mb": MEM_MB, "cpu_s": CPU_S}
     runs = {label: {"machine": machine, "limits": limits, "repeat": args.repeat,
                     "jobs": []} for label in trees}
-    for job in jobs:
+    failed = False
+    for *job, _, expected in jobs:
         argv = ["-m", "tatebv.cli"] + job_args(*job)
         samples = {label: [] for label in trees}
         for _ in range(args.repeat):
@@ -137,19 +146,25 @@ def main(argv=None):
             rec = {"job": job_name(*job), "argv": argv[2:],
                    "wall_s_median": round(statistics.median(s["wall_s"] for s in got), 3),
                    "peak_rss_mb_max": max(s["peak_rss_mb"] for s in got),
-                   "exits": sorted({s["exit"] for s in got}), "samples": got}
+                   "exits": sorted({s["exit"] for s in got}), "expected_exit": expected,
+                   "samples": got}
             runs[label]["jobs"].append(rec)
             print(f"{label:>12}  {rec['job']:<34} wall {rec['wall_s_median']:7.3f} s  "
                   f"rss {rec['peak_rss_mb_max']:7.1f} MB  exit {rec['exits']}", flush=True)
+            if rec["exits"] != [expected]:
+                failed = True
+                print(f"    UNEXPECTED EXIT  {label} {rec['job']}: {rec['exits']}, expected "
+                      f"{expected}", flush=True)
         digests = {label: sorted({str(s["out_sha256"])[:12] for s in got}) for label, got in samples.items()}
         if len(set().union(*digests.values())) > 1:
+            failed = True
             print(f"    MISMATCH  {job_name(*job)}: {digests}", flush=True)
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("runs", {}).update(runs)
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
