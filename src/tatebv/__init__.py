@@ -16,6 +16,6 @@ from .complexes import (CohomologySpace, DComplex, GroupComplex, GroupTateElemen
 from .bv import (CohClass, bv_operator, class_of, connes_b, cup, induced_cup,
                  induced_delta, lie_bracket, m3, pairing, signed_anticommutator)
 from .decomposition import ClassDecomposition, b_tilde, delta_tilde
-from .transfer import SubgroupClass, TransferContext
+from .transfer import TransferContext
 
 __version__ = "0.1.0"

@@ -6,8 +6,12 @@ products are evaluated with the double-coset formula, the BV operator by
 the transferred formulas on each centralizer complex (delta_tilde in
 degrees >= 1, the signed Connes rotation b_tilde in degrees <= -1), and
 the Lie bracket from those two.  Components outside the coordinatized
-range are kept as representative cocycles, and one is zero exactly when its
-restriction to a Sylow p-subgroup of its centralizer is.  ``tables``
+range are kept as representative cocycles over the centralizer C_k or over
+its Sylow p-subgroup P_k, and one is zero exactly when its restriction to
+P_k is.  An out-of-range identity-class product is formed on P_0 from the
+restricted factors (res is a ring map), never over G; an entry on P_k is
+lifted back to C_k, as [C_k:P_k]^-1 cor, only where a C_k cocycle is
+needed.  ``tables``
 coordinatizes only the degrees lo..hi that it prints: the BV images at
 lo-1 inside its brackets stay representatives, which the next cup takes as
 they are, so no cohomology space of degree lo-1 is built.  Class arithmetic
@@ -141,7 +145,9 @@ def check_decomposition_cost(G: Group, cd: ConjugacyData, window: Tuple[int, int
 # ---------------------------------------------------------------------------
 # decomposition-path class arithmetic
 
-Entry = Tuple[str, object]  # ("c", coords tuple) or ("r", GroupTateElement)
+# ("c", coords tuple), or ("r", GroupTateElement) over C_k or over its Sylow
+# p-subgroup P_k; an "r" entry over P_k is the restriction of its class
+Entry = Tuple[str, object]
 
 
 class DecClass:
@@ -182,11 +188,19 @@ class DecOps:
         cap = self.coord_cap.get(cls)
         return cap is None or cap[0] <= n <= cap[1]
 
+    def sylow(self, cls: int) -> Subgroup:
+        """A Sylow p-subgroup P_k of the centralizer C_k, found once per class."""
+        if cls not in self._sylows:
+            self._sylows[cls] = sylow_subgroup(self.cd.centralizers[cls], self.p)
+        return self._sylows[cls]
+
     def _entry_from_elem(self, cls: int, gelem: GroupTateElement) -> Optional[Entry]:
         if self.in_range(cls, gelem.degree):
             coords = tuple(self.space(cls, gelem.degree).project(gelem))
             return ("c", coords) if any(coords) else None
-        return ("r", gelem) if not gelem.is_zero() else None
+        if gelem.is_zero() or self.sylow(cls).order == 1:  # P_k = 1: Tate cohomology of C_k is 0
+            return None
+        return ("r", gelem)
 
     def from_class(self, cls: int, c: CohClass) -> DecClass:
         out = DecClass(c.degree)
@@ -225,6 +239,8 @@ class DecOps:
                 else:
                     del out.parts[cls]
             else:
+                if val0.complex is not val.complex:  # one on C_k, one on P_k
+                    val0, val = (self.restrict_entry(cls, B.degree, ("r", v)) for v in (val0, val))
                 merged_elem = val0.add(val, c)
                 if merged_elem.is_zero():
                     del out.parts[cls]
@@ -239,27 +255,41 @@ class DecOps:
         return self.add(A, B, -1)
 
     def lift_entry(self, cls: int, degree: int, entry: Entry) -> GroupTateElement:
-        """An entry's representative; coordinate entries are lifted once and shared."""
+        """An entry's representative cocycle over C_k; coordinate entries are
+        lifted once and shared.  A representative w = res v on P_k gives
+        [C_k:P_k]^-1 cor w, which cor o res = [C_k:P_k] makes cohomologous to v."""
         tag, val = entry
         if tag == "r":
-            return val
+            C = self.cd.centralizers[cls]
+            if val.subgroup.order == C.order:
+                return val
+            return self.ctx.corestrict_element(C, val).scale(
+                pow(C.order // val.subgroup.order, -1, self.p))
         key = (cls, degree, val)
         if key not in self._lifts:
             self._lifts[key] = self.space(cls, degree).lift(list(val))
         return self._lifts[key]
 
+    def restrict_entry(self, cls: int, degree: int, entry: Entry) -> GroupTateElement:
+        """An entry's representative restricted to P_k."""
+        tag, val = entry
+        elem = val if tag == "r" else self.lift_entry(cls, degree, entry)
+        P = self.sylow(cls)
+        return elem if elem.subgroup.order == P.order else self.ctx.restrict_element(P, elem)
+
     def cup(self, A: DecClass, B: DecClass) -> DecClass:
         deg = A.degree + B.degree
         out = DecClass(deg)
         for i, ea in A.parts.items():
-            a_elem = self.lift_entry(i, A.degree, ea)
             for j, eb in B.parts.items():
-                b_elem = self.lift_entry(j, B.degree, eb)
                 if i == 0 and j == 0:
-                    # products of identity components never leave it
-                    reps = {0: self.ctx.group_cup_rep(a_elem, b_elem)}
+                    # products of identity components never leave it; outside the
+                    # coordinate range they are formed on P_0, as res is a ring map
+                    rep = self.lift_entry if self.in_range(0, deg) else self.restrict_entry
+                    reps = {0: self.ctx.group_cup_rep(rep(0, A.degree, ea), rep(0, B.degree, eb))}
                 else:
-                    reps = self.ctx.double_coset_cup_reps(i, j, a_elem, b_elem)
+                    reps = self.ctx.double_coset_cup_reps(i, j, self.lift_entry(i, A.degree, ea),
+                                                          self.lift_entry(j, B.degree, eb))
                 for k, gelem in reps.items():
                     entry = self._entry_from_elem(k, gelem)
                     if entry is not None:
@@ -269,16 +299,25 @@ class DecOps:
     def delta(self, A: DecClass) -> DecClass:
         """BV operator component by component, by the transferred formulas on
         the centralizer complex: delta_tilde in degrees >= 1, and b_tilde with
-        bv_operator's sign (-1)^(s+1) = (-1)^deg out of chain degree s = -deg-1."""
+        bv_operator's sign (-1)^(s+1) = (-1)^deg out of chain degree s = -deg-1.
+        A representative on P_k stays there in degrees >= 1 if x_k is in P_k:
+        cochain restriction keeps the tuples over P_k, and the slot a rotation
+        drops is fixed by prod(T) = x_k^-1, so res commutes with delta_tilde."""
         deg = A.degree
         out = DecClass(deg - 1)
         if deg == 0:
             return out
         for cls, entry in A.parts.items():
-            gelem = self.lift_entry(cls, deg, entry)
+            tag, val = entry
             x = self.cd.reps[cls]
-            piece = (delta_tilde(x, gelem) if deg >= 1
-                     else b_tilde(x, gelem).scale(sign_pow(deg)))
+            if tag == "r" and deg >= 1 and x in val.subgroup.member_set:
+                piece = delta_tilde(x, val)  # over val's subgroup, C_k or P_k
+                if self.in_range(cls, deg - 1):
+                    piece = self.lift_entry(cls, deg - 1, ("r", piece))
+            else:
+                gelem = self.lift_entry(cls, deg, entry)
+                piece = (delta_tilde(x, gelem) if deg >= 1
+                         else b_tilde(x, gelem).scale(sign_pow(deg)))
             e = self._entry_from_elem(cls, piece)
             if e is not None:
                 out = self.add(out, DecClass(deg - 1, {cls: e}))
@@ -297,17 +336,16 @@ class DecOps:
         p-subgroup P of C = C_G(x_k): cor o res is multiplication by the unit
         [C:P] in every Tate degree, so [v] = 0 exactly when [res v] = 0 on P
         (Brown III.9-10, VI.5; Cartan-Eilenberg XII.8-10).  project refuses a
-        res v with d(res v) != 0.  If P = 1, Tate cohomology of C vanishes."""
+        res v with d(res v) != 0; an entry already on P is projected as it
+        is.  If P = 1, Tate cohomology of C vanishes."""
         for cls, (tag, val) in A.parts.items():
             if tag == "c":
                 if any(val):
                     return False
                 continue
-            if cls not in self._sylows:
-                self._sylows[cls] = sylow_subgroup(self.cd.centralizers[cls], self.p)
-            P = self._sylows[cls]
+            P = self.sylow(cls)
             if P.order > 1 and any(self.ctx.complex_for(P).cohomology(A.degree).project(
-                    self.ctx.restrict_element(P, val))):
+                    self.restrict_entry(cls, A.degree, (tag, val)))):
                 return False
         return True
 

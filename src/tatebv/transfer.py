@@ -1,5 +1,5 @@
 """Conjugation, restriction and corestriction on subgroup Tate complexes,
-cup products on subgroup cohomology, and the double-coset product formula.
+cup products of subgroup Tate cochains, and the double-coset product formula.
 
 All three structure maps are realized on the standard complexes by the
 coset-threading comparison machinery (the same construction as the
@@ -33,8 +33,6 @@ from .complexes import GroupComplex, GroupTateElement, Key, _acc
 from .groups import (ConjugacyData, CosetSystem, Group, Subgroup, class_rep_and_witness,
                      conjugate_subgroup, double_cosets, intersect_subgroups,
                      right_coset_system)
-
-SubgroupClass = CohClass
 
 
 class TransferContext:
@@ -174,11 +172,6 @@ class TransferContext:
                         _acc(out, B[s + 1:], ca * cb)
         return self.complex_for(H).element(da + db, out)
 
-    def group_cup(self, a: SubgroupClass, b: SubgroupClass) -> SubgroupClass:
-        rep = self.group_cup_rep(a.space.lift(list(a.coords)), b.space.lift(list(b.coords)))
-        space = a.space.complex.cohomology(a.degree + b.degree)
-        return class_of(space, rep)
-
     # -- the double-coset product ---------------------------------------------
 
     def double_coset_plan(self, i: int, j: int) -> List[Tuple[int, int, int, Subgroup, Subgroup]]:
@@ -218,27 +211,13 @@ class TransferContext:
                 out[k] = term
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def double_coset_cup(self, i: int, j: int, a: SubgroupClass,
-                         b: SubgroupClass) -> Dict[int, SubgroupClass]:
+    def double_coset_cup(self, i: int, j: int, a: CohClass,
+                         b: CohClass) -> Dict[int, CohClass]:
         reps = self.double_coset_cup_reps(i, j, a.space.lift(list(a.coords)),
                                           b.space.lift(list(b.coords)))
         deg = a.degree + b.degree
-        out: Dict[int, SubgroupClass] = {}
+        out: Dict[int, CohClass] = {}
         for k, elem in reps.items():
             space = self.complex_for(self.cd.centralizers[k]).cohomology(deg)
             out[k] = class_of(space, elem)
         return out
-
-    # -- class-level structure maps -------------------------------------------
-
-    def conjugation(self, g: int, c: SubgroupClass) -> SubgroupClass:
-        elem = self.conjugate_element(g, c.space.lift(list(c.coords)))
-        return class_of(elem.complex.cohomology(c.degree), elem)
-
-    def restriction(self, H: Subgroup, c: SubgroupClass) -> SubgroupClass:
-        elem = self.restrict_element(H, c.space.lift(list(c.coords)))
-        return class_of(elem.complex.cohomology(c.degree), elem)
-
-    def corestriction(self, K: Subgroup, c: SubgroupClass) -> SubgroupClass:
-        elem = self.corestrict_element(K, c.space.lift(list(c.coords)))
-        return class_of(elem.complex.cohomology(c.degree), elem)

@@ -13,7 +13,8 @@ from tatebv.groups import preset_group, whole_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
                             check_decomposition_cost, check_direct_cost, checked_dims,
                             cmd_dims, cmd_tables, make_group)
-from tatebv.verify import _MutatedDComplex
+from tatebv.transfer import TransferContext
+from tatebv.verify import S3Verifier, _MutatedDComplex
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +29,21 @@ def _gen(ops, n):
     return ops.from_class(0, class_of(sp, sp.representative(0)))
 
 
-def test_is_zero_rejects_nonzero_out_of_range_classes(s3_ops):
+def _refuse_whole_group_products(monkeypatch, ops):
+    """Make group_cup_rep refuse factors over the whole group (the class-0
+    centralizer) whose degree sum lies outside ops' class-0 coordinate range."""
+    cup_rep = TransferContext.group_cup_rep
+
+    def guarded(self, a, b):
+        if a.subgroup.order == ops.group.order and not ops.in_range(0, a.degree + b.degree):
+            raise AssertionError(f"degree {a.degree + b.degree} product built over the whole group")
+        return cup_rep(self, a, b)
+    monkeypatch.setattr(TransferContext, "group_cup_rep", guarded)
+
+
+def test_is_zero_rejects_nonzero_out_of_range_classes(monkeypatch, s3_ops):
     ops = s3_ops
+    _refuse_whole_group_products(monkeypatch, ops)
     x, z, zi = _gen(ops, 3), _gen(ops, 4), _gen(ops, -4)
     assert not ops.is_zero(ops.cup(x, z))                 # degree 7
     assert not ops.is_zero(ops.cup(z, z))                 # degree 8
@@ -81,8 +95,9 @@ def test_is_zero_on_sylow_matches_projection(shared_ops, group, p, m):
 
 def test_is_zero_refuses_a_non_cocycle_on_the_sylow_subgroup(s3_plain_ops):
     ops = s3_plain_ops
-    for cls in (0, 1):  # P = C3 inside C = S3, and P = C = C3
-        v = ops.ctx.complex_for(ops.cd.centralizers[cls]).element(5, {(1,) * 5: 1})
+    # P = C3 inside C = S3, an entry already on that P, and P = C = C3
+    for cls, H in ((0, ops.cd.centralizers[0]), (0, ops.sylow(0)), (1, ops.cd.centralizers[1])):
+        v = ops.ctx.complex_for(H).element(5, {(1,) * 5: 1})
         with pytest.raises(ValueError):
             ops.is_zero(DecClass(5, {cls: ("r", v)}))
 
@@ -182,10 +197,11 @@ def _retract_delta(ops, dec, A):
 
 def _class_coords(ops, A):
     """Nonzero class coordinates of each part; representative entries are
-    projected in their space."""
+    lifted to their centralizer and projected in their space."""
     out = {}
     for cls, (tag, val) in A.parts.items():
-        coords = tuple(val) if tag == "c" else tuple(ops.space(cls, A.degree).project(val))
+        coords = tuple(val) if tag == "c" else tuple(
+            ops.space(cls, A.degree).project(ops.lift_entry(cls, A.degree, (tag, val))))
         if any(coords):
             out[cls] = coords
     return out
@@ -324,6 +340,153 @@ def test_memoized_lifts_survive_class_ops(s3_plain_ops):
     assert len(ops._lifts) >= len(basis)
     for (cls, d, coords), elem in ops._lifts.items():
         assert elem == ops.space(cls, d).lift(list(coords))
+
+
+# ---------------------------------------------------------------------------
+# representative entries on the Sylow subgroup P_k of the centralizer C_k
+
+def _nonzero_coords(ops, cls, d, rng):
+    coords = [0]
+    while not any(coords):
+        coords = [rng.randrange(ops.p) for _ in range(ops.cls_dim(cls, d))]
+    return coords
+
+
+def _noisy_cocycle(ops, cls, d, rng):
+    """A cocycle over C_k with random nonzero class coordinates, moved off the
+    canonical lift by a random coboundary."""
+    cplx = ops.ctx.complex_for(ops.cd.centralizers[cls])
+    below = cplx.basis(d - 1)
+    noise = cplx.element(d - 1, {T: rng.randrange(ops.p)
+                                 for T in rng.sample(below, min(4, len(below)))})
+    return ops.space(cls, d).lift(_nonzero_coords(ops, cls, d, rng)).add(
+        cplx.differential(noise))
+
+
+def _class_with(ops, rep_order, cent_order):
+    """The first class whose representative has order rep_order and whose
+    centralizer has order cent_order."""
+    G = ops.group
+    for cls, x in enumerate(ops.cd.reps):
+        g, order = x, 1
+        while g:
+            g, order = G.mult[g][x], order + 1
+        if (order, ops.cd.centralizers[cls].order) == (rep_order, cent_order):
+            return cls
+    raise LookupError((rep_order, cent_order))
+
+
+def _sylow_ops(shared_ops, group, p, cls):
+    ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another cap
+    ops.coord_cap = {cls: (0, 0)}
+    P = ops.sylow(cls)
+    assert 1 < P.order < ops.cd.centralizers[cls].order
+    return ops, P, ops.ctx.complex_for(P)
+
+
+SYLOW_PRODUCT_CASES = [("symmetric:3", 3, 4), ("symmetric:4", 2, 2),
+                       ("perms:(0 1 2),(0 1)(2 3)", 2, 2), ("cyclic:6", 3, 3),
+                       ("dihedral:6", 2, 2)]
+
+
+@pytest.mark.parametrize("group,p,m", SYLOW_PRODUCT_CASES,
+                         ids=[f"{'A4' if g.startswith('perms') else g}-p{p}"
+                              for g, p, _ in SYLOW_PRODUCT_CASES])
+def test_out_of_range_products_form_on_the_sylow_subgroup(shared_ops, group, p, m):
+    """With coord_cap (0, 0) on the identity class, a product of two class-0
+    factors in a nonzero degree is formed on P_0 < C_0 = G from the
+    restricted factors (one a noisy representative, one coordinates).  Its
+    class on P_0 is res of the class of the product built over G, and its
+    lift [G:P_0]^-1 cor has the built product's class on G."""
+    ops, P, cP = _sylow_ops(shared_ops, group, p, 0)
+    rng = random.Random(21)
+    signs = set()
+    for da in range(-m, m + 1):
+        for db in range(-m, m + 1):
+            deg = da + db
+            if deg == 0 or abs(deg) > m or not (ops.cls_dim(0, da) and ops.cls_dim(0, db)):
+                continue
+            a = _noisy_cocycle(ops, 0, da, rng)
+            B = DecClass(db, {0: ("c", tuple(_nonzero_coords(ops, 0, db, rng)))})
+            built = ops.ctx.group_cup_rep(a, ops.lift_entry(0, db, B.parts[0]))
+            want_p = cP.cohomology(deg).project(ops.ctx.restrict_element(P, built))
+            want_c = ops.space(0, deg).project(built)
+            got = ops.cup(DecClass(da, {0: ("r", a)}), B)
+            if not got.parts:
+                assert not any(want_p) and not any(want_c), (da, db)
+                continue
+            tag, w = got.parts[0]
+            assert tag == "r" and w.complex is cP
+            assert cP.cohomology(deg).project(w) == want_p, (da, db)
+            assert ops.space(0, deg).project(ops.lift_entry(0, deg, ("r", w))) == want_c, (da, db)
+            if any(want_c):
+                signs.add(deg > 0)
+    assert signs == {False, True}
+
+
+# (group, p, order of x_k, |C_k|, degrees -m..m, x_k in P_k, delta nonzero on some class)
+SYLOW_DELTA_CASES = [
+    ("symmetric:3", 3, 1, 6, 4, True, False),   # the identity class
+    ("dihedral:6", 2, 3, 6, 2, False, False),
+    ("cyclic:6", 3, 2, 6, 3, False, False),
+    ("cyclic:6", 3, 3, 6, 3, True, True),
+    ("cyclic:6", 3, 6, 6, 3, False, True),
+    ("dihedral:6", 2, 2, 12, 2, True, True),    # the central involution
+    ("dihedral:6", 2, 6, 6, 2, False, True),
+]
+
+
+@pytest.mark.parametrize("group,p,order,cent,m,inside,nonzero", SYLOW_DELTA_CASES,
+                         ids=[f"{g}-p{p}-x{o}-C{c}" for g, p, o, c, *_ in SYLOW_DELTA_CASES])
+def test_delta_on_the_sylow_subgroup_is_res_of_delta(shared_ops, group, p, order, cent, m,
+                                                     inside, nonzero):
+    """delta of a representative entry w = res v on P_k has the class res of
+    delta(v) on P_k, and its lift has the class of delta(v) on C_k: on P_k
+    itself in degrees >= 1 when x_k is in P_k, through the lift otherwise
+    (x_k outside P_k, or b_tilde in degrees <= -1)."""
+    cls = _class_with(shared_ops(group, p), order, cent)
+    ops, P, cP = _sylow_ops(shared_ops, group, p, cls)
+    assert (ops.cd.reps[cls] in P.member_set) == inside
+    rng = random.Random(22)
+    seen = 0
+    for d in range(-m, m + 1):
+        if d == 0 or not ops.cls_dim(cls, d):
+            continue
+        v = _noisy_cocycle(ops, cls, d, rng)
+        got = ops.delta(DecClass(d, {cls: ("r", ops.ctx.restrict_element(P, v))}))
+        ref = ops.delta(DecClass(d, {cls: ("r", v)}))
+        assert set(got.parts) <= {cls} and set(ref.parts) <= {cls}
+        if got.parts and got.parts[cls][0] == "r":
+            assert (got.parts[cls][1].complex is cP) == (inside and d >= 2)
+        for space, to_space in ((cP.cohomology(d - 1), ops.restrict_entry),
+                                (ops.space(cls, d - 1), ops.lift_entry)):
+            g, r = ([0] * space.dim if cls not in A.parts
+                    else space.project(to_space(cls, d - 1, A.parts[cls])) for A in (got, ref))
+            assert g == r, d
+            seen += any(r)
+    assert bool(seen) == nonzero
+
+
+def test_entries_on_the_sylow_subgroup_add(s3_plain_ops):
+    """A representative on C_0 and one on P_0 of the same class add on P_0
+    to zero, and is_zero decides an entry on P_0 by its own projection."""
+    ops = copy.copy(s3_plain_ops)
+    ops.coord_cap = {0: (0, 0)}
+    P = ops.sylow(0)
+    z = ops.space(0, 4).representative(0)
+    on_c, on_p = DecClass(4, {0: ("r", z)}), DecClass(4, {0: ("r", ops.ctx.restrict_element(P, z))})
+    assert not ops.is_zero(on_p)
+    diff = ops.sub(on_c, on_p)
+    assert not diff.parts or diff.parts[0][1].complex is ops.ctx.complex_for(P)
+    assert ops.is_zero(diff)
+
+
+def test_verify_s3_builds_no_out_of_range_product_on_the_whole_group(monkeypatch):
+    """verify-s3 forms every identity-class product outside its class-0
+    range (-4..4) on the Sylow C3 and still passes every check."""
+    verifier = S3Verifier()
+    _refuse_whole_group_products(monkeypatch, verifier.ops)
+    assert verifier.run()["passed"]
 
 
 # ---------------------------------------------------------------------------

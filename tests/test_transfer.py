@@ -28,6 +28,15 @@ def _cls(cplx, n, i=0):
     return class_of(sp, sp.representative(i))
 
 
+def _class(elem):
+    """The class of a cocycle in the cohomology of the complex it lives on."""
+    return class_of(elem.complex.cohomology(elem.degree), elem)
+
+
+def _rep(c):
+    return c.space.lift(list(c.coords))
+
+
 def test_conjugation_by_identity(ctx, ha):
     ca = ctx.complex_for(ha)
     rng = random.Random(0)
@@ -56,8 +65,7 @@ def test_conjugation_by_member_is_identity_on_classes(ctx, s3, ha):
         for i in range(sp.dim):
             c = class_of(sp, sp.representative(i))
             for g in ha.members:
-                cc = ctx.conjugation(g, c)
-                assert cc.coords == c.coords
+                assert _class(ctx.conjugate_element(g, _rep(c))).coords == c.coords
 
 
 def test_restriction_triviality(ctx, ha):
@@ -66,8 +74,8 @@ def test_restriction_triviality(ctx, ha):
         sp = ca.cohomology(n)
         for i in range(sp.dim):
             c = class_of(sp, sp.representative(i))
-            assert ctx.restriction(ha, c).coords == c.coords
-            assert ctx.corestriction(ha, c).coords == c.coords
+            assert _class(ctx.restrict_element(ha, _rep(c))).coords == c.coords
+            assert _class(ctx.corestrict_element(ha, _rep(c))).coords == c.coords
 
 
 def test_restriction_transitivity_on_classes(ctx, s3, ha):
@@ -78,8 +86,8 @@ def test_restriction_transitivity_on_classes(ctx, s3, ha):
         sp = cg.cohomology(n)
         for i in range(sp.dim):
             c = class_of(sp, sp.representative(i))
-            two = ctx.restriction(triv, ctx.restriction(ha, c))
-            one = ctx.restriction(triv, c)
+            two = _class(ctx.restrict_element(triv, _rep(_class(ctx.restrict_element(ha, _rep(c))))))
+            one = _class(ctx.restrict_element(triv, _rep(c)))
             assert two.coords == one.coords
             # the trivial subgroup has vanishing Tate cohomology over F3
             assert not any(one.coords)
@@ -177,14 +185,14 @@ def test_group_cup_examples(ctx, ha):
     w1 = _cls(ca, 1)
     w2 = _cls(ca, 2)
     w2i = _cls(ca, -2)
-    assert not any(ctx.group_cup(w1, w1).coords)
+    assert not any(_class(ctx.group_cup_rep(_rep(w1), _rep(w1))).coords)
     # w2 w2^-1 is a unit multiple of 1; rescaling makes it exactly 1
-    prod = ctx.group_cup(w2, w2i)
+    prod = _class(ctx.group_cup_rep(_rep(w2), _rep(w2i)))
     unit = class_of(ca.cohomology(0), ca.element(0, {(): 1}))
     assert prod.coords != (0,)
     lam = prod.coords[0]
     inv = pow(lam, P - 2, P)
-    assert ctx.group_cup(w2, w2i.scale(inv)).coords == unit.coords
+    assert _class(ctx.group_cup_rep(_rep(w2), _rep(w2i.scale(inv)))).coords == unit.coords
 
 
 def test_group_cup_unit(ctx, ha):
@@ -194,8 +202,8 @@ def test_group_cup_unit(ctx, ha):
         sp = ca.cohomology(n)
         for i in range(sp.dim):
             c = class_of(sp, sp.representative(i))
-            assert ctx.group_cup(unit, c).coords == c.coords
-            assert ctx.group_cup(c, unit).coords == c.coords
+            assert _class(ctx.group_cup_rep(_rep(unit), _rep(c))).coords == c.coords
+            assert _class(ctx.group_cup_rep(_rep(c), _rep(unit))).coords == c.coords
 
 
 def test_double_coset_identity_classes(ctx, s3):
