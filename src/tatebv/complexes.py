@@ -106,18 +106,23 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
     ``left[a][h]`` and ``right[h][b]`` are the values a and b give h from
     the head and tail slots: G.mult for kG, the value 0 unmoved for
     trivial coefficients (V = 1).  ``rows`` reads the vectors in the
-    layout of the chain keys (h^-1, args) of degree -n-2, h at offset
-    inv(h)*q^(n+1) and tail unit 1: then the vector of (args, h) is the
-    row of (h^-1, args) in the unsigned boundary out of -n-2, face by face
-    and sign by sign (merging slots i and i+1 there is splitting slot i
-    here).  That needs the end-term tables transposed, L[a][h] = x^-1
-    where right[x][a] = h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1,
-    and both kinds of table are their own transposes."""
+    layout of the chain keys (h^-1, args) of degree -n-2, h before the
+    tail and tail unit 1: then the vector of (args, h) is the row of (h^-1,
+    args) in the unsigned boundary out of -n-2, face by face and sign by
+    sign (merging slots i and i+1 there is splitting slot i here).  That
+    needs the end-term tables transposed, L[a][h] = x^-1 where right[x][a]
+    = h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1, and both kinds of
+    table are their own transposes.  The rows come in the layout of
+    ``SparseMatrix.rows``, column j of N at bit N-1-j: the chain layout
+    with nontrivial in reverse order (digit a at q-1-a) and h at offset
+    (V-1-inv(h))*q^(n+1)."""
+    if rows:
+        nontrivial = nontrivial[::-1]
     q = len(nontrivial)
     pos = {a: i for i, a in enumerate(nontrivial)}
     mult, inv = G.mult, G.inv
     U = 1 if rows else V
-    off = [inv[h] * q ** (n + 1) for h in range(V)] if rows else range(V)
+    off = [(V - 1 - inv[h]) * q ** (n + 1) for h in range(V)] if rows else range(V)
     Q = [q ** k * U for k in range(n + 2)]
     T0 = [sum(1 << (pos[a] * Q[n] + off[left[a][h]]) for a in nontrivial) for h in range(V)]
     TL = [sum(1 << (pos[b] * U + off[right[h][b]]) for b in nontrivial) for h in range(V)]

@@ -18,19 +18,20 @@ and quotient representatives are bit-identical across runs.
   them and skips ``split``; its dict ``columns`` are built only on demand;
 * p >= 5: ``ColumnReducer``, the same steps on dict vectors.
 
-``_eliminate`` runs the engine's ``feed`` by columns, except for
-``pivot_columns`` and ``rank`` of a wide matrix (ncols > nrows) at
-p <= 3, which go by rows.  ``feed`` reduces each vector by the pivot of
-its leading (top) row, one addition per step, and stops an independent
-vector at its first leading row that holds no pivot.  The by-rows pivot
-search and ``QuotientSpace``'s image check, representatives, ``project``
-and ``lift`` read an echelon keyed by each pivot's lowest row (the steps
+``_eliminate`` runs one loop, the engine's ``feed``: on a matrix's
+streamed ``rows`` (column j at bit ncols-1-j) for ``pivot_columns`` and
+``rank``, else on its columns.  ``feed`` reduces each vector by the pivot
+of its leading (top) row, one addition per step, and stops an independent
+vector at its first leading row that holds no pivot.  Which entry leads
+cannot move an output of ``feed``: the rank, the leftmost-greedy pivot
+columns (a column is a pivot iff it is independent of the columns before
+it) and each free column's kernel vector (1 there, support only on
+earlier pivot columns) are unique; on rows, the leading rows of an
+echelon basis of the row space are the leftmost-greedy columns, reversed.
+Only ``QuotientSpace``'s image check, representatives, ``project`` and
+``lift`` read an echelon keyed by each pivot's lowest row (the steps
 ``reduce``, ``normalize``, ``push`` and ``place`` of both engines),
-because the lowest rows of that echelon are what they output.  Which
-entry leads cannot move an output of ``feed``: the rank, the
-leftmost-greedy pivot columns (a column is a pivot iff it is independent
-of the columns before it) and each free column's kernel vector (1 there,
-support only on earlier pivot columns) are unique.
+because the lowest rows of that echelon are what they output.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ class SparseMatrix:
     it on first read.  ``vectors``, if given, is a zero-argument callable
     yielding the same columns in order as vectors of the p <= 3 bitset
     core; elimination by columns then streams them and never reads
-    ``columns``.  ``rows`` likewise yields the rows, in any order and each
-    up to sign, for the by-rows pivot search, which reads the row space
-    alone."""
+    ``columns``.  ``rows`` likewise yields the rows as vectors of the
+    engine for p, in any order and each up to sign, with column j at index
+    ncols-1-j; ``pivot_columns`` and ``rank`` feed them, as they read the
+    row space alone."""
 
     __slots__ = ("nrows", "ncols", "p", "_columns", "_build", "vectors", "rows")
 
@@ -135,8 +137,9 @@ class ColumnReducer:
     """Column echelon form on dict vectors with combination tracking, the
     engine for p >= 5.  It has the steps of ``_Bitsets`` on dicts, so
     ``_eliminate`` and ``QuotientSpace`` drive both alike: the leading-row
-    ``feed``, and the lowest-row ``reduce``, ``normalize``, ``push`` and
-    ``place``, which apply the pivots in creation order.
+    ``feed``, and for ``QuotientSpace`` the lowest-row ``reduce``,
+    ``normalize``, ``push`` and ``place``, which apply the pivots in
+    creation order.
     """
 
     def __init__(self, p: int):
@@ -236,25 +239,23 @@ class _Bitsets:
     of M4RI (Albrecht, Bard & Hart, 2010): a vector subtracts the pivot of
     its top row, so it shortens at every step at the cost of one addition,
     until its top row holds no pivot (it becomes the pivot there, scaled to
-    1 at that row) or it is zero.  It gives ranks, pivot columns and
-    kernels by columns, and ``QuotientSpace``'s kernel and representative
-    pick.  None of these reads the echelon
-    itself, and none depends on which entry leads: the rank, the
-    leftmost-greedy pivot columns (a column is a pivot iff it is
-    independent of the columns before it) and the kernel vector of each
-    free column (1 there, support only on earlier pivot columns) are each
-    unique.
+    1 at that row) or it is zero.  It gives ranks, pivot columns (by
+    columns, or the leading rows of a matrix's streamed rows) and kernels,
+    and ``QuotientSpace``'s kernel and representative pick.  None of these
+    depends on which entry leads: the rank, the leftmost-greedy pivot
+    columns (a column is a pivot iff it is independent of the columns
+    before it) and the kernel vector of each free column (1 there, support
+    only on earlier pivot columns) are each unique.
 
     ``reduce``, ``normalize``, ``push`` and ``place`` key each pivot by its
-    lowest set row, for the outputs that read that echelon: the by-rows
-    pivot columns (``mask``, the lowest set columns of an echelon basis of
-    the row space) and ``QuotientSpace``'s image check, representatives,
-    ``project`` and ``lift``.  ``reduce`` clears the lowest pivot row a
-    vector has set until none is left, adding the same multiples of pivot
-    combinations to a tracked one (a pivot has no set bit below its own
-    row, so each step changes only rows above it and applies every pivot at
-    most once); ``normalize`` scales a vector to 1 at its lowest set row
-    and ``push`` makes it the pivot there.
+    lowest set row, for the outputs of ``QuotientSpace`` that read that
+    echelon: its image check, representatives, ``project`` and ``lift``.
+    ``reduce`` clears the lowest pivot row a vector has set until none is
+    left, adding the same multiples of pivot combinations to a tracked one
+    (a pivot has no set bit below its own row, so each step changes only
+    rows above it and applies every pivot at most once); ``normalize``
+    scales a vector to 1 at its lowest set row and ``push`` makes it the
+    pivot there.
 
     Per field, ``split`` turns a dict of entries into a vector, ``unit``
     gives a unit vector, and ``entries`` and ``coords`` read a vector back
@@ -266,7 +267,7 @@ class _Bitsets:
     def __init__(self):
         self.lead: Dict[int, tuple] = {}  # feed: leading row -> flat(vector, combination)
         self.at: List[Optional[tuple]] = []  # push, place: lowest row -> flat(vector, combination)
-        self.mask = 0  # the lowest rows of the pivots in at
+        self.mask = 0  # the lowest rows of the pivots in at, which reduce clears
 
     def push(self, v, c) -> None:
         """Make v (nonzero, normalized, no set pivot row) the pivot at its
@@ -433,32 +434,20 @@ def _vectors(M: SparseMatrix, E) -> Iterable:
     return M.vectors() if M.vectors is not None else map(E.split, M.columns)
 
 
-def _rows(M: SparseMatrix) -> List[Dict[int, int]]:
-    rows: List[Dict[int, int]] = [{} for _ in range(M.nrows)]
-    for j, col in enumerate(M.columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
-
-
 def _eliminate(M: SparseMatrix, track: bool):
-    """(pivot columns, kernel or None without track) of M, by rows or by
-    columns as the module docstring says.  The kernel is a list of (free
-    column, kernel vector) with the vector in the format of
-    ``_engine(M.p)``: a dead vector's combination is 1 at its own index (no
-    pivot combination reaches it) plus entries at pivot indices only, the
-    canonical kernel vector of that free index."""
-    p = M.p
-    E = _engine(p)
-    if p <= 3 and not track and M.ncols > M.nrows:
-        # by rows: the lowest set columns of a lowest-row echelon basis of
-        # M's row space are exactly M's leftmost-greedy independent
-        # columns, so neither the order nor the signs of the rows matter
-        for v in M.rows() if M.rows is not None else map(E.split, _rows(M)):
-            v = E.reduce(v, None)[0]
-            if E.support(v):
-                E.push(*E.normalize(v, None))
-        return _bits(E.mask), None
+    """(pivot columns, kernel or None without track) of M, by ``feed`` on
+    M's streamed rows if it has them and no kernel is asked for, else on its
+    columns.  The kernel is a list of (free column, kernel vector) with the
+    vector in the format of ``_engine(M.p)``: a dead vector's combination is
+    1 at its own index (no pivot combination reaches it) plus entries at
+    pivot indices only, the canonical kernel vector of that free index."""
+    E = _engine(M.p)
+    if M.rows is not None and not track:
+        # the leading rows of an echelon basis of the row space, with column
+        # j at bit ncols-1-j, are M's leftmost-greedy independent columns;
+        # neither the order nor the signs of the rows matter
+        E.feed(M.rows(), False)
+        return sorted(M.ncols - 1 - t for t in E.lead), None
     return E.feed(_vectors(M, E), track)
 
 

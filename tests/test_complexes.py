@@ -234,13 +234,13 @@ def test_face_built_columns_equal_template(group, top, p):
 def test_face_built_rows_are_transposed_coboundaries(group, p):
     """At p <= 3 the boundary out of degree -n-2 streams its rows from the
     coboundary out of n in the chain layout (``coboundary_vectors`` with
-    ``rows``).  For n = 0..3, on DComplex and the GroupComplex of the
-    whole group, a proper subgroup (where G has one) and the trivial
-    subgroup, the rows equal the split rows of the dict template as a
-    multiset, up to one global sign, and rank and pivot_columns through
-    them equal those through the dict rows (up to 5000 columns: all but the
-    D-side degree -5 matrices of the groups of order 8, to keep the test
-    short)."""
+    ``rows``), column j at bit ncols-1-j.  For n = 0..3, on DComplex and
+    the GroupComplex of the whole group, a proper subgroup (where G has
+    one) and the trivial subgroup, the rows equal the split rows of the
+    dict template in that reversed layout as a multiset, up to one global
+    sign, and rank and pivot_columns through them equal those through the
+    dict columns (up to 5000 columns: all but the D-side degree -5
+    matrices of the groups of order 8, to keep the test short)."""
     G = preset_group(*group)
     E = linalg._BITSETS[p]
     proper = [H for g in G.nontrivial if (H := generated_subgroup(G, [g])).order < G.order][:1]
@@ -252,7 +252,11 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
             assert M.rows is not None and M.vectors is None
             got = Counter(M.rows())
             negated = Counter({(N, P): k for (P, N), k in got.items()}) if p == 3 else got
-            assert Counter(map(E.split, linalg._rows(M))) in (got, negated)
+            reversed_rows = [{} for _ in range(M.nrows)]
+            for j, col in enumerate(M.columns):
+                for i, x in col.items():
+                    reversed_rows[i][M.ncols - 1 - j] = x
+            assert Counter(map(E.split, reversed_rows)) in (got, negated)
             if M.ncols > 5000:
                 continue
             D = SparseMatrix(M.nrows, M.ncols, p, build=lambda: M.columns)

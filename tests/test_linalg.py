@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tatebv import linalg, preset_group, whole_group
 from tatebv.cli import main
-from tatebv.complexes import GroupComplex
+from tatebv.complexes import DComplex, GroupComplex
+from tatebv.groups import generated_subgroup
 from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, add_scaled_inplace, is_prime,
                            kernel_basis, pivot_columns, rank)
 
@@ -181,7 +182,7 @@ PRIMES = (2, 3, 5, 7, 46337, 65537, 2 ** 31 - 1, 2 ** 61 - 1)
 def rank_deficient_matrices(draw):
     """A product L R of an nrows x k and a k x ncols matrix mod p (so rank
     <= k), with some columns then zeroed; shapes include empty ones and
-    wide ones up to 6 x 20, which take the row path at p <= 3."""
+    wide ones up to 6 x 20."""
     p = draw(st.sampled_from(PRIMES))
     nrows, ncols = draw(st.one_of(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                                   st.tuples(st.integers(0, 6), st.integers(7, 20))))
@@ -227,6 +228,37 @@ def lowest_row_feed(E, vectors, track):
     return pivots, kernel if track else None
 
 
+def transpose(M, reverse=False):
+    """M's rows as dicts over its columns, read from its dict columns; with
+    reverse, column j at index ncols-1-j, the layout of streamed ``rows``."""
+    rows = [{} for _ in range(M.nrows)]
+    for j, col in enumerate(M.columns):
+        for i, x in col.items():
+            rows[i][M.ncols - 1 - j if reverse else j] = x
+    return rows
+
+
+def with_streamed_rows(M):
+    """A copy of M that streams its rows, as the face-built matrices do."""
+    E = linalg._engine(M.p)
+    return SparseMatrix(M.nrows, M.ncols, M.p, build=lambda: M.columns,
+                        rows=lambda: map(E.split, transpose(M, reverse=True)))
+
+
+def lowest_row_by_rows(M):
+    """The reference pivot search by rows, independent of ``feed``: M's
+    rows in order, with column j at index j, each reduced by the lowest-row
+    steps of the engine for p and pushed at its lowest set column if
+    anything is left.  The lowest set columns of that echelon basis of the
+    row space are M's leftmost-greedy independent columns."""
+    E = linalg._engine(M.p)
+    for v in map(E.split, transpose(M)):
+        v = E.reduce(v, None)[0]
+        if E.support(v):
+            E.push(*E.normalize(v, None))
+    return linalg._bits(E.mask) if M.p <= 3 else sorted(row for row, _, _ in E.pivots)
+
+
 def reducer_run(M, track=True):
     """(pivot columns, kernel combinations) of the reference loop on M's
     columns in order."""
@@ -245,10 +277,16 @@ def test_engines_match_column_reducer(M):
     """Every engine (bitsets at p = 2, bit-sliced pairs at p = 3, dict
     columns at p >= 5) gives the reference loop's pivot set, rank and
     kernel basis, and lists each kernel vector's own column first, then its
-    pivot columns ascending."""
+    pivot columns ascending.  The pivot search by rows, on a copy of M that
+    streams its rows, gives the same pivots, and so does the reference
+    lowest-row search by rows."""
     pivots, red_kernel = reducer_run(M)
     assert pivot_columns(M) == pivots
     assert rank(M) == len(pivots)
+    R = with_streamed_rows(M)
+    assert pivot_columns(R) == pivots
+    assert rank(R) == len(pivots)
+    assert lowest_row_by_rows(M) == pivots
     kern = kernel_basis(M)
     assert kern == red_kernel
     assert [list(v) for v in kern] == [[max(c)] + sorted(c)[:-1] for c in red_kernel]
@@ -257,48 +295,49 @@ def test_engines_match_column_reducer(M):
 
 
 def test_engine_shape_rule(monkeypatch):
-    """At p <= 3, pivot_columns and rank of a wide matrix (ncols > nrows)
-    go by rows through the lowest-row steps ``reduce`` and ``push``, whose
-    ``mask`` names the pivot columns, streaming the matrix's ``rows`` where
-    it has them and transposing its dict columns otherwise; kernels, tall
-    and square matrices go by columns into the bitset core's leading-row
-    ``feed``.  Every p >= 5 takes ``ColumnReducer.feed`` alone, whatever
-    the shape."""
+    """``_eliminate`` runs one loop, the engine's leading-row ``feed``, for
+    every p and shape, and never the lowest-row steps ``reduce`` and
+    ``push``, which serve ``QuotientSpace`` alone.  pivot_columns and rank
+    of a matrix that streams its ``rows`` feed those rows, in which column
+    j is bit ncols-1-j; kernels, and every matrix without streamed rows
+    (wide ones too), feed the columns."""
     calls = set()
+    fed = []
 
     def record(name, f):
-        def recorded(*args, **kwargs):
+        def recorded(self, *args, **kwargs):
             calls.add(name)
-            return f(*args, **kwargs)
+            if name.endswith(".feed"):
+                args = (list(args[0]), *args[1:])
+                fed.append(args[0])
+            return f(self, *args, **kwargs)
         return recorded
 
-    monkeypatch.setattr(linalg, "_rows", record("_rows", linalg._rows))
     for cls in (*linalg._BITSETS.values(), ColumnReducer):
         for step in ("feed", "reduce", "push"):
             monkeypatch.setattr(cls, step, record(f"{cls.__name__}.{step}", getattr(cls, step)))
 
     def paths(M, f):
         calls.clear()
+        fed.clear()
         f(M)
-        return calls.copy()
+        return calls.copy(), fed.copy()
 
     for p in PRIMES:
-        engine = type(linalg._engine(p)).__name__
+        E = linalg._engine(p)
+        feed = {f"{type(E).__name__}.feed"}
         wide = mat([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1]], p)
         tall = mat([[1, 0, 1], [0, 1, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], p)
         square = mat([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]], p)
-        by_columns = {f"{engine}.feed"}
         for M in (wide, tall, square):
-            assert paths(M, kernel_basis) == by_columns
-        by_rows = {"_rows", f"{engine}.reduce", f"{engine}.push"}
+            by_columns = (feed, [list(map(E.split, M.columns))])
+            for f in (kernel_basis, pivot_columns, rank):
+                assert paths(M, f) == by_columns
+        streamed = SparseMatrix(3, 5, p, rows=lambda: iter([E.unit(4)]))
         for f in (pivot_columns, rank):
-            assert paths(tall, f) == paths(square, f) == by_columns
-            assert paths(wide, f) == (by_rows if p <= 3 else {"ColumnReducer.feed"})
-        if p <= 3:
-            streamed = SparseMatrix(3, 5, p, rows=lambda: iter([linalg._BITSETS[p].unit(4)]))
-            for f in (pivot_columns, rank):
-                assert paths(streamed, f) == by_rows - {"_rows"}
-            assert pivot_columns(streamed) == [4]
+            assert paths(streamed, f) == (feed, [[E.unit(4)]])
+        assert pivot_columns(streamed) == [0]
+        assert rank(streamed) == 1
 
 
 BIG_PRIMES = (5, 7, 2 ** 31 - 1, 2 ** 61 - 1)
@@ -381,6 +420,32 @@ def test_row_pivots_on_whole_group_matrices(group, p, degree, shape):
     pivots = reducer_run(M, track=False)[0]
     assert pivot_columns(M) == pivots
     assert rank(M) == len(pivots)
+
+
+@pytest.mark.parametrize("group", [
+    ("symmetric", 3), ("dihedral", 4), ("quaternion8", 0), ("cyclic", 6), ("cyclic", 2),
+], ids=["S3", "D8", "Q8", "C6", "C2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_face_built_row_feed_matches_lowest_row_by_rows(group, p):
+    """The boundaries out of degrees -2..-5 of DComplex and of the
+    GroupComplex of the whole group and of a proper subgroup (where G has
+    one) stream their rows in the reversed layout; pivot_columns and rank
+    through them equal the reference lowest-row search by rows on their
+    dict columns (up to 5000 columns: all but the D-side degree -5
+    matrices of the groups of order 8, to keep the test short).  For
+    C2, q = 1 and the D-side matrices are square."""
+    G = preset_group(*group)
+    proper = [H for g in G.nontrivial if (H := generated_subgroup(G, [g])).order < G.order][:1]
+    complexes = [DComplex(G, p, (-6, 0)), *(GroupComplex(H, p) for H in (whole_group(G), *proper))]
+    for C in complexes:
+        for d in range(-2, -6, -1):
+            M = C.matrix(d)
+            assert M.rows is not None
+            if M.ncols > 5000:
+                continue
+            pivots = lowest_row_by_rows(M)
+            assert pivot_columns(M) == pivots
+            assert rank(M) == len(pivots)
 
 
 def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):

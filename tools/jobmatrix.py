@@ -17,14 +17,17 @@ expects prints an ``UNEXPECTED EXIT`` line; either makes the tool exit 1,
 after it has written ``--out``.
 
 With several ``--src`` trees the runs alternate between them job by job,
-so that a slow spell of a shared machine hits both alike.  Each tree first
-runs one untimed import, which writes its bytecode.  The results go under
-``runs[LABEL]`` of ``--out``; the other labels already in that file stay.
+so that a slow spell of a shared machine hits both alike.  Each tree is
+first compiled to bytecode with ``compileall``, which writes it whatever
+``PYTHONDONTWRITEBYTECODE`` says, and runs one untimed import.  The
+results go under ``runs[LABEL]`` of ``--out``; the other labels already in
+that file stay.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -129,6 +132,7 @@ def main(argv=None):
     jobs = [j for j in JOBS if j[4] or not args.quick]
 
     for src in trees.values():
+        compileall.compile_dir(src, quiet=1)
         run_child(["-c", "import tatebv.cli"], src)
     machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
                "platform": platform.platform()}
