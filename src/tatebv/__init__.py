@@ -4,7 +4,7 @@ cup product, cyclic A-infinity product m3, BV operator, Lie bracket,
 additive decomposition via homotopy deformation retracts, and double-coset
 cup products."""
 
-from .groups import (ConjugacyData, CosetSystem, DoubleCosetSystem, Group, GroupError,
+from .groups import (ConjugacyData, CosetSystem, Group, GroupError,
                      Subgroup, class_rep_and_witness, conjugacy_classes,
                      conjugate_subgroup, double_cosets, generated_subgroup,
                      group_from_mult_table, group_from_permutations,

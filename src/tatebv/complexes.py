@@ -529,16 +529,9 @@ class GroupComplex(_BaseComplex):
 
     element_cls = GroupTateElement
 
-    def __init__(self, subgroup: Subgroup, p: int, window: Optional[Tuple[int, int]] = None):
+    def __init__(self, subgroup: Subgroup, p: int):
         super().__init__(p)
         self.subgroup = subgroup
-        self.window = window
-
-    def check_degree(self, d: int) -> None:
-        if self.window is not None:
-            lo, hi = self.window
-            if not (lo <= d <= hi):
-                raise WindowError(f"degree {d} outside window [{lo}, {hi}]")
 
     def dim(self, d: int) -> int:
         return group_dim_degree(self.subgroup.order, d)

@@ -59,10 +59,6 @@ class ClassDecomposition:
             self.coset_of_twisted.append({u: i for i, u in enumerate(xs)})
             self.gamma_index.append({g: i for i, g in enumerate(cs.gamma)})
 
-    @property
-    def num_classes(self) -> int:
-        return self.cd.num_classes
-
     # -- class component splitting -----------------------------------------
 
     def components(self, elem: TateElement) -> Dict[int, TateElement]:
@@ -71,11 +67,6 @@ class ClassDecomposition:
             k = class_of_index(self.cd, elem.degree, key)
             split.setdefault(k, {})[key] = c
         return {k: self.dcomplex.element(elem.degree, coeffs) for k, coeffs in split.items()}
-
-    def component(self, elem: TateElement, cls: int) -> TateElement:
-        coeffs = {key: c for key, c in elem.coeffs.items()
-                  if class_of_index(self.cd, elem.degree, key) == cls}
-        return self.dcomplex.element(elem.degree, coeffs)
 
     def _require_class(self, elem: TateElement, cls: int) -> None:
         for key in elem.coeffs:

@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-DEFAULT_CLOSURE_CAP = 512
+CLOSURE_CAP = 512  # most elements group_from_permutations may generate
 
 
 class GroupError(ValueError):
@@ -127,6 +127,8 @@ def group_from_mult_table(table: Sequence[Sequence[int]], labels: Optional[Seque
             break
     if e is None:
         raise GroupError("no identity")
+    if labels is not None and len(labels) != n:
+        raise GroupError("labels must be distinct, one per element")
     if e != 0:
         perm = list(range(n))
         perm[0], perm[e] = perm[e], perm[0]
@@ -137,9 +139,9 @@ def group_from_mult_table(table: Sequence[Sequence[int]], labels: Optional[Seque
     return Group(table, labels=labels)
 
 
-def group_from_permutations(generators: Sequence[Sequence[int]], size_cap: int = DEFAULT_CLOSURE_CAP,
-                            ) -> Group:
-    """Closure of permutation generators; identity first, then BFS discovery order."""
+def group_from_permutations(generators: Sequence[Sequence[int]]) -> Group:
+    """Closure of permutation generators; identity first, then BFS discovery
+    order.  A closure of more than CLOSURE_CAP elements is refused."""
     if not generators:
         raise GroupError("need at least one generator")
     d = len(generators[0])
@@ -161,8 +163,8 @@ def group_from_permutations(generators: Sequence[Sequence[int]], size_cap: int =
                     index[c] = len(elems)
                     elems.append(c)
                     nxt.append(c)
-                    if len(elems) > size_cap:
-                        raise GroupError(f"closure exceeds size cap {size_cap}")
+                    if len(elems) > CLOSURE_CAP:
+                        raise GroupError(f"closure exceeds size cap {CLOSURE_CAP}")
         queue = nxt
     n = len(elems)
     mult = [[0] * n for _ in range(n)]
@@ -174,8 +176,9 @@ def group_from_permutations(generators: Sequence[Sequence[int]], size_cap: int =
     return Group(mult)
 
 
-def parse_cycles(text: str, degree: Optional[int] = None) -> List[List[int]]:
-    """Cycle-notation permutations: "(0 1 2),(0 1)" -> explicit images."""
+def parse_cycles(text: str) -> List[List[int]]:
+    """Cycle-notation permutations: "(0 1 2),(0 1)" -> explicit images, on
+    the points 0 .. (largest point named)."""
     chunks = [c for c in re.split(r"\s*;\s*|\s*,\s*(?=\()", text.strip()) if c]
     raw: List[List[List[int]]] = []
     top = 0
@@ -191,10 +194,9 @@ def parse_cycles(text: str, degree: Optional[int] = None) -> List[List[int]]:
         if not cycles:
             raise GroupError(f"cannot parse permutation {chunk!r}")
         raw.append(cycles)
-    d = degree if degree is not None else top
     perms = []
     for cycles in raw:
-        img = list(range(d))
+        img = list(range(top))
         for cyc in cycles:
             for i, pt in enumerate(cyc):
                 img[pt] = cyc[(i + 1) % len(cyc)]
@@ -230,14 +232,9 @@ def preset_group(name: str, param: int = 0) -> Group:
         if not (1 <= param <= 5):
             raise GroupError("symmetric group supported for 1 <= n <= 5")
         if param == 3:
-            # presentation <a,b | a^3 = 1 = b^2, bab = a^-1>, ordered e,a,a2,b,ab,a2b
-            def mul3(x, y):
-                i, e = x % 3, x // 3
-                j, f = y % 3, y // 3
-                k = (i + j) % 3 if e == 0 else (i - j) % 3
-                return k + 3 * (e ^ f)
-            labels = ["e", "a", "a2", "b", "ab", "a2b"]
-            return Group([[mul3(x, y) for y in range(6)] for x in range(6)], labels=labels)
+            # dihedral:3, <a,b | a^3 = 1 = b^2, bab = a^-1>, ordered e,a,a2,b,ab,a2b
+            return Group(preset_group("dihedral", 3).mult,
+                         labels=["e", "a", "a2", "b", "ab", "a2b"])
         if param == 1:
             return preset_group("cyclic", 1)
         gens = [list(range(1, param)) + [0]]
@@ -458,26 +455,19 @@ def right_coset_system(H: Subgroup, ambient: Optional[Sequence[int]] = None) -> 
     return CosetSystem(H, amb, tuple(gamma), decomp)
 
 
-class DoubleCosetSystem:
-    def __init__(self, left: Subgroup, right: Subgroup, reps: Tuple[int, ...],
-                 coset_of: Tuple[int, ...]):
-        self.left, self.right, self.reps, self.coset_of = left, right, reps, coset_of
-
-
-def double_cosets(G: Group, H: Subgroup, K: Subgroup) -> DoubleCosetSystem:
-    n = G.order
-    coset_of = [-1] * n
+def double_cosets(G: Group, H: Subgroup, K: Subgroup) -> Tuple[int, ...]:
+    """The minimal element of each double coset H x K, in ascending order."""
+    seen = bytearray(G.order)
     reps: List[int] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
+    for x in range(G.order):
+        if seen[x]:
             continue
-        idx = len(reps)
         reps.append(x)
         for h in H.members:
             hx = G.mult[h][x]
             for k in K.members:
-                coset_of[G.mult[hx][k]] = idx
-    return DoubleCosetSystem(H, K, tuple(reps), tuple(coset_of))
+                seen[G.mult[hx][k]] = 1
+    return tuple(reps)
 
 
 def class_rep_and_witness(cd: ConjugacyData, g: int) -> Tuple[int, int]:

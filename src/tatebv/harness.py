@@ -464,7 +464,7 @@ def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Tuple[int, int, int]])
     return out
 
 
-def cmd_tables(cfg: JobConfig, rng: Optional[random.Random] = None) -> Dict:
+def cmd_tables(cfg: JobConfig) -> Dict:
     """Cup, BV and bracket structure constants on the basis classes of
     degrees lo..hi.  Only the printed degrees lo..hi are put into
     coordinates: the BV images of degree-lo classes inside the brackets,
@@ -476,7 +476,7 @@ def cmd_tables(cfg: JobConfig, rng: Optional[random.Random] = None) -> Dict:
     check_decomposition_cost(G, cd, cfg.window)
     lo, hi = cfg.window
     ops = DecOps(G, cfg.p, coord_cap=dict.fromkeys(range(cd.num_classes), (lo, hi)))
-    rng = rng or random.Random(cfg.seed)
+    rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
     labels = _basis_labels(ops, degrees)
 

@@ -15,20 +15,20 @@ centralizer retracts, applied to an arbitrary pair H <= K):
 The cup product is the identity-class component of bv.cup on D*(kH, kH),
 which the cup keeps, read directly on the subgroup's tuples.
 
-The double-coset product evaluates, for each double coset representative,
-conjugate-restrict-cup-corestrict at the chain level and accumulates the
-result per target conjugacy class.  Everything in it that depends only on
-the group is built once per context: the plan of each class pair (target
-class, conjugating elements, intersection subgroup and centralizer per
-double coset), the conjugation row and target complex of each (g, H), and
-(in CosetSystem) the coset step table of each g.
+The double-coset product (``double_coset_cup_reps``, which DecOps.cup
+reads into class coordinates) evaluates, for each double coset
+representative, conjugate-restrict-cup-corestrict at the chain level and
+accumulates the result per target conjugacy class.  Everything in it that
+depends only on the group is built once per context: the plan of each
+class pair (target class, conjugating elements, intersection subgroup and
+centralizer per double coset), the conjugation row and target complex of
+each (g, H), and (in CosetSystem) the coset step table of each g.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .bv import CohClass, class_of
 from .complexes import GroupComplex, GroupTateElement, Key, _acc
 from .groups import (ConjugacyData, CosetSystem, Group, Subgroup, class_rep_and_witness,
                      conjugate_subgroup, double_cosets, intersect_subgroups,
@@ -182,7 +182,7 @@ class TransferContext:
             G, cd = self.group, self.cd
             Hi, Hj = cd.centralizers[i], cd.centralizers[j]
             plan = []
-            for x in double_cosets(G, Hi, Hj).reps:
+            for x in double_cosets(G, Hi, Hj):
                 k, y = class_rep_and_witness(cd, G.mult[cd.reps[i]][G.conj(x, cd.reps[j])])
                 yx = G.mult[y][x]
                 W = self.subgroup(intersect_subgroups(conjugate_subgroup(G, y, Hi),
@@ -210,14 +210,3 @@ class TransferContext:
             else:
                 out[k] = term
         return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def double_coset_cup(self, i: int, j: int, a: CohClass,
-                         b: CohClass) -> Dict[int, CohClass]:
-        reps = self.double_coset_cup_reps(i, j, a.space.lift(list(a.coords)),
-                                          b.space.lift(list(b.coords)))
-        deg = a.degree + b.degree
-        out: Dict[int, CohClass] = {}
-        for k, elem in reps.items():
-            space = self.complex_for(self.cd.centralizers[k]).cohomology(deg)
-            out[k] = class_of(space, elem)
-        return out

@@ -20,11 +20,10 @@ from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
                  pairing, signed_anticommutator)
 from .complexes import DComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde
-from .groups import Group, conjugacy_classes, preset_group, whole_group
+from .groups import Group, conjugacy_classes, preset_group
 from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig,
                       _config_dict, _provenance, check_dec_window, make_group)
 from .linalg import kernel_basis
-from .transfer import TransferContext
 
 
 class CheckList:
@@ -158,14 +157,10 @@ class S3Verifier:
     def __init__(self):
         G = preset_group("symmetric", 3)
         self.ops = DecOps(G, 3, coord_cap={0: (-4, 4)})
-        ops = self.ops
-        self.cg = ops.ctx.complex_for(whole_group(G))
-        self.ca = ops.ctx.complex_for(ops.cd.centralizers[1])
-        self.cb = ops.ctx.complex_for(ops.cd.centralizers[2])
         self.checks = CheckList()
 
-    def _gen_class(self, cplx, cls: int, degree: int) -> DecClass:
-        space = cplx.cohomology(degree)
+    def _gen_class(self, cls: int, degree: int) -> DecClass:
+        space = self.ops.space(cls, degree)
         if space.dim != 1:
             raise AssertionError(f"expected a 1-dimensional space at degree {degree}")
         return self.ops.from_class(cls, class_of(space, space.representative(0)))
@@ -181,15 +176,14 @@ class S3Verifier:
         ck.add("dims direct path -3..2", dims_dir == [1, 1, 2, 2, 1, 1], str(dims_dir))
 
         gen: Dict[str, DecClass] = {}
-        gen["x"] = self._gen_class(self.cg, 0, 3)
-        gen["z"] = self._gen_class(self.cg, 0, 4)
-        gen["zi"] = self._gen_class(self.cg, 0, -4)
-        gen["W1"] = self._gen_class(self.ca, 1, 1)
-        gen["W2"] = self._gen_class(self.ca, 1, 2)
-        gen["W2i"] = self._gen_class(self.ca, 1, -2)
+        gen["x"] = self._gen_class(0, 3)
+        gen["z"] = self._gen_class(0, 4)
+        gen["zi"] = self._gen_class(0, -4)
+        gen["W1"] = self._gen_class(1, 1)
+        gen["W2"] = self._gen_class(1, 2)
+        gen["W2i"] = self._gen_class(1, -2)
         gen["E1"] = ops.unit()
-        one_a = self.ca.element(0, {(): 1})
-        gen["E2"] = ops.from_class(1, class_of(self.ca.cohomology(0), one_a))
+        gen["E2"] = self._gen_class(1, 0)  # the unit of class 1: H^0 is spanned by ()
         gen["C"] = ops.add(gen["E1"], gen["E2"])
         self.gen = gen
 
@@ -664,7 +658,7 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
     run("retract_homotopy_identity", n, f)
 
     if cd.num_classes > 1 and not mutate:
-        ctx = TransferContext(G, p, cd)
+        ops = DecOps(G, p)  # the product that tables and verify-s3 print
         n, f = 0, 0
         attempts = 0
         while n < 20 and attempts < 400:
@@ -673,19 +667,18 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
             di, dj = rng.choice(degs), rng.choice(degs)
             if not (lo <= di + dj <= hi):
                 continue
-            si = ctx.complex_for(cd.centralizers[i]).cohomology(di)
-            sj = ctx.complex_for(cd.centralizers[j]).cohomology(dj)
+            si, sj = ops.space(i, di), ops.space(j, dj)
             if si.dim == 0 or sj.dim == 0:
                 continue
             a = class_of(si, si.representative(rng.randrange(si.dim)))
             b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
-            p1 = {k: v.coords for k, v in ctx.double_coset_cup(i, j, a, b).items()
-                  if any(v.coords)}
+            p1 = {k: coords for k, (_, coords) in
+                  ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
             prod = cup(dec.retract_up(i, a.space.lift(list(a.coords))),
                        dec.retract_up(j, b.space.lift(list(b.coords))))
             p2 = {}
             for k, g in dec.retract_down(prod).items():
-                coords = tuple(ctx.complex_for(cd.centralizers[k]).cohomology(di + dj).project(g))
+                coords = tuple(ops.space(k, di + dj).project(g))
                 if any(coords):
                     p2[k] = coords
             n += 1

@@ -28,7 +28,6 @@ from tatebv.complexes import DComplex, class_of_index, sign_pow
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import conjugacy_classes, preset_group
 from tatebv.harness import DecClass, DecOps, JobConfig, cmd_dims
-from tatebv.transfer import TransferContext
 from tatebv.verify import (S3Verifier, check_bv_subalgebra, check_duality,
                            cmd_verify_appendix_b)
 
@@ -171,8 +170,8 @@ def test_criterion_03_bv_table_corrected(s3_report):
 
 
 def _path_equivalence(G, p, window, count, seed):
-    cd = conjugacy_classes(G)
-    ctx = TransferContext(G, p, cd)
+    ops = DecOps(G, p)
+    cd = ops.cd
     dc = DComplex(G, p, (window[0] - 1, window[1] + 1))
     dec = ClassDecomposition(dc, cd)
     rng = random.Random(seed)
@@ -183,19 +182,18 @@ def _path_equivalence(G, p, window, count, seed):
         di, dj = rng.randrange(lo, hi + 1), rng.randrange(lo, hi + 1)
         if not (lo <= di + dj <= hi):
             continue
-        si = ctx.complex_for(cd.centralizers[i]).cohomology(di)
-        sj = ctx.complex_for(cd.centralizers[j]).cohomology(dj)
+        si, sj = ops.space(i, di), ops.space(j, dj)
         if si.dim == 0 or sj.dim == 0:
             continue
         a = class_of(si, si.representative(rng.randrange(si.dim)))
         b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
-        p1 = {k: v.coords for k, v in ctx.double_coset_cup(i, j, a, b).items()
-              if any(v.coords)}
+        p1 = {k: coords for k, (_, coords) in
+              ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
         prod = cup(dec.retract_up(i, a.space.lift(list(a.coords))),
                    dec.retract_up(j, b.space.lift(list(b.coords))))
         p2 = {}
         for k, g in dec.retract_down(prod).items():
-            coords = tuple(ctx.complex_for(cd.centralizers[k]).cohomology(di + dj).project(g))
+            coords = tuple(ops.space(k, di + dj).project(g))
             if any(coords):
                 p2[k] = coords
         if p1 != p2:

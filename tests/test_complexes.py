@@ -198,8 +198,7 @@ def _face_complexes(G, p, top):
     0..top."""
     subgroups = {H.members: H for H in (whole_group(G), *conjugacy_classes(G).centralizers,
                                          trivial_subgroup(G))}
-    window = (0, top + 1)
-    return [DComplex(G, p, window), *(GroupComplex(H, p, window) for H in subgroups.values())]
+    return [DComplex(G, p, (0, top + 1)), *(GroupComplex(H, p) for H in subgroups.values())]
 
 
 @pytest.mark.parametrize("group,top", [
@@ -286,7 +285,7 @@ def test_face_built_matrices_keep_no_columns(group, p):
     afterwards no face-built matrix holds per-column storage (dict columns
     or a list of vectors), only the callables that regenerate them."""
     G = preset_group(*group)
-    complexes = [DComplex(G, p, (-2, 3)), GroupComplex(whole_group(G), p, (-2, 3))]
+    complexes = [DComplex(G, p, (-2, 3)), GroupComplex(whole_group(G), p)]
     for C in complexes:
         for n in range(-1, 3):
             C.cohomology(n)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tatebv import groups
 from tatebv.groups import (GroupError, Subgroup, class_rep_and_witness,
                            conjugacy_classes, conjugate_subgroup, double_cosets,
                            generated_subgroup, group_from_mult_table,
@@ -97,9 +98,11 @@ def test_single_transposition():
     assert G.order == 2
 
 
-def test_closure_cap():
-    with pytest.raises(GroupError, match="cap"):
-        group_from_permutations(parse_cycles("(0 1 2 3 4),(0 1)"), size_cap=16)
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 16)
+    with pytest.raises(GroupError, match="cap 16"):
+        group_from_permutations(parse_cycles("(0 1 2 3 4),(0 1)"))
+    assert group_from_permutations(parse_cycles("(0 1 2 3)")).order == 4
 
 
 def test_presets():
@@ -242,14 +245,15 @@ def test_coset_system_rejects_non_subgroup(s3):
 
 def test_double_cosets(s3):
     G = whole_group(s3)
-    assert double_cosets(s3, G, G).reps == (0,)
+    assert double_cosets(s3, G, G) == (0,)
     H = generated_subgroup(s3, [1])
-    dcs = double_cosets(s3, H, H)
-    assert len(dcs.reps) == 2
-    sizes = [sum(1 for g in range(6) if dcs.coset_of[g] == i) for i in range(2)]
-    assert sorted(sizes) == [3, 3]
+    reps = double_cosets(s3, H, H)
+    assert len(reps) == 2
+    cosets = [{s3.mult[s3.mult[h][x]][k] for h in H.members for k in H.members} for x in reps]
+    assert sorted(map(len, cosets)) == [3, 3] and set().union(*cosets) == set(range(6))
+    assert all(x == min(c) for x, c in zip(reps, cosets))
     T = trivial_subgroup(s3)
-    assert len(double_cosets(s3, T, T).reps) == 6
+    assert double_cosets(s3, T, T) == tuple(range(6))
 
 
 def test_class_rep_and_witness(s3, s3_cd):

@@ -7,9 +7,9 @@ import pytest
 
 from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
-from tatebv.complexes import DComplex, GroupComplex, WindowError, _BaseComplex
+from tatebv.complexes import DComplex, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
-from tatebv.groups import preset_group, whole_group
+from tatebv.groups import preset_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
                             check_decomposition_cost, check_direct_cost, checked_dims,
                             cmd_dims, cmd_tables, make_group)
@@ -165,13 +165,6 @@ def test_dims_guard_catches_broken_differential(s3, p):
         checked_dims(_MutatedDComplex(s3, p, window), degrees, random.Random(0))
     assert checked_dims(harness.DComplex(s3, p, window), degrees, random.Random(0)) == [
         harness.DComplex(s3, p, window).cohomology(n).dim for n in degrees]
-
-
-def test_group_complex_window_enforcement(s3):
-    cplx = GroupComplex(whole_group(s3), 3, window=(-2, 2))
-    with pytest.raises(WindowError):
-        cplx.basis(3)
-    assert len(cplx.basis(2)) == 25
 
 
 # ---------------------------------------------------------------------------

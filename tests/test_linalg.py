@@ -403,7 +403,7 @@ def test_face_built_kernels_match_column_reducer(group, p, shape):
     """The tracked kernel of the face-built whole-group matrix(3), streamed
     from the coboundary face tables, equals the ColumnReducer's kernel on
     the matrix's dict columns."""
-    M = GroupComplex(whole_group(preset_group(*group)), p, (3, 4)).matrix(3)
+    M = GroupComplex(whole_group(preset_group(*group)), p).matrix(3)
     assert (M.nrows, M.ncols) == shape and M.vectors is not None
     assert kernel_basis(M) == reducer_run(M)[1]
 
@@ -415,7 +415,7 @@ def test_face_built_kernels_match_column_reducer(group, p, shape):
 def test_row_pivots_on_whole_group_matrices(group, p, degree, shape):
     """The row path on the widest whole-group matrices of the benchmark
     jobs gives the ColumnReducer's pivot columns."""
-    M = GroupComplex(whole_group(preset_group(*group)), p, (degree, degree + 1)).matrix(degree)
+    M = GroupComplex(whole_group(preset_group(*group)), p).matrix(degree)
     assert (M.nrows, M.ncols) == shape
     pivots = reducer_run(M, track=False)[0]
     assert pivot_columns(M) == pivots
@@ -479,7 +479,7 @@ def test_gf3_engine_on_s3_complex():
     hundreds of rows and entries of both signs: the 625x125 kernel of
     degree 3 (entries and their order) and the 125x625 pivots of degree -5
     equal the ColumnReducer's."""
-    C = GroupComplex(whole_group(preset_group("symmetric", 3)), 3, (-6, 4))
+    C = GroupComplex(whole_group(preset_group("symmetric", 3)), 3)
     M = C.matrix(3)
     assert (M.nrows, M.ncols) == (625, 125)
     assert {v for col in M.columns for v in col.values()} == {1, 2}

@@ -8,6 +8,7 @@ from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import (Subgroup, class_rep_and_witness, conjugacy_classes,
                            conjugate_subgroup, double_cosets, generated_subgroup,
                            intersect_subgroups, preset_group)
+from tatebv.harness import DecOps
 from tatebv.transfer import TransferContext
 
 P = 3
@@ -223,8 +224,8 @@ def test_double_coset_identity_classes(ctx, s3):
 def test_double_coset_e2_squared(ctx, s3):
     # the degree-0 class unit of the a-component squares to E2 - 1
     ca = ctx.complex_for(ctx.cd.centralizers[1])
-    e2 = class_of(ca.cohomology(0), ca.element(0, {(): 1}))
-    prod = ctx.double_coset_cup(1, 1, e2, e2)
+    e2 = ca.element(0, {(): 1})
+    prod = {k: _class(g) for k, g in ctx.double_coset_cup_reps(1, 1, e2, e2).items()}
     assert prod[1].coords == (1,)
     assert prod[0].coords == (2,)  # -1 times the unit class
 
@@ -233,12 +234,16 @@ def test_double_coset_degree_additivity(ctx):
     ca = ctx.complex_for(ctx.cd.centralizers[1])
     w1 = _cls(ca, 1)
     w2 = _cls(ca, 2)
-    out = ctx.double_coset_cup(1, 1, w1, w2)
-    for k, c in out.items():
-        assert c.degree == 3
+    out = ctx.double_coset_cup_reps(1, 1, _rep(w1), _rep(w2))
+    assert out
+    for k, g in out.items():
+        assert g.degree == 3 and _class(g).degree == 3
 
 
-def test_path_equivalence(ctx, s3, s3_cd):
+def test_path_equivalence(s3, s3_cd):
+    """DecOps.cup, the double-coset product of tables and verify-s3, against
+    the direct chain-level cup through the retracts."""
+    ops = DecOps(s3, P)
     dc = DComplex(s3, P, (-5, 4))
     dec = ClassDecomposition(dc, s3_cd)
     rng = random.Random(5)
@@ -248,19 +253,18 @@ def test_path_equivalence(ctx, s3, s3_cd):
         di, dj = rng.randrange(-4, 4), rng.randrange(-4, 4)
         if not (-4 <= di + dj <= 3):
             continue
-        si = ctx.complex_for(s3_cd.centralizers[i]).cohomology(di)
-        sj = ctx.complex_for(s3_cd.centralizers[j]).cohomology(dj)
+        si, sj = ops.space(i, di), ops.space(j, dj)
         if si.dim == 0 or sj.dim == 0:
             continue
         a = class_of(si, si.representative(rng.randrange(si.dim)))
         b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
-        p1 = {k: v.coords for k, v in ctx.double_coset_cup(i, j, a, b).items()
-              if any(v.coords)}
+        p1 = {k: coords for k, (_, coords) in
+              ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
         prod = cup(dec.retract_up(i, a.space.lift(list(a.coords))),
                    dec.retract_up(j, b.space.lift(list(b.coords))))
         p2 = {}
         for k, g in dec.retract_down(prod).items():
-            coords = tuple(ctx.complex_for(s3_cd.centralizers[k]).cohomology(di + dj).project(g))
+            coords = tuple(ops.space(k, di + dj).project(g))
             if any(coords):
                 p2[k] = coords
         assert p1 == p2
@@ -338,7 +342,7 @@ def test_double_coset_plans_are_built_once(monkeypatch, group, param, p):
     for i, j in pairs:
         Hi, Hj = cd.centralizers[i], cd.centralizers[j]
         fresh = []
-        for x in double_cosets(G, Hi, Hj).reps:
+        for x in double_cosets(G, Hi, Hj):
             k, y = class_rep_and_witness(cd, G.mult[cd.reps[i]][G.conj(x, cd.reps[j])])
             yx = G.mult[y][x]
             W = intersect_subgroups(conjugate_subgroup(G, y, Hi), conjugate_subgroup(G, yx, Hj))

@@ -1,6 +1,6 @@
 import pytest
 
-from tatebv.harness import ConfigError, JobConfig
+from tatebv.harness import ConfigError, DecOps, JobConfig
 from tatebv.verify import cmd_selftest, cmd_verify_appendix_b
 
 
@@ -14,6 +14,19 @@ def test_selftest_passes_s3():
     assert expected <= set(rep["suites"])
     assert all(s["failures"] == 0 for s in rep["suites"].values())
     assert all(s["runs"] > 0 for s in rep["suites"].values())
+
+
+def test_selftest_checks_the_product_that_tables_uses(monkeypatch):
+    """double_coset_path_equivalence cross-checks DecOps.cup, the product of
+    tables and verify-s3: doubling it at p = 3 must show up as failures."""
+    cup = DecOps.cup
+    monkeypatch.setattr(DecOps, "cup", lambda self, A, B: self.scale(cup(self, A, B), 2))
+    rep = cmd_selftest(JobConfig(group="symmetric:3", p=3, window=(-3, 3), seed=0))
+    assert not rep["passed"]
+    suite = rep["suites"]["double_coset_path_equivalence"]
+    assert suite["runs"] == 20 and suite["failures"] > 0
+    assert all(s["failures"] == 0 for name, s in rep["suites"].items()
+               if name != "double_coset_path_equivalence")
 
 
 def test_selftest_degenerate_group_no_crash():
