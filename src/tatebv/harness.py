@@ -80,6 +80,9 @@ def make_group(spec: str) -> Group:
             raise ConfigError(f'group file {path!r}: "mult" must be a list of lists of integers')
         if labels is not None and not isinstance(labels, list):
             raise ConfigError(f'group file {path!r}: "labels" must be a list')
+        if "order" in data and not (type(data["order"]) is int and data["order"] == len(mult)):
+            raise ConfigError(f'group file {path!r}: "order" must be the integer {len(mult)}, '
+                              f'the size of "mult"')
         return group_from_mult_table(mult, labels=labels)
     name, _, param = spec.partition(":")
     try:

@@ -9,7 +9,7 @@ and the argument of ``project``.  Elimination is deterministic (the pivot
 columns are the leftmost-greedy independent set), so ranks, kernel bases
 and quotient representatives are bit-identical across runs.
 
-``_engine(p)``, the one place an engine is chosen, picks one by p alone:
+``_engine(p)`` chooses every engine, by p alone:
 
 * p = 2 and p = 3: the bitset echelon core ``_Bitsets`` (one Python-int
   bitset per vector at p = 2, a bit-sliced pair at p = 3).  A matrix with
@@ -28,10 +28,11 @@ columns (a column is a pivot iff it is independent of the columns before
 it) and each free column's kernel vector (1 there, support only on
 earlier pivot columns) are unique; on rows, the leading rows of an
 echelon basis of the row space are the leftmost-greedy columns, reversed.
-Only ``QuotientSpace``'s image check, representatives, ``project`` and
-``lift`` read an echelon keyed by each pivot's lowest row (the steps
-``reduce``, ``normalize``, ``push`` and ``place`` of both engines),
-because the lowest rows of that echelon are what they output.
+``QuotientSpace`` picks its representatives with one more ``feed``.  Only
+its ``representatives``, ``project`` and ``lift`` read an echelon keyed
+by each pivot's lowest row (the steps ``reduce``, ``normalize`` and
+``push`` of both engines), because the lowest rows of that echelon are
+what they output.
 """
 
 from __future__ import annotations
@@ -90,25 +91,25 @@ def add_scaled_inplace(dst: Dict, src: Dict, c: int, p: int) -> None:
 class SparseMatrix:
     """Column-major sparse matrix over F_p.
 
-    ``columns`` is a list of dicts.  A matrix made with ``build`` computes
-    it on first read.  ``vectors``, if given, is a zero-argument callable
-    yielding the same columns in order as vectors of the p <= 3 bitset
-    core; elimination by columns then streams them and never reads
-    ``columns``.  ``rows`` likewise yields the rows as vectors of the
-    engine for p, in any order and each up to sign, with column j at index
-    ncols-1-j; ``pivot_columns`` and ``rank`` feed them, as they read the
-    row space alone."""
+    ``columns`` is a list of dicts, which ``build`` computes on first
+    read.  ``vectors``, if given, is a zero-argument callable yielding the
+    same columns in order as vectors of the p <= 3 bitset core;
+    elimination by columns then streams them and never reads ``columns``.
+    ``rows`` likewise yields the rows as vectors of the engine for p, in
+    any order and each up to sign, with column j at index ncols-1-j;
+    ``pivot_columns`` and ``rank`` feed them, as they read the row space
+    alone."""
 
     __slots__ = ("nrows", "ncols", "p", "_columns", "_build", "vectors", "rows")
 
-    def __init__(self, nrows: int, ncols: int, p: int, build: Optional[Callable] = None,
+    def __init__(self, nrows: int, ncols: int, p: int, build: Callable[[], List[Dict[int, int]]],
                  vectors: Optional[Callable[[], Iterable]] = None,
                  rows: Optional[Callable[[], Iterable]] = None):
         self.nrows = nrows
         self.ncols = ncols
         self.p = p
         self._build = build
-        self._columns: Optional[List[Dict[int, int]]] = None if build else [dict() for _ in range(ncols)]
+        self._columns: Optional[List[Dict[int, int]]] = None
         self.vectors = vectors
         self.rows = rows
 
@@ -117,15 +118,6 @@ class SparseMatrix:
         if self._columns is None:
             self._columns = self._build()
         return self._columns
-
-    def set_entry(self, i: int, j: int, v: int) -> None:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i},{j}) out of bounds")
-        v %= self.p
-        if v:
-            self.columns[j][i] = v
-        else:
-            self.columns[j].pop(i, None)
 
     def triples(self) -> Iterable[Tuple[int, int, int]]:
         for j, col in enumerate(self.columns):
@@ -138,8 +130,7 @@ class ColumnReducer:
     engine for p >= 5.  It has the steps of ``_Bitsets`` on dicts, so
     ``_eliminate`` and ``QuotientSpace`` drive both alike: the leading-row
     ``feed``, and for ``QuotientSpace`` the lowest-row ``reduce``,
-    ``normalize``, ``push`` and ``place``, which apply the pivots in
-    creation order.
+    ``normalize`` and ``push``, which apply the pivots in creation order.
     """
 
     def __init__(self, p: int):
@@ -148,7 +139,6 @@ class ColumnReducer:
         self.pivots: List[Tuple[int, Dict[int, int], Optional[Dict[int, int]]]] = []
 
     split = support = staticmethod(lambda v: v)
-    unit = staticmethod(lambda j: {j: 1})
     coords = staticmethod(lambda c, n: [c.get(k, 0) for k in range(n)])
 
     @staticmethod
@@ -212,11 +202,9 @@ class ColumnReducer:
         return v, c
 
     def push(self, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
-        self.place(min(v), v, c)
-
-    def place(self, row: int, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
-        """Make v, which holds 1 at row, the pivot there with combination c."""
-        self.pivots.append((row, v, c))
+        """Make v, which holds 1 at its lowest row, the pivot there with
+        combination c."""
+        self.pivots.append((min(v), v, c))
 
 
 def _bits(x: int) -> List[int]:
@@ -247,9 +235,9 @@ class _Bitsets:
     before it) and the kernel vector of each free column (1 there, support
     only on earlier pivot columns) are each unique.
 
-    ``reduce``, ``normalize``, ``push`` and ``place`` key each pivot by its
-    lowest set row, for the outputs of ``QuotientSpace`` that read that
-    echelon: its image check, representatives, ``project`` and ``lift``.
+    ``reduce``, ``normalize`` and ``push`` key each pivot by its lowest
+    set row, for the outputs of ``QuotientSpace`` that read that echelon:
+    its representatives, ``project`` and ``lift``.
     ``reduce`` clears the lowest pivot row a vector has set until none is
     left, adding the same multiples of pivot combinations to a tracked one
     (a pivot has no set bit below its own row, so each step changes only
@@ -257,16 +245,15 @@ class _Bitsets:
     scales a vector to 1 at its lowest set row and ``push`` makes it the
     pivot there.
 
-    Per field, ``split`` turns a dict of entries into a vector, ``unit``
-    gives a unit vector, and ``entries`` and ``coords`` read a vector back
-    as a dict or a list.  Pivots are never back-substituted: Gauss-Jordan
-    reduced pivots were measured 4-5x slower on the matrices of ``dims`` at
-    p = 2.
+    Per field, ``split`` turns a dict of entries into a vector, and
+    ``entries`` and ``coords`` read a vector back as a dict or a list.
+    Pivots are never back-substituted: Gauss-Jordan reduced pivots were
+    measured 4-5x slower on the matrices of ``dims`` at p = 2.
     """
 
     def __init__(self):
         self.lead: Dict[int, tuple] = {}  # feed: leading row -> flat(vector, combination)
-        self.at: List[Optional[tuple]] = []  # push, place: lowest row -> flat(vector, combination)
+        self.at: List[Optional[tuple]] = []  # push: lowest row -> flat(vector, combination)
         self.mask = 0  # the lowest rows of the pivots in at, which reduce clears
 
     def push(self, v, c) -> None:
@@ -276,14 +263,7 @@ class _Bitsets:
         s = self.support(v)
         if self.twos(v) & s & -s:
             raise AssertionError("pivot not normalized: its lowest entry is 2")
-        self.place((s & -s).bit_length() - 1, v, c)
-
-    def place(self, row: int, v, c) -> None:
-        """Make v, which holds 1 at row, the pivot there with combination c.
-        Row need not be v's lowest set one: if no pivot has a set bit at
-        another pivot's row, ``reduce`` clears each pivot row at most once,
-        in any order, which is how ``QuotientSpace`` places each kernel
-        vector at its free column."""
+        row = (s & -s).bit_length() - 1
         if row >= len(self.at):
             self.at.extend([None] * (row + 1 - len(self.at)))
         self.at[row] = self.flat(v, c)
@@ -302,7 +282,6 @@ class _GF2(_Bitsets):
     """F_2: a vector is one bitset, and XOR is the whole row operation."""
 
     split = staticmethod(lambda entries: sum(1 << i for i in entries))
-    unit = staticmethod(lambda j: 1 << j)
     support = staticmethod(lambda v: v)
     twos = staticmethod(lambda v: 0)
     coords = staticmethod(lambda c, n: [c >> k & 1 for k in range(n)])
@@ -347,7 +326,6 @@ class _GF3(_Bitsets):
     swaps the pair; addition takes six OR/XOR operations,
     t = (P | N') ^ (N | P'), sum = ((N | N') ^ t, (P | P') ^ t)."""
 
-    unit = staticmethod(lambda j: (1 << j, 0))
     support = staticmethod(lambda v: v[0] | v[1])
     twos = staticmethod(lambda v: v[1])
     coords = staticmethod(lambda c, n: [c[0] >> k & 1 | (c[1] >> k & 1) << 1 for k in range(n)])
@@ -483,15 +461,14 @@ class QuotientSpace:
     only at the edges: ``representatives``, ``lift`` and the argument of
     ``project``.
 
-    The kernel of ``out`` comes out of elimination reduced: vector k has
-    coefficient 1 at its free column f_k, which no other kernel vector
-    touches.  Placed as the pivot of row f_k with combination -e_k, it lets
-    one ``reduce`` of each image vector (the pivot columns of ``into``)
-    both check it (a remainder means it is outside the kernel span: d^2 !=
-    0, and ValueError) and collect its kernel coordinates Phi.  Feeding the
-    columns of [Phi | I] picks the representatives: the kernel vectors
-    whose unit columns become pivots.  So ``dim`` needs no full-space
-    elimination.  project() expresses any vector of the kernel span in the
+    One ``feed`` of the image basis (the pivot columns of ``into``) and
+    then the kernel vectors of ``out`` picks the representatives: the
+    image vectors, being independent, take the first pivots, and a kernel
+    vector becomes a pivot exactly when it is independent of the image and
+    of the kernel vectors before it.  The kernel vectors are independent
+    too, so the feed finds len(kernel) pivots exactly when the image lies
+    in their span; any other count means d^2 != 0, and ValueError.
+    project() expresses any vector of the kernel span in the
     representative basis mod the image; lift() goes back.  Both use the
     full-space pivots of ``_echelon``, built on first use.
     """
@@ -502,23 +479,14 @@ class QuotientSpace:
         p = self.p = out.p
         kernel = _eliminate(out, True)[1]
         E = _engine(p)
-        for k, (f, c) in enumerate(kernel):
-            E.place(f, c, E.split({k: p - 1}))
         flags = bytearray(into.ncols)
         for j in pivot_columns(into):
             flags[j] = 1
         self.image_basis = list(compress(_vectors(into, E), flags))
-        coords = []
-        for v in self.image_basis:
-            w, x = E.reduce(v, E.split({}))
-            if E.support(w):
-                raise ValueError("image vector outside kernel span (d^2 != 0?)")
-            coords.append(x)
-        # independent image vectors have independent coordinates, so they
-        # are the first len(coords) pivots
-        F = _engine(p)
-        n = len(coords)
-        pivots = F.feed(chain(coords, map(F.unit, range(len(kernel)))), False)[0]
+        n = len(self.image_basis)
+        pivots = E.feed(chain(self.image_basis, (c for _, c in kernel)), False)[0]
+        if len(pivots) != len(kernel):
+            raise ValueError("image vector outside kernel span (d^2 != 0?)")
         self._reps = [kernel[j - n][1] for j in pivots[n:]]
         self.dim = len(self._reps)
 

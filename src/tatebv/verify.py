@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
                  pairing, signed_anticommutator)
-from .complexes import DComplex, class_of_index, dim_degree, sign_pow
+from .complexes import DComplex, GroupComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde
-from .groups import Group, conjugacy_classes, preset_group
+from .groups import Group, conjugacy_classes, preset_group, whole_group
 from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig,
                       _config_dict, _provenance, check_dec_window, make_group)
-from .linalg import kernel_basis
+from .linalg import SparseMatrix, kernel_basis, rank
 
 
 class CheckList:
@@ -369,17 +369,12 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     if G.order % cfg.p:
         raise ConfigError("this check needs the characteristic to divide the group order")
-    ops = DecOps(G, cfg.p)
-    cplx = ops.ctx.complex_for(ops.cd.centralizers[0])
+    cplx = GroupComplex(whole_group(G), cfg.p)
     ck = CheckList()
     for s in range(0, 3):
-        if s == 0:
-            cycles = [cplx.element(-1, {(): 1})]
-        else:
-            M = cplx.matrix(-s - 1)
-            basis = cplx.basis(-s - 1)
-            cycles = [cplx.element(-s - 1, {basis[i]: c for i, c in kv.items()})
-                      for kv in kernel_basis(M)]
+        basis = cplx.basis(-s - 1)
+        cycles = [cplx.element(-s - 1, {basis[i]: c for i, c in kv.items()})
+                  for kv in kernel_basis(cplx.matrix(-s - 1))]
         boundary_space = cplx.cohomology(-s - 2)
         ok = True
         for cyc in cycles:
@@ -411,13 +406,10 @@ def check_duality(G: Group, p: int, degrees: Sequence[int]) -> Dict:
         if sp.dim != sq.dim:
             out["nondegenerate"] = False
             continue
-        from .linalg import SparseMatrix, rank
-        M = SparseMatrix(sp.dim, sq.dim, p)
-        for i in range(sp.dim):
-            a = sp.representative(i)
-            for j in range(sq.dim):
-                M.set_entry(i, j, pairing(a, sq.representative(j)))
-        r = rank(M)
+        reps = [sp.representative(i) for i in range(sp.dim)]
+        columns = [{i: x for i, a in enumerate(reps) if (x := pairing(a, b) % p)}
+                   for b in map(sq.representative, range(sq.dim))]
+        r = rank(SparseMatrix(sp.dim, sq.dim, p, build=lambda: columns))
         out["ranks"][str(n)] = [r, sp.dim]
         if r != sp.dim:
             out["nondegenerate"] = False

@@ -79,8 +79,9 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     for path in (missing, bad_json, no_mult):
         assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
     # malformed specs: a preset parameter or a cycle point that is no
-    # integer, and file tables of the wrong shape (the last has too few
-    # labels for a table whose identity is not element 0)
+    # integer, and file tables of the wrong shape (the fourth has too few
+    # labels for a table whose identity is not element 0) or with an
+    # "order" that is not the integer size of the table
     for spec in ("symmetric:x", "perms:(0 1 x)"):
         assert main(["info", "--group", spec, "--char", "3", "--window", "-2..2"]) == 2
     # a parameter on a preset that takes none; without one it runs
@@ -89,10 +90,16 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     assert main(["info", "--group", "quaternion8", "--char", "3", "--window", "-2..2"]) == 0
     for i, table in enumerate(({"mult": 5}, {"mult": [[0, 1], [1, "a"]]},
                                {"mult": [[0, 1], [1, 0]], "labels": 7},
-                               {"mult": [[1, 2, 0], [2, 0, 1], [0, 1, 2]], "labels": ["a"]})):
+                               {"mult": [[1, 2, 0], [2, 0, 1], [0, 1, 2]], "labels": ["a"]},
+                               {"order": 5, "mult": [[0, 1], [1, 0]]},
+                               {"order": "2", "mult": [[0, 1], [1, 0]]},
+                               {"order": True, "mult": [[0]]})):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(table))
         assert main(["info", "--group", f"file:{path}", "--char", "3", "--window", "-2..2"]) == 2
+    declared = tmp_path / "declared.json"
+    declared.write_text(json.dumps({"order": 2, "mult": [[0, 1], [1, 0]]}))
+    assert main(["info", "--group", f"file:{declared}", "--char", "3", "--window", "-2..2"]) == 0
     capsys.readouterr()
 
 

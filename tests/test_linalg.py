@@ -13,21 +13,16 @@ from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, add_scale
                            kernel_basis, pivot_columns, rank)
 
 
-def mat(rows, p):
-    M = SparseMatrix(len(rows), len(rows[0]) if rows else 0, p)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            M.set_entry(i, j, v)
-    return M
-
-
 def from_columns(nrows, p, columns):
-    """The nrows x len(columns) matrix with the given dict columns."""
-    M = SparseMatrix(nrows, len(columns), p)
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            M.set_entry(i, j, v)
-    return M
+    """The nrows x len(columns) matrix with the given dict columns, whose
+    entries are reduced mod p and dropped where zero."""
+    columns = [{i: v % p for i, v in col.items() if v % p} for col in columns]
+    return SparseMatrix(nrows, len(columns), p, build=lambda: columns)
+
+
+def mat(rows, p):
+    ncols = len(rows[0]) if rows else 0
+    return from_columns(len(rows), p, [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)])
 
 
 def matvec(M, v):
@@ -67,20 +62,13 @@ def test_is_prime_miller_rabin_exact_below_bound():
 
 def test_rank_examples():
     assert rank(mat([[0, 0], [0, 0]], 3)) == 0
-    I5 = SparseMatrix(5, 5, 7)
-    for i in range(5):
-        I5.set_entry(i, i, 1)
-    assert rank(I5) == 5
+    assert rank(from_columns(5, 7, [{i: 1} for i in range(5)])) == 5
     assert rank(mat([[1, 1], [1, 1]], 2)) == 1
 
 
 def test_kernel_examples():
-    I3 = SparseMatrix(3, 3, 3)
-    for i in range(3):
-        I3.set_entry(i, i, 1)
-    assert kernel_basis(I3) == []
-    Z = SparseMatrix(3, 3, 3)
-    ks = kernel_basis(Z)
+    assert kernel_basis(from_columns(3, 3, [{i: 1} for i in range(3)])) == []
+    ks = kernel_basis(from_columns(3, 3, [{}, {}, {}]))
     assert ks == [{0: 1}, {1: 1}, {2: 1}]
     ks = kernel_basis(mat([[1, 1]], 3))
     assert len(ks) == 1
@@ -104,16 +92,16 @@ def test_kernel_vectors_annihilate(s3_complex):
 
 def test_quotient_examples():
     p = 2
-    zero = SparseMatrix(1, 2, p)  # kernel e1, e2
+    zero = from_columns(1, p, [{}, {}])  # kernel e1, e2
     q = QuotientSpace(zero, mat([[1], [1]], p))
     assert q.dim == 1
     assert q.project({0: 1}) == q.project({1: 1})
     assert q.representatives == [{1: 1}]
     assert q.lift([1]) == {1: 1}
     assert QuotientSpace(zero, mat([[1, 0], [0, 1]], p)).dim == 0
-    assert QuotientSpace(zero, SparseMatrix(2, 0, p)).dim == 2
+    assert QuotientSpace(zero, from_columns(2, p, [])).dim == 2
     with pytest.raises(ValueError, match="mismatch"):
-        QuotientSpace(zero, SparseMatrix(3, 1, p))
+        QuotientSpace(zero, from_columns(3, p, [{}]))
 
 
 def test_quotient_validates_image():
@@ -130,10 +118,10 @@ def test_quotient_validates_image():
 def test_quotient_project_lift_roundtrip():
     rng = random.Random(1)
     for p in (2, 3, 5):
-        M = SparseMatrix(2, 6, p)
-        while rank(M) < 2:
+        columns = [{} for _ in range(6)]
+        while rank(M := from_columns(2, p, columns)) < 2:
             i, j = rng.randrange(2), rng.randrange(6)
-            M.set_entry(i, j, M.columns[j].get(i, 0) + rng.randrange(1, p))
+            columns[j][i] = (columns[j].get(i, 0) + rng.randrange(1, p)) % p
         kern = kernel_basis(M)
         assert len(kern) == 4
         image = dict(kern[0])
@@ -191,22 +179,19 @@ def rank_deficient_matrices(draw):
     L = draw(st.lists(st.lists(residue, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
     R = draw(st.lists(st.lists(residue, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
     zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
-    M = SparseMatrix(nrows, ncols, p)
-    for i in range(nrows):
-        for j in range(ncols):
-            if j not in zero_cols:
-                M.set_entry(i, j, sum(L[i][t] * R[t][j] for t in range(k)))
-    return M
+    return from_columns(nrows, p, [{} if j in zero_cols else
+                                   {i: sum(L[i][t] * R[t][j] for t in range(k)) for i in range(nrows)}
+                                   for j in range(ncols)])
 
 
 def seeded_sparse(p):
     """40x30 with 120 random entries: larger than the drawn matrices."""
     rng = random.Random(3)
-    M = SparseMatrix(40, 30, p)
+    columns = [{} for _ in range(30)]
     for _ in range(120):
         i, j = rng.randrange(40), rng.randrange(30)
-        M.set_entry(i, j, M.columns[j].get(i, 0) + rng.randrange(1, p))
-    return M
+        columns[j][i] = (columns[j].get(i, 0) + rng.randrange(1, p)) % p
+    return from_columns(40, p, columns)
 
 
 def lowest_row_feed(E, vectors, track):
@@ -333,9 +318,11 @@ def test_engine_shape_rule(monkeypatch):
             by_columns = (feed, [list(map(E.split, M.columns))])
             for f in (kernel_basis, pivot_columns, rank):
                 assert paths(M, f) == by_columns
-        streamed = SparseMatrix(3, 5, p, rows=lambda: iter([E.unit(4)]))
+        row = E.split({4: 1})
+        streamed = SparseMatrix(3, 5, p, build=lambda: [{0: 1}, {}, {}, {}, {}],
+                                rows=lambda: iter([row]))
         for f in (pivot_columns, rank):
-            assert paths(streamed, f) == (feed, [[E.unit(4)]])
+            assert paths(streamed, f) == (feed, [[row]])
         assert pivot_columns(streamed) == [0]
         assert rank(streamed) == 1
 
@@ -453,7 +440,7 @@ def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):
     kernels, pivots and quotients all take the bitset core."""
     def refuse(*args, **kwargs):
         raise AssertionError("ColumnReducer used at p <= 3")
-    for step in ("feed", "reduce", "place"):
+    for step in ("feed", "reduce", "push"):
         monkeypatch.setattr(ColumnReducer, step, refuse)
     for group, p, window in (("symmetric:3", "3", "-3..3"), ("dihedral:4", "2", "-2..2")):
         assert main(["tables", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0

@@ -46,7 +46,26 @@ def test_appendix_requires_modular_characteristic():
         cmd_verify_appendix_b(JobConfig(group="cyclic:3", p=2, window=(-3, 2), seed=0))
 
 
-def test_appendix_klein_four():
-    rep = cmd_verify_appendix_b(JobConfig(group="klein_four", p=2, window=(-3, 2), seed=0))
+def appendix_checks(group, p):
+    rep = cmd_verify_appendix_b(JobConfig(group=group, p=p, window=(-3, 2), seed=0))
     assert rep["passed"]
-    assert len(rep["checks"]) == 3
+    return [c["name"] for c in rep["checks"]]
+
+
+def cycle_checks(*counts):
+    return [f"B sends degree-{s} cycles to boundaries ({n} cycles)" for s, n in enumerate(counts)]
+
+
+def test_appendix_klein_four():
+    assert appendix_checks("klein_four", 2) == cycle_checks(1, 3, 8)
+
+
+@pytest.mark.parametrize("group,p,counts", [
+    ("symmetric:3", 3, (1, 5, 20)), ("cyclic:3", 3, (1, 2, 3)), ("dihedral:4", 2, (1, 7, 44)),
+    ("quaternion8", 2, (1, 7, 44)), ("symmetric:3", 2, (1, 5, 21)),
+])
+def test_appendix_cycle_counts(group, p, counts):
+    """Every degree, 0 included, takes its cycles from the kernel of the
+    whole group's complex: at degree -1 the norm column is zero, so the one
+    cycle is the empty tuple."""
+    assert appendix_checks(group, p) == cycle_checks(*counts)

@@ -22,6 +22,11 @@ first compiled to bytecode with ``compileall``, which writes it whatever
 ``PYTHONDONTWRITEBYTECODE`` says, and runs one untimed import.  The
 results go under ``runs[LABEL]`` of ``--out``; the other labels already in
 that file stay.
+
+Each printed line gives a job's median wall time and, with ``--repeat``
+above 1, the minimum and maximum of its samples in parentheses: on
+sub-second jobs the ranges of two trees often overlap, and then their
+medians show no difference.
 """
 
 from __future__ import annotations
@@ -153,7 +158,9 @@ def main(argv=None):
                    "exits": sorted({s["exit"] for s in got}), "expected_exit": expected,
                    "samples": got}
             runs[label]["jobs"].append(rec)
-            print(f"{label:>12}  {rec['job']:<34} wall {rec['wall_s_median']:7.3f} s  "
+            walls = [s["wall_s"] for s in got]
+            spread = f" ({min(walls):.3f}-{max(walls):.3f})" if len(walls) > 1 else ""
+            print(f"{label:>12}  {rec['job']:<34} wall {rec['wall_s_median']:7.3f} s{spread}  "
                   f"rss {rec['peak_rss_mb_max']:7.1f} MB  exit {rec['exits']}", flush=True)
             if rec["exits"] != [expected]:
                 failed = True
