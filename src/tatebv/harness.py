@@ -14,7 +14,8 @@ lifted back to C_k, as [C_k:P_k]^-1 cor, only where a C_k cocycle is
 needed.  ``tables``
 coordinatizes only the degrees lo..hi that it prints: the BV images at
 lo-1 inside its brackets stay representatives, which the next cup takes as
-they are, so no cohomology space of degree lo-1 is built.  Class arithmetic
+they are, so no cohomology space of degree lo-1 is built.  Its bracket
+table is read off its own cup and BV tables by linearity.  Class arithmetic
 builds no D-complex of G: only the direct-path cross-checks of ``dims`` and
 ``tables`` do.
 """
@@ -470,9 +471,11 @@ def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Tuple[int, int, int]])
 def cmd_tables(cfg: JobConfig) -> Dict:
     """Cup, BV and bracket structure constants on the basis classes of
     degrees lo..hi.  Only the printed degrees lo..hi are put into
-    coordinates: the BV images of degree-lo classes inside the brackets,
-    in degree lo-1, stay representatives for the next cup, so no
-    cohomology space outside lo..hi is built."""
+    coordinates: the BV images of degree-lo classes, in degree lo-1, stay
+    representatives for the next cup, so no cohomology space outside lo..hi
+    is built.  Each bracket is DecOps.bracket's combination of
+    delta(ab), delta(a)b and a delta(b), with every term expanded over the
+    cup and BV tables; only a product with a degree lo-1 factor runs a cup."""
     check_dec_window(cfg.window)
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
@@ -497,22 +500,39 @@ def cmd_tables(cfg: JobConfig) -> Dict:
             cup_table[key] = _dec_to_vector(ops, prod, labels)
 
     delta_table: Dict[str, Optional[Dict[str, int]]] = {}
+    deltas = {la: ops.delta(_dec_basis_class(ops, la)) for la in labels}
     for la in labels:
-        if not (lo <= la[0] - 1 <= hi):
-            delta_table[_label_str(ops, la)] = None
-            continue
-        delta_table[_label_str(ops, la)] = _dec_to_vector(ops, ops.delta(_dec_basis_class(ops, la)), labels)
+        delta_table[_label_str(ops, la)] = (_dec_to_vector(ops, deltas[la], labels)
+                                            if lo <= la[0] - 1 else None)
 
+    def expand(A: DecClass, term, degree: int) -> DecClass:
+        """sum of c_k term(e_k) over the coordinates A = sum c_k e_k"""
+        out = DecClass(degree)
+        for cls, (_, val) in A.parts.items():
+            for i, v in enumerate(val):
+                if v:
+                    out = ops.add(out, term((A.degree, cls, i)), v)
+        return out
+
+    # a BV image in degree lo-1 is a representative with no products entry (or,
+    # with every degree in coordinates, has no basis label), so it takes a cup;
+    # the test is by degree, not by entry tag
     bracket_table: Dict[str, Optional[Dict[str, int]]] = {}
     for la in labels:
         for lb in labels:
-            dsum = la[0] + lb[0] - 1
+            da, db = la[0], lb[0]
             key = f"[{_label_str(ops, la)}, {_label_str(ops, lb)}]"
-            if not (lo <= dsum <= hi and lo <= la[0] + lb[0] <= hi):
+            if not (lo < da + db <= hi):
                 bracket_table[key] = None
                 continue
-            br = ops.bracket(_dec_basis_class(ops, la), _dec_basis_class(ops, lb))
-            bracket_table[key] = _dec_to_vector(ops, br, labels)
+            deg = da + db - 1
+            t1 = expand(products[(la, lb)], lambda e: deltas[e], deg)
+            t2 = (expand(deltas[la], lambda e: products[(e, lb)], deg) if da > lo
+                  else ops.cup(deltas[la], _dec_basis_class(ops, lb)))
+            t3 = (expand(deltas[lb], lambda e: products[(la, e)], deg) if db > lo
+                  else ops.cup(_dec_basis_class(ops, la), deltas[lb]))
+            inner = ops.add(ops.add(t1, t2, -1), t3, -sign_pow(da))
+            bracket_table[key] = _dec_to_vector(ops, ops.scale(inner, -sign_pow((da - 1) * db)), labels)
 
     # spot-check exported structure constants against the direct path
     worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))

@@ -1,5 +1,7 @@
+import collections
 import copy
 import hashlib
+import itertools
 import json
 import random
 
@@ -9,7 +11,7 @@ from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
 from tatebv.complexes import DComplex, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
-from tatebv.groups import preset_group
+from tatebv.groups import conjugacy_classes, preset_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
                             check_decomposition_cost, check_direct_cost, checked_dims,
                             cmd_dims, cmd_tables, make_group)
@@ -538,3 +540,63 @@ def test_tables_matches_coordinatizing_every_degree(monkeypatch, group, p, windo
     got = _tables_json(group, p, window)
     monkeypatch.setattr(DecOps, "in_range", lambda self, cls, n: True)
     assert got == _tables_json(group, p, window)
+
+
+# ---------------------------------------------------------------------------
+# tables reads its brackets off its own cup and BV tables
+
+TABLES_BRACKET_CASES = [
+    ("symmetric:3", 3, (-4, 4)), ("symmetric:3", 3, (-2, 4)), ("cyclic:6", 3, (-3, 3)),
+    ("dihedral:5", 5, (-2, 2)), ("dihedral:4", 2, (-2, 2)),
+]
+
+
+def _direct_brackets(group, p, window):
+    """Every bracket that tables prints, by DecOps.bracket on the basis classes."""
+    lo, hi = window
+    G = make_group(group)
+    ops = DecOps(G, p, coord_cap=dict.fromkeys(range(conjugacy_classes(G).num_classes), window))
+    labels = harness._basis_labels(ops, range(lo, hi + 1))
+    out = {}
+    for la, lb in itertools.product(labels, labels):
+        if lo < la[0] + lb[0] <= hi:
+            br = ops.bracket(harness._dec_basis_class(ops, la), harness._dec_basis_class(ops, lb))
+            key = f"[{harness._label_str(ops, la)}, {harness._label_str(ops, lb)}]"
+            out[key] = harness._dec_to_vector(ops, br, labels)
+    return out
+
+
+@pytest.mark.parametrize("coordinatize_all", [False, True], ids=["window", "every-degree"])
+@pytest.mark.parametrize("group,p,window", TABLES_BRACKET_CASES,
+                         ids=[f"{g}-p{p}-{w[0]}..{w[1]}" for g, p, w in TABLES_BRACKET_CASES])
+def test_tables_brackets_match_decops_bracket(monkeypatch, group, p, window, coordinatize_all):
+    """Each printed bracket, read off the cup and BV tables by linearity,
+    is DecOps.bracket of its two basis classes, also when every degree is
+    put into coordinates (so the BV images at lo-1 are coordinate classes)."""
+    if coordinatize_all:
+        monkeypatch.setattr(DecOps, "in_range", lambda self, cls, n: True)
+    table = cmd_tables(JobConfig(group=group, p=p, window=window))["tables"]["bracket"]
+    want = _direct_brackets(group, p, window)
+    assert any(want.values())
+    assert {key: vec for key, vec in table.items() if vec is not None} == want
+
+
+def test_tables_calls_no_bracket_and_one_delta_per_label(monkeypatch):
+    """tables S3/F3 -4..4 runs DecOps.delta once per basis label at most and
+    DecOps.bracket never; its cups are the 145 of the cup table and the 24
+    that take a BV image of degree lo-1 = -5."""
+    calls = collections.Counter()
+    delta_args = []
+    for name in ("cup", "delta", "bracket"):
+        method = getattr(DecOps, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            if _name == "delta":
+                delta_args.append((args[0].degree, tuple(sorted(args[0].parts.items()))))
+            return _method(self, *args)
+        monkeypatch.setattr(DecOps, name, counted)
+    data = cmd_tables(JobConfig(group="symmetric:3", p=3, window=(-4, 4)))
+    assert calls["bracket"] == 0
+    assert len(delta_args) == len(set(delta_args)) <= len(data["tables"]["basis"])
+    assert calls["cup"] == 169

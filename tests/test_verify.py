@@ -60,6 +60,14 @@ def test_appendix_klein_four():
     assert appendix_checks("klein_four", 2) == cycle_checks(1, 3, 8)
 
 
+def test_appendix_window_is_only_range_checked():
+    """verify-appendix-b checks chain degrees 0..2 whatever window it accepts."""
+    checks = [cmd_verify_appendix_b(JobConfig(group="klein_four", p=2, window=w, seed=0))["checks"]
+              for w in ((-1, 1), (-3, 2), (-9, 9))]
+    assert [c["name"] for c in checks[0]] == cycle_checks(1, 3, 8)
+    assert checks[0] == checks[1] == checks[2]
+
+
 @pytest.mark.parametrize("group,p,counts", [
     ("symmetric:3", 3, (1, 5, 20)), ("cyclic:3", 3, (1, 2, 3)), ("dihedral:4", 2, (1, 7, 44)),
     ("quaternion8", 2, (1, 7, 44)), ("symmetric:3", 2, (1, 5, 21)),
