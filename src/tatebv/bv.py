@@ -277,10 +277,16 @@ def class_of(space: CohomologySpace, elem: TateElement) -> CohClass:
 
 
 def _checked_rep(a: CohClass) -> TateElement:
-    rep = a.rep()
-    if not a.space.complex.differential(rep).is_zero():
-        raise ValueError("representative is not a cocycle (corrupt space)")
-    return rep
+    """a's representative, lifted and checked to be a cocycle on its first
+    use and kept on its space."""
+    reps = a.space.checked_reps
+    coords = tuple(a.coords)
+    if coords not in reps:
+        rep = a.rep()
+        if not a.space.complex.differential(rep).is_zero():
+            raise ValueError("representative is not a cocycle (corrupt space)")
+        reps[coords] = rep
+    return reps[coords]
 
 
 def induced_cup(a: CohClass, b: CohClass) -> CohClass:

@@ -311,6 +311,8 @@ class CohomologySpace:
         self.complex = cplx
         self.degree = degree
         self.quotient = quotient
+        # bv._checked_rep's lifted and d-checked representatives, by coordinates
+        self.checked_reps: Dict[Tuple[int, ...], object] = {}
 
     @property
     def dim(self) -> int:

@@ -14,10 +14,12 @@ lifted back to C_k, as [C_k:P_k]^-1 cor, only where a C_k cocycle is
 needed.  ``tables``
 coordinatizes only the degrees lo..hi that it prints: the BV images at
 lo-1 inside its brackets stay representatives, which the next cup takes as
-they are, so no cohomology space of degree lo-1 is built.  Its bracket
-table is read off its own cup and BV tables by linearity.  Class arithmetic
-builds no D-complex of G: only the direct-path cross-checks of ``dims`` and
-``tables`` do.
+they are, so no cohomology space of degree lo-1 is built.  ``tables`` and
+``verify-s3`` run on TableOps, which expands coordinate classes over basis
+classes and computes each product of two basis classes and each BV image of
+one once per job; their brackets are read off those two tables by
+linearity.  Class arithmetic builds no D-complex of G: only the direct-path
+cross-checks of ``dims`` and ``tables`` do.
 """
 
 from __future__ import annotations
@@ -357,6 +359,57 @@ class DecOps:
         return self.is_zero(self.sub(A, B))
 
 
+# a basis class: (degree, class, index) of its one nonzero coordinate
+Label = Tuple[int, int, int]
+
+
+class TableOps(DecOps):
+    """DecOps whose cup and delta expand coordinate entries over basis
+    classes, bilinearly, and read a table that computes each basis product
+    and each basis BV image once, by DecOps, on first use.  a.b and b.a are
+    separate entries and neither is ever filled from the other, so a graded
+    commutativity check on the two stays a check.  A representative entry
+    goes to DecOps one component pair at a time.  bracket, add and is_zero
+    are DecOps's, so a bracket is read off the two tables."""
+
+    def __init__(self, G: Group, p: int, coord_cap: Optional[Dict[int, Tuple[int, int]]] = None):
+        super().__init__(G, p, coord_cap)
+        self._cups: Dict[Tuple[Label, Label], DecClass] = {}
+        self._deltas: Dict[Label, DecClass] = {}
+
+    def cup(self, A: DecClass, B: DecClass) -> DecClass:
+        out = DecClass(A.degree + B.degree)
+        for i, ea in A.parts.items():
+            for j, eb in B.parts.items():
+                if ea[0] == "r" or eb[0] == "r":
+                    out = self.add(out, super().cup(DecClass(A.degree, {i: ea}),
+                                                    DecClass(B.degree, {j: eb})))
+                    continue
+                for s, u in enumerate(ea[1]):
+                    for t, v in enumerate(eb[1]):
+                        if u and v:
+                            key = ((A.degree, i, s), (B.degree, j, t))
+                            if key not in self._cups:
+                                self._cups[key] = super().cup(*(_dec_basis_class(self, lab)
+                                                                for lab in key))
+                            out = self.add(out, self._cups[key], u * v)
+        return out
+
+    def delta(self, A: DecClass) -> DecClass:
+        out = DecClass(A.degree - 1)
+        for cls, entry in A.parts.items():
+            if entry[0] == "r":
+                out = self.add(out, super().delta(DecClass(A.degree, {cls: entry})))
+                continue
+            for i, v in enumerate(entry[1]):
+                if v:
+                    lab = (A.degree, cls, i)
+                    if lab not in self._deltas:
+                        self._deltas[lab] = super().delta(_dec_basis_class(self, lab))
+                    out = self.add(out, self._deltas[lab], v)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 
@@ -436,7 +489,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     }
 
 
-def _basis_labels(ops: DecOps, degrees: Sequence[int]) -> List[Tuple[int, int, int]]:
+def _basis_labels(ops: DecOps, degrees: Sequence[int]) -> List[Label]:
     out = []
     for d in degrees:
         for cls in range(ops.cd.num_classes):
@@ -445,19 +498,19 @@ def _basis_labels(ops: DecOps, degrees: Sequence[int]) -> List[Tuple[int, int, i
     return out
 
 
-def _label_str(ops: DecOps, lab: Tuple[int, int, int]) -> str:
+def _label_str(ops: DecOps, lab: Label) -> str:
     d, cls, i = lab
     return f"deg{d}:{ops.group.label(ops.cd.reps[cls])}:{i}"
 
 
-def _dec_basis_class(ops: DecOps, lab: Tuple[int, int, int]) -> DecClass:
+def _dec_basis_class(ops: DecOps, lab: Label) -> DecClass:
     d, cls, i = lab
     space = ops.space(cls, d)
     coords = [1 if j == i else 0 for j in range(space.dim)]
     return ops.from_class(cls, CohClass(space, tuple(coords)))
 
 
-def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Tuple[int, int, int]]) -> Optional[Dict[str, int]]:
+def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Label]) -> Optional[Dict[str, int]]:
     out: Dict[str, int] = {}
     for cls, (tag, val) in A.parts.items():
         if tag != "c":
@@ -473,79 +526,53 @@ def cmd_tables(cfg: JobConfig) -> Dict:
     degrees lo..hi.  Only the printed degrees lo..hi are put into
     coordinates: the BV images of degree-lo classes, in degree lo-1, stay
     representatives for the next cup, so no cohomology space outside lo..hi
-    is built.  Each bracket is DecOps.bracket's combination of
-    delta(ab), delta(a)b and a delta(b), with every term expanded over the
-    cup and BV tables; only a product with a degree lo-1 factor runs a cup."""
+    is built.  The brackets are TableOps.bracket, whose terms are read off
+    the cup and BV tables; only a product with a degree lo-1 factor runs a
+    cup of its own."""
     check_dec_window(cfg.window)
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     check_decomposition_cost(G, cd, cfg.window)
     lo, hi = cfg.window
-    ops = DecOps(G, cfg.p, coord_cap=dict.fromkeys(range(cd.num_classes), (lo, hi)))
+    ops = TableOps(G, cfg.p, coord_cap=dict.fromkeys(range(cd.num_classes), (lo, hi)))
     rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
     labels = _basis_labels(ops, degrees)
+    basis = {la: _dec_basis_class(ops, la) for la in labels}
 
     cup_table: Dict[str, Optional[Dict[str, int]]] = {}
-    products: Dict[Tuple, DecClass] = {}
+    products: List[Tuple[Label, Label, DecClass]] = []
     for la in labels:
         for lb in labels:
-            dsum = la[0] + lb[0]
             key = f"{_label_str(ops, la)} * {_label_str(ops, lb)}"
-            if not (lo <= dsum <= hi):
+            if not (lo <= la[0] + lb[0] <= hi):
                 cup_table[key] = None
                 continue
-            prod = ops.cup(_dec_basis_class(ops, la), _dec_basis_class(ops, lb))
-            products[(la, lb)] = prod
+            prod = ops.cup(basis[la], basis[lb])
+            if any(prod.parts):
+                products.append((la, lb, prod))
             cup_table[key] = _dec_to_vector(ops, prod, labels)
 
-    delta_table: Dict[str, Optional[Dict[str, int]]] = {}
-    deltas = {la: ops.delta(_dec_basis_class(ops, la)) for la in labels}
-    for la in labels:
-        delta_table[_label_str(ops, la)] = (_dec_to_vector(ops, deltas[la], labels)
-                                            if lo <= la[0] - 1 else None)
+    delta_table = {_label_str(ops, la): _dec_to_vector(ops, ops.delta(basis[la]), labels)
+                   if lo <= la[0] - 1 else None for la in labels}
 
-    def expand(A: DecClass, term, degree: int) -> DecClass:
-        """sum of c_k term(e_k) over the coordinates A = sum c_k e_k"""
-        out = DecClass(degree)
-        for cls, (_, val) in A.parts.items():
-            for i, v in enumerate(val):
-                if v:
-                    out = ops.add(out, term((A.degree, cls, i)), v)
-        return out
-
-    # a BV image in degree lo-1 is a representative with no products entry (or,
-    # with every degree in coordinates, has no basis label), so it takes a cup;
-    # the test is by degree, not by entry tag
     bracket_table: Dict[str, Optional[Dict[str, int]]] = {}
     for la in labels:
         for lb in labels:
-            da, db = la[0], lb[0]
             key = f"[{_label_str(ops, la)}, {_label_str(ops, lb)}]"
-            if not (lo < da + db <= hi):
-                bracket_table[key] = None
-                continue
-            deg = da + db - 1
-            t1 = expand(products[(la, lb)], lambda e: deltas[e], deg)
-            t2 = (expand(deltas[la], lambda e: products[(e, lb)], deg) if da > lo
-                  else ops.cup(deltas[la], _dec_basis_class(ops, lb)))
-            t3 = (expand(deltas[lb], lambda e: products[(la, e)], deg) if db > lo
-                  else ops.cup(_dec_basis_class(ops, la), deltas[lb]))
-            inner = ops.add(ops.add(t1, t2, -1), t3, -sign_pow(da))
-            bracket_table[key] = _dec_to_vector(ops, ops.scale(inner, -sign_pow((da - 1) * db)), labels)
+            bracket_table[key] = (_dec_to_vector(ops, ops.bracket(basis[la], basis[lb]), labels)
+                                  if lo < la[0] + lb[0] <= hi else None)
 
     # spot-check exported structure constants against the direct path
     worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
     spot = {"checked": 0, "failed": 0}
     if worst <= DIRECT_COLUMN_CAP:
         decd = ClassDecomposition(DComplex(G, cfg.p, (lo - 1, hi + 1)), cd)
-        pairs = [k for k in products if any(products[k].parts)]
-        rng.shuffle(pairs)
-        for (la, lb) in pairs[: max(1, len(pairs) // 10)]:
+        rng.shuffle(products)
+        for la, lb, expect in products[: max(1, len(products) // 10)]:
             ea = decd.retract_up(la[1], ops.space(la[1], la[0]).representative(la[2]))
             eb = decd.retract_up(lb[1], ops.space(lb[1], lb[0]).representative(lb[2]))
             down = decd.retract_down(cup(ea, eb))
-            expect = products[(la, lb)]
             got: Dict[int, Tuple[int, ...]] = {}
             for k, g in down.items():
                 coords = tuple(ops.space(k, la[0] + lb[0]).project(g))

@@ -21,7 +21,7 @@ from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
 from .complexes import DComplex, GroupComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde
 from .groups import Group, conjugacy_classes, preset_group, whole_group
-from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig,
+from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig, TableOps,
                       _config_dict, _provenance, check_dec_window, make_group)
 from .linalg import SparseMatrix, kernel_basis, rank
 
@@ -156,7 +156,7 @@ MEMBERSHIP_LINES = [
 class S3Verifier:
     def __init__(self):
         G = preset_group("symmetric", 3)
-        self.ops = DecOps(G, 3, coord_cap={0: (-4, 4)})
+        self.ops = TableOps(G, 3, coord_cap={0: (-4, 4)})
         self.checks = CheckList()
 
     def _gen_class(self, cls: int, degree: int) -> DecClass:
@@ -590,29 +590,29 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
 
     worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
     if worst <= DIRECT_COLUMN_CAP and not mutate:
-        from .bv import induced_cup, lie_bracket
-        spaces = {}
-        classes = []
-        for d in range(lo + 1, hi):
-            spaces[d] = dc.cohomology(d)
-            for i in range(spaces[d].dim):
-                classes.append(class_of(spaces[d], spaces[d].representative(i)))
         n, f = 0, 0
-        attempts = 0
-        while n < 15 and attempts < 500 and classes:
-            attempts += 1
-            a, b, c = (classes[rng.randrange(len(classes))] for _ in range(3))
-            da, db, dg = a.degree, b.degree, c.degree
-            bounds = [da + db, da + db + dg - 1, da + db + dg, da + dg - 1,
-                      db + dg - 1, da + dg, db + dg]
-            if not all(lo + 1 <= v <= hi - 1 for v in bounds):
-                continue
-            lhs = lie_bracket(induced_cup(a, b), c)
-            rhs = induced_cup(lie_bracket(a, c), b).add(
-                induced_cup(a, lie_bracket(b, c)), sign_pow(da * (dg - 1)))
-            n += 1
-            if lhs.coords != rhs.coords:
-                f += 1
+        try:
+            classes = []
+            for d in range(lo + 1, hi):
+                space = dc.cohomology(d)
+                classes += [class_of(space, space.representative(i)) for i in range(space.dim)]
+            attempts = 0
+            while n < 15 and attempts < 500 and classes:
+                attempts += 1
+                a, b, c = (classes[rng.randrange(len(classes))] for _ in range(3))
+                da, db, dg = a.degree, b.degree, c.degree
+                bounds = [da + db, da + db + dg - 1, da + db + dg, da + dg - 1,
+                          db + dg - 1, da + dg, db + dg]
+                if not all(lo + 1 <= v <= hi - 1 for v in bounds):
+                    continue
+                lhs = lie_bracket(induced_cup(a, b), c)
+                rhs = induced_cup(lie_bracket(a, c), b).add(
+                    induced_cup(a, lie_bracket(b, c)), sign_pow(da * (dg - 1)))
+                n += 1
+                if lhs.coords != rhs.coords:
+                    f += 1
+        except ValueError:  # d^2 != 0: a quotient space or a projection refused
+            n, f = n + 1, f + 1
         if n:
             run("poisson_rule_on_classes", n, f)
 
@@ -650,32 +650,35 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
     run("retract_homotopy_identity", n, f)
 
     if cd.num_classes > 1 and not mutate:
-        ops = DecOps(G, p)  # the product that tables and verify-s3 print
+        ops = DecOps(G, p)  # the base product that tables and verify-s3 tabulate
         n, f = 0, 0
-        attempts = 0
-        while n < 20 and attempts < 400:
-            attempts += 1
-            i, j = rng.randrange(cd.num_classes), rng.randrange(cd.num_classes)
-            di, dj = rng.choice(degs), rng.choice(degs)
-            if not (lo <= di + dj <= hi):
-                continue
-            si, sj = ops.space(i, di), ops.space(j, dj)
-            if si.dim == 0 or sj.dim == 0:
-                continue
-            a = class_of(si, si.representative(rng.randrange(si.dim)))
-            b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
-            p1 = {k: coords for k, (_, coords) in
-                  ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
-            prod = cup(dec.retract_up(i, a.space.lift(list(a.coords))),
-                       dec.retract_up(j, b.space.lift(list(b.coords))))
-            p2 = {}
-            for k, g in dec.retract_down(prod).items():
-                coords = tuple(ops.space(k, di + dj).project(g))
-                if any(coords):
-                    p2[k] = coords
-            n += 1
-            if p1 != p2:
-                f += 1
+        try:
+            attempts = 0
+            while n < 20 and attempts < 400:
+                attempts += 1
+                i, j = rng.randrange(cd.num_classes), rng.randrange(cd.num_classes)
+                di, dj = rng.choice(degs), rng.choice(degs)
+                if not (lo <= di + dj <= hi):
+                    continue
+                si, sj = ops.space(i, di), ops.space(j, dj)
+                if si.dim == 0 or sj.dim == 0:
+                    continue
+                a = class_of(si, si.representative(rng.randrange(si.dim)))
+                b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
+                p1 = {k: coords for k, (_, coords) in
+                      ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
+                prod = cup(dec.retract_up(i, a.space.lift(list(a.coords))),
+                           dec.retract_up(j, b.space.lift(list(b.coords))))
+                p2 = {}
+                for k, g in dec.retract_down(prod).items():
+                    coords = tuple(ops.space(k, di + dj).project(g))
+                    if any(coords):
+                        p2[k] = coords
+                n += 1
+                if p1 != p2:
+                    f += 1
+        except ValueError:  # d^2 != 0: a quotient space or a projection refused
+            n, f = n + 1, f + 1
         run("double_coset_path_equivalence", n, f)
 
     passed = all(s["failures"] == 0 for s in suites.values())

@@ -5,7 +5,7 @@ import pytest
 from tatebv.bv import (bv_operator, class_of, connes_b, cup, induced_cup,
                        induced_delta, lie_bracket, m3, pairing,
                        signed_anticommutator)
-from tatebv.complexes import DComplex, _acc, class_of_index, sign_pow
+from tatebv.complexes import CohomologySpace, DComplex, _acc, class_of_index, sign_pow
 from tatebv.groups import preset_group
 
 P = 3
@@ -415,6 +415,31 @@ def test_induced_delta(dc, spaces):
     for a in basis_classes(spaces, range(-3, 4)):
         d2a = induced_delta(induced_delta(a))
         assert d2a.is_zero()
+
+
+def test_checked_rep_lifts_and_checks_each_class_once(dc, spaces):
+    """induced_cup and induced_delta lift and d-check a class's
+    representative on its first use only, per space and coordinates; a
+    representative that is not a cocycle is refused on that first use."""
+    space = spaces[2]
+    fresh = CohomologySpace(dc, 2, space.quotient)  # a space with no checked representatives
+    lifts = []
+
+    def lift(coords):
+        lifts.append(tuple(coords))
+        return space.lift(coords)
+    fresh.lift = lift
+    a = class_of(fresh, space.representative(0))
+    for _ in range(3):
+        induced_cup(a, a)
+        induced_delta(a)
+    assert lifts == [a.coords]
+
+    corrupt = CohomologySpace(dc, 2, space.quotient)
+    key = next(k for k in dc.basis(2) if not dc.differential(dc.element(2, {k: 1})).is_zero())
+    corrupt.lift = lambda coords: dc.element(2, {key: 1})
+    with pytest.raises(ValueError, match="not a cocycle"):
+        induced_delta(class_of(corrupt, space.representative(0)))
 
 
 def test_bracket_antisymmetry(dc, spaces, rng):

@@ -12,9 +12,9 @@ from tatebv.bv import bv_operator, class_of
 from tatebv.complexes import DComplex, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import conjugacy_classes, preset_group
-from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, VerificationError,
-                            check_decomposition_cost, check_direct_cost, checked_dims,
-                            cmd_dims, cmd_tables, make_group)
+from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
+                            VerificationError, check_decomposition_cost, check_direct_cost,
+                            checked_dims, cmd_dims, cmd_tables, make_group)
 from tatebv.transfer import TransferContext
 from tatebv.verify import S3Verifier, _MutatedDComplex
 
@@ -581,13 +581,12 @@ def test_tables_brackets_match_decops_bracket(monkeypatch, group, p, window, coo
     assert {key: vec for key, vec in table.items() if vec is not None} == want
 
 
-def test_tables_calls_no_bracket_and_one_delta_per_label(monkeypatch):
-    """tables S3/F3 -4..4 runs DecOps.delta once per basis label at most and
-    DecOps.bracket never; its cups are the 145 of the cup table and the 24
-    that take a BV image of degree lo-1 = -5."""
+def _count_base_calls(monkeypatch):
+    """Count the calls of DecOps.cup and DecOps.delta, the base operations
+    that TableOps tabulates, and record each delta's argument."""
     calls = collections.Counter()
     delta_args = []
-    for name in ("cup", "delta", "bracket"):
+    for name in ("cup", "delta"):
         method = getattr(DecOps, name)
 
         def counted(self, *args, _method=method, _name=name):
@@ -596,7 +595,101 @@ def test_tables_calls_no_bracket_and_one_delta_per_label(monkeypatch):
                 delta_args.append((args[0].degree, tuple(sorted(args[0].parts.items()))))
             return _method(self, *args)
         monkeypatch.setattr(DecOps, name, counted)
+    return calls, delta_args
+
+
+def test_tables_runs_one_base_delta_per_label(monkeypatch):
+    """tables S3/F3 -4..4 runs the base DecOps.delta once per basis label at
+    most; its base cups are the 145 of the cup table and the 24 that take a
+    BV image of degree lo-1 = -5."""
+    calls, delta_args = _count_base_calls(monkeypatch)
     data = cmd_tables(JobConfig(group="symmetric:3", p=3, window=(-4, 4)))
-    assert calls["bracket"] == 0
     assert len(delta_args) == len(set(delta_args)) <= len(data["tables"]["basis"])
     assert calls["cup"] == 169
+
+
+def test_verify_s3_base_call_counts(monkeypatch):
+    """verify-s3 runs 85 base cups and 21 base BV operators: one per ordered
+    pair of basis classes, basis class or representative component it
+    meets, where an uncached DecOps ran 225 cups and 151 BV operators."""
+    calls, _ = _count_base_calls(monkeypatch)
+    assert S3Verifier().run()["passed"]
+    assert dict(calls) == {"cup": 85, "delta": 21}
+
+
+def test_verify_s3_graded_commutativity_sees_one_perturbed_order(monkeypatch):
+    """The table never fills b.a from a.b: negating the base product x.W2
+    alone (class 0 in degree 3 times class 1 in degree 2) fails verify-s3's
+    graded commutativity check on x and W2."""
+    cup = DecOps.cup
+
+    def perturbed(self, A, B):
+        out = cup(self, A, B)
+        if (A.degree, list(A.parts), B.degree, list(B.parts)) == (3, [0], 2, [1]):
+            return self.scale(out, -1)
+        return out
+    monkeypatch.setattr(DecOps, "cup", perturbed)
+    report = S3Verifier().run()
+    checks = {c["name"]: c["ok"] for c in report["checks"]}
+    assert not checks["graded commutativity x*W2"]
+    assert checks["graded commutativity z*W1"]
+    assert not report["passed"]
+
+
+TABLE_OPS_CASES = [("dihedral:4", 2, (-2, 2)), ("cyclic:6", 3, (-3, 3))]
+
+
+def _restricted_coords(ops, X):
+    """X's components as coordinates: a representative entry by its
+    restriction to P_k, which decides its class (see DecOps.is_zero), so
+    that classes of two DecOps with their own complexes compare."""
+    out = {}
+    for cls, (tag, val) in X.parts.items():
+        if tag == "r":
+            val = tuple(ops.ctx.complex_for(ops.sylow(cls)).cohomology(X.degree).project(
+                ops.restrict_entry(cls, X.degree, (tag, val))))
+        if any(val):
+            out[cls] = (tag, val)
+    return out
+
+
+@pytest.mark.parametrize("group,p,window", TABLE_OPS_CASES,
+                         ids=[f"{g}-p{p}-{w[0]}..{w[1]}" for g, p, w in TABLE_OPS_CASES])
+def test_table_ops_match_decops(group, p, window):
+    """TableOps and plain DecOps give the same cup, delta and bracket on
+    random classes that span several basis classes (D8 has spaces of
+    dimension 3, C6 six classes of dimension 1), on representative inputs
+    of degree lo-1 and on pairs whose products leave the coordinate range."""
+    lo, hi = window
+    G = make_group(group)
+    cap = dict.fromkeys(range(conjugacy_classes(G).num_classes), window)
+    plain, table = DecOps(G, p, coord_cap=cap), TableOps(G, p, coord_cap=cap)
+    # the random combinations of _delta_inputs, two per degree, drawn alike
+    # for both: coordinate classes in lo..hi, representatives in degree lo-1
+    inputs = {ops: [A for d in range(lo - 1, hi + 1)
+                    for A in list(_delta_inputs(ops, d, random.Random(d)))[-2:]]
+              for ops in (plain, table)}
+    assert any(tag == "c" and sum(map(bool, val)) > 1
+               for A in inputs[table] for tag, val in A.parts.values()) == (group == "dihedral:4")
+    assert any(sum(sum(map(bool, val)) for tag, val in A.parts.values() if tag == "c") > 1
+               for A in inputs[table])
+    assert any(tag == "r" for A in inputs[table] for tag, _ in A.parts.values())
+
+    def same(name, *args):
+        X = getattr(plain, name)(*(inputs[plain][i] for i in args))
+        Y = getattr(table, name)(*(inputs[table][i] for i in args))
+        assert _restricted_coords(plain, X) == _restricted_coords(table, Y)
+        return Y
+
+    rng = random.Random(5)
+    degrees = [A.degree for A in inputs[table]]
+    out_of_range = 0
+    for i, d in enumerate(degrees):
+        same("delta", i)
+        # products up to two degrees outside lo..hi, where cohomology stays small
+        near = [j for j, e in enumerate(degrees) if lo - 2 <= d + e <= hi + 2]
+        for j in rng.sample(near, min(4, len(near))):
+            prod = same("cup", i, j)
+            out_of_range += any(tag == "r" for tag, _ in prod.parts.values())
+            same("bracket", i, j)
+    assert out_of_range

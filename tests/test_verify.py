@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
+from tatebv import cli, transfer, verify
+from tatebv.complexes import GroupComplex
 from tatebv.harness import ConfigError, DecOps, JobConfig
-from tatebv.verify import cmd_selftest, cmd_verify_appendix_b
+from tatebv.verify import _MutatedDComplex, cmd_selftest, cmd_verify_appendix_b
 
 
 def test_selftest_passes_s3():
@@ -39,6 +43,41 @@ def test_mutated_differential_is_caught():
                        mutate=True)
     assert not rep["passed"]
     assert rep["suites"]["d2_zero"]["failures"] > 0
+
+
+def test_selftest_counts_a_refused_quotient_of_the_poisson_suite(monkeypatch, capsys):
+    """With the mutated D-complex (d^2 != 0) behind the Poisson suite, its
+    quotient space refuses to build: the suite counts one failed run, and
+    the CLI prints its JSON and exits 1."""
+    monkeypatch.setattr(verify, "DComplex", _MutatedDComplex)
+    code = cli.main(["selftest", "--group", "symmetric:3", "--char", "3", "--window", "-2..2",
+                     "--seed", "7", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and not rep["passed"]
+    assert rep["suites"]["poisson_rule_on_classes"] == {"runs": 1, "failures": 1}
+
+
+class _MutatedGroupComplex(GroupComplex):
+    """A centralizer complex whose degree-0 coboundary breaks d^2 = 0."""
+
+    def unsigned_terms(self, key, d, out, c):
+        super().unsigned_terms(key, d, out, c)
+        if d == 0 and self.subgroup.order > 1:
+            bogus = (self.subgroup.nontrivial[0],)
+            out[bogus] = out.get(bogus, 0) + c
+        return out
+
+
+def test_selftest_counts_a_refused_quotient_of_the_double_coset_suite(monkeypatch):
+    """With the centralizer complexes of DecOps broken, the double-coset
+    suite's quotient space refuses to build: the suite counts one failed
+    run instead of raising."""
+    monkeypatch.setattr(transfer, "GroupComplex", _MutatedGroupComplex)
+    rep = cmd_selftest(JobConfig(group="symmetric:3", p=3, window=(-2, 2), seed=7))
+    assert not rep["passed"]
+    assert rep["suites"]["double_coset_path_equivalence"] == {"runs": 1, "failures": 1}
+    assert all(s["failures"] == 0 for name, s in rep["suites"].items()
+               if name != "double_coset_path_equivalence")
 
 
 def test_appendix_requires_modular_characteristic():

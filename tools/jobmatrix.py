@@ -54,7 +54,7 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # tables S3 -7..7 runs out of the address space MEM_MB allows: both exit 3.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
-    ("selftest", "symmetric:3", 3, "-3..3", False, 0),
+    ("selftest", "symmetric:3", 3, "-3..3", True, 0),
     ("tables", "symmetric:3", 3, "-4..4", True, 0),
     ("tables", "symmetric:3", 3, "-5..5", True, 0),
     ("tables", "symmetric:3", 3, "-6..6", False, 0),
