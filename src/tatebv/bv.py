@@ -244,13 +244,6 @@ class CohClass:
     def __init__(self, space: CohomologySpace, coords: Tuple[int, ...]):
         self.space, self.coords = space, coords
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CohClass) and self.space is other.space
-                and self.coords == other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.coords))
-
     @property
     def degree(self) -> int:
         return self.space.degree

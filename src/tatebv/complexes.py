@@ -30,9 +30,9 @@ into elimination as bitsets from face-map tables (``coboundary_vectors``),
 and the matrix out of a degree d <= -2 its rows, since the boundary out of
 -n-2 is, up to sign, the transpose of the coboundary out of n under the
 key map (g0, tail) <-> (tail, g0^-1).  A subclass that overrides
-``unsigned_terms`` gets neither.  ``cohomology_dim`` needs only ranks,
-each eliminated once and kept on the complex; ``cohomology`` builds a
-``QuotientSpace``.
+``unsigned_terms`` alone sets ``coboundary_faces = None`` to get neither.
+``cohomology_dim`` needs only ranks, each eliminated once and kept on the
+complex; ``cohomology`` builds a ``QuotientSpace``.
 """
 
 from __future__ import annotations
@@ -336,6 +336,7 @@ class CohomologySpace:
 
 class _BaseComplex:
     element_cls = _Element
+    coboundary_faces = None  # or a method giving the face tables of ``coboundary_vectors``
 
     def __init__(self, p: int):
         self.p = p
@@ -408,26 +409,21 @@ class _BaseComplex:
         return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d, {}, sign).items()
                  if (x := c % p)} for key in self._keys(d)]
 
-    def _face_built(self) -> bool:
-        """Whether matrices stream bitsets from ``coboundary_vectors``: p <=
-        3, and the class that defines ``unsigned_terms`` supplies the face
-        tables too, so a subclass that overrides ``unsigned_terms`` alone
-        keeps getting its matrices from it."""
-        owner = next(c for c in type(self).__mro__ if "unsigned_terms" in vars(c))
-        return self.p <= 3 and "coboundary_faces" in vars(owner)
-
     def matrix(self, d: int) -> SparseMatrix:
         """Signed differential degree d -> d+1 over the canonical bases.
 
         Its dict columns are built from ``unsigned_terms`` on first read of
-        ``columns``.  A face-built matrix streams its columns (d >= 0) or
-        its rows (d <= -2) on each pass instead, and nothing holds them."""
+        ``columns``.  At p <= 3 a complex whose ``coboundary_faces`` is not
+        None builds its matrices from the face tables instead: each streams
+        its columns (d >= 0) or its rows (d <= -2) on every pass, and nothing
+        holds them.  A subclass that overrides ``unsigned_terms`` alone sets
+        ``coboundary_faces = None`` to keep getting its matrices from it."""
         self.check_degree(d)
         self.check_degree(d + 1)
         if d in self._matrix:
             return self._matrix[d]
         vectors = rows = None
-        if self._face_built() and d != -1:
+        if self.p <= 3 and self.coboundary_faces is not None and d != -1:
             faces = self.coboundary_faces()
             if d >= 0:
                 vectors = lambda: coboundary_vectors(*faces, d, self.p)

@@ -138,7 +138,7 @@ def check_dec_window(window: Tuple[int, int]) -> None:
         raise ConfigError(f"window {lo}..{hi} reaches degrees outside DEC_WINDOW {DEC_WINDOW}")
 
 
-def check_decomposition_cost(G: Group, cd: ConjugacyData, window: Tuple[int, int]) -> None:
+def check_decomposition_cost(cd: ConjugacyData, window: Tuple[int, int]) -> None:
     worst = 0
     for cent in cd.centralizers:
         for d in range(window[0] - 1, window[1] + 2):
@@ -460,7 +460,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
-    check_decomposition_cost(G, cd, cfg.window)
+    check_decomposition_cost(cd, cfg.window)
     ctx = TransferContext(G, cfg.p, cd)
     rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
@@ -510,7 +510,7 @@ def _dec_basis_class(ops: DecOps, lab: Label) -> DecClass:
     return ops.from_class(cls, CohClass(space, tuple(coords)))
 
 
-def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Label]) -> Optional[Dict[str, int]]:
+def _dec_to_vector(ops: DecOps, A: DecClass) -> Optional[Dict[str, int]]:
     out: Dict[str, int] = {}
     for cls, (tag, val) in A.parts.items():
         if tag != "c":
@@ -518,6 +518,21 @@ def _dec_to_vector(ops: DecOps, A: DecClass, labels: List[Label]) -> Optional[Di
         for i, v in enumerate(val):
             if v:
                 out[_label_str(ops, (A.degree, cls, i))] = v
+    return out
+
+
+def direct_cup(ops: DecOps, dec: ClassDecomposition, i: int, a: GroupTateElement,
+               j: int, b: GroupTateElement) -> Dict[int, Tuple[int, ...]]:
+    """The product of cocycles a (class i) and b (class j) on the direct
+    path: both retracted up into the D-complex of ``dec``, cupped there, and
+    retracted down; each class component is projected onto ``ops.space``,
+    and the nonzero coordinate tuples are kept by class."""
+    down = dec.retract_down(cup(dec.retract_up(i, a), dec.retract_up(j, b)))
+    out: Dict[int, Tuple[int, ...]] = {}
+    for k, g in down.items():
+        coords = tuple(ops.space(k, a.degree + b.degree).project(g))
+        if any(coords):
+            out[k] = coords
     return out
 
 
@@ -532,7 +547,7 @@ def cmd_tables(cfg: JobConfig) -> Dict:
     check_dec_window(cfg.window)
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
-    check_decomposition_cost(G, cd, cfg.window)
+    check_decomposition_cost(cd, cfg.window)
     lo, hi = cfg.window
     ops = TableOps(G, cfg.p, coord_cap=dict.fromkeys(range(cd.num_classes), (lo, hi)))
     rng = random.Random(cfg.seed)
@@ -551,16 +566,16 @@ def cmd_tables(cfg: JobConfig) -> Dict:
             prod = ops.cup(basis[la], basis[lb])
             if any(prod.parts):
                 products.append((la, lb, prod))
-            cup_table[key] = _dec_to_vector(ops, prod, labels)
+            cup_table[key] = _dec_to_vector(ops, prod)
 
-    delta_table = {_label_str(ops, la): _dec_to_vector(ops, ops.delta(basis[la]), labels)
+    delta_table = {_label_str(ops, la): _dec_to_vector(ops, ops.delta(basis[la]))
                    if lo <= la[0] - 1 else None for la in labels}
 
     bracket_table: Dict[str, Optional[Dict[str, int]]] = {}
     for la in labels:
         for lb in labels:
             key = f"[{_label_str(ops, la)}, {_label_str(ops, lb)}]"
-            bracket_table[key] = (_dec_to_vector(ops, ops.bracket(basis[la], basis[lb]), labels)
+            bracket_table[key] = (_dec_to_vector(ops, ops.bracket(basis[la], basis[lb]))
                                   if lo < la[0] + lb[0] <= hi else None)
 
     # spot-check exported structure constants against the direct path
@@ -570,14 +585,8 @@ def cmd_tables(cfg: JobConfig) -> Dict:
         decd = ClassDecomposition(DComplex(G, cfg.p, (lo - 1, hi + 1)), cd)
         rng.shuffle(products)
         for la, lb, expect in products[: max(1, len(products) // 10)]:
-            ea = decd.retract_up(la[1], ops.space(la[1], la[0]).representative(la[2]))
-            eb = decd.retract_up(lb[1], ops.space(lb[1], lb[0]).representative(lb[2]))
-            down = decd.retract_down(cup(ea, eb))
-            got: Dict[int, Tuple[int, ...]] = {}
-            for k, g in down.items():
-                coords = tuple(ops.space(k, la[0] + lb[0]).project(g))
-                if any(coords):
-                    got[k] = coords
+            got = direct_cup(ops, decd, la[1], ops.space(la[1], la[0]).representative(la[2]),
+                             lb[1], ops.space(lb[1], lb[0]).representative(lb[2]))
             want = {cls: val for cls, (tag, val) in expect.parts.items()}
             spot["checked"] += 1
             if got != want:

@@ -1,6 +1,6 @@
 """Verification suites: the flagship symmetric-group-of-degree-3 check in
 characteristic 3, the triviality of the rotation operator on group homology,
-duality and subalgebra checks, and the randomized identity self-test.
+and the randomized identity self-test.
 
 The S3 suite runs in two phases.  Phase A checks every scale-invariant
 fact: dimensions, all products and brackets that must vanish, and the
@@ -20,10 +20,10 @@ from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
                  pairing, signed_anticommutator)
 from .complexes import DComplex, GroupComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde
-from .groups import Group, conjugacy_classes, preset_group, whole_group
+from .groups import conjugacy_classes, preset_group, whole_group
 from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig, TableOps,
-                      _config_dict, _provenance, check_dec_window, make_group)
-from .linalg import SparseMatrix, kernel_basis, rank
+                      _config_dict, _provenance, check_dec_window, direct_cup, make_group)
+from .linalg import kernel_basis
 
 
 class CheckList:
@@ -390,98 +390,14 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# duality and subalgebra checks (run by the acceptance tests)
-
-def check_duality(G: Group, p: int, degrees: Sequence[int]) -> Dict:
-    """Nondegeneracy of the pairing between complementary cohomologies and
-    its class-component vanishing pattern, on the direct path."""
-    lo = min(min(degrees), min(-n - 1 for n in degrees)) - 1
-    hi = max(max(degrees), max(-n - 1 for n in degrees)) + 1
-    dc = DComplex(G, p, (lo, hi))
-    cd = conjugacy_classes(G)
-    out = {"nondegenerate": True, "cross_class_vanishing": True, "ranks": {}}
-    for n in degrees:
-        sp = dc.cohomology(n)
-        sq = dc.cohomology(-n - 1)
-        if sp.dim != sq.dim:
-            out["nondegenerate"] = False
-            continue
-        reps = [sp.representative(i) for i in range(sp.dim)]
-        columns = [{i: x for i, a in enumerate(reps) if (x := pairing(a, b) % p)}
-                   for b in map(sq.representative, range(sq.dim))]
-        r = rank(SparseMatrix(sp.dim, sq.dim, p, build=lambda: columns))
-        out["ranks"][str(n)] = [r, sp.dim]
-        if r != sp.dim:
-            out["nondegenerate"] = False
-    # basis-level vanishing between class components x, y with x^-1 not in C_y
-    for n in degrees:
-        for key_a in dc.basis(n)[:: max(1, len(dc.basis(n)) // 40)]:
-            ka = class_of_index(cd, n, key_a)
-            for key_b in dc.basis(-n - 1)[:: max(1, len(dc.basis(-n - 1)) // 40)]:
-                kb = class_of_index(cd, -n - 1, key_b)
-                val = pairing(dc.element(n, {key_a: 1}), dc.element(-n - 1, {key_b: 1}))
-                inv_class = cd.class_of[G.inv[cd.reps[ka]]]
-                if val and inv_class != kb:
-                    out["cross_class_vanishing"] = False
-    return out
-
-
-def check_bv_subalgebra(G: Group, p: int, window: Tuple[int, int]) -> Dict:
-    """Closure of the identity-class component under cup and the BV operator
-    on cohomology, computed on the direct path."""
-    lo, hi = window
-    dc = DComplex(G, p, (lo - 1, hi + 1))
-    cd = conjugacy_classes(G)
-    dec = ClassDecomposition(dc, cd)
-    ops_ok = True
-    pairs = 0
-    for da in range(lo, hi + 1):
-        sa = dec.complexes[0].cohomology(da)
-        for i in range(sa.dim):
-            a = dec.retract_up(0, sa.representative(i))
-            img = bv_operator(a)
-            if not dc.differential(img).is_zero():
-                ops_ok = False
-            for k, g in dec.retract_down(img).items():
-                coords = dec.complexes[k].cohomology(da - 1).project(g)
-                if k != 0 and any(coords):
-                    ops_ok = False
-            for db in range(lo, hi + 1):
-                if not (lo <= da + db <= hi):
-                    continue
-                sb = dec.complexes[0].cohomology(db)
-                for j in range(sb.dim):
-                    b = dec.retract_up(0, sb.representative(j))
-                    prod = cup(a, b)
-                    pairs += 1
-                    for k, g in dec.retract_down(prod).items():
-                        coords = dec.complexes[k].cohomology(da + db).project(g)
-                        if k != 0 and any(coords):
-                            ops_ok = False
-    return {"closed": ops_ok, "pairs": pairs}
-
-
-# ---------------------------------------------------------------------------
 # the randomized self-test driver
 
-class _MutatedDComplex(DComplex):
-    """Test hook: corrupts one differential to prove the suite has teeth."""
-
-    def unsigned_terms(self, key, d, out, c):
-        super().unsigned_terms(key, d, out, c)
-        if d == 0:
-            bogus = (tuple([self.group.nontrivial[0]]), 0)
-            out[bogus] = out.get(bogus, 0) + c
-        return out
-
-
-def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
+def cmd_selftest(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     p = cfg.p
     lo, hi = cfg.window
     rng = random.Random(cfg.seed)
-    cls_factory = _MutatedDComplex if mutate else DComplex
-    dc = cls_factory(G, p, (lo - 2, hi + 2))
+    dc = DComplex(G, p, (lo - 2, hi + 2))
     cd = conjugacy_classes(G)
     dec = ClassDecomposition(dc, cd)
     suites: Dict[str, Dict[str, int]] = {}
@@ -589,7 +505,7 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
     run("cyclicity", n, f)
 
     worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
-    if worst <= DIRECT_COLUMN_CAP and not mutate:
+    if worst <= DIRECT_COLUMN_CAP:
         n, f = 0, 0
         try:
             classes = []
@@ -649,7 +565,7 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
                 f += 1
     run("retract_homotopy_identity", n, f)
 
-    if cd.num_classes > 1 and not mutate:
+    if cd.num_classes > 1:
         ops = DecOps(G, p)  # the base product that tables and verify-s3 tabulate
         n, f = 0, 0
         try:
@@ -667,13 +583,8 @@ def cmd_selftest(cfg: JobConfig, mutate: bool = False) -> Dict:
                 b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
                 p1 = {k: coords for k, (_, coords) in
                       ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
-                prod = cup(dec.retract_up(i, a.space.lift(list(a.coords))),
-                           dec.retract_up(j, b.space.lift(list(b.coords))))
-                p2 = {}
-                for k, g in dec.retract_down(prod).items():
-                    coords = tuple(ops.space(k, di + dj).project(g))
-                    if any(coords):
-                        p2[k] = coords
+                p2 = direct_cup(ops, dec, i, a.space.lift(list(a.coords)),
+                                j, b.space.lift(list(b.coords)))
                 n += 1
                 if p1 != p2:
                     f += 1

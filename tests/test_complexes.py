@@ -8,7 +8,7 @@ from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index
 from tatebv.groups import (conjugacy_classes, generated_subgroup, preset_group, trivial_subgroup,
                            whole_group)
 from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns, rank
-from tatebv.verify import _MutatedDComplex
+from conftest import MutatedDComplex
 
 
 def test_dim_degree(s3):
@@ -265,15 +265,22 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
 
 
 def test_overridden_unsigned_terms_keeps_template(s3):
-    """A subclass that overrides unsigned_terms gets its matrices from the
-    override, not from the face tables: the selftest's mutated complex
-    carries its bogus +1 at row ((g1,), e) of every degree-0 column, and
-    streams no rows in negative degrees either."""
-    M = _MutatedDComplex(s3, 3, (-2, 2)).matrix(0)
+    """A subclass that overrides unsigned_terms and sets coboundary_faces =
+    None gets its matrices from the override, not from the face tables: the
+    mutated complex carries its bogus +1 at row ((g1,), e) of every
+    degree-0 column, and streams no rows in negative degrees either.  The
+    opt-out is that attribute alone: the same override with the inherited
+    face tables streams the uncorrupted vectors."""
+    assert MutatedDComplex.coboundary_faces is None
+    streamed = type("Streamed", (MutatedDComplex,), {"coboundary_faces": DComplex.coboundary_faces})
+    S = streamed(s3, 3, (-2, 2)).matrix(0)
+    assert S.vectors is not None and streamed(s3, 3, (-4, 0)).matrix(-3).rows is not None
+    M = MutatedDComplex(s3, 3, (-2, 2)).matrix(0)
     ref = DComplex(s3, 3, (-2, 2)).matrix(0)
     assert M.vectors is None
-    assert all(_MutatedDComplex(s3, p, (-4, 0)).matrix(d).rows is None
+    assert all(MutatedDComplex(s3, p, (-4, 0)).matrix(d).rows is None
                for p in (2, 3) for d in (-4, -3, -2))
+    assert list(S.vectors()) == list(ref.vectors())
     for col, good in zip(M.columns, ref.columns):
         assert (col.get(0, 0) - good.get(0, 0)) % 3 == 1
         assert {i: x for i, x in col.items() if i} == {i: x for i, x in good.items() if i}
@@ -307,7 +314,7 @@ def test_differential_matches_per_key_template_sums(p):
     s3 = preset_group("symmetric", 3)
     rng = random.Random(p)
     complexes = [DComplex(s3, p, (-4, 3)), GroupComplex(whole_group(s3), p),
-                 GroupComplex(trivial_subgroup(s3), p), _MutatedDComplex(s3, p, (-4, 3))]
+                 GroupComplex(trivial_subgroup(s3), p), MutatedDComplex(s3, p, (-4, 3))]
     for C in complexes:
         for d in range(-4, 3):
             for signed in (True, False):

@@ -16,7 +16,9 @@ from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
                             VerificationError, check_decomposition_cost, check_direct_cost,
                             checked_dims, cmd_dims, cmd_tables, make_group)
 from tatebv.transfer import TransferContext
-from tatebv.verify import S3Verifier, _MutatedDComplex
+from tatebv.verify import S3Verifier
+
+from conftest import MutatedDComplex
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +112,7 @@ def test_cost_caps():
         check_direct_cost(G, (-200, 200))
     from tatebv.groups import conjugacy_classes
     with pytest.raises(CostCapError):
-        check_decomposition_cost(G, conjugacy_classes(G), (-200, 200))
+        check_decomposition_cost(conjugacy_classes(G), (-200, 200))
     check_direct_cost(G, (-3, 3))
 
 
@@ -160,11 +162,11 @@ def test_dims_guard_catches_broken_differential(s3, p):
     complex); the seeded d(d(e)) check refuses it."""
     window = (-4, 3)
     degrees = range(-3, 3)
-    wrong = [_MutatedDComplex(s3, p, window).cohomology_dim(n) for n in degrees]
+    wrong = [MutatedDComplex(s3, p, window).cohomology_dim(n) for n in degrees]
     assert min(wrong) >= 0
     assert wrong != [harness.DComplex(s3, p, window).cohomology_dim(n) for n in degrees]
     with pytest.raises(VerificationError, match=r"d\^2 != 0"):
-        checked_dims(_MutatedDComplex(s3, p, window), degrees, random.Random(0))
+        checked_dims(MutatedDComplex(s3, p, window), degrees, random.Random(0))
     assert checked_dims(harness.DComplex(s3, p, window), degrees, random.Random(0)) == [
         harness.DComplex(s3, p, window).cohomology(n).dim for n in degrees]
 
@@ -562,7 +564,7 @@ def _direct_brackets(group, p, window):
         if lo < la[0] + lb[0] <= hi:
             br = ops.bracket(harness._dec_basis_class(ops, la), harness._dec_basis_class(ops, lb))
             key = f"[{harness._label_str(ops, la)}, {harness._label_str(ops, lb)}]"
-            out[key] = harness._dec_to_vector(ops, br, labels)
+            out[key] = harness._dec_to_vector(ops, br)
     return out
 
 

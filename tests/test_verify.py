@@ -5,7 +5,9 @@ import pytest
 from tatebv import cli, transfer, verify
 from tatebv.complexes import GroupComplex
 from tatebv.harness import ConfigError, DecOps, JobConfig
-from tatebv.verify import _MutatedDComplex, cmd_selftest, cmd_verify_appendix_b
+from tatebv.verify import cmd_selftest, cmd_verify_appendix_b
+
+from conftest import MutatedDComplex
 
 
 def test_selftest_passes_s3():
@@ -38,27 +40,23 @@ def test_selftest_degenerate_group_no_crash():
     assert rep["passed"]
 
 
-def test_mutated_differential_is_caught():
-    rep = cmd_selftest(JobConfig(group="symmetric:3", p=3, window=(-2, 2), seed=7),
-                       mutate=True)
-    assert not rep["passed"]
-    assert rep["suites"]["d2_zero"]["failures"] > 0
-
-
 def test_selftest_counts_a_refused_quotient_of_the_poisson_suite(monkeypatch, capsys):
-    """With the mutated D-complex (d^2 != 0) behind the Poisson suite, its
-    quotient space refuses to build: the suite counts one failed run, and
-    the CLI prints its JSON and exits 1."""
-    monkeypatch.setattr(verify, "DComplex", _MutatedDComplex)
+    """With the mutated D-complex (d^2 != 0) behind the selftest, d2_zero
+    catches it, and the Poisson suite's quotient space refuses to build: the
+    suite counts one failed run, and the CLI prints its JSON and exits 1."""
+    monkeypatch.setattr(verify, "DComplex", MutatedDComplex)
     code = cli.main(["selftest", "--group", "symmetric:3", "--char", "3", "--window", "-2..2",
                      "--seed", "7", "--format", "json"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 1 and not rep["passed"]
+    assert rep["suites"]["d2_zero"]["failures"] > 0
     assert rep["suites"]["poisson_rule_on_classes"] == {"runs": 1, "failures": 1}
 
 
 class _MutatedGroupComplex(GroupComplex):
     """A centralizer complex whose degree-0 coboundary breaks d^2 = 0."""
+
+    coboundary_faces = None
 
     def unsigned_terms(self, key, d, out, c):
         super().unsigned_terms(key, d, out, c)
