@@ -368,20 +368,18 @@ class _BaseComplex:
         return 1 if d >= 0 else sign_pow(-d - 1)
 
     def basis(self, d: int) -> List[Key]:
-        return self._keys(d)
-
-    def _keys(self, d: int) -> List[Key]:
-        # ``basis`` without its span under perfbench's tracer, whose span
-        # observers hold a lock: they may read a matrix's lazy ``columns``
-        self.check_degree(d)
         if d not in self._basis:
-            self._basis[d] = list(self.iter_basis(d))
+            self._basis[d] = list(self.index(d))
         return self._basis[d]
 
     def index(self, d: int) -> Dict[Key, int]:
-        basis = self._keys(d)
+        # the one key cache, which ``basis`` lists.  Neither this nor
+        # ``_columns`` calls ``basis``: perfbench's tracer opens a span there,
+        # and its span observers, which hold the tracer's lock, may read a
+        # matrix's lazy ``columns``
+        self.check_degree(d)
         if d not in self._index:
-            self._index[d] = {k: i for i, k in enumerate(basis)}
+            self._index[d] = {k: i for i, k in enumerate(self.iter_basis(d))}
         return self._index[d]
 
     def element(self, d: int, coeffs: Optional[Dict[Key, int]] = None):
@@ -407,7 +405,7 @@ class _BaseComplex:
         tgt_index = self.index(d + 1)
         p, sign = self.p, self.sign_of(d)
         return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d, {}, sign).items()
-                 if (x := c % p)} for key in self._keys(d)]
+                 if (x := c % p)} for key in self.index(d)]
 
     def matrix(self, d: int) -> SparseMatrix:
         """Signed differential degree d -> d+1 over the canonical bases.

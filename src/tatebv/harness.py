@@ -30,7 +30,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bv import CohClass, class_of, cup
-from .complexes import DComplex, GroupTateElement, dim_degree, sign_pow
+from .complexes import DComplex, GroupTateElement, dim_degree, group_dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde, delta_tilde
 from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes,
                      group_from_mult_table, group_from_permutations, parse_cycles,
@@ -139,11 +139,8 @@ def check_dec_window(window: Tuple[int, int]) -> None:
 
 
 def check_decomposition_cost(cd: ConjugacyData, window: Tuple[int, int]) -> None:
-    worst = 0
-    for cent in cd.centralizers:
-        for d in range(window[0] - 1, window[1] + 2):
-            s = d if d >= 0 else -d - 1
-            worst = max(worst, (cent.order - 1) ** s if cent.order > 1 else (1 if s == 0 else 0))
+    worst = max(group_dim_degree(cent.order, d) for cent in cd.centralizers
+                for d in range(window[0] - 1, window[1] + 2))
     if worst > DECOMPOSITION_CAP:
         raise CostCapError(f"decomposition path needs {worst} basis columns (cap {DECOMPOSITION_CAP})")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
                  pairing, signed_anticommutator)
@@ -393,6 +393,9 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
 # the randomized self-test driver
 
 def cmd_selftest(cfg: JobConfig) -> Dict:
+    """Each suite is a generator whose runs yield their number of failed
+    checks (a bool where a run makes one check); ``tally`` counts them, and
+    a ValueError out of a suite as one more failed run."""
     G = make_group(cfg.group)
     p = cfg.p
     lo, hi = cfg.window
@@ -402,195 +405,172 @@ def cmd_selftest(cfg: JobConfig) -> Dict:
     dec = ClassDecomposition(dc, cd)
     suites: Dict[str, Dict[str, int]] = {}
 
-    def run(name: str, total: int, fails: int):
-        suites[name] = {"runs": total, "failures": fails}
+    def tally(runs: Iterator[int]) -> Dict[str, int]:
+        n = f = 0
+        try:
+            for fails in runs:
+                n += 1
+                f += fails
+        except ValueError:  # say, d^2 != 0 refused a quotient space or a projection
+            n, f = n + 1, f + 1
+        return {"runs": n, "failures": f}
 
     def rand(d, terms=3):
         return dc.random_element(d, rng, terms)
 
     degs = list(range(lo, hi + 1))
 
-    n, f = 0, 0
-    for d in degs:
-        for _ in range(25):
-            e = rand(d)
-            n += 1
-            if not dc.differential(dc.differential(e)).is_zero():
-                f += 1
-    run("d2_zero", n, f)
-
-    n, f = 0, 0
-    for d in degs:
-        for key in dc.basis(d)[:: max(1, len(dc.basis(d)) // 30)]:
-            cls = class_of_index(cd, d, key)
-            img = dc.differential(dc.element(d, {key: 1}))
-            n += 1
-            if any(class_of_index(cd, d + 1, k) != cls for k in img.coeffs):
-                f += 1
-    run("differential_class_grading", n, f)
-
-    n, f = 0, 0
-    for d in degs:
-        per_class = sum(1 for k in dc.basis(d)) == dim_degree(G, d)
-        n += 1
-        if not per_class:
-            f += 1
-    run("dimension_bookkeeping", n, f)
-
-    n, f = 0, 0
-    for _ in range(120):
-        da, db = rng.choice(degs), rng.choice(degs)
-        if not (lo - 2 <= da + db <= hi + 1):
-            continue
-        a, b = rand(da), rand(db)
-        lhs = dc.differential(cup(a, b))
-        rhs = cup(dc.differential(a), b).add(cup(a, dc.differential(b)), sign_pow(da))
-        n += 1
-        if not lhs.sub(rhs).is_zero():
-            f += 1
-    run("leibniz", n, f)
-
-    n, f = 0, 0
-    for _ in range(120):
-        da = rng.choice(degs)
-        db = rng.choice(degs)
-        dg = -1 - da - db
-        if not (lo <= dg <= hi):
-            continue
-        a, b, c = rand(da), rand(db), rand(dg)
-        n += 1
-        if (pairing(cup(a, b), c) - pairing(a, cup(b, c))) % p:
-            f += 1
-    run("pairing_adjunction", n, f)
-
-    n, f = 0, 0
-    for _ in range(100):
-        da, db, dg = rng.choice(degs), rng.choice(degs), rng.choice(degs)
-        if not (lo - 1 <= da + db + dg <= hi + 1 and lo - 2 <= da + db <= hi + 2
-                and lo - 2 <= db + dg <= hi + 2):
-            continue
-        a, b, c = rand(da), rand(db), rand(dg)
-        lhs = cup(a, cup(b, c)).sub(cup(cup(a, b), c))
-        rhs = dc.differential(m3(a, b, c))
-        rhs = rhs.add(m3(dc.differential(a), b, c))
-        rhs = rhs.add(m3(a, dc.differential(b), c), sign_pow(da))
-        rhs = rhs.add(m3(a, b, dc.differential(c)), sign_pow(da + db))
-        n += 1
-        if not lhs.sub(rhs).is_zero():
-            f += 1
-    run("homotopy_associativity", n, f)
-
-    n, f = 0, 0
-    for _ in range(200):
-        d = rng.choice(degs)
-        a = rand(d)
-        n += 1
-        if not signed_anticommutator(a).is_zero():
-            f += 1
-        if not bv_operator(bv_operator(a)).is_zero():
-            f += 1
-    run("bv_chain_map_and_square", n, f)
-
-    n, f = 0, 0
-    for _ in range(120):
-        d0 = rng.choice(degs)
-        d1, d2 = rng.choice(degs), rng.choice(degs)
-        d3 = -d0 - d1 - d2
-        if not (lo <= d3 <= hi):
-            continue
-        a0, a1, a2, a3 = (rand(d, 4) for d in (d0, d1, d2, d3))
-        n += 1
-        if pairing(a0, m3(a1, a2, a3)) != (sign_pow(d0 + 1) * pairing(m3(a0, a1, a2), a3)) % p:
-            f += 1
-    run("cyclicity", n, f)
-
-    worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
-    if worst <= DIRECT_COLUMN_CAP:
-        n, f = 0, 0
-        try:
-            classes = []
-            for d in range(lo + 1, hi):
-                space = dc.cohomology(d)
-                classes += [class_of(space, space.representative(i)) for i in range(space.dim)]
-            attempts = 0
-            while n < 15 and attempts < 500 and classes:
-                attempts += 1
-                a, b, c = (classes[rng.randrange(len(classes))] for _ in range(3))
-                da, db, dg = a.degree, b.degree, c.degree
-                bounds = [da + db, da + db + dg - 1, da + db + dg, da + dg - 1,
-                          db + dg - 1, da + dg, db + dg]
-                if not all(lo + 1 <= v <= hi - 1 for v in bounds):
-                    continue
-                lhs = lie_bracket(induced_cup(a, b), c)
-                rhs = induced_cup(lie_bracket(a, c), b).add(
-                    induced_cup(a, lie_bracket(b, c)), sign_pow(da * (dg - 1)))
-                n += 1
-                if lhs.coords != rhs.coords:
-                    f += 1
-        except ValueError:  # d^2 != 0: a quotient space or a projection refused
-            n, f = n + 1, f + 1
-        if n:
-            run("poisson_rule_on_classes", n, f)
-
-    n, f = 0, 0
-    for cls in range(cd.num_classes):
-        gcplx = dec.complexes[cls]
+    def d2_zero():
         for d in degs:
-            for _ in range(6):
-                g = gcplx.random_element(d, rng, 2)
-                n += 1
-                down = dec.retract_down(dec.retract_up(cls, g))
-                resid = down.get(cls, gcplx.zero(d)).sub(g)
-                if not resid.is_zero() or any(not v.is_zero() for k, v in down.items() if k != cls):
-                    f += 1
-    run("retract_rho_iota_identity", n, f)
+            for _ in range(25):
+                yield not dc.differential(dc.differential(rand(d))).is_zero()
+    suites["d2_zero"] = tally(d2_zero())
 
-    n, f = 0, 0
-    for d in degs:
-        for _ in range(10):
-            e = rand(d)
-            down = dec.retract_down(e)
-            back = dc.zero(d)
-            for cls, g in down.items():
-                back = back.add(dec.retract_up(cls, g))
-            lhs = e.sub(back)
-            rhs = dc.differential(dec.homotopy(e), signed=False).add(
-                dec.homotopy(dc.differential(e, signed=False)))
-            n += 1
-            if not lhs.sub(rhs).is_zero():
-                f += 1
-            rhs2 = dc.differential(dec.homotopy(e, signed=True)).add(
-                dec.homotopy(dc.differential(e), signed=True))
-            if not lhs.sub(rhs2).is_zero():
-                f += 1
-    run("retract_homotopy_identity", n, f)
+    def differential_class_grading():
+        for d in degs:
+            for key in dc.basis(d)[:: max(1, len(dc.basis(d)) // 30)]:
+                cls = class_of_index(cd, d, key)
+                img = dc.differential(dc.element(d, {key: 1}))
+                yield any(class_of_index(cd, d + 1, k) != cls for k in img.coeffs)
+    suites["differential_class_grading"] = tally(differential_class_grading())
+
+    def dimension_bookkeeping():
+        for d in degs:
+            yield len(dc.basis(d)) != dim_degree(G, d)
+    suites["dimension_bookkeeping"] = tally(dimension_bookkeeping())
+
+    def leibniz():
+        for _ in range(120):
+            da, db = rng.choice(degs), rng.choice(degs)
+            if not (lo - 2 <= da + db <= hi + 1):
+                continue
+            a, b = rand(da), rand(db)
+            lhs = dc.differential(cup(a, b))
+            rhs = cup(dc.differential(a), b).add(cup(a, dc.differential(b)), sign_pow(da))
+            yield not lhs.sub(rhs).is_zero()
+    suites["leibniz"] = tally(leibniz())
+
+    def pairing_adjunction():
+        for _ in range(120):
+            da = rng.choice(degs)
+            db = rng.choice(degs)
+            dg = -1 - da - db
+            if not (lo <= dg <= hi):
+                continue
+            a, b, c = rand(da), rand(db), rand(dg)
+            yield (pairing(cup(a, b), c) - pairing(a, cup(b, c))) % p != 0
+    suites["pairing_adjunction"] = tally(pairing_adjunction())
+
+    def homotopy_associativity():
+        for _ in range(100):
+            da, db, dg = rng.choice(degs), rng.choice(degs), rng.choice(degs)
+            if not (lo - 1 <= da + db + dg <= hi + 1 and lo - 2 <= da + db <= hi + 2
+                    and lo - 2 <= db + dg <= hi + 2):
+                continue
+            a, b, c = rand(da), rand(db), rand(dg)
+            lhs = cup(a, cup(b, c)).sub(cup(cup(a, b), c))
+            rhs = dc.differential(m3(a, b, c))
+            rhs = rhs.add(m3(dc.differential(a), b, c))
+            rhs = rhs.add(m3(a, dc.differential(b), c), sign_pow(da))
+            rhs = rhs.add(m3(a, b, dc.differential(c)), sign_pow(da + db))
+            yield not lhs.sub(rhs).is_zero()
+    suites["homotopy_associativity"] = tally(homotopy_associativity())
+
+    def bv_chain_map_and_square():
+        for _ in range(200):
+            a = rand(rng.choice(degs))
+            chain_map = signed_anticommutator(a).is_zero()
+            square = bv_operator(bv_operator(a)).is_zero()
+            yield (not chain_map) + (not square)
+    suites["bv_chain_map_and_square"] = tally(bv_chain_map_and_square())
+
+    def cyclicity():
+        for _ in range(120):
+            d0 = rng.choice(degs)
+            d1, d2 = rng.choice(degs), rng.choice(degs)
+            d3 = -d0 - d1 - d2
+            if not (lo <= d3 <= hi):
+                continue
+            a0, a1, a2, a3 = (rand(d, 4) for d in (d0, d1, d2, d3))
+            yield pairing(a0, m3(a1, a2, a3)) != (sign_pow(d0 + 1) * pairing(m3(a0, a1, a2), a3)) % p
+    suites["cyclicity"] = tally(cyclicity())
+
+    def poisson_rule_on_classes():
+        classes = []
+        for d in range(lo + 1, hi):
+            space = dc.cohomology(d)
+            classes += [class_of(space, space.representative(i)) for i in range(space.dim)]
+        runs = attempts = 0
+        while runs < 15 and attempts < 500 and classes:
+            attempts += 1
+            a, b, c = (classes[rng.randrange(len(classes))] for _ in range(3))
+            da, db, dg = a.degree, b.degree, c.degree
+            bounds = [da + db, da + db + dg - 1, da + db + dg, da + dg - 1,
+                      db + dg - 1, da + dg, db + dg]
+            if not all(lo + 1 <= v <= hi - 1 for v in bounds):
+                continue
+            lhs = lie_bracket(induced_cup(a, b), c)
+            rhs = induced_cup(lie_bracket(a, c), b).add(
+                induced_cup(a, lie_bracket(b, c)), sign_pow(da * (dg - 1)))
+            runs += 1
+            yield lhs.coords != rhs.coords
+
+    if max(dim_degree(G, d) for d in range(lo - 1, hi + 2)) <= DIRECT_COLUMN_CAP:
+        poisson = tally(poisson_rule_on_classes())
+        if poisson["runs"]:  # no classes or no triple in the window: no entry
+            suites["poisson_rule_on_classes"] = poisson
+
+    def retract_rho_iota_identity():
+        for cls in range(cd.num_classes):
+            gcplx = dec.complexes[cls]
+            for d in degs:
+                for _ in range(6):
+                    g = gcplx.random_element(d, rng, 2)
+                    down = dec.retract_down(dec.retract_up(cls, g))
+                    resid = down.get(cls, gcplx.zero(d)).sub(g)
+                    yield (not resid.is_zero()
+                           or any(not v.is_zero() for k, v in down.items() if k != cls))
+    suites["retract_rho_iota_identity"] = tally(retract_rho_iota_identity())
+
+    def retract_homotopy_identity():
+        for d in degs:
+            for _ in range(10):
+                e = rand(d)
+                down = dec.retract_down(e)
+                back = dc.zero(d)
+                for cls, g in down.items():
+                    back = back.add(dec.retract_up(cls, g))
+                lhs = e.sub(back)
+                rhs = dc.differential(dec.homotopy(e), signed=False).add(
+                    dec.homotopy(dc.differential(e, signed=False)))
+                rhs2 = dc.differential(dec.homotopy(e, signed=True)).add(
+                    dec.homotopy(dc.differential(e), signed=True))
+                yield (not lhs.sub(rhs).is_zero()) + (not lhs.sub(rhs2).is_zero())
+    suites["retract_homotopy_identity"] = tally(retract_homotopy_identity())
+
+    def double_coset_path_equivalence():
+        ops = DecOps(G, p)  # the base product that tables and verify-s3 tabulate
+        runs = attempts = 0
+        while runs < 20 and attempts < 400:
+            attempts += 1
+            i, j = rng.randrange(cd.num_classes), rng.randrange(cd.num_classes)
+            di, dj = rng.choice(degs), rng.choice(degs)
+            if not (lo <= di + dj <= hi):
+                continue
+            si, sj = ops.space(i, di), ops.space(j, dj)
+            if si.dim == 0 or sj.dim == 0:
+                continue
+            a = class_of(si, si.representative(rng.randrange(si.dim)))
+            b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
+            p1 = {k: coords for k, (_, coords) in
+                  ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
+            p2 = direct_cup(ops, dec, i, a.space.lift(list(a.coords)),
+                            j, b.space.lift(list(b.coords)))
+            runs += 1
+            yield p1 != p2
 
     if cd.num_classes > 1:
-        ops = DecOps(G, p)  # the base product that tables and verify-s3 tabulate
-        n, f = 0, 0
-        try:
-            attempts = 0
-            while n < 20 and attempts < 400:
-                attempts += 1
-                i, j = rng.randrange(cd.num_classes), rng.randrange(cd.num_classes)
-                di, dj = rng.choice(degs), rng.choice(degs)
-                if not (lo <= di + dj <= hi):
-                    continue
-                si, sj = ops.space(i, di), ops.space(j, dj)
-                if si.dim == 0 or sj.dim == 0:
-                    continue
-                a = class_of(si, si.representative(rng.randrange(si.dim)))
-                b = class_of(sj, sj.representative(rng.randrange(sj.dim)))
-                p1 = {k: coords for k, (_, coords) in
-                      ops.cup(ops.from_class(i, a), ops.from_class(j, b)).parts.items()}
-                p2 = direct_cup(ops, dec, i, a.space.lift(list(a.coords)),
-                                j, b.space.lift(list(b.coords)))
-                n += 1
-                if p1 != p2:
-                    f += 1
-        except ValueError:  # d^2 != 0: a quotient space or a projection refused
-            n, f = n + 1, f + 1
-        run("double_coset_path_equivalence", n, f)
+        suites["double_coset_path_equivalence"] = tally(double_coset_path_equivalence())
 
     passed = all(s["failures"] == 0 for s in suites.values())
     return {"config": _config_dict(cfg), "suites": suites, "passed": passed,

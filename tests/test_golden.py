@@ -17,8 +17,12 @@ the outputs that ``tables`` had to keep when it stopped building them.
 The digests of ``tables dihedral:5 -3..3``, ``dims cyclic:5 -5..5`` and
 ``dims dihedral:5`` at p = 2^31 - 1 were computed on commit 911be06,
 while p >= 5 still took a numpy int32 engine on small matrices, so they
-pin the outputs that the dict leading-row loop had to keep.  Each job
-takes about a second or less in-process.
+pin the outputs that the dict leading-row loop had to keep.  The
+``selftest`` digests other than S3/F3 (p = 2 on D8 and Q8, the cyclic:2
+window with no Poisson suite, and D10 at p = 5) were computed on commit
+1945b8c, before each suite's runs were counted by one tally, so they pin
+the counts that change had to keep.  Each job takes about a second or
+less in-process.
 """
 
 import hashlib
@@ -47,6 +51,14 @@ GOLDEN = [
      "639f3cb4082ad86a5452a4e9fc32a963f678d3d3c8e33ab7406e4911bd9b575f"),
     (("selftest", "--group", "symmetric:3", "--char", "3", "--window", "-3..3", "--seed", "0"),
      "860b528427cbc80558cd024efb47aa95d9cf5eefa23f44c5ba67a82e0f886b30"),
+    (("selftest", "--group", "dihedral:4", "--char", "2", "--window", "-2..2", "--seed", "1"),
+     "2be29170710ae9660bc26810f79869c50b30692acb8418231ba864a6f495e602"),
+    (("selftest", "--group", "quaternion8", "--char", "2", "--window", "-2..2", "--seed", "3"),
+     "01eace289f8bc5b8e579a096ef4420829d4feeedd2943621709910ea37c63008"),
+    (("selftest", "--group", "cyclic:2", "--char", "3", "--window", "-2..1", "--seed", "1"),
+     "119e2fe6dc6f22de7b519d4a80cd6edad984665aa6a7c37e3b092c114601a8b6"),
+    (("selftest", "--group", "dihedral:5", "--char", "5", "--window", "-2..2", "--seed", "2"),
+     "684dd7c04601048791adee3c1d0de0eba01d78d14c0f50b85dd7a2df6c8db574"),
     (("export-diff", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"),
      "6025785572ce266aaf8b9315492d3acd15a66cd00dfb30a66465d180beaa3528"),
     (("dims", "--group", "symmetric:3", "--char", "5", "--window", "-3..3"),

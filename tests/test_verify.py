@@ -78,6 +78,25 @@ def test_selftest_counts_a_refused_quotient_of_the_double_coset_suite(monkeypatc
                if name != "double_coset_path_equivalence")
 
 
+def test_selftest_counts_a_value_error_in_any_suite_as_one_failed_run(monkeypatch, capsys):
+    """A ValueError out of any suite, not only a refused quotient space,
+    ends that suite as one failed run: with retract_up raising, both retract
+    suites and the double-coset suite (whose direct path retracts up) each
+    count one failed run, and the CLI prints its JSON and exits 1."""
+    def refuse(self, cls, g):
+        raise ValueError("refused")
+    monkeypatch.setattr(verify.ClassDecomposition, "retract_up", refuse)
+    code = cli.main(["selftest", "--group", "symmetric:3", "--char", "3", "--window", "-2..2",
+                     "--seed", "7", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and not rep["passed"]
+    for name in ("retract_rho_iota_identity", "retract_homotopy_identity",
+                 "double_coset_path_equivalence"):
+        assert rep["suites"][name] == {"runs": 1, "failures": 1}
+    assert all(s["failures"] == 0 for name, s in rep["suites"].items()
+               if not name.startswith(("retract_", "double_coset_")))
+
+
 def test_appendix_requires_modular_characteristic():
     with pytest.raises(ConfigError):
         cmd_verify_appendix_b(JobConfig(group="cyclic:3", p=2, window=(-3, 2), seed=0))

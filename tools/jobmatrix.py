@@ -55,6 +55,7 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
+    ("selftest", "dihedral:4", 2, "-2..2", True, 0),
     ("tables", "symmetric:3", 3, "-4..4", True, 0),
     ("tables", "symmetric:3", 3, "-5..5", True, 0),
     ("tables", "symmetric:3", 3, "-6..6", False, 0),
