@@ -20,6 +20,12 @@ classes and computes each product of two basis classes and each BV image of
 one once per job; their brackets are read off those two tables by
 linearity.  Class arithmetic builds no D-complex of G: only the direct-path
 cross-checks of ``dims`` and ``tables`` do.
+
+``dims`` reads dimensions only.  It reads those of each distinct
+centralizer C on a Sylow p-subgroup P of C: all zero if P = 1, the guarded
+ranks of C's own complex if P = C, and otherwise the rank of res o cor on
+the cohomology of P, as cor o res is multiplication by the unit [C:P]; then
+no cochain over C is built and no complex of C is eliminated.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .decomposition import ClassDecomposition, b_tilde, delta_tilde
 from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes,
                      group_from_mult_table, group_from_permutations, parse_cycles,
                      preset_group, sylow_subgroup)
+from .linalg import SparseMatrix, rank
 from .transfer import TransferContext
 
 DIRECT_COLUMN_CAP = 200_000
@@ -432,20 +439,25 @@ def _config_dict(cfg: JobConfig) -> Dict:
             "seed": cfg.seed, "format": cfg.fmt, "threads": cfg.threads}
 
 
+def check_square(cplx, n: int, rng: random.Random) -> None:
+    """The guard of every dimension ``dims`` reads off cplx in degree n: the
+    rank formula and the quotient are right only if d_n d_{n-1} = 0, so
+    d(d(e)) = 0 is checked with the element-level differential on one seeded
+    basis element e of degree n-1 (drawn without building the basis)."""
+    size = cplx.dim(n - 1)
+    if size:
+        key = next(itertools.islice(cplx.iter_basis(n - 1), rng.randrange(size), None))
+        e = cplx.element(n - 1, {key: 1})
+        if not cplx.differential(cplx.differential(e)).is_zero():
+            raise VerificationError(f"d^2 != 0 out of degree {n - 1}")
+
+
 def checked_dims(cplx, degrees: Sequence[int], rng: random.Random) -> List[int]:
-    """``cohomology_dim`` of cplx in each degree, guarded: the rank formula
-    is right only if d_n d_{n-1} = 0, so d(d(e)) = 0 is checked with the
-    element-level differential on one seeded basis element e of each degree
-    n-1 (drawn without building the basis), and every dimension must be
-    >= 0."""
+    """``cohomology_dim`` of cplx in each degree, guarded by ``check_square``;
+    every dimension must be >= 0."""
     dims = []
     for n in degrees:
-        size = cplx.dim(n - 1)
-        if size:
-            key = next(itertools.islice(cplx.iter_basis(n - 1), rng.randrange(size), None))
-            e = cplx.element(n - 1, {key: 1})
-            if not cplx.differential(cplx.differential(e)).is_zero():
-                raise VerificationError(f"d^2 != 0 out of degree {n - 1}")
+        check_square(cplx, n, rng)
         dim = cplx.cohomology_dim(n)
         if dim < 0:
             raise VerificationError(f"negative cohomology dimension {dim} at degree {n}")
@@ -453,7 +465,41 @@ def checked_dims(cplx, degrees: Sequence[int], rng: random.Random) -> List[int]:
     return dims
 
 
+def sylow_dims(ctx: TransferContext, C: Subgroup, P: Subgroup, degrees: Sequence[int],
+               rng: random.Random) -> List[int]:
+    """dim of Tate cohomology of C in each degree n, read on a Sylow
+    p-subgroup P < C: cor o res is multiplication by the unit [C:P], so
+    Ĥ^n(C) is the image of res o cor on Ĥ^n(P), and its dimension is the
+    rank of the matrix M of res o cor in the basis of P's ``cohomology(n)``
+    (Cartan-Eilenberg XII.10; Brown III.9-10).  The P-complex, the one
+    eliminated, is guarded by ``check_square``; res o cor o res o cor =
+    [C:P] res o cor, so M^2 = [C:P] M is checked too, and a res o cor image
+    that ``project`` refuses as a non-cocycle fails the job."""
+    cplx, p = ctx.complex_for(P), ctx.p
+    index = C.order // P.order % p
+    dims = []
+    for n in degrees:
+        check_square(cplx, n, rng)
+        try:
+            space = cplx.cohomology(n)
+            reps = [space.representative(j) for j in range(space.dim)]
+            M = [space.project(z) for z in ctx.res_cor(C, reps)]  # column j: res o cor(z_j)
+        except ValueError as exc:  # a quotient or projection refusing d^2 != 0
+            raise VerificationError(f"res o cor on the Sylow subgroup at degree {n}: {exc}") from exc
+        for col in M:
+            square = [sum(M[k][i] * c for k, c in enumerate(col)) % p for i in range(len(col))]
+            if square != [index * c % p for c in col]:
+                raise VerificationError(f"res o cor at degree {n} fails M^2 = [C:P] M")
+        dims.append(rank(SparseMatrix(len(M), len(M), p, build=lambda: [
+            {i: c for i, c in enumerate(col) if c} for col in M])))
+    return dims
+
+
 def cmd_dims(cfg: JobConfig) -> Dict:
+    """dim HH^n(kG) as the sum over conjugacy classes of dim Ĥ^n(C_k), each
+    distinct centralizer read once by the route its Sylow p-subgroup picks
+    (module docstring); the direct path, where it fits DIRECT_COLUMN_CAP,
+    must agree on the inner degrees."""
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
@@ -461,10 +507,18 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     ctx = TransferContext(G, cfg.p, cd)
     rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
-    # classes with the same centralizer share its complex: rank it and guard it once
-    complexes = [ctx.complex_for(H) for H in cd.centralizers]
-    dims = {C: checked_dims(C, degrees, rng) for C in dict.fromkeys(complexes)}
-    per_class = [dims[C] for C in complexes]
+    dims: Dict[Tuple[int, ...], List[int]] = {}
+    for C in cd.centralizers:
+        if C.members in dims:
+            continue
+        P = sylow_subgroup(C, cfg.p)
+        if P.order == 1:
+            dims[C.members] = [0] * len(degrees)
+        elif P.order == C.order:
+            dims[C.members] = checked_dims(ctx.complex_for(C), degrees, rng)
+        else:
+            dims[C.members] = sylow_dims(ctx, C, P, degrees, rng)
+    per_class = [dims[C.members] for C in cd.centralizers]
     totals = [sum(col) for col in zip(*per_class)] if per_class else []
 
     direct: Optional[Dict[str, int]] = None

@@ -27,7 +27,7 @@ each (g, H), and (in CosetSystem) the coset step table of each g.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .complexes import GroupComplex, GroupTateElement, Key, _acc
 from .groups import (ConjugacyData, CosetSystem, Group, Subgroup, class_rep_and_witness,
@@ -117,6 +117,29 @@ class TransferContext:
             for _, gs in cs.paths(T):
                 _acc(out, gs, c)
         return target.element(d, out)
+
+    def res_cor(self, K: Subgroup, elems: Sequence[GroupTateElement]) -> List[GroupTateElement]:
+        """res^K_H cor^K_H of elements of one degree over H, at the complex
+        level and on H-tuples only: no cochain over K is built.  On cochains,
+        (res cor z)(U) = sum_i z(h_i(U)) over the cosets i of H in K for each
+        H-tuple U, h_i(U) being the H-slots of CosetSystem.thread(i, U); a
+        thread with an identity slot names no basis key, so it adds 0.  On
+        chains cor is inclusion, and ``restrict_element`` is the whole map."""
+        if not elems:
+            return []
+        H, d = elems[0].subgroup, elems[0].degree
+        if d < 0:
+            return [self.restrict_element(H, self.corestrict_element(K, z)) for z in elems]
+        cs = self.cosets_in(K, H)
+        target = self.complex_for(H)
+        outs: List[Dict[Key, int]] = [{} for _ in elems]
+        for U in target.iter_basis(d):
+            threads = [cs.thread(i, U)[0] for i in range(cs.count)]
+            for z, out in zip(elems, outs):
+                c = sum(z.coeffs.get(hs, 0) for hs in threads)
+                if c:
+                    out[U] = c
+        return [target.element(d, out) for out in outs]
 
     # -- cup products on subgroup tuples -------------------------------------
 

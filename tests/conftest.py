@@ -1,7 +1,7 @@
 import pytest
 
 from tatebv import conjugacy_classes, preset_group
-from tatebv.complexes import DComplex
+from tatebv.complexes import DComplex, GroupComplex
 
 
 class MutatedDComplex(DComplex):
@@ -15,6 +15,19 @@ class MutatedDComplex(DComplex):
         super().unsigned_terms(key, d, out, c)
         if d == 0:
             bogus = (tuple([self.group.nontrivial[0]]), 0)
+            out[bogus] = out.get(bogus, 0) + c
+        return out
+
+
+class MutatedGroupComplex(GroupComplex):
+    """A subgroup complex whose degree-0 coboundary breaks d^2 = 0."""
+
+    coboundary_faces = None
+
+    def unsigned_terms(self, key, d, out, c):
+        super().unsigned_terms(key, d, out, c)
+        if d == 0 and self.subgroup.order > 1:
+            bogus = (self.subgroup.nontrivial[0],)
             out[bogus] = out.get(bogus, 0) + c
         return out
 

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -11,14 +12,14 @@ from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
 from tatebv.complexes import DComplex, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
-from tatebv.groups import conjugacy_classes, preset_group
+from tatebv.groups import CosetSystem, conjugacy_classes, preset_group, sylow_subgroup
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
                             VerificationError, check_decomposition_cost, check_direct_cost,
                             checked_dims, cmd_dims, cmd_tables, make_group)
 from tatebv.transfer import TransferContext
 from tatebv.verify import S3Verifier
 
-from conftest import MutatedDComplex
+from conftest import MutatedDComplex, MutatedGroupComplex
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +144,106 @@ RANK_ONLY_DIMS = [
 ]
 
 
+def _is_p_group(order, p):
+    return math.gcd(order, p ** order) == order
+
+
 @pytest.mark.parametrize("group,p,window,digest", RANK_ONLY_DIMS,
                          ids=[f"{g}-p{p}" for g, p, _, _ in RANK_ONLY_DIMS])
 def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, digest):
-    def no_quotient(*args):
-        raise AssertionError("dims built a QuotientSpace")
-
-    monkeypatch.setattr(linalg.QuotientSpace, "__init__", no_quotient)
+    """dims opens cohomology spaces only on the Sylow side: with no
+    centralizer C whose Sylow P has 1 < P < C (D8, Q8, S3 at p = 5) it builds
+    no QuotientSpace at all; otherwise (S4 at p = 2, S3 at p = 3) every space
+    it opens is on a p-group complex, and no complex of such a C is ranked."""
+    G = make_group(group)
+    sylow_side = {C.members for C in conjugacy_classes(G).centralizers
+                  if 1 < sylow_subgroup(C, p).order < C.order}
+    assert bool(sylow_side) == (group in ("symmetric:4", "symmetric:3") and p < 5)
+    opened, ranked = [], []
+    cohomology, rank = _BaseComplex.cohomology, _BaseComplex.rank
+    monkeypatch.setattr(_BaseComplex, "cohomology",
+                        lambda self, n: opened.append(self.subgroup) or cohomology(self, n))
+    monkeypatch.setattr(_BaseComplex, "rank",
+                        lambda self, d: ranked.append(getattr(self, "subgroup", None))
+                        or rank(self, d))
+    if not sylow_side:
+        def no_quotient(*args):
+            raise AssertionError("dims built a QuotientSpace")
+        monkeypatch.setattr(linalg.QuotientSpace, "__init__", no_quotient)
     data = cmd_dims(JobConfig(group=group, p=p, window=window, fmt="json"))
     data.pop("provenance")
     assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
+    assert bool(opened) == bool(sylow_side)
+    assert all(_is_p_group(H.order, p) for H in opened)
+    assert ranked and not any(H.members in sylow_side for H in ranked if H is not None)
+
+
+# (group, p, window) where the rank route on each centralizer is cheap
+SYLOW_PAIRS = [
+    ("symmetric:4", 2, (-2, 2)), ("symmetric:4", 3, (-2, 2)),
+    ("symmetric:3", 2, (-4, 4)), ("symmetric:3", 3, (-4, 4)), ("symmetric:3", 5, (-3, 3)),
+    ("dihedral:6", 2, (-3, 3)), ("dihedral:6", 3, (-3, 3)), ("dihedral:5", 5, (-3, 3)),
+    ("dihedral:7", 7, (-2, 2)),
+    ("perms:(0 1 2),(0 1)(2 3)", 2, (-3, 3)), ("perms:(0 1 2),(0 1)(2 3)", 3, (-3, 3)),
+]
+
+
+@pytest.mark.parametrize("group,p,window", SYLOW_PAIRS,
+                         ids=[f"{g}-p{p}" for g, p, _ in SYLOW_PAIRS])
+def test_sylow_dims_equal_the_rank_route(group, p, window):
+    """Class by class, res o cor on a Sylow P of each centralizer C with
+    1 < P < C gives the guarded ranks of C's own complex, and a centralizer
+    with P = 1 has zero Tate cohomology in every degree."""
+    G = make_group(group)
+    cd = conjugacy_classes(G)
+    ctx = TransferContext(G, p, cd)
+    degrees = range(window[0], window[1] + 1)
+    sylow_side = 0
+    for C in {C.members: C for C in cd.centralizers}.values():
+        P = sylow_subgroup(C, p)
+        want = checked_dims(ctx.complex_for(C), degrees, random.Random(0))
+        if P.order == 1:
+            assert want == [0] * len(degrees)
+        elif P.order < C.order:
+            assert harness.sylow_dims(ctx, C, P, degrees, random.Random(0)) == want
+            sylow_side += 1
+    assert sylow_side > 0 or p == 5
+
+
+def test_sylow_dims_guard_catches_a_broken_p_complex(monkeypatch):
+    """A Sylow complex whose differential breaks d^2 = 0 trips the seeded
+    d(d(e)) guard; with that guard off, the quotient's refusal is still a
+    VerificationError, never a bare ValueError."""
+    G = make_group("symmetric:3")
+    cd = conjugacy_classes(G)
+    C = cd.centralizers[0]
+    P = sylow_subgroup(C, 3)
+    assert 1 < P.order < C.order
+
+    def broken_ctx():
+        ctx = TransferContext(G, 3, cd)
+        ctx._complexes[P.members] = MutatedGroupComplex(P, 3)
+        return ctx
+
+    with pytest.raises(VerificationError, match=r"^d\^2 != 0 out of degree 0$"):
+        harness.sylow_dims(broken_ctx(), C, P, range(-2, 3), random.Random(0))
+    monkeypatch.setattr(harness, "check_square", lambda cplx, n, rng: None)
+    with pytest.raises(VerificationError, match="res o cor on the Sylow subgroup"):
+        harness.sylow_dims(broken_ctx(), C, P, range(-2, 3), random.Random(0))
+
+
+@pytest.mark.parametrize("group,p,window,match", [
+    ("symmetric:3", 3, (-4, 4), r"fails M\^2 = \[C:P\] M"),
+    ("symmetric:4", 2, (-2, 2), "res o cor on the Sylow subgroup at degree 1: .*not a cocycle"),
+])
+def test_dims_refuses_a_thread_sum_that_drops_a_coset(monkeypatch, group, p, window, match):
+    """With the last coset dropped from every thread sum, res o cor is no
+    longer [C:P] times a projection: at p = 3 the matrix M fails
+    M^2 = [C:P] M, and on S4 at p = 2 an image is no cocycle; either way
+    dims raises VerificationError before its direct-path cross-check."""
+    monkeypatch.setattr(CosetSystem, "count", property(lambda self: len(self.gamma) - 1))
+    with pytest.raises(VerificationError, match=match):
+        cmd_dims(JobConfig(group=group, p=p, window=window))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tatebv import linalg, preset_group, whole_group
 from tatebv.cli import main
-from tatebv.complexes import DComplex, GroupComplex
+from tatebv.complexes import CohomologySpace, DComplex, GroupComplex
 from tatebv.groups import generated_subgroup
 from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, add_scaled_inplace, is_prime,
                            kernel_basis, pivot_columns, rank)
@@ -453,12 +454,35 @@ def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):
 ])
 def test_dims_stays_on_engine_vectors(monkeypatch, capsys, group, p, window):
     """dims at p <= 3 never reads a bitset back as a dict: kernels and
-    image vectors stay in the engine's format through every quotient."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("bitset vector turned into a dict")
+    image vectors stay in the engine's format through every quotient.  The
+    one exception is the representatives of the Sylow-side spaces (S4 at
+    p = 2, S3 at p = 3), which res o cor reads as cochains."""
+    inside = []
+    representative = CohomologySpace.representative
+
+    def sylow_representative(self, i):
+        order = self.complex.subgroup.order
+        assert math.gcd(order, int(p) ** order) == order, "a representative off the Sylow side"
+        inside.append(i)
+        try:
+            return representative(self, i)
+        finally:
+            inside.pop()
+
+    entries = linalg._Bitsets.entries
+    read = []
+
+    def refuse(self, *args, **kwargs):
+        if not inside:
+            raise AssertionError("bitset vector turned into a dict")
+        read.append(1)
+        return entries(self, *args, **kwargs)
+
+    monkeypatch.setattr(CohomologySpace, "representative", sylow_representative)
     monkeypatch.setattr(linalg._Bitsets, "entries", refuse)
     assert main(["dims", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["dims"]["total"]
+    assert bool(read) == group.startswith("symmetric")
 
 
 def test_gf3_engine_on_s3_complex():

@@ -7,7 +7,7 @@ from tatebv.complexes import DComplex
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import (Subgroup, class_rep_and_witness, conjugacy_classes,
                            conjugate_subgroup, double_cosets, generated_subgroup,
-                           intersect_subgroups, preset_group)
+                           intersect_subgroups, preset_group, sylow_subgroup)
 from tatebv.harness import DecOps
 from tatebv.transfer import TransferContext
 
@@ -136,6 +136,28 @@ def test_cor_res_is_multiplication_by_transfer_of_unit(ctx, s3, ha):
             lhs = ctx.corestrict_element(G, ctx.restrict_element(ha, rep))
             # [S3 : <a>] = 2, so cor(res(b)) = 2 b on cohomology
             assert sp.project(lhs) == [(2 * v) % P for v in b.coords]
+
+
+@pytest.mark.parametrize("group,param,p,gens", [("symmetric", 3, 3, [1]),
+                                                ("symmetric", 4, 2, None),
+                                                ("dihedral", 6, 3, None)])
+def test_res_cor_is_restriction_of_corestriction(group, param, p, gens):
+    """res_cor, the thread sum on H-tuples, equals res o cor through a
+    cochain over K, element for element, in both degree signs and on
+    arbitrary (non-cocycle) elements."""
+    G = preset_group(group, param)
+    cd = conjugacy_classes(G)
+    ctx = TransferContext(G, p, cd)
+    K = ctx.subgroup(range(G.order))
+    H = generated_subgroup(G, gens) if gens else sylow_subgroup(K, p)
+    assert 1 < H.order < K.order
+    ch = ctx.complex_for(H)
+    rng = random.Random(5)
+    for d in (-3, -2, -1, 0, 1, 2, 3):
+        elems = [ch.random_element(d, rng, 4) for _ in range(3)]
+        want = [ctx.restrict_element(H, ctx.corestrict_element(K, z)) for z in elems]
+        assert ctx.res_cor(K, elems) == want
+    assert ctx.res_cor(K, []) == []
 
 
 def test_frobenius_identity(ctx, s3, ha):

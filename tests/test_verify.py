@@ -3,11 +3,10 @@ import json
 import pytest
 
 from tatebv import cli, transfer, verify
-from tatebv.complexes import GroupComplex
 from tatebv.harness import ConfigError, DecOps, JobConfig
 from tatebv.verify import cmd_selftest, cmd_verify_appendix_b
 
-from conftest import MutatedDComplex
+from conftest import MutatedDComplex, MutatedGroupComplex
 
 
 def test_selftest_passes_s3():
@@ -53,24 +52,11 @@ def test_selftest_counts_a_refused_quotient_of_the_poisson_suite(monkeypatch, ca
     assert rep["suites"]["poisson_rule_on_classes"] == {"runs": 1, "failures": 1}
 
 
-class _MutatedGroupComplex(GroupComplex):
-    """A centralizer complex whose degree-0 coboundary breaks d^2 = 0."""
-
-    coboundary_faces = None
-
-    def unsigned_terms(self, key, d, out, c):
-        super().unsigned_terms(key, d, out, c)
-        if d == 0 and self.subgroup.order > 1:
-            bogus = (self.subgroup.nontrivial[0],)
-            out[bogus] = out.get(bogus, 0) + c
-        return out
-
-
 def test_selftest_counts_a_refused_quotient_of_the_double_coset_suite(monkeypatch):
     """With the centralizer complexes of DecOps broken, the double-coset
     suite's quotient space refuses to build: the suite counts one failed
     run instead of raising."""
-    monkeypatch.setattr(transfer, "GroupComplex", _MutatedGroupComplex)
+    monkeypatch.setattr(transfer, "GroupComplex", MutatedGroupComplex)
     rep = cmd_selftest(JobConfig(group="symmetric:3", p=3, window=(-2, 2), seed=7))
     assert not rep["passed"]
     assert rep["suites"]["double_coset_path_equivalence"] == {"runs": 1, "failures": 1}

@@ -17,11 +17,12 @@ expects prints an ``UNEXPECTED EXIT`` line; either makes the tool exit 1,
 after it has written ``--out``.
 
 With several ``--src`` trees the runs alternate between them job by job,
-so that a slow spell of a shared machine hits both alike.  Each tree is
-first compiled to bytecode with ``compileall``, which writes it whatever
-``PYTHONDONTWRITEBYTECODE`` says, and runs one untimed import.  The
-results go under ``runs[LABEL]`` of ``--out``; the other labels already in
-that file stay.
+and every other repeat of a job runs the trees in reverse order, so that
+a slow spell of a shared machine, or a cost of going first, hits both
+alike.  Each tree is first compiled to bytecode with ``compileall``,
+which writes it whatever ``PYTHONDONTWRITEBYTECODE`` says, and runs one
+untimed import.  The results go under ``runs[LABEL]`` of ``--out``; the
+other labels already in that file stay.
 
 Each printed line gives a job's median wall time and, with ``--repeat``
 above 1, the minimum and maximum of its samples in parentheses: on
@@ -67,6 +68,7 @@ JOBS = [
     ("dims", "symmetric:4", 2, "-5..5", False, 3),
     ("dims", "symmetric:3", 5, "-5..5", False, 0),
     ("dims", "dihedral:5", 5, "-3..3", True, 0),
+    ("dims", "dihedral:6", 3, "-3..3", True, 0),
     ("dims", "cyclic:7", 7, "-4..4", False, 0),
     ("dims", "dihedral:7", 7, "-3..3", False, 0),
     ("tables", "dihedral:5", 5, "-3..3", False, 0),
@@ -149,8 +151,9 @@ def main(argv=None):
     for *job, _, expected in jobs:
         argv = ["-m", "tatebv.cli"] + job_args(*job)
         samples = {label: [] for label in trees}
-        for _ in range(args.repeat):
-            for label, src in trees.items():
+        for rep in range(args.repeat):
+            order = list(trees.items())
+            for label, src in order[::-1] if rep % 2 else order:
                 samples[label].append(run_child(argv, src))
         for label, got in samples.items():
             rec = {"job": job_name(*job), "argv": argv[2:],
