@@ -32,15 +32,21 @@ and the matrix out of a degree d <= -2 its rows, since the boundary out of
 key map (g0, tail) <-> (tail, g0^-1).  A subclass that overrides
 ``unsigned_terms`` alone sets ``coboundary_faces = None`` to get neither.
 ``cohomology_dim`` needs only ranks, each eliminated once and kept on the
-complex; ``cohomology`` builds a ``QuotientSpace``.
+complex; ``cohomology`` builds a ``QuotientSpace``.  On face tables the
+rank out of d <= -2 is, by that transpose, the rank out of -d-2, and the
+D side reads its ranks out of d >= 0 class block by class block: kG =
+sum_K k[K] as G-modules under conjugation, so in the basis (args, y), y =
+prod(args)^-1 h (what ``class_of_index`` reads), the coboundary is block
+diagonal, one block C^*(G, k[K]) per conjugacy class K (``class_faces``).
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .groups import ConjugacyData, Group, Subgroup
+from .groups import ConjugacyData, Group, Subgroup, conjugacy_classes
 from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, rank as matrix_rank
 
 Key = Hashable
@@ -104,15 +110,16 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
     field, not merged.
 
     ``left[a][h]`` and ``right[h][b]`` are the values a and b give h from
-    the head and tail slots: G.mult for kG, the value 0 unmoved for
-    trivial coefficients (V = 1).  ``rows`` reads the vectors in the
-    layout of the chain keys (h^-1, args) of degree -n-2, h before the
-    tail and tail unit 1: then the vector of (args, h) is the row of (h^-1,
-    args) in the unsigned boundary out of -n-2, face by face and sign by
-    sign (merging slots i and i+1 there is splitting slot i here).  That
-    needs the end-term tables transposed, L[a][h] = x^-1 where right[x][a]
-    = h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1, and both kinds of
-    table are their own transposes.  The rows come in the layout of
+    the head and tail slots: G.mult for kG, those of ``class_faces`` for
+    a class block, the value 0 unmoved for trivial coefficients (V = 1).
+    ``rows`` reads the vectors in the layout of the chain keys (h^-1,
+    args) of degree -n-2, h before the tail and tail unit 1: then the
+    vector of (args, h) is the row of (h^-1, args) in the unsigned
+    boundary out of -n-2, face by face and sign by sign (merging slots i
+    and i+1 there is splitting slot i here).  That needs the end-term
+    tables transposed, L[a][h] = x^-1 where right[x][a] = h^-1 and R[h][b]
+    = y^-1 where left[b][y] = h^-1, and the tables of kG and of trivial
+    coefficients are their own transposes.  The rows come in the layout of
     ``SparseMatrix.rows``, column j of N at bit N-1-j: the chain layout
     with nontrivial in reverse order (digit a at q-1-a) and h at offset
     (V-1-inv(h))*q^(n+1)."""
@@ -159,6 +166,20 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
             else:
                 x = (mP | F) ^ mN
                 yield (mN | F) ^ x, mP ^ x
+
+
+def class_faces(G: Group, nontrivial: Sequence[int], K: Sequence[int]) -> tuple:
+    """The arguments of ``coboundary_vectors`` before the degree for the
+    block C^*(G, k[K]) of a conjugacy class K, listed as its members: the
+    coboundary on keys (args, y) with y in K, y at position i of K having
+    index idx(args)*|K| + i.  Face 0 and the middle faces keep y, and the
+    last face, b, sends it to b^-1 y b, so left[a][i] = i and right[i][b]
+    is the position of b^-1 K[i] b in K.  K = (identity,) gives V = 1 and
+    constant tables, trivial coefficients, in either layout."""
+    mult, inv = G.mult, G.inv
+    pos = {y: i for i, y in enumerate(K)}
+    return (G, nontrivial, len(K), [range(len(K))] * G.order,
+            [[pos[mult[mult[inv[b]][y]][b]] for b in range(G.order)] for y in K])
 
 
 def d_boundary_terms(G: Group, key: Key, s: int, out: Dict, c: int) -> Dict:
@@ -433,10 +454,20 @@ class _BaseComplex:
         return M
 
     def rank(self, d: int) -> int:
-        """Rank of matrix(d), eliminated once per complex."""
+        """Rank of matrix(d), eliminated once per complex.  On a face-built
+        complex rank(d) for d <= -2 is rank(-d-2), which need not lie in the
+        window: the rows that matrix(d) streams are the columns of
+        matrix(-d-2) up to order and sign, so both share one elimination."""
+        self.check_degree(d)
+        self.check_degree(d + 1)
+        if d <= -2 and self.p <= 3 and self.coboundary_faces is not None:
+            d = -d - 2
         if d not in self._rank:
-            self._rank[d] = matrix_rank(self.matrix(d))
+            self._rank[d] = self._eliminated_rank(d)
         return self._rank[d]
+
+    def _eliminated_rank(self, d: int) -> int:
+        return matrix_rank(self.matrix(d))
 
     def cohomology_dim(self, n: int) -> int:
         """dim C^n - rank d_n - rank d_{n-1}: the dimension of cohomology(n)
@@ -464,7 +495,12 @@ class _BaseComplex:
 
 
 class DComplex(_BaseComplex):
-    """The Tate-Hochschild cochain complex of kG over F_p on a degree window."""
+    """The Tate-Hochschild cochain complex of kG over F_p on a degree window.
+
+    Its keys are (args, h) everywhere but in ``rank`` on face tables (p <=
+    3), which reads the rank out of d >= 0 in the basis (args, y), y =
+    prod(args)^-1 h, as a sum over the class blocks, and the rank out of
+    d <= -2 as that out of -d-2, inside the window or not."""
 
     element_cls = TateElement
 
@@ -509,6 +545,21 @@ class DComplex(_BaseComplex):
         G = self.group
         return G, G.nontrivial, G.order, G.mult, G.mult
 
+    @cached_property
+    def _class_faces(self) -> List[tuple]:
+        G = self.group
+        return [class_faces(G, G.nontrivial, K) for K in conjugacy_classes(G).classes]
+
+    def _eliminated_rank(self, d: int) -> int:
+        # on face tables d >= 0 may lie above the window: rank(-d-2)
+        if d < 0 or self.p > 3 or self.coboundary_faces is None:
+            return super()._eliminated_rank(d)
+        p, q = self.p, len(self.group.nontrivial)
+        blocks = [SparseMatrix(f[2] * q ** (d + 1), f[2] * q ** d, p, build=None,
+                               vectors=lambda f=f: coboundary_vectors(*f, d, p))
+                  for f in self._class_faces]
+        return sum(map(matrix_rank, blocks))
+
     def cohomology(self, n: int) -> CohomologySpace:
         if not (self.lo < n < self.hi):
             raise WindowError(f"cohomology at degree {n} needs window margin around it")
@@ -546,7 +597,7 @@ class GroupComplex(_BaseComplex):
         return group_boundary_terms(G, key, -d - 1, out, c)
 
     def coboundary_faces(self):
-        """The arguments of ``coboundary_vectors`` before the degree: one
-        value (V = 1) that both end terms leave fixed, in either layout."""
-        G = self.subgroup.parent
-        return G, self.subgroup.nontrivial, 1, [(0,)] * G.order, [(0,) * G.order]
+        """The arguments of ``coboundary_vectors`` before the degree: the
+        block of the identity class, one value (V = 1) that both end terms
+        leave fixed, in either layout."""
+        return class_faces(self.subgroup.parent, self.subgroup.nontrivial, (0,))

@@ -19,7 +19,8 @@ they are, so no cohomology space of degree lo-1 is built.  ``tables`` and
 classes and computes each product of two basis classes and each BV image of
 one once per job; their brackets are read off those two tables by
 linearity.  Class arithmetic builds no D-complex of G: only the direct-path
-cross-checks of ``dims`` and ``tables`` do.
+cross-checks of ``dims`` and ``tables`` do, and ``verify-s3`` for its
+direct dims.
 
 ``dims`` reads dimensions only.  It reads those of each distinct
 centralizer C on a Sylow p-subgroup P of C: all zero if P = 1, the guarded

@@ -92,9 +92,11 @@ class SparseMatrix:
     """Column-major sparse matrix over F_p.
 
     ``columns`` is a list of dicts, which ``build`` computes on first
-    read.  ``vectors``, if given, is a zero-argument callable yielding the
-    same columns in order as vectors of the p <= 3 bitset core;
-    elimination by columns then streams them and never reads ``columns``.
+    read; ``build`` is None for a matrix that is only ever eliminated by
+    its ``vectors``.  ``vectors``, if given, is a zero-argument callable
+    yielding the same columns in order as vectors of the p <= 3 bitset
+    core; elimination by columns then streams them and never reads
+    ``columns``.
     ``rows`` likewise yields the rows as vectors of the engine for p, in
     any order and each up to sign, with column j at index ncols-1-j;
     ``pivot_columns`` and ``rank`` feed them, as they read the row space
@@ -102,7 +104,8 @@ class SparseMatrix:
 
     __slots__ = ("nrows", "ncols", "p", "_columns", "_build", "vectors", "rows")
 
-    def __init__(self, nrows: int, ncols: int, p: int, build: Callable[[], List[Dict[int, int]]],
+    def __init__(self, nrows: int, ncols: int, p: int,
+                 build: Optional[Callable[[], List[Dict[int, int]]]],
                  vectors: Optional[Callable[[], Iterable]] = None,
                  rows: Optional[Callable[[], Iterable]] = None):
         self.nrows = nrows

@@ -7,6 +7,7 @@ from tatebv import linalg
 from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
 from tatebv.groups import (conjugacy_classes, generated_subgroup, preset_group, trivial_subgroup,
                            whole_group)
+from tatebv.harness import make_group
 from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns, rank
 from conftest import MutatedDComplex
 
@@ -264,6 +265,52 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
             assert C.rank(-n - 2) == rank(D)
 
 
+@pytest.mark.parametrize("group,top", [
+    ("symmetric:3", 3), ("dihedral:4", 3), ("quaternion8", 3), ("perms:(0 1 2),(0 1)(2 3)", 2),
+    ("cyclic:3", 3), ("cyclic:5", 3), ("cyclic:1", 3),
+], ids=["S3", "D8", "Q8", "A4", "C3", "C5", "C1"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_class_block_ranks_sum_to_whole_rank(monkeypatch, group, top, p):
+    """At p <= 3, DComplex.rank(n) for n >= 0 eliminates one block per
+    conjugacy class K, |K| q^n columns wide (q = |G| - 1), and their ranks
+    sum to the rank of the whole face-built matrix(n), for n = 0..top.  S3
+    and A4 fail with b y b^-1 in place of b^-1 y b (A4's classes of
+    3-cycles are not closed under inversion); C3 and C5 have one block per
+    element, none of them self-inverse but 1; C1 has q = 0.  A4 stops at
+    degree 2 to keep the test short (its degree-3 whole matrix takes
+    seconds at p = 3)."""
+    G = make_group(group)
+    sizes = sorted(len(K) for K in conjugacy_classes(G).classes)
+    q = G.order - 1
+    widths = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda M, track: widths.append(M.ncols) or real(M, track))
+    C = DComplex(G, p, (0, top + 1))
+    for n in range(top + 1):
+        widths.clear()
+        got = C.rank(n)
+        assert sorted(widths) == [k * q ** n for k in sizes]
+        assert got == rank(C.matrix(n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_raises_window_error_where_matrix_does(s3, p):
+    """rank(d) refuses exactly the degrees that matrix(d) refuses, although
+    on a face-built complex rank(d <= -2) reads rank(-d-2), which may lie
+    outside the window."""
+    for window in [(-4, 0), (-2, 2), (1, 3)]:
+        for d in range(window[0] - 2, window[1] + 2):
+            C = DComplex(s3, p, window)
+            try:
+                C.matrix(d)
+            except WindowError:
+                with pytest.raises(WindowError):
+                    C.rank(d)
+            else:
+                assert C.rank(d) == rank(C.matrix(d))
+
+
 def test_overridden_unsigned_terms_keeps_template(s3):
     """A subclass that overrides unsigned_terms and sets coboundary_faces =
     None gets its matrices from the override, not from the face tables: the
@@ -346,11 +393,12 @@ def test_cohomology_dim_from_ranks_matches_quotient(s3, p):
 
 def test_rank_is_cached_on_the_complex(monkeypatch, s3):
     """Each matrix is eliminated once per complex, however many degrees
-    read its rank."""
+    read its rank, and on a face-built complex rank(-d-2) shares the
+    elimination of rank(d): ranks -4..3 take five (0..3 and -1)."""
     calls = []
     real = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda M, track: calls.append(M) or real(M, track))
     C = GroupComplex(whole_group(s3), 2)
     dims = [C.cohomology_dim(n) for n in range(-3, 4)] + [C.cohomology_dim(n) for n in range(-3, 4)]
     assert dims[:7] == dims[7:]
-    assert len(calls) == len({id(M) for M in calls}) == 8
+    assert len(calls) == len({id(M) for M in calls}) == 5

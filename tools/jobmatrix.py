@@ -63,6 +63,8 @@ JOBS = [
     ("tables", "symmetric:3", 3, "-7..7", False, 3),
     ("tables", "dihedral:4", 2, "-2..2", False, 0),
     ("dims", "dihedral:4", 2, "-4..4", True, 0),
+    ("dims", "dihedral:4", 2, "-5..5", False, 0),
+    ("dims", "perms:(0 1 2),(0 1)(2 3)", 2, "-3..3", False, 0),
     ("dims", "quaternion8", 2, "-3..3", False, 0),
     ("dims", "symmetric:4", 2, "-3..3", True, 0),
     ("dims", "symmetric:4", 2, "-5..5", False, 3),
