@@ -25,19 +25,20 @@ map, the templates leave sums unreduced and zeros in place: ``element``
 reduces mod p and drops zeros once.  The D side has one coefficient
 bimodule, kG, so both of its end terms act by G.mult.
 
-At p = 2 and p = 3 the matrix out of a degree d >= 0 streams its columns
-into elimination as bitsets from face-map tables (``coboundary_vectors``),
-and the matrix out of a degree d <= -2 its rows, since the boundary out of
--n-2 is, up to sign, the transpose of the coboundary out of n under the
-key map (g0, tail) <-> (tail, g0^-1).  A subclass that overrides
-``unsigned_terms`` alone sets ``coboundary_faces = None`` to get neither.
-``cohomology_dim`` needs only ranks, each eliminated once and kept on the
-complex; ``cohomology`` builds a ``QuotientSpace``.  On face tables the
-rank out of d <= -2 is, by that transpose, the rank out of -d-2, and the
-D side reads its ranks out of d >= 0 class block by class block: kG =
-sum_K k[K] as G-modules under conjugation, so in the basis (args, y), y =
-prod(args)^-1 h (what ``class_of_index`` reads), the coboundary is block
-diagonal, one block C^*(G, k[K]) per conjugacy class K (``class_faces``).
+The boundary out of -n-2 is, up to sign, the transpose of the coboundary
+out of n under the key map (g0, tail) <-> (tail, g0^-1), at every p, so
+the rank out of d <= -2 is the rank out of -d-2.  At p = 2 and p = 3 the
+matrix out of a degree d >= 0 streams its columns into elimination as
+bitsets from face-map tables (``coboundary_vectors``), and the matrix out
+of a degree d <= -2 its rows, by that transpose.  A subclass that
+overrides ``unsigned_terms`` alone sets ``coboundary_faces = None`` to get
+neither.  ``cohomology_dim`` needs only ranks, each eliminated once and
+kept on the complex; ``cohomology`` builds a ``QuotientSpace``.  On face
+tables the D side reads its ranks out of d >= 0 class block by class
+block: kG = sum_K k[K] as G-modules under conjugation, so in the basis
+(args, y), y = prod(args)^-1 h (what ``class_of_index`` reads), the
+coboundary is block diagonal, one block C^*(G, k[K]) per conjugacy class
+K (``class_faces``).
 """
 
 from __future__ import annotations
@@ -389,16 +390,17 @@ class _BaseComplex:
         return 1 if d >= 0 else sign_pow(-d - 1)
 
     def basis(self, d: int) -> List[Key]:
+        self.check_degree(d)
         if d not in self._basis:
             self._basis[d] = list(self.index(d))
         return self._basis[d]
 
     def index(self, d: int) -> Dict[Key, int]:
-        # the one key cache, which ``basis`` lists.  Neither this nor
-        # ``_columns`` calls ``basis``: perfbench's tracer opens a span there,
-        # and its span observers, which hold the tracer's lock, may read a
-        # matrix's lazy ``columns``
-        self.check_degree(d)
+        # the one key cache, which ``basis`` lists.  Unchecked: ``rank``
+        # indexes degrees outside the window.  Neither this nor ``_columns``
+        # calls ``basis``: perfbench's tracer opens a span there, and its
+        # span observers, which hold the tracer's lock, may read a matrix's
+        # lazy ``columns``
         if d not in self._index:
             self._index[d] = {k: i for i, k in enumerate(self.iter_basis(d))}
         return self._index[d]
@@ -418,7 +420,7 @@ class _BaseComplex:
         out: Dict[Key, int] = {}
         for key, c in elem.coeffs.items():
             self.unsigned_terms(key, d, out, c * sign)
-        return self.element(d + 1, out)
+        return self.element_cls(self, d + 1, out)
 
     def _columns(self, d: int) -> List[Dict[int, int]]:
         """The signed differential out of degree d as dict columns, from
@@ -428,8 +430,21 @@ class _BaseComplex:
         return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d, {}, sign).items()
                  if (x := c % p)} for key in self.index(d)]
 
+    def _new_matrix(self, d: int) -> SparseMatrix:
+        """matrix(d) without the window check or the cache."""
+        vectors = rows = None
+        if self.p <= 3 and self.coboundary_faces is not None and d != -1:
+            faces = self.coboundary_faces()
+            if d >= 0:
+                vectors = lambda: coboundary_vectors(*faces, d, self.p)
+            else:
+                rows = lambda: coboundary_vectors(*faces, -d - 2, self.p, rows=True)
+        return SparseMatrix(self.dim(d + 1), self.dim(d), self.p,
+                            build=lambda: self._columns(d), vectors=vectors, rows=rows)
+
     def matrix(self, d: int) -> SparseMatrix:
-        """Signed differential degree d -> d+1 over the canonical bases.
+        """Signed differential degree d -> d+1 over the canonical bases,
+        kept on the complex (``rank`` keeps none).
 
         Its dict columns are built from ``unsigned_terms`` on first read of
         ``columns``.  At p <= 3 a complex whose ``coboundary_faces`` is not
@@ -439,35 +454,25 @@ class _BaseComplex:
         ``coboundary_faces = None`` to keep getting its matrices from it."""
         self.check_degree(d)
         self.check_degree(d + 1)
-        if d in self._matrix:
-            return self._matrix[d]
-        vectors = rows = None
-        if self.p <= 3 and self.coboundary_faces is not None and d != -1:
-            faces = self.coboundary_faces()
-            if d >= 0:
-                vectors = lambda: coboundary_vectors(*faces, d, self.p)
-            else:
-                rows = lambda: coboundary_vectors(*faces, -d - 2, self.p, rows=True)
-        M = SparseMatrix(self.dim(d + 1), self.dim(d), self.p,
-                         build=lambda: self._columns(d), vectors=vectors, rows=rows)
-        self._matrix[d] = M
-        return M
+        if d not in self._matrix:
+            self._matrix[d] = self._new_matrix(d)
+        return self._matrix[d]
 
     def rank(self, d: int) -> int:
-        """Rank of matrix(d), eliminated once per complex.  On a face-built
-        complex rank(d) for d <= -2 is rank(-d-2), which need not lie in the
-        window: the rows that matrix(d) streams are the columns of
-        matrix(-d-2) up to order and sign, so both share one elimination."""
+        """Rank of matrix(d), eliminated once per complex on a matrix that
+        the complex does not keep.  rank(d) for d <= -2 is rank(-d-2), which
+        need not lie in the window: matrix(d) is the transpose of
+        matrix(-d-2) up to the order and signs of its rows and columns."""
         self.check_degree(d)
         self.check_degree(d + 1)
-        if d <= -2 and self.p <= 3 and self.coboundary_faces is not None:
+        if d <= -2:
             d = -d - 2
         if d not in self._rank:
             self._rank[d] = self._eliminated_rank(d)
         return self._rank[d]
 
     def _eliminated_rank(self, d: int) -> int:
-        return matrix_rank(self.matrix(d))
+        return matrix_rank(self._new_matrix(d))
 
     def cohomology_dim(self, n: int) -> int:
         """dim C^n - rank d_n - rank d_{n-1}: the dimension of cohomology(n)
@@ -484,14 +489,12 @@ class _BaseComplex:
 
     def random_element(self, d: int, rng, terms: int = 3):
         basis = self.basis(d)
-        if not basis:
-            return self.zero(d)
         coeffs: Dict[Key, int] = {}
-        for _ in range(terms):
+        for _ in range(terms if basis else 0):
             k = basis[rng.randrange(len(basis))]
             c = rng.randrange(1, self.p)
             _acc(coeffs, k, c)
-        return self.element(d, {k: v % self.p for k, v in coeffs.items() if v % self.p})
+        return self.element_cls(self, d, coeffs)
 
 
 class DComplex(_BaseComplex):
@@ -499,8 +502,8 @@ class DComplex(_BaseComplex):
 
     Its keys are (args, h) everywhere but in ``rank`` on face tables (p <=
     3), which reads the rank out of d >= 0 in the basis (args, y), y =
-    prod(args)^-1 h, as a sum over the class blocks, and the rank out of
-    d <= -2 as that out of -d-2, inside the window or not."""
+    prod(args)^-1 h, as a sum over the class blocks.  ``cohomology(n)``
+    needs n-1 and n+1 in the window, as matrix(n-1) and matrix(n) do."""
 
     element_cls = TateElement
 
@@ -551,7 +554,7 @@ class DComplex(_BaseComplex):
         return [class_faces(G, G.nontrivial, K) for K in conjugacy_classes(G).classes]
 
     def _eliminated_rank(self, d: int) -> int:
-        # on face tables d >= 0 may lie above the window: rank(-d-2)
+        # d >= 0 may lie above the window: rank(-d-2)
         if d < 0 or self.p > 3 or self.coboundary_faces is None:
             return super()._eliminated_rank(d)
         p, q = self.p, len(self.group.nontrivial)
@@ -559,11 +562,6 @@ class DComplex(_BaseComplex):
                                vectors=lambda f=f: coboundary_vectors(*f, d, p))
                   for f in self._class_faces]
         return sum(map(matrix_rank, blocks))
-
-    def cohomology(self, n: int) -> CohomologySpace:
-        if not (self.lo < n < self.hi):
-            raise WindowError(f"cohomology at degree {n} needs window margin around it")
-        return super().cohomology(n)
 
 
 class GroupComplex(_BaseComplex):

@@ -7,7 +7,9 @@ from tatebv.complexes import DComplex, GroupComplex
 class MutatedDComplex(DComplex):
     """Corrupts one differential to prove the checks have teeth: every
     degree-0 column gains +1 at ((g1,), e), so d^2 != 0.  Its matrices come
-    from the override, not from the face tables."""
+    from the override, not from the face tables, and its rank(d) for d <=
+    -2 reads its own corrupted rank(-d-2), so rank(-2) is that of the
+    corrupted degree-0 matrix."""
 
     coboundary_faces = None
 

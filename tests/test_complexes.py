@@ -294,11 +294,33 @@ def test_class_block_ranks_sum_to_whole_rank(monkeypatch, group, top, p):
         assert got == rank(C.matrix(n))
 
 
+@pytest.mark.parametrize("group,p,window", [
+    ("symmetric:3", 5, (-5, 4)), ("dihedral:5", 5, (-4, 3)), ("cyclic:7", 7, (-4, 3)),
+], ids=["S3-F5", "D10-F5", "C7-F7"])
+def test_boundary_rank_is_coboundary_rank_at_p5_and_p7(group, p, window):
+    """The rule every rank(d <= -2) relies on at every p: matrix(d) is the
+    transpose of matrix(-d-2) up to order and signs, so both have one rank.
+    At p >= 5 neither is face-built, so this compares the boundary template
+    with the coboundary template, on DComplex for every d <= -2 with both
+    degrees in the window, and on the GroupComplex of the whole group and
+    of a proper subgroup (the trivial one in C7) for d = -2..-5."""
+    G = make_group(group)
+    proper = min((generated_subgroup(G, [g]) for g in G.nontrivial), key=lambda H: H.order)
+    if proper.order == G.order:
+        proper = trivial_subgroup(G)
+    lo, hi = window
+    cases = [(DComplex(G, p, window), range(-2, max(lo, -hi - 1) - 1, -1)),
+             *((GroupComplex(H, p), range(-2, -6, -1)) for H in (whole_group(G), proper))]
+    for C, degrees in cases:
+        assert list(degrees)
+        for d in degrees:
+            assert rank(C.matrix(d)) == rank(C.matrix(-d - 2)) == C.rank(d)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rank_raises_window_error_where_matrix_does(s3, p):
     """rank(d) refuses exactly the degrees that matrix(d) refuses, although
-    on a face-built complex rank(d <= -2) reads rank(-d-2), which may lie
-    outside the window."""
+    rank(d <= -2) reads rank(-d-2), which may lie outside the window."""
     for window in [(-4, 0), (-2, 2), (1, 3)]:
         for d in range(window[0] - 2, window[1] + 2):
             C = DComplex(s3, p, window)
@@ -381,24 +403,27 @@ def test_cohomology_dim_from_ranks_matches_quotient(s3, p):
     """dim C^n - rank d_n - rank d_{n-1}, read on a fresh complex, equals
     the dimension of the quotient that ``cohomology`` builds, on the
     D-side complex and on the group side (whole group and a proper
-    subgroup), in both degree signs."""
+    subgroup), in both degree signs.  The ranks keep no matrix on the
+    complex."""
     make = [lambda: DComplex(s3, p, (-4, 3)), lambda: GroupComplex(whole_group(s3), p),
             lambda: GroupComplex(generated_subgroup(s3, [1]), p)]
     for new in make:
         ranked, quotient = new(), new()
         for n in range(-3, 3):
             assert ranked.cohomology_dim(n) == quotient.cohomology(n).dim
-        assert not ranked._cohomology
+        assert not ranked._cohomology and not ranked._matrix
 
 
 def test_rank_is_cached_on_the_complex(monkeypatch, s3):
     """Each matrix is eliminated once per complex, however many degrees
-    read its rank, and on a face-built complex rank(-d-2) shares the
-    elimination of rank(d): ranks -4..3 take five (0..3 and -1)."""
+    read its rank, and rank(-d-2) shares the elimination of rank(d) at
+    every p: ranks -4..3 take five (0..3 and -1) at p = 2 and p = 5."""
     calls = []
     real = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda M, track: calls.append(M) or real(M, track))
-    C = GroupComplex(whole_group(s3), 2)
-    dims = [C.cohomology_dim(n) for n in range(-3, 4)] + [C.cohomology_dim(n) for n in range(-3, 4)]
-    assert dims[:7] == dims[7:]
-    assert len(calls) == len({id(M) for M in calls}) == 5
+    for p in (2, 5):
+        calls.clear()
+        C = GroupComplex(whole_group(s3), p)
+        dims = [C.cohomology_dim(n) for n in range(-3, 4)] + [C.cohomology_dim(n) for n in range(-3, 4)]
+        assert dims[:7] == dims[7:]
+        assert len(calls) == len({id(M) for M in calls}) == 5, p

@@ -53,6 +53,7 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # (command, group, char, window, in the quick subset, expected exit code);
 # verify-s3 needs no group.  dims S4 -5..5 is refused by the cost caps, and
 # tables S3 -7..7 runs out of the address space MEM_MB allows: both exit 3.
+# dims S3 p=5 -5..2 reads rank(-5) off rank(3), a degree outside its window.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
@@ -69,6 +70,7 @@ JOBS = [
     ("dims", "symmetric:4", 2, "-3..3", True, 0),
     ("dims", "symmetric:4", 2, "-5..5", False, 3),
     ("dims", "symmetric:3", 5, "-5..5", False, 0),
+    ("dims", "symmetric:3", 5, "-5..2", True, 0),
     ("dims", "dihedral:5", 5, "-3..3", True, 0),
     ("dims", "dihedral:6", 3, "-3..3", True, 0),
     ("dims", "cyclic:7", 7, "-4..4", False, 0),
