@@ -588,14 +588,46 @@ def direct_cup(ops: DecOps, dec: ClassDecomposition, i: int, a: GroupTateElement
     return out
 
 
+def _graded_table(ops: DecOps, labels: List[Label], basis: Dict[Label, DecClass], in_window,
+                  op, sign) -> Dict[Tuple[Label, Label], DecClass]:
+    """op on every ordered pair (a, b) of labels with in_window(|a| + |b|):
+    computed by op where a <= b in label order, and filled otherwise as
+    sign(|a|, |b|) times the entry of (b, a), computed before it."""
+    out: Dict[Tuple[Label, Label], DecClass] = {}
+    for la in labels:
+        for lb in labels:
+            if in_window(la[0] + lb[0]):
+                out[la, lb] = (op(basis[la], basis[lb]) if la <= lb
+                               else ops.scale(out[lb, la], sign(la[0], lb[0])))
+    return out
+
+
+def _check_filled(ops: DecOps, table: Dict[Tuple[Label, Label], DecClass],
+                  basis: Dict[Label, DecClass], op, rng: random.Random, name: str) -> None:
+    """Recompute a seeded tenth (at least one) of the entries that
+    _graded_table filled, each by op in its own order; raise
+    VerificationError on the first that differs."""
+    filled = [(la, lb) for la, lb in table if lb < la]
+    for la, lb in rng.sample(filled, min(len(filled), max(1, len(filled) // 10))):
+        if not ops.eq(op(basis[la], basis[lb]), table[la, lb]):
+            raise VerificationError(f"{name} of {_label_str(ops, la)} and {_label_str(ops, lb)} "
+                                    f"differs from the entry filled from its other order")
+
+
 def cmd_tables(cfg: JobConfig) -> Dict:
     """Cup, BV and bracket structure constants on the basis classes of
     degrees lo..hi.  Only the printed degrees lo..hi are put into
     coordinates: the BV images of degree-lo classes, in degree lo-1, stay
     representatives for the next cup, so no cohomology space outside lo..hi
-    is built.  The brackets are TableOps.bracket, whose terms are read off
-    the cup and BV tables; only a product with a degree lo-1 factor runs a
-    cup of its own."""
+    is built.  Each unordered pair of basis labels is computed once, in label
+    order; the other order is filled by graded commutativity,
+    b.a = (-1)^(|a||b|) a.b, and graded antisymmetry,
+    [b, a] = -(-1)^((|a|-1)(|b|-1)) [a, b].  The brackets are TableOps.bracket,
+    whose terms are read off the cup and BV tables; only a product with a
+    degree lo-1 factor runs a cup of its own.  A seeded tenth of the filled
+    brackets, and of the filled cups where the direct path is over
+    DIRECT_COLUMN_CAP, is recomputed in its own order; where the direct path
+    runs, its 10% spot check draws filled cups as well as computed ones."""
     check_dec_window(cfg.window)
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
@@ -606,32 +638,29 @@ def cmd_tables(cfg: JobConfig) -> Dict:
     degrees = list(range(lo, hi + 1))
     labels = _basis_labels(ops, degrees)
     basis = {la: _dec_basis_class(ops, la) for la in labels}
+    names = {la: _label_str(ops, la) for la in labels}
 
-    cup_table: Dict[str, Optional[Dict[str, int]]] = {}
-    products: List[Tuple[Label, Label, DecClass]] = []
-    for la in labels:
-        for lb in labels:
-            key = f"{_label_str(ops, la)} * {_label_str(ops, lb)}"
-            if not (lo <= la[0] + lb[0] <= hi):
-                cup_table[key] = None
-                continue
-            prod = ops.cup(basis[la], basis[lb])
-            if any(prod.parts):
-                products.append((la, lb, prod))
-            cup_table[key] = _dec_to_vector(ops, prod)
+    cups = _graded_table(ops, labels, basis, lambda d: lo <= d <= hi, ops.cup,
+                         lambda da, db: sign_pow(da * db))
+    cup_table = {f"{names[la]} * {names[lb]}": _dec_to_vector(ops, cups[la, lb])
+                 if (la, lb) in cups else None for la in labels for lb in labels}
+    products = [(la, lb, prod) for (la, lb), prod in cups.items() if any(prod.parts)]
 
-    delta_table = {_label_str(ops, la): _dec_to_vector(ops, ops.delta(basis[la]))
+    delta_table = {names[la]: _dec_to_vector(ops, ops.delta(basis[la]))
                    if lo <= la[0] - 1 else None for la in labels}
 
-    bracket_table: Dict[str, Optional[Dict[str, int]]] = {}
-    for la in labels:
-        for lb in labels:
-            key = f"[{_label_str(ops, la)}, {_label_str(ops, lb)}]"
-            bracket_table[key] = (_dec_to_vector(ops, ops.bracket(basis[la], basis[lb]))
-                                  if lo < la[0] + lb[0] <= hi else None)
+    brackets = _graded_table(ops, labels, basis, lambda d: lo < d <= hi, ops.bracket,
+                             lambda da, db: -sign_pow((da - 1) * (db - 1)))
+    bracket_table = {f"[{names[la]}, {names[lb]}]": _dec_to_vector(ops, brackets[la, lb])
+                     if (la, lb) in brackets else None for la in labels for lb in labels}
+
+    worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
+    mirror_rng = random.Random(f"{cfg.seed}:mirror")
+    if worst > DIRECT_COLUMN_CAP:  # else the spot check below compares filled cups
+        _check_filled(ops, cups, basis, ops.cup, mirror_rng, "cup")
+    _check_filled(ops, brackets, basis, ops.bracket, mirror_rng, "bracket")
 
     # spot-check exported structure constants against the direct path
-    worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
     spot = {"checked": 0, "failed": 0}
     if worst <= DIRECT_COLUMN_CAP:
         decd = ClassDecomposition(DComplex(G, cfg.p, (lo - 1, hi + 1)), cd)

@@ -21,8 +21,12 @@ pin the outputs that the dict leading-row loop had to keep.  The
 ``selftest`` digests other than S3/F3 (p = 2 on D8 and Q8, the cyclic:2
 window with no Poisson suite, and D10 at p = 5) were computed on commit
 1945b8c, before each suite's runs were counted by one tally, so they pin
-the counts that change had to keep.  Each job takes about a second or
-less in-process.
+the counts that change had to keep.  The digests of ``tables
+symmetric:4`` at p = 2 (over the direct-path cap, so its spot check checks
+no product) and ``tables cyclic:6`` at p = 3 on -3..3 were computed on
+commit 246fd70, before ``tables`` filled b.a and [b, a] from a.b and
+[a, b], so they pin the outputs that change had to keep.  Each job takes
+about a second or less in-process.
 """
 
 import hashlib
@@ -71,6 +75,10 @@ GOLDEN = [
      "02330416deee5c8156d5623adcc0aa490e612300f2be864f909f28375fd44b3e"),
     (("dims", "--group", "dihedral:5", "--char", "2147483647", "--window", "-3..3"),
      "990a3cd9ee63f2d1e2234f6a486d10e09a4ffd3dcfc60734b6d3305ac0fc5195"),
+    (("tables", "--group", "symmetric:4", "--char", "2", "--window", "-2..2"),
+     "d1c13cf5b1cde2a109e2229d4519deb77a92b82bff56ed6d329a9d51969a0e8a"),
+    (("tables", "--group", "cyclic:6", "--char", "3", "--window", "-3..3"),
+     "6491fbfe569262ad9e10a3d6a5705bc14854eb57382331acfb2ff646aba4d143"),
 ]
 
 

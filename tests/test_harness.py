@@ -693,12 +693,94 @@ def _count_base_calls(monkeypatch):
 
 def test_tables_runs_one_base_delta_per_label(monkeypatch):
     """tables S3/F3 -4..4 runs the base DecOps.delta once per basis label at
-    most; its base cups are the 145 of the cup table and the 24 that take a
-    BV image of degree lo-1 = -5."""
+    most.  Its 101 base cups are the 76 of the cup table's pairs in label
+    order (the other 69 of its 145 entries are filled by graded
+    commutativity), the 15 that its brackets add (a BV image of degree
+    lo-1 = -5 as a factor, or a pair not in label order) and the 10 of the
+    seeded check of its filled brackets."""
     calls, delta_args = _count_base_calls(monkeypatch)
     data = cmd_tables(JobConfig(group="symmetric:3", p=3, window=(-4, 4)))
     assert len(delta_args) == len(set(delta_args)) <= len(data["tables"]["basis"])
-    assert calls["cup"] == 169
+    assert calls["cup"] == 101
+
+
+C3_X_C3 = "perms:(0 1 2),(3 4 5)"
+TABLES_FILLED_CASES = [
+    ("symmetric:3", 3, (-3, 3)), ("dihedral:4", 2, (-2, 2)),
+    ("cyclic:6", 3, (-3, 3)), ("dihedral:5", 5, (-2, 2)), (C3_X_C3, 3, (-1, 2)),
+]
+
+
+@pytest.mark.parametrize("group,p,window", TABLES_FILLED_CASES,
+                         ids=[f"{g}-p{p}-{w[0]}..{w[1]}" for g, p, w in TABLES_FILLED_CASES])
+def test_tables_filled_entries_match_their_own_order(group, p, window):
+    """Every cup b.a and bracket [b, a] that tables fills from a.b and
+    [a, b] (b after a in label order) is the entry a fresh TableOps
+    computes in the order (b, a).  At odd p some nonzero filled bracket has
+    the sign -1; a nonzero filled cup with the sign -1 (two odd degrees)
+    occurs here only on C3 x C3, of p-rank 2: on the other odd-p groups
+    every product of two odd-degree classes is 0."""
+    lo, hi = window
+    tables = cmd_tables(JobConfig(group=group, p=p, window=window))["tables"]
+    G = make_group(group)
+    ops = TableOps(G, p, coord_cap=dict.fromkeys(range(conjugacy_classes(G).num_classes), window))
+    labels = harness._basis_labels(ops, range(lo, hi + 1))
+    basis = {la: harness._dec_basis_class(ops, la) for la in labels}
+    filled, signed = collections.Counter(), collections.Counter()
+    for la, lb in itertools.combinations(labels, 2):
+        b, a = harness._label_str(ops, lb), harness._label_str(ops, la)
+        if lo <= la[0] + lb[0] <= hi:
+            want = harness._dec_to_vector(ops, ops.cup(basis[lb], basis[la]))
+            assert tables["cup"][f"{b} * {a}"] == want
+            filled["cup"] += 1
+            signed["cup"] += bool(want) and la[0] * lb[0] % 2
+        if lo < la[0] + lb[0] <= hi:
+            want = harness._dec_to_vector(ops, ops.bracket(basis[lb], basis[la]))
+            assert tables["bracket"][f"[{b}, {a}]"] == want
+            filled["bracket"] += 1
+            signed["bracket"] += bool(want) and (la[0] - 1) * (lb[0] - 1) % 2 == 0
+    assert filled["cup"] and filled["bracket"]
+    if p > 2:
+        assert signed["bracket"]
+        assert bool(signed["cup"]) == (group == C3_X_C3)
+
+
+def _plus_basis_class(ops, X):
+    """X plus the first basis class of its degree, in the coordinate range
+    of its class: a change that shows at p = 2, where negation does not."""
+    for cls in range(ops.cd.num_classes):
+        if ops.in_range(cls, X.degree) and ops.cls_dim(cls, X.degree):
+            return ops.add(X, harness._dec_basis_class(ops, (X.degree, cls, 0)))
+    return X
+
+
+def test_tables_checks_filled_cups_without_direct_path(monkeypatch):
+    """tables symmetric:4 at p = 2 on -2..2 is over DIRECT_COLUMN_CAP, so
+    its spot check checks no product.  A base cup a.b with |a| < |b| that
+    gains a basis class, while b.a does not, fails the seeded check of the
+    filled cups."""
+    cup = DecOps.cup
+
+    def perturbed(self, A, B):
+        out = cup(self, A, B)
+        return _plus_basis_class(self, out) if A.degree < B.degree else out
+    monkeypatch.setattr(DecOps, "cup", perturbed)
+    with pytest.raises(VerificationError, match="^cup of"):
+        cmd_tables(JobConfig(group="symmetric:4", p=2, window=(-2, 2)))
+
+
+def test_tables_checks_filled_brackets(monkeypatch):
+    """A bracket [a, b] with |a| < |b| that gains a basis class, while
+    [b, a] does not, fails tables S3/F3 -4..4's seeded check of the filled
+    brackets."""
+    bracket = DecOps.bracket
+
+    def perturbed(self, A, B):
+        out = bracket(self, A, B)
+        return _plus_basis_class(self, out) if A.degree < B.degree else out
+    monkeypatch.setattr(DecOps, "bracket", perturbed)
+    with pytest.raises(VerificationError, match="^bracket of"):
+        cmd_tables(JobConfig(group="symmetric:3", p=3, window=(-4, 4)))
 
 
 def test_verify_s3_base_call_counts(monkeypatch):

@@ -54,6 +54,8 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # verify-s3 needs no group.  dims S4 -5..5 is refused by the cost caps, and
 # tables S3 -7..7 runs out of the address space MEM_MB allows: both exit 3.
 # dims S3 p=5 -5..2 reads rank(-5) off rank(3), a degree outside its window.
+# tables S4 p=2 -2..2 is over the direct-path cap: no spot check, so it runs
+# the seeded recomputation of the cups tables fills from the other order.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
@@ -63,6 +65,7 @@ JOBS = [
     ("tables", "symmetric:3", 3, "-6..6", False, 0),
     ("tables", "symmetric:3", 3, "-7..7", False, 3),
     ("tables", "dihedral:4", 2, "-2..2", False, 0),
+    ("tables", "symmetric:4", 2, "-2..2", True, 0),
     ("dims", "dihedral:4", 2, "-4..4", True, 0),
     ("dims", "dihedral:4", 2, "-5..5", False, 0),
     ("dims", "perms:(0 1 2),(0 1)(2 3)", 2, "-3..3", False, 0),
