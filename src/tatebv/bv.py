@@ -251,9 +251,6 @@ class CohClass:
     def rep(self) -> TateElement:
         return self.space.lift(list(self.coords))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def add(self, other: "CohClass", c: int = 1) -> "CohClass":
         if other.space is not self.space:
             raise ValueError("classes live in different spaces")

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     tatebv <command> --group <preset[:param] | perms:"(0 1 2),(0 1)" | file:PATH>
-           --char P --window LO..HI --seed N --format json|csv|text --threads 1
+           --char P --window LO..HI --seed N --format json|csv|text
 
 Commands: info, dims, tables, verify-s3, verify-appendix-b, selftest,
 export-diff.  Exit codes: 0 success, 1 verification failure, 2 invalid
@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--window", default="-4..3", help="degree window LO..HI")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", dest="fmt", default="text", choices=("json", "csv", "text"))
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--output", default=".", help="directory for csv output files")
     return ap
 
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_window_args(argv))
     try:
         cfg = JobConfig(group=args.group, p=args.char, window=_parse_window(args.window),
-                        seed=args.seed, fmt=args.fmt, threads=args.threads)
+                        seed=args.seed, fmt=args.fmt)
         if args.command == "info":
             result = cmd_info(cfg)
         elif args.command == "dims":

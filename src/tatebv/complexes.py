@@ -30,15 +30,13 @@ out of n under the key map (g0, tail) <-> (tail, g0^-1), at every p, so
 the rank out of d <= -2 is the rank out of -d-2.  At p = 2 and p = 3 the
 matrix out of a degree d >= 0 streams its columns into elimination as
 bitsets from face-map tables (``coboundary_vectors``), and the matrix out
-of a degree d <= -2 its rows, by that transpose.  A subclass that
-overrides ``unsigned_terms`` alone sets ``coboundary_faces = None`` to get
-neither.  ``cohomology_dim`` needs only ranks, each eliminated once and
-kept on the complex; ``cohomology`` builds a ``QuotientSpace``.  On face
-tables the D side reads its ranks out of d >= 0 class block by class
-block: kG = sum_K k[K] as G-modules under conjugation, so in the basis
-(args, y), y = prod(args)^-1 h (what ``class_of_index`` reads), the
-coboundary is block diagonal, one block C^*(G, k[K]) per conjugacy class
-K (``class_faces``).
+of a degree d <= -2 its rows, by that transpose.  ``cohomology_dim``
+needs only ranks, each eliminated once and kept on the complex;
+``cohomology`` builds a ``QuotientSpace``.  On face tables the D side
+reads its ranks out of d >= 0 class block by class block: kG = sum_K
+k[K] as G-modules under conjugation, so in the basis (args, y), y =
+prod(args)^-1 h (what ``class_of_index`` reads), the coboundary is block
+diagonal, one block C^*(G, k[K]) per conjugacy class K (``class_faces``).
 """
 
 from __future__ import annotations
@@ -313,10 +311,6 @@ class _Element:
 class TateElement(_Element):
     """Element of D^d(kG, kG)."""
 
-    @property
-    def group(self) -> Group:
-        return self.complex.group
-
 
 class GroupTateElement(_Element):
     """Element of the Tate cochain complex of a subgroup, trivial coefficients."""
@@ -358,7 +352,6 @@ class CohomologySpace:
 
 class _BaseComplex:
     element_cls = _Element
-    coboundary_faces = None  # or a method giving the face tables of ``coboundary_vectors``
 
     def __init__(self, p: int):
         self.p = p
@@ -431,9 +424,10 @@ class _BaseComplex:
                  if (x := c % p)} for key in self.index(d)]
 
     def _new_matrix(self, d: int) -> SparseMatrix:
-        """matrix(d) without the window check or the cache."""
+        """matrix(d) without the window check or the cache; at p <= 3 it
+        streams from the face tables of the subclass's ``coboundary_faces``."""
         vectors = rows = None
-        if self.p <= 3 and self.coboundary_faces is not None and d != -1:
+        if self.p <= 3 and d != -1:
             faces = self.coboundary_faces()
             if d >= 0:
                 vectors = lambda: coboundary_vectors(*faces, d, self.p)
@@ -447,11 +441,9 @@ class _BaseComplex:
         kept on the complex (``rank`` keeps none).
 
         Its dict columns are built from ``unsigned_terms`` on first read of
-        ``columns``.  At p <= 3 a complex whose ``coboundary_faces`` is not
-        None builds its matrices from the face tables instead: each streams
-        its columns (d >= 0) or its rows (d <= -2) on every pass, and nothing
-        holds them.  A subclass that overrides ``unsigned_terms`` alone sets
-        ``coboundary_faces = None`` to keep getting its matrices from it."""
+        ``columns``.  At p <= 3 the matrices come from the face tables
+        instead: each streams its columns (d >= 0) or its rows (d <= -2) on
+        every pass, and nothing holds them."""
         self.check_degree(d)
         self.check_degree(d + 1)
         if d not in self._matrix:
@@ -555,7 +547,7 @@ class DComplex(_BaseComplex):
 
     def _eliminated_rank(self, d: int) -> int:
         # d >= 0 may lie above the window: rank(-d-2)
-        if d < 0 or self.p > 3 or self.coboundary_faces is None:
+        if d < 0 or self.p > 3:
             return super()._eliminated_rank(d)
         p, q = self.p, len(self.group.nontrivial)
         blocks = [SparseMatrix(f[2] * q ** (d + 1), f[2] * q ** d, p, build=None,

@@ -18,9 +18,8 @@ of the source contributes finitely many basis elements of the target, with
 terms dropped whenever the normalized convention puts an identity into a
 tuple slot.  The cochain-side maps sum over the coset paths of
 CosetSystem.paths, which drops a path at its first identity slot (for a
-central x the one path of a tuple is the tuple itself, and rho_cochain
-maps it directly); the chain-side maps thread a key's one path with
-CosetSystem.thread.
+central x the one path of a tuple is the tuple itself); the chain-side
+maps thread a key's one path with CosetSystem.thread.
 """
 
 from __future__ import annotations
@@ -98,10 +97,6 @@ class ClassDecomposition:
         G = self.group
         cs = self.cosets[cls]
         xs = self.twisted[cls]
-        if cs.count == 1:
-            # x is central: T's one coset path is T itself, so keys stay distinct
-            row, prod = G.mult[xs[0]], G.prod
-            return self.dcomplex.element(n, {(T, row[prod(T)]): c for T, c in gelem.coeffs.items()})
         out: Dict[Key, int] = {}
         for T, c in gelem.coeffs.items():
             for start, gt in cs.paths(T):

@@ -64,6 +64,17 @@ class Group:
         return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(a))
 
 
+def _check_shape(table: Sequence[Sequence[int]]) -> None:
+    """Refuse a table that is not square or has an entry outside 0..n-1."""
+    n = len(table)
+    for row in table:
+        if len(row) != n:
+            raise GroupError("multiplication table is not square")
+        for v in row:
+            if not (0 <= v < n):
+                raise GroupError("table entry out of range")
+
+
 def _validate_table(mult: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     """Check that mult is a group table with identity 0; return the inverses.
 
@@ -75,12 +86,7 @@ def _validate_table(mult: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     reached, so more than log2 n generators mean the table, which has an
     identity and inverses by then, is not associative."""
     n = len(mult)
-    for row in mult:
-        if len(row) != n:
-            raise GroupError("multiplication table is not square")
-        for v in row:
-            if not (0 <= v < n):
-                raise GroupError("table entry out of range")
+    _check_shape(mult)
     if any(mult[0][x] != x or mult[x][0] != x for x in range(n)):
         raise GroupError("no identity")
     if any(0 not in row for row in mult):
@@ -114,12 +120,7 @@ def group_from_mult_table(table: Sequence[Sequence[int]], labels: Optional[Seque
     n = len(table)
     if n == 0:
         raise GroupError("empty table")
-    for row in table:
-        if len(row) != n:
-            raise GroupError("multiplication table is not square")
-        for v in row:
-            if not (0 <= v < n):
-                raise GroupError("table entry out of range")
+    _check_shape(table)
     e = None
     for cand in range(n):
         if all(table[cand][x] == x and table[x][cand] == x for x in range(n)):

@@ -104,9 +104,9 @@ def make_group(spec: str) -> Group:
 
 class JobConfig:
     def __init__(self, group: str = "symmetric:3", p: int = 3, window: Tuple[int, int] = (-4, 3),
-                 seed: int = 0, fmt: str = "text", threads: int = 1):
+                 seed: int = 0, fmt: str = "text"):
         self.group, self.p, self.window = group, p, window
-        self.seed, self.fmt, self.threads = seed, fmt, threads
+        self.seed, self.fmt = seed, fmt
         from .linalg import PRIME_BOUND, is_prime
         if self.p >= PRIME_BOUND:
             raise ConfigError(f"characteristic {self.p} is not below {PRIME_BOUND}, "
@@ -118,8 +118,6 @@ class JobConfig:
             raise ConfigError(f"window {self.window} is empty")
         if self.fmt not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.threads != 1:
-            raise ConfigError(f"threads must be 1 (got {self.threads}): jobs run in one thread")
 
     def hash(self) -> str:
         import hashlib
@@ -133,10 +131,10 @@ def _provenance(cfg: JobConfig) -> Dict:
             "config_hash": cfg.hash()}
 
 
-def check_direct_cost(G: Group, window: Tuple[int, int]) -> None:
-    worst = max(dim_degree(G, d) for d in range(window[0] - 1, window[1] + 2))
-    if worst > DIRECT_COLUMN_CAP:
-        raise CostCapError(f"direct path needs {worst} basis columns (cap {DIRECT_COLUMN_CAP})")
+def direct_fits(G: Group, lo: int, hi: int) -> bool:
+    """Whether every D-complex degree lo..hi has at most DIRECT_COLUMN_CAP
+    basis elements, so that the direct path may run on them."""
+    return max(dim_degree(G, d) for d in range(lo, hi + 1)) <= DIRECT_COLUMN_CAP
 
 
 def check_dec_window(window: Tuple[int, int]) -> None:
@@ -175,17 +173,17 @@ class DecClass:
 class DecOps:
     """Operations on decomposition-path classes for one (group, p) pair.
 
-    coord_cap maps a class to the degrees (lo, hi) in which its components
+    window = (lo, hi) gives the degrees in which every class's components
     are put into coordinates; outside them a component stays a
     representative cocycle, so no space of that degree is built for it.
-    A class without an entry is coordinatized in every degree."""
+    With window None every degree is coordinatized."""
 
-    def __init__(self, G: Group, p: int, coord_cap: Optional[Dict[int, Tuple[int, int]]] = None):
+    def __init__(self, G: Group, p: int, window: Optional[Tuple[int, int]] = None):
         self.group = G
         self.p = p
         self.cd = conjugacy_classes(G)
         self.ctx = TransferContext(G, p, self.cd)
-        self.coord_cap = coord_cap or {}
+        self.window = window
         self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
         self._sylows: Dict[int, Subgroup] = {}
 
@@ -195,9 +193,8 @@ class DecOps:
     def cls_dim(self, cls: int, n: int) -> int:
         return self.space(cls, n).dim
 
-    def in_range(self, cls: int, n: int) -> bool:
-        cap = self.coord_cap.get(cls)
-        return cap is None or cap[0] <= n <= cap[1]
+    def in_range(self, n: int) -> bool:
+        return self.window is None or self.window[0] <= n <= self.window[1]
 
     def sylow(self, cls: int) -> Subgroup:
         """A Sylow p-subgroup P_k of the centralizer C_k, found once per class."""
@@ -206,7 +203,7 @@ class DecOps:
         return self._sylows[cls]
 
     def _entry_from_elem(self, cls: int, gelem: GroupTateElement) -> Optional[Entry]:
-        if self.in_range(cls, gelem.degree):
+        if self.in_range(gelem.degree):
             coords = tuple(self.space(cls, gelem.degree).project(gelem))
             return ("c", coords) if any(coords) else None
         if gelem.is_zero() or self.sylow(cls).order == 1:  # P_k = 1: Tate cohomology of C_k is 0
@@ -296,7 +293,7 @@ class DecOps:
                 if i == 0 and j == 0:
                     # products of identity components never leave it; outside the
                     # coordinate range they are formed on P_0, as res is a ring map
-                    rep = self.lift_entry if self.in_range(0, deg) else self.restrict_entry
+                    rep = self.lift_entry if self.in_range(deg) else self.restrict_entry
                     reps = {0: self.ctx.group_cup_rep(rep(0, A.degree, ea), rep(0, B.degree, eb))}
                 else:
                     reps = self.ctx.double_coset_cup_reps(i, j, self.lift_entry(i, A.degree, ea),
@@ -323,7 +320,7 @@ class DecOps:
             x = self.cd.reps[cls]
             if tag == "r" and deg >= 1 and x in val.subgroup.member_set:
                 piece = delta_tilde(x, val)  # over val's subgroup, C_k or P_k
-                if self.in_range(cls, deg - 1):
+                if self.in_range(deg - 1):
                     piece = self.lift_entry(cls, deg - 1, ("r", piece))
             else:
                 gelem = self.lift_entry(cls, deg, entry)
@@ -377,8 +374,8 @@ class TableOps(DecOps):
     goes to DecOps one component pair at a time.  bracket, add and is_zero
     are DecOps's, so a bracket is read off the two tables."""
 
-    def __init__(self, G: Group, p: int, coord_cap: Optional[Dict[int, Tuple[int, int]]] = None):
-        super().__init__(G, p, coord_cap)
+    def __init__(self, G: Group, p: int, window: Optional[Tuple[int, int]] = None):
+        super().__init__(G, p, window)
         self._cups: Dict[Tuple[Label, Label], DecClass] = {}
         self._deltas: Dict[Label, DecClass] = {}
 
@@ -437,7 +434,7 @@ def cmd_info(cfg: JobConfig) -> Dict:
 
 def _config_dict(cfg: JobConfig) -> Dict:
     return {"group": cfg.group, "char": cfg.p, "window": list(cfg.window),
-            "seed": cfg.seed, "format": cfg.fmt, "threads": cfg.threads}
+            "seed": cfg.seed, "format": cfg.fmt, "threads": 1}  # every job runs in one thread
 
 
 def check_square(cplx, n: int, rng: random.Random) -> None:
@@ -523,8 +520,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     totals = [sum(col) for col in zip(*per_class)] if per_class else []
 
     direct: Optional[Dict[str, int]] = None
-    worst = max(dim_degree(G, d) for d in range(lo, hi + 1))
-    if worst <= DIRECT_COLUMN_CAP:
+    if direct_fits(G, lo, hi):
         inner = range(lo + 1, hi)
         direct = dict(zip(map(str, inner), checked_dims(DComplex(G, cfg.p, (lo, hi)), inner, rng)))
         for n in inner:
@@ -633,7 +629,7 @@ def cmd_tables(cfg: JobConfig) -> Dict:
     cd = conjugacy_classes(G)
     check_decomposition_cost(cd, cfg.window)
     lo, hi = cfg.window
-    ops = TableOps(G, cfg.p, coord_cap=dict.fromkeys(range(cd.num_classes), (lo, hi)))
+    ops = TableOps(G, cfg.p, window=cfg.window)
     rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
     labels = _basis_labels(ops, degrees)
@@ -654,15 +650,15 @@ def cmd_tables(cfg: JobConfig) -> Dict:
     bracket_table = {f"[{names[la]}, {names[lb]}]": _dec_to_vector(ops, brackets[la, lb])
                      if (la, lb) in brackets else None for la in labels for lb in labels}
 
-    worst = max(dim_degree(G, d) for d in range(lo - 1, hi + 2))
+    direct = direct_fits(G, lo - 1, hi + 1)
     mirror_rng = random.Random(f"{cfg.seed}:mirror")
-    if worst > DIRECT_COLUMN_CAP:  # else the spot check below compares filled cups
+    if not direct:  # else the spot check below compares filled cups
         _check_filled(ops, cups, basis, ops.cup, mirror_rng, "cup")
     _check_filled(ops, brackets, basis, ops.bracket, mirror_rng, "bracket")
 
     # spot-check exported structure constants against the direct path
     spot = {"checked": 0, "failed": 0}
-    if worst <= DIRECT_COLUMN_CAP:
+    if direct:
         decd = ClassDecomposition(DComplex(G, cfg.p, (lo - 1, hi + 1)), cd)
         rng.shuffle(products)
         for la, lb, expect in products[: max(1, len(products) // 10)]:
@@ -689,7 +685,8 @@ def cmd_tables(cfg: JobConfig) -> Dict:
 def cmd_export_diff(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     lo, hi = cfg.window
-    check_direct_cost(G, cfg.window)
+    if not direct_fits(G, lo - 1, hi + 1):
+        raise CostCapError(f"direct path needs more than {DIRECT_COLUMN_CAP} basis columns")
     dc = DComplex(G, cfg.p, (lo, hi))
     triples = []
     for d in range(lo, hi):

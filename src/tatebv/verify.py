@@ -21,8 +21,9 @@ from .bv import (bv_operator, class_of, cup, induced_cup, lie_bracket, m3,
 from .complexes import DComplex, GroupComplex, class_of_index, dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde
 from .groups import conjugacy_classes, preset_group, whole_group
-from .harness import (DIRECT_COLUMN_CAP, ConfigError, DecClass, DecOps, JobConfig, TableOps,
-                      _config_dict, _provenance, check_dec_window, direct_cup, make_group)
+from .harness import (ConfigError, DecClass, DecOps, JobConfig, TableOps, _config_dict,
+                      _provenance, check_dec_window, check_decomposition_cost, direct_cup,
+                      direct_fits, make_group)
 from .linalg import kernel_basis
 
 
@@ -156,7 +157,7 @@ MEMBERSHIP_LINES = [
 class S3Verifier:
     def __init__(self):
         G = preset_group("symmetric", 3)
-        self.ops = TableOps(G, 3, coord_cap={0: (-4, 4)})
+        self.ops = TableOps(G, 3, window=(-4, 4))
         self.checks = CheckList()
 
     def _gen_class(self, cls: int, degree: int) -> DecClass:
@@ -369,6 +370,7 @@ def cmd_verify_appendix_b(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     if G.order % cfg.p:
         raise ConfigError("this check needs the characteristic to divide the group order")
+    check_decomposition_cost(conjugacy_classes(G), (-4, -1))  # whole-group degrees -5..0
     cplx = GroupComplex(whole_group(G), cfg.p)
     ck = CheckList()
     for s in range(0, 3):
@@ -399,9 +401,10 @@ def cmd_selftest(cfg: JobConfig) -> Dict:
     G = make_group(cfg.group)
     p = cfg.p
     lo, hi = cfg.window
+    cd = conjugacy_classes(G)
+    check_decomposition_cost(cd, cfg.window)
     rng = random.Random(cfg.seed)
     dc = DComplex(G, p, (lo - 2, hi + 2))
-    cd = conjugacy_classes(G)
     dec = ClassDecomposition(dc, cd)
     suites: Dict[str, Dict[str, int]] = {}
 
@@ -515,7 +518,7 @@ def cmd_selftest(cfg: JobConfig) -> Dict:
             runs += 1
             yield lhs.coords != rhs.coords
 
-    if max(dim_degree(G, d) for d in range(lo - 1, hi + 2)) <= DIRECT_COLUMN_CAP:
+    if direct_fits(G, lo - 1, hi + 1):
         poisson = tally(poisson_rule_on_classes())
         if poisson["runs"]:  # no classes or no triple in the window: no entry
             suites["poisson_rule_on_classes"] = poisson

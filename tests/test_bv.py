@@ -411,10 +411,10 @@ def test_associativity_on_classes(dc, spaces, rng):
 
 def test_induced_delta(dc, spaces):
     unit = class_of(spaces[0], dc.element(0, {((), 0): 1}))
-    assert induced_delta(unit).is_zero()
+    assert not any(induced_delta(unit).coords)
     for a in basis_classes(spaces, range(-3, 4)):
         d2a = induced_delta(induced_delta(a))
-        assert d2a.is_zero()
+        assert not any(d2a.coords)
 
 
 def test_checked_rep_lifts_and_checks_each_class_once(dc, spaces):
@@ -458,7 +458,7 @@ def test_bracket_antisymmetry(dc, spaces, rng):
 
 def test_bracket_even_square_zero(dc, spaces):
     for a in basis_classes(spaces, [0, 2, -2]):
-        assert lie_bracket(a, a).is_zero()
+        assert not any(lie_bracket(a, a).coords)
 
 
 def test_poisson_rule(dc, spaces, rng):

@@ -68,8 +68,10 @@ def test_invalid_config_exit_codes(tmp_path, capsys):
     assert main(["dims", "--group", "cyclic:2", "--char", "6", "--window", "-2..2"]) == 2
     assert main(["dims", "--group", "nosuch:3", "--char", "3", "--window", "-2..2"]) == 2
     assert main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "2..-2"]) == 2
-    assert main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "-2..2",
-                 "--threads", "2"]) == 2
+    # jobs run in one thread, so there is no --threads option
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--group", "cyclic:2", "--char", "3", "--window", "-2..2", "--threads", "2"])
+    assert exc.value.code == 2
     # file: specs: a missing file, bad JSON, a table without "mult"
     missing = tmp_path / "missing.json"
     bad_json = tmp_path / "bad.json"

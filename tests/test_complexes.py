@@ -334,14 +334,12 @@ def test_rank_raises_window_error_where_matrix_does(s3, p):
 
 
 def test_overridden_unsigned_terms_keeps_template(s3):
-    """A subclass that overrides unsigned_terms and sets coboundary_faces =
-    None gets its matrices from the override, not from the face tables: the
-    mutated complex carries its bogus +1 at row ((g1,), e) of every
-    degree-0 column, and streams no rows in negative degrees either.  The
-    opt-out is that attribute alone: the same override with the inherited
-    face tables streams the uncorrupted vectors."""
-    assert MutatedDComplex.coboundary_faces is None
-    streamed = type("Streamed", (MutatedDComplex,), {"coboundary_faces": DComplex.coboundary_faces})
+    """The mutated complex, which overrides unsigned_terms and builds its
+    matrices from that template, carries its bogus +1 at row ((g1,), e) of
+    every degree-0 column, and streams no rows in negative degrees either.
+    The same override on a plain DComplex subclass leaves the matrices to
+    the face tables, which stream the uncorrupted vectors."""
+    streamed = type("Streamed", (DComplex,), {"unsigned_terms": MutatedDComplex.unsigned_terms})
     S = streamed(s3, 3, (-2, 2)).matrix(0)
     assert S.vectors is not None and streamed(s3, 3, (-4, 0)).matrix(-3).rows is not None
     M = MutatedDComplex(s3, 3, (-2, 2)).matrix(0)

@@ -14,8 +14,8 @@ from tatebv.complexes import DComplex, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import CosetSystem, conjugacy_classes, preset_group, sylow_subgroup
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
-                            VerificationError, check_decomposition_cost, check_direct_cost,
-                            checked_dims, cmd_dims, cmd_tables, make_group)
+                            VerificationError, check_decomposition_cost, checked_dims, cmd_dims,
+                            cmd_tables, direct_fits, make_group)
 from tatebv.transfer import TransferContext
 from tatebv.verify import S3Verifier
 
@@ -24,8 +24,8 @@ from conftest import MutatedDComplex, MutatedGroupComplex
 
 @pytest.fixture(scope="module")
 def s3_ops(shared_ops):
-    ops = copy.copy(shared_ops("symmetric:3", 3))  # the same spaces and lifts, another cap
-    ops.coord_cap = {0: (-4, 4)}
+    ops = copy.copy(shared_ops("symmetric:3", 3))  # the same spaces and lifts, another window
+    ops.window = (-4, 4)
     return ops
 
 
@@ -36,11 +36,11 @@ def _gen(ops, n):
 
 def _refuse_whole_group_products(monkeypatch, ops):
     """Make group_cup_rep refuse factors over the whole group (the class-0
-    centralizer) whose degree sum lies outside ops' class-0 coordinate range."""
+    centralizer) whose degree sum lies outside ops' coordinate window."""
     cup_rep = TransferContext.group_cup_rep
 
     def guarded(self, a, b):
-        if a.subgroup.order == ops.group.order and not ops.in_range(0, a.degree + b.degree):
+        if a.subgroup.order == ops.group.order and not ops.in_range(a.degree + b.degree):
             raise AssertionError(f"degree {a.degree + b.degree} product built over the whole group")
         return cup_rep(self, a, b)
     monkeypatch.setattr(TransferContext, "group_cup_rep", guarded)
@@ -77,12 +77,12 @@ DECIDER_CASES = [("symmetric:3", 3, 3), ("symmetric:3", 2, 3), ("symmetric:4", 2
                          ids=[f"{'A4' if g.startswith('perms') else g}-p{p}"
                               for g, p, _ in DECIDER_CASES])
 def test_is_zero_on_sylow_matches_projection(shared_ops, group, p, m):
-    """With coord_cap (0, 0) for every class, each entry in a nonzero degree is a
-    representative.  For v = lift(coords) + d(random element), deciding v on
-    a Sylow subgroup of the centralizer (P < C, P = C and P = 1 all occur)
-    says zero exactly when coords are all zero."""
-    ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another cap
-    ops.coord_cap = dict.fromkeys(range(ops.cd.num_classes), (0, 0))
+    """With window (0, 0), each entry in a nonzero degree is a representative.
+    For v = lift(coords) + d(random element), deciding v on a Sylow
+    subgroup of the centralizer (P < C, P = C and P = 1 all occur) says
+    zero exactly when coords are all zero."""
+    ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another window
+    ops.window = (0, 0)
     rng = random.Random(16)
     for cls, C in enumerate(ops.cd.centralizers):
         cplx = ops.ctx.complex_for(C)
@@ -109,12 +109,12 @@ def test_is_zero_refuses_a_non_cocycle_on_the_sylow_subgroup(s3_plain_ops):
 
 def test_cost_caps():
     G = preset_group("cyclic", 5)
-    with pytest.raises(CostCapError):
-        check_direct_cost(G, (-200, 200))
-    from tatebv.groups import conjugacy_classes
+    assert not direct_fits(G, -201, 201)
     with pytest.raises(CostCapError):
         check_decomposition_cost(conjugacy_classes(G), (-200, 200))
-    check_direct_cost(G, (-3, 3))
+    assert direct_fits(G, -4, 4)
+    # 5 * 4^s columns in degrees s and -s-1: 327,680 > 200,000 from s = 8
+    assert direct_fits(G, -8, 7) and not direct_fits(G, -8, 8) and not direct_fits(G, -9, 7)
 
 
 def test_make_group_specs(tmp_path):
@@ -299,7 +299,7 @@ def _delta_inputs(ops, d, rng):
     """Every basis class of degree d, then 5 random combinations over all
     classes; a class out of coordinate range becomes a representative."""
     def entry(cls, coords):
-        if ops.in_range(cls, d):
+        if ops.in_range(d):
             return ("c", tuple(coords))
         return ("r", ops.space(cls, d).lift(list(coords)))
 
@@ -329,21 +329,21 @@ def shared_ops():
     return get
 
 
-@pytest.mark.parametrize("group,p,lo,hi,coord_cap", [
+@pytest.mark.parametrize("group,p,lo,hi,window", [
     ("symmetric:3", 3, -5, 5, None), ("dihedral:4", 2, -4, 4, None),
     ("quaternion8", 2, -3, 3, None), ("cyclic:6", 3, -4, 4, None),
     ("dihedral:5", 5, -3, 3, None), ("symmetric:4", 2, -2, 2, None),
-    pytest.param("symmetric:3", 3, -5, 5, {0: (-2, 2)}, id="symmetric:3-3--5-5-cap0=2"),
+    pytest.param("symmetric:3", 3, -5, 5, (-2, 2), id="symmetric:3-3--5-5-cap0=2"),
 ])
-def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):
+def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, window):
     """DecOps.delta on the centralizer complexes gives the classes of the
     D-side BV operator taken through the deformation retract, on every
     basis class and on random combinations, coordinate and representative
-    entries alike (class-0 parts outside coord_cap are representatives)."""
+    entries alike (parts outside the window are representatives)."""
     ops = shared_ops(group, p)
-    if coord_cap:
-        ops = copy.copy(ops)  # the same spaces and lifts, another cap
-        ops.coord_cap = coord_cap
+    if window:
+        ops = copy.copy(ops)  # the same spaces and lifts, another window
+        ops.window = window
     dec = ClassDecomposition(DComplex(ops.group, p, (lo - 1, hi)), ops.cd)
     rng = random.Random(14)
     tags = set()
@@ -355,7 +355,7 @@ def test_delta_matches_retract_path(shared_ops, group, p, lo, hi, coord_cap):
             assert got.degree == d - 1
             tags.update(tag for tag, _ in got.parts.values())
             assert _class_coords(ops, got) == _retract_delta(ops, dec, A), (d, A.parts)
-    assert tags == ({"c", "r"} if coord_cap else {"c"})
+    assert tags == ({"c", "r"} if window else {"c"})
 
 
 @pytest.fixture(scope="module")
@@ -389,20 +389,26 @@ def test_delta_stays_on_centralizer_complexes(monkeypatch, s3_plain_ops):
 def test_class_arithmetic_builds_no_d_complex(monkeypatch, group, p):
     """DecOps set-up, cup, delta in both degree signs, bracket and is_zero
     on a representative entry run on the centralizer complexes alone:
-    neither a D-complex nor a ClassDecomposition is ever built."""
+    neither a D-complex nor a ClassDecomposition is ever built.  With
+    window (0, 0) every class's parts in a nonzero degree are kept as
+    representatives, and those in degree 0 as coordinates."""
     def refuse(*args, **kwargs):
         raise AssertionError("class arithmetic built a D-complex")
     monkeypatch.setattr(DComplex, "__init__", refuse)
     monkeypatch.setattr(ClassDecomposition, "__init__", refuse)
-    ops = DecOps(make_group(group), p, coord_cap={0: (0, 0)})
+    ops = DecOps(make_group(group), p, window=(0, 0))
     basis = [harness._dec_basis_class(ops, lab)
              for lab in harness._basis_labels(ops, range(-1, 2))]
     assert {A.degree for A in basis} == {-1, 0, 1}
+    parts = set()  # (nonzero degree, class, tag) of each part of each result
     for A in basis:
-        ops.delta(A)
+        results = [ops.delta(A)]
         for B in basis:
-            ops.cup(A, B)
-            ops.bracket(A, B)
+            results += [ops.cup(A, B), ops.bracket(A, B)]
+        for X in results:
+            parts.update((X.degree != 0, cls, tag) for cls, (tag, _) in X.parts.items())
+    assert {(nonzero, tag) for nonzero, _, tag in parts} == {(True, "r"), (False, "c")}
+    assert len({cls for nonzero, cls, _ in parts if nonzero}) > 1
     # class 0 outside degree 0 is kept as a representative entry: a
     # representative cocycle is nonzero, a coboundary is zero
     cplx = ops.ctx.complex_for(ops.cd.centralizers[0])
@@ -465,8 +471,8 @@ def _class_with(ops, rep_order, cent_order):
 
 
 def _sylow_ops(shared_ops, group, p, cls):
-    ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another cap
-    ops.coord_cap = {cls: (0, 0)}
+    ops = copy.copy(shared_ops(group, p))  # the same spaces and lifts, another window
+    ops.window = (0, 0)
     P = ops.sylow(cls)
     assert 1 < P.order < ops.cd.centralizers[cls].order
     return ops, P, ops.ctx.complex_for(P)
@@ -481,11 +487,11 @@ SYLOW_PRODUCT_CASES = [("symmetric:3", 3, 4), ("symmetric:4", 2, 2),
                          ids=[f"{'A4' if g.startswith('perms') else g}-p{p}"
                               for g, p, _ in SYLOW_PRODUCT_CASES])
 def test_out_of_range_products_form_on_the_sylow_subgroup(shared_ops, group, p, m):
-    """With coord_cap (0, 0) on the identity class, a product of two class-0
-    factors in a nonzero degree is formed on P_0 < C_0 = G from the
-    restricted factors (one a noisy representative, one coordinates).  Its
-    class on P_0 is res of the class of the product built over G, and its
-    lift [G:P_0]^-1 cor has the built product's class on G."""
+    """With window (0, 0), a product of two class-0 factors in a nonzero
+    degree is formed on P_0 < C_0 = G from the restricted factors (one a
+    noisy representative, one coordinates).  Its class on P_0 is res of the
+    class of the product built over G, and its lift [G:P_0]^-1 cor has the
+    built product's class on G."""
     ops, P, cP = _sylow_ops(shared_ops, group, p, 0)
     rng = random.Random(21)
     signs = set()
@@ -559,7 +565,7 @@ def test_entries_on_the_sylow_subgroup_add(s3_plain_ops):
     """A representative on C_0 and one on P_0 of the same class add on P_0
     to zero, and is_zero decides an entry on P_0 by its own projection."""
     ops = copy.copy(s3_plain_ops)
-    ops.coord_cap = {0: (0, 0)}
+    ops.window = (0, 0)
     P = ops.sylow(0)
     z = ops.space(0, 4).representative(0)
     on_c, on_p = DecClass(4, {0: ("r", z)}), DecClass(4, {0: ("r", ops.ctx.restrict_element(P, z))})
@@ -570,8 +576,8 @@ def test_entries_on_the_sylow_subgroup_add(s3_plain_ops):
 
 
 def test_verify_s3_builds_no_out_of_range_product_on_the_whole_group(monkeypatch):
-    """verify-s3 forms every identity-class product outside its class-0
-    range (-4..4) on the Sylow C3 and still passes every check."""
+    """verify-s3 forms every identity-class product outside its coordinate
+    window (-4..4) on the Sylow C3 and still passes every check."""
     verifier = S3Verifier()
     _refuse_whole_group_products(monkeypatch, verifier.ops)
     assert verifier.run()["passed"]
@@ -631,7 +637,7 @@ def test_tables_matches_coordinatizing_every_degree(monkeypatch, group, p, windo
     windows too.  An entry at lo-1 scaled by 2 changes no printed number on
     the windows here with even lo, only on those with odd lo."""
     got = _tables_json(group, p, window)
-    monkeypatch.setattr(DecOps, "in_range", lambda self, cls, n: True)
+    monkeypatch.setattr(DecOps, "in_range", lambda self, n: True)
     assert got == _tables_json(group, p, window)
 
 
@@ -648,7 +654,7 @@ def _direct_brackets(group, p, window):
     """Every bracket that tables prints, by DecOps.bracket on the basis classes."""
     lo, hi = window
     G = make_group(group)
-    ops = DecOps(G, p, coord_cap=dict.fromkeys(range(conjugacy_classes(G).num_classes), window))
+    ops = DecOps(G, p, window=window)
     labels = harness._basis_labels(ops, range(lo, hi + 1))
     out = {}
     for la, lb in itertools.product(labels, labels):
@@ -667,7 +673,7 @@ def test_tables_brackets_match_decops_bracket(monkeypatch, group, p, window, coo
     is DecOps.bracket of its two basis classes, also when every degree is
     put into coordinates (so the BV images at lo-1 are coordinate classes)."""
     if coordinatize_all:
-        monkeypatch.setattr(DecOps, "in_range", lambda self, cls, n: True)
+        monkeypatch.setattr(DecOps, "in_range", lambda self, n: True)
     table = cmd_tables(JobConfig(group=group, p=p, window=window))["tables"]["bracket"]
     want = _direct_brackets(group, p, window)
     assert any(want.values())
@@ -723,7 +729,7 @@ def test_tables_filled_entries_match_their_own_order(group, p, window):
     lo, hi = window
     tables = cmd_tables(JobConfig(group=group, p=p, window=window))["tables"]
     G = make_group(group)
-    ops = TableOps(G, p, coord_cap=dict.fromkeys(range(conjugacy_classes(G).num_classes), window))
+    ops = TableOps(G, p, window=window)
     labels = harness._basis_labels(ops, range(lo, hi + 1))
     basis = {la: harness._dec_basis_class(ops, la) for la in labels}
     filled, signed = collections.Counter(), collections.Counter()
@@ -746,11 +752,12 @@ def test_tables_filled_entries_match_their_own_order(group, p, window):
 
 
 def _plus_basis_class(ops, X):
-    """X plus the first basis class of its degree, in the coordinate range
-    of its class: a change that shows at p = 2, where negation does not."""
-    for cls in range(ops.cd.num_classes):
-        if ops.in_range(cls, X.degree) and ops.cls_dim(cls, X.degree):
-            return ops.add(X, harness._dec_basis_class(ops, (X.degree, cls, 0)))
+    """X plus the first basis class of its degree, in the coordinate
+    window: a change that shows at p = 2, where negation does not."""
+    if ops.in_range(X.degree):
+        for cls in range(ops.cd.num_classes):
+            if ops.cls_dim(cls, X.degree):
+                return ops.add(X, harness._dec_basis_class(ops, (X.degree, cls, 0)))
     return X
 
 
@@ -784,12 +791,16 @@ def test_tables_checks_filled_brackets(monkeypatch):
 
 
 def test_verify_s3_base_call_counts(monkeypatch):
-    """verify-s3 runs 85 base cups and 21 base BV operators: one per ordered
+    """verify-s3 runs 85 base cups and 26 base BV operators: one per ordered
     pair of basis classes, basis class or representative component it
-    meets, where an uncached DecOps ran 225 cups and 151 BV operators."""
-    calls, _ = _count_base_calls(monkeypatch)
+    meets, where an uncached DecOps ran 225 cups and 151 BV operators.  14
+    of the BV operators are on basis classes, each once; the other 12 are
+    on components outside the window -4..4, kept as representatives."""
+    calls, delta_args = _count_base_calls(monkeypatch)
     assert S3Verifier().run()["passed"]
-    assert dict(calls) == {"cup": 85, "delta": 21}
+    assert dict(calls) == {"cup": 85, "delta": 26}
+    on_basis = [args for args in delta_args if all(tag == "c" for _, (tag, _) in args[1])]
+    assert len(on_basis) == len(set(on_basis)) == 14
 
 
 def test_verify_s3_graded_commutativity_sees_one_perturbed_order(monkeypatch):
@@ -837,8 +848,7 @@ def test_table_ops_match_decops(group, p, window):
     of degree lo-1 and on pairs whose products leave the coordinate range."""
     lo, hi = window
     G = make_group(group)
-    cap = dict.fromkeys(range(conjugacy_classes(G).num_classes), window)
-    plain, table = DecOps(G, p, coord_cap=cap), TableOps(G, p, coord_cap=cap)
+    plain, table = DecOps(G, p, window=window), TableOps(G, p, window=window)
     # the random combinations of _delta_inputs, two per degree, drawn alike
     # for both: coordinate classes in lo..hi, representatives in degree lo-1
     inputs = {ops: [A for d in range(lo - 1, hi + 1)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from tatebv import cli, transfer, verify
-from tatebv.harness import ConfigError, DecOps, JobConfig
+from tatebv.complexes import DComplex, GroupComplex
+from tatebv.harness import ConfigError, CostCapError, DecOps, JobConfig
 from tatebv.verify import cmd_selftest, cmd_verify_appendix_b
 
 from conftest import MutatedDComplex, MutatedGroupComplex
@@ -81,6 +82,21 @@ def test_selftest_counts_a_value_error_in_any_suite_as_one_failed_run(monkeypatc
         assert rep["suites"][name] == {"runs": 1, "failures": 1}
     assert all(s["failures"] == 0 for name, s in rep["suites"].items()
                if not name.startswith(("retract_", "double_coset_")))
+
+
+@pytest.mark.parametrize("command,group,window", [
+    (cmd_selftest, "symmetric:4", (-4, 4)), (cmd_verify_appendix_b, "symmetric:5", (-2, 2)),
+])
+def test_over_the_decomposition_cap_refused_before_any_complex(monkeypatch, command, group, window):
+    """selftest over its window, and verify-appendix-b over the whole-group
+    degrees -5..0 it reads, are refused by the decomposition cost cap
+    before any complex is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built before the cost cap refused the job")
+    monkeypatch.setattr(DComplex, "__init__", refuse)
+    monkeypatch.setattr(GroupComplex, "__init__", refuse)
+    with pytest.raises(CostCapError):
+        command(JobConfig(group=group, p=2, window=window))
 
 
 def test_appendix_requires_modular_characteristic():

@@ -56,10 +56,14 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # dims S3 p=5 -5..2 reads rank(-5) off rank(3), a degree outside its window.
 # tables S4 p=2 -2..2 is over the direct-path cap: no spot check, so it runs
 # the seeded recomputation of the cups tables fills from the other order.
+# selftest S4 p=2 -4..4 and verify-appendix-b S5 p=2 are refused by the
+# decomposition cost cap before they build a complex: both exit 3.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
     ("selftest", "dihedral:4", 2, "-2..2", True, 0),
+    ("selftest", "symmetric:4", 2, "-4..4", True, 3),
+    ("verify-appendix-b", "symmetric:5", 2, "-2..2", True, 3),
     ("tables", "symmetric:3", 3, "-4..4", True, 0),
     ("tables", "symmetric:3", 3, "-5..5", True, 0),
     ("tables", "symmetric:3", 3, "-6..6", False, 0),
