@@ -29,8 +29,12 @@ The boundary out of -n-2 is, up to sign, the transpose of the coboundary
 out of n under the key map (g0, tail) <-> (tail, g0^-1), at every p, so
 the rank out of d <= -2 is the rank out of -d-2.  At p = 2 and p = 3 the
 matrix out of a degree d >= 0 streams its columns into elimination as
-bitsets from face-map tables (``coboundary_vectors``), and the matrix out
-of a degree d <= -2 its rows, by that transpose.  ``cohomology_dim``
+bitsets from face-map tables (``coboundary_vectors``, a run of q sibling
+columns from one shared prefix), and the matrix out of a degree d <= -2
+its rows, by that transpose, and its columns, read off the same tables by
+index arithmetic (``boundary_vectors``), for the kernels and image bases
+of ``cohomology``.  A complex builds its ``FaceTables`` once per layout,
+and every degree and class block shares them.  ``cohomology_dim``
 needs only ranks, each eliminated once and kept on the complex;
 ``cohomology`` builds a ``QuotientSpace``.  On face tables the D side
 reads its ranks out of d >= 0 class block by class block: kG = sum_K
@@ -45,8 +49,8 @@ import itertools
 from functools import cached_property
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .groups import ConjugacyData, Group, Subgroup, conjugacy_classes
-from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, rank as matrix_rank
+from .groups import ConjugacyData, Group, Subgroup, class_list
+from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, rank as matrix_rank, select
 
 Key = Hashable
 
@@ -90,8 +94,60 @@ def d_coboundary_terms(G: Group, key: Key, m: int, out: Dict, c: int) -> Dict:
     return out
 
 
-def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
-                       n: int, p: int, rows: bool = False) -> Iterator:
+class FaceTables:
+    """The tables of the face maps of the bar complex over one list of
+    nontrivial elements of G, in one layout, which every class block and
+    degree of a complex shares: each element's position (reversed in the
+    layout of rows), the pair indices pos[u]*q + pos[v] of the splits (u,
+    u^-1 t) of each t, the positions of the products a b (None at the
+    identity) for ``boundary_vectors``, and the middle-face bitsets of
+    ``merges``, kept per (k, U)."""
+
+    def __init__(self, G: Group, nontrivial: Sequence[int], rows: bool):
+        self.G, self.rows = G, rows
+        self.nontrivial = nontrivial = tuple(nontrivial[::-1] if rows else nontrivial)
+        q = self.q = len(nontrivial)
+        pos = self.pos = {a: i for i, a in enumerate(nontrivial)}
+        mult, inv = G.mult, G.inv
+        self.splits = [[pos[u] * q + pos[v] for u in nontrivial if (v := mult[inv[u]][t])]
+                       for t in nontrivial]
+        self._merges: Dict[Tuple[int, int], List[int]] = {}
+
+    @cached_property
+    def products(self) -> List[Optional[int]]:
+        mult, pos = self.G.mult, self.pos
+        return [pos.get(mult[a][b]) for a in self.nontrivial for b in self.nontrivial]
+
+    def merges(self, k: int, U: int) -> List[int]:
+        """S_k[t] = sum of 1 << x*q^k*U over the split pair indices x of t."""
+        if (k, U) not in self._merges:
+            step = self.q ** k * U
+            self._merges[k, U] = [sum(1 << (x * step) for x in row) for row in self.splits]
+        return self._merges[k, U]
+
+
+def _face_sum(p: int, faces) -> object:
+    """The sum of (-1)^i F over the (F, i) in faces, as a vector of the p <=
+    3 bitset core: faces may meet on a row, so at p = 3 each is added by
+    the six-operation add of _GF3 with one half zero (+ F is (F, 0), - F is
+    (0, F))."""
+    if p == 2:
+        v = 0
+        for F, _ in faces:
+            v ^= F
+        return v
+    P = N = 0
+    for F, i in faces:
+        if i % 2:
+            x = (P | F) ^ N
+            P, N = (N | F) ^ x, P ^ x
+        else:
+            x = P ^ (N | F)
+            P, N = N ^ x, (P | F) ^ x
+    return P, N
+
+
+def coboundary_vectors(F: FaceTables, V: int, left, right, n: int, p: int) -> Iterator:
     """Columns of the unsigned coboundary out of degree n >= 0, in basis
     order, as vectors of the p <= 3 bitset core: a Python-int bitset over
     rows at p = 2, a bit-sliced (P, N) pair at p = 3.
@@ -103,71 +159,135 @@ def coboundary_vectors(G: Group, nontrivial: Sequence[int], V: int, left, right,
     each face map of the bar complex is one fixed bitset shifted by an
     offset: face 0 is T0[h] << idx(args)*V, face n+1 is TL[h] <<
     idx(args)*q*V, and middle face i, which splits slot t = args[i-1] into
-    (u, u^-1 t), is S[k][t] << idx(pre)*q^(k+2)*V + idx(post)*V + h, with k
+    (u, u^-1 t), is S_k[t] << idx(pre)*q^(k+2)*V + idx(post)*V + h, with k
     = n - i and pre, post the slots before and after t.  Face i carries
     the sign (-1)^i; faces may meet on a row, so they are added in the
     field, not merged.
 
+    The columns come in runs of q siblings, args = (g's digits, t) for t
+    = 0..q-1, which share every slot but the last.  Along a run face 0 and
+    the middle faces of every slot but the last shift by V per column, so
+    each run builds one prefix A_h = (those middle faces << h) + (T0[h] <<
+    g*q*V) per value h, and column (g, t, h) is A_h << t*V plus B[t][h] <<
+    g*q^2*V, where B[t][h], built once per call, holds the last middle
+    face, S_0[t] << h, and the last face, TL[h] << t*q*V.  At p = 2 that is
+    one XOR per column.  n = 0 has faces 0 and 1 alone.
+
     ``left[a][h]`` and ``right[h][b]`` are the values a and b give h from
     the head and tail slots: G.mult for kG, those of ``class_faces`` for
     a class block, the value 0 unmoved for trivial coefficients (V = 1).
-    ``rows`` reads the vectors in the layout of the chain keys (h^-1,
-    args) of degree -n-2, h before the tail and tail unit 1: then the
-    vector of (args, h) is the row of (h^-1, args) in the unsigned
-    boundary out of -n-2, face by face and sign by sign (merging slots i
-    and i+1 there is splitting slot i here).  That needs the end-term
-    tables transposed, L[a][h] = x^-1 where right[x][a] = h^-1 and R[h][b]
-    = y^-1 where left[b][y] = h^-1, and the tables of kG and of trivial
-    coefficients are their own transposes.  The rows come in the layout of
-    ``SparseMatrix.rows``, column j of N at bit N-1-j: the chain layout
-    with nontrivial in reverse order (digit a at q-1-a) and h at offset
-    (V-1-inv(h))*q^(n+1)."""
-    if rows:
-        nontrivial = nontrivial[::-1]
-    q = len(nontrivial)
-    pos = {a: i for i, a in enumerate(nontrivial)}
-    mult, inv = G.mult, G.inv
-    U = 1 if rows else V
-    off = [(V - 1 - inv[h]) * q ** (n + 1) for h in range(V)] if rows else range(V)
-    Q = [q ** k * U for k in range(n + 2)]
-    T0 = [sum(1 << (pos[a] * Q[n] + off[left[a][h]]) for a in nontrivial) for h in range(V)]
+    On tables F of the layout of rows the vectors are read in the layout
+    of the chain keys (h^-1, args) of degree -n-2, h before the tail and
+    tail unit 1: then the vector of (args, h) is the row of (h^-1, args)
+    in the unsigned boundary out of -n-2, face by face and sign by sign
+    (merging slots i and i+1 there is splitting slot i here).  That needs
+    the end-term tables transposed, L[a][h] = x^-1 where right[x][a] =
+    h^-1 and R[h][b] = y^-1 where left[b][y] = h^-1, and the tables of kG
+    and of trivial coefficients are their own transposes.  The rows come
+    in the layout of ``SparseMatrix.rows``, column j of N at bit N-1-j:
+    the chain layout with nontrivial in reverse order (digit a at q-1-a)
+    and h at offset (V-1-inv(h))*q^(n+1) in place of h."""
+    q, pos, nontrivial, inv = F.q, F.pos, F.nontrivial, F.G.inv
+    U = 1 if F.rows else V
+    off = [(V - 1 - inv[h]) * q ** (n + 1) for h in range(V)] if F.rows else range(V)
+    T0 = [sum(1 << (pos[a] * q ** n * U + off[left[a][h]]) for a in nontrivial) for h in range(V)]
     TL = [sum(1 << (pos[b] * U + off[right[h][b]]) for b in nontrivial) for h in range(V)]
-    splits = [[pos[u] * q + pos[v] for u in nontrivial if (v := mult[inv[u]][t])] for t in nontrivial]
-    S = [[sum(1 << (x * Q[k]) for x in row) for row in splits] for k in range(n)]
-    # (S[k], face i = n - k, q^(k+1), q^(k+2)*U, q^k) per middle slot, first slot first
-    mids = [(S[k], n - k, q ** (k + 1), Q[k + 2], q ** k) for k in range(n - 1, -1, -1)]
-    for idx, digits in enumerate(itertools.product(range(q), repeat=n)):
-        a, b = idx * U, idx * Q[1]
+    if n == 0:
+        yield from (_face_sum(p, ((T, 0), (L, 1))) for T, L in zip(T0, TL))
+        return
+    qU = q * U
+    B = [[_face_sum(p, ((S << o, n), (L << t * qU, n + 1))) for o, L in zip(off, TL)]
+         for t, S in enumerate(F.merges(0, U))]
+    # (S_k, face i = n - k, q^k, q^(k+2)*U, q^(k-1)) per slot but the last, first slot first
+    outer = [(F.merges(k, U), n - k, q ** k, q ** (k + 2) * U, q ** (k - 1)) for k in range(n - 1, 0, -1)]
+    for g, digits in enumerate(itertools.product(range(q), repeat=n - 1)):
+        mid = _face_sum(p, [(S[t] << (g // hi * step + g % lo * qU), i)
+                            for (S, i, hi, step, lo), t in zip(outer, digits)])
+        a, b = g * qU, g * q * qU
         if p == 2:
-            mid = 0
-            for (Sk, _, hi, step, lo), t in zip(mids, digits):
-                mid ^= Sk[t] << (idx // hi * step + idx % lo * U)
-            for h in range(V):
-                yield (mid << off[h]) ^ (T0[h] << a) ^ (TL[h] << b)
+            A = [(mid << o) ^ (T << a) for o, T in zip(off, T0)]
+            for t, Bt in enumerate(B):
+                s = t * U
+                for x, y in zip(A, Bt):
+                    yield (x << s) ^ (y << b)
             continue
-        P = N = 0
-        # the six-operation add of _GF3 with one half zero: + F is (F, 0), - F is (0, F)
-        for (Sk, i, hi, step, lo), t in zip(mids, digits):
-            F = Sk[t] << (idx // hi * step + idx % lo * U)
-            if i % 2:  # subtract F
-                x = (P | F) ^ N
-                P, N = (N | F) ^ x, P ^ x
-            else:
-                x = P ^ (N | F)
-                P, N = N ^ x, (P | F) ^ x
-        for h in range(V):
-            mP, mN, F = P << off[h], N << off[h], T0[h] << a
-            x = mP ^ (mN | F)
-            mP, mN, F = mN ^ x, (mP | F) ^ x, TL[h] << b
-            if n % 2:  # face n+1 is even
-                x = mP ^ (mN | F)
-                yield mN ^ x, (mP | F) ^ x
-            else:
-                x = (mP | F) ^ mN
-                yield (mN | F) ^ x, mP ^ x
+        A = []
+        for o, T in zip(off, T0):
+            P, N, T = mid[0] << o, mid[1] << o, T << a
+            x = P ^ (N | T)
+            A.append((N ^ x, (P | T) ^ x))
+        for t, Bt in enumerate(B):
+            s = t * U
+            for (P, N), (R, M) in zip(A, Bt):
+                P, N, R, M = P << s, N << s, R << b, M << b
+                x = (P | M) ^ (N | R)
+                yield (N | M) ^ x, (P | R) ^ x
 
 
-def class_faces(G: Group, nontrivial: Sequence[int], K: Sequence[int]) -> tuple:
+def boundary_vectors(F: FaceTables, V: int, left, right, s: int, p: int,
+                     cols: Optional[Sequence[int]] = None) -> Iterator:
+    """Columns of the signed boundary out of degree -s-1 (s >= 1), in basis
+    order or only those at the ascending indices cols, as vectors of the p
+    <= 3 bitset core, on the tables of ``coboundary_vectors`` in the chain
+    layout: the map of ``d_boundary_terms`` (``group_boundary_terms`` for V
+    = 1 and trivial end-term tables) times sign_pow(s).
+
+    A chain key (g0, tail) of degree -s-1 has index g0*q^s + idx(tail), so
+    with Q = q^(s-1) face 0 lands at right[g0][t_1]*Q + idx(t_2..t_s), the
+    last face at left[t_s][g0]*Q + idx(t_1..t_s-1), and middle face i,
+    which merges t_i and t_i+1 into w = t_i t_i+1, at g0*Q + idx(t_1..t_i-1,
+    w, t_i+2..t_s), from the products of F, or nowhere when w = 1.  Face i
+    carries the sign (-1)^i, and faces that meet on a row are added in the
+    field."""
+    q, nontrivial, products = F.q, F.nontrivial, F.products
+    Q = q ** (s - 1)
+    R = [[right[g][a] * Q for a in nontrivial] for g in range(V)]
+    L = [[left[a][g] * Q for g in range(V)] for a in nontrivial]
+    # (sign (-1)^(i+s) negative, q^(s-i+1), q^(s-i), q^(s-i-1)) per middle face i:
+    # t_i t_i+1 is the digit pair x // q^(s-i-1) % q^2
+    mids = [((i + s) % 2, q ** (s - i + 1), q ** (s - i), q ** (s - i - 1)) for i in range(1, s)]
+    for j in range(V * q * Q) if cols is None else cols:
+        g0, x = divmod(j, q * Q)
+        base = g0 * Q
+        if p == 2:
+            v = (1 << (R[g0][x // Q] + x % Q)) ^ (1 << (L[x % q][g0] + x // q))
+            for _, hi, mid, lo in mids:
+                pre, r = divmod(x, hi)
+                w = products[r // lo]
+                if w is not None:
+                    v ^= 1 << (base + pre * mid + w * lo + r % lo)
+            yield v
+            continue
+        # the last face has sign +1; each face is one bit, added by bit tests,
+        # which take about a quarter less time here than _face_sum's six-operation add
+        P, N = 1 << (L[x % q][g0] + x // q), 0
+        faces = [(s % 2, 1 << (R[g0][x // Q] + x % Q))]
+        for neg, hi, mid, lo in mids:
+            pre, r = divmod(x, hi)
+            w = products[r // lo]
+            if w is not None:
+                faces.append((neg, 1 << (base + pre * mid + w * lo + r % lo)))
+        for neg, b in faces:
+            if neg:  # subtract b: add it to the negation
+                P, N = N, P
+            if N & b:
+                N ^= b
+            elif P & b:
+                P ^= b
+                N |= b
+            else:
+                P |= b
+            if neg:
+                P, N = N, P
+        yield P, N
+
+
+def _streamed(faces: tuple, n: int, p: int):
+    """The ``vectors`` of a matrix out of degree n >= 0 on face tables."""
+    return lambda cols=None: select(coboundary_vectors(*faces, n, p), cols)
+
+
+def class_faces(F: FaceTables, K: Sequence[int]) -> tuple:
     """The arguments of ``coboundary_vectors`` before the degree for the
     block C^*(G, k[K]) of a conjugacy class K, listed as its members: the
     coboundary on keys (args, y) with y in K, y at position i of K having
@@ -175,9 +295,10 @@ def class_faces(G: Group, nontrivial: Sequence[int], K: Sequence[int]) -> tuple:
     last face, b, sends it to b^-1 y b, so left[a][i] = i and right[i][b]
     is the position of b^-1 K[i] b in K.  K = (identity,) gives V = 1 and
     constant tables, trivial coefficients, in either layout."""
+    G = F.G
     mult, inv = G.mult, G.inv
     pos = {y: i for i, y in enumerate(K)}
-    return (G, nontrivial, len(K), [range(len(K))] * G.order,
+    return (F, len(K), [range(len(K))] * G.order,
             [[pos[mult[mult[inv[b]][y]][b]] for b in range(G.order)] for y in K])
 
 
@@ -360,6 +481,7 @@ class _BaseComplex:
         self._matrix: Dict[int, SparseMatrix] = {}
         self._cohomology: Dict[int, CohomologySpace] = {}
         self._rank: Dict[int, int] = {}
+        self._faces: Dict[bool, tuple] = {}
 
     # subclass API --------------------------------------------------------
     def check_degree(self, d: int) -> None:
@@ -423,17 +545,28 @@ class _BaseComplex:
         return [{tgt_index[t]: x for t, c in self.unsigned_terms(key, d, {}, sign).items()
                  if (x := c % p)} for key in self.index(d)]
 
+    def coboundary_faces(self, rows: bool = False) -> tuple:
+        """The arguments of ``coboundary_vectors`` before the degree, in the
+        chain layout or in that of rows, built once per complex by the
+        subclass's ``new_faces``."""
+        if rows not in self._faces:
+            self._faces[rows] = self.new_faces(rows)
+        return self._faces[rows]
+
     def _new_matrix(self, d: int) -> SparseMatrix:
         """matrix(d) without the window check or the cache; at p <= 3 it
-        streams from the face tables of the subclass's ``coboundary_faces``."""
+        streams from the face tables of the subclass's ``coboundary_faces``:
+        its columns out of d >= 0, and its columns and rows out of d <= -2."""
         vectors = rows = None
-        if self.p <= 3 and d != -1:
+        p = self.p
+        if p <= 3 and d != -1:
             faces = self.coboundary_faces()
             if d >= 0:
-                vectors = lambda: coboundary_vectors(*faces, d, self.p)
+                vectors = _streamed(faces, d, p)
             else:
-                rows = lambda: coboundary_vectors(*faces, -d - 2, self.p, rows=True)
-        return SparseMatrix(self.dim(d + 1), self.dim(d), self.p,
+                vectors = lambda cols=None: boundary_vectors(*faces, -d - 1, p, cols)
+                rows = lambda: coboundary_vectors(*self.coboundary_faces(rows=True), -d - 2, p)
+        return SparseMatrix(self.dim(d + 1), self.dim(d), p,
                             build=lambda: self._columns(d), vectors=vectors, rows=rows)
 
     def matrix(self, d: int) -> SparseMatrix:
@@ -442,8 +575,8 @@ class _BaseComplex:
 
         Its dict columns are built from ``unsigned_terms`` on first read of
         ``columns``.  At p <= 3 the matrices come from the face tables
-        instead: each streams its columns (d >= 0) or its rows (d <= -2) on
-        every pass, and nothing holds them."""
+        instead: each streams its columns, and out of d <= -2 its rows too,
+        on every pass, and nothing holds them."""
         self.check_degree(d)
         self.check_degree(d + 1)
         if d not in self._matrix:
@@ -534,24 +667,23 @@ class DComplex(_BaseComplex):
             return d_trace_terms(self.group, key, out, c)
         return d_boundary_terms(self.group, key, -d - 1, out, c)
 
-    def coboundary_faces(self):
-        """The arguments of ``coboundary_vectors`` before the degree, in
-        either layout: kG acts on both ends by G.mult."""
+    def new_faces(self, rows: bool) -> tuple:
+        """kG acts on both ends by G.mult."""
         G = self.group
-        return G, G.nontrivial, G.order, G.mult, G.mult
+        return FaceTables(G, G.nontrivial, rows), G.order, G.mult, G.mult
 
     @cached_property
     def _class_faces(self) -> List[tuple]:
-        G = self.group
-        return [class_faces(G, G.nontrivial, K) for K in conjugacy_classes(G).classes]
+        F = self.coboundary_faces()[0]
+        return [class_faces(F, K) for K in class_list(self.group)]
 
     def _eliminated_rank(self, d: int) -> int:
         # d >= 0 may lie above the window: rank(-d-2)
         if d < 0 or self.p > 3:
             return super()._eliminated_rank(d)
         p, q = self.p, len(self.group.nontrivial)
-        blocks = [SparseMatrix(f[2] * q ** (d + 1), f[2] * q ** d, p, build=None,
-                               vectors=lambda f=f: coboundary_vectors(*f, d, p))
+        blocks = [SparseMatrix(f[1] * q ** (d + 1), f[1] * q ** d, p, build=None,
+                               vectors=_streamed(f, d, p))
                   for f in self._class_faces]
         return sum(map(matrix_rank, blocks))
 
@@ -586,8 +718,8 @@ class GroupComplex(_BaseComplex):
             return out
         return group_boundary_terms(G, key, -d - 1, out, c)
 
-    def coboundary_faces(self):
-        """The arguments of ``coboundary_vectors`` before the degree: the
-        block of the identity class, one value (V = 1) that both end terms
-        leave fixed, in either layout."""
-        return class_faces(self.subgroup.parent, self.subgroup.nontrivial, (0,))
+    def new_faces(self, rows: bool) -> tuple:
+        """The block of the identity class: one value (V = 1) that both end
+        terms leave fixed."""
+        H = self.subgroup
+        return class_faces(FaceTables(H.parent, H.nontrivial, rows), (0,))

@@ -361,23 +361,31 @@ class ConjugacyData:
         return len(self.reps)
 
 
-def conjugacy_classes(G: Group) -> ConjugacyData:
-    """Classes with minimal-index representatives; the identity class is first."""
+def class_list(G: Group) -> Tuple[Tuple[int, ...], ...]:
+    """The conjugacy classes, each sorted, in the order of their least
+    members: the identity class is first."""
     n = G.order
-    class_of = [-1] * n
-    reps: List[int] = []
+    seen = bytearray(n)
     classes: List[Tuple[int, ...]] = []
     for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        k = len(reps)
-        orbit = sorted({G.conj(g, x) for g in range(n)})
-        for y in orbit:
+        if not seen[x]:
+            orbit = tuple(sorted({G.conj(g, x) for g in range(n)}))
+            for y in orbit:
+                seen[y] = 1
+            classes.append(orbit)
+    return tuple(classes)
+
+
+def conjugacy_classes(G: Group) -> ConjugacyData:
+    """Classes with minimal-index representatives; the identity class is first."""
+    classes = class_list(G)
+    class_of = [0] * G.order
+    for k, K in enumerate(classes):
+        for y in K:
             class_of[y] = k
-        reps.append(x)
-        classes.append(tuple(orbit))
+    reps = tuple(K[0] for K in classes)
     cents = tuple(centralizer(G, r) for r in reps)
-    return ConjugacyData(G, tuple(reps), tuple(class_of), tuple(classes), cents)
+    return ConjugacyData(G, reps, tuple(class_of), classes, cents)
 
 
 class CosetSystem:

@@ -93,10 +93,14 @@ class SparseMatrix:
 
     ``columns`` is a list of dicts, which ``build`` computes on first
     read; ``build`` is None for a matrix that is only ever eliminated by
-    its ``vectors``.  ``vectors``, if given, is a zero-argument callable
-    yielding the same columns in order as vectors of the p <= 3 bitset
-    core; elimination by columns then streams them and never reads
-    ``columns``.
+    its ``vectors``.  ``vectors``, if given, is a callable yielding the
+    same columns in order as vectors of the p <= 3 bitset core, or, given
+    an ascending list of column indices, only those columns; elimination
+    by columns then streams them and never reads ``columns``, and
+    ``QuotientSpace`` reads only the pivot columns of its image matrix.
+    ``complexes`` gives every face-built matrix its ``vectors``, those out
+    of degrees d <= -2 included, which select their columns by index
+    arithmetic.
     ``rows`` likewise yields the rows as vectors of the engine for p, in
     any order and each up to sign, with column j at index ncols-1-j;
     ``pivot_columns`` and ``rank`` feed them, as they read the row space
@@ -409,10 +413,23 @@ def _engine(p: int):
     return _BITSETS[p]() if p <= 3 else ColumnReducer(p)
 
 
-def _vectors(M: SparseMatrix, E) -> Iterable:
-    """M's columns in order as vectors of E's engine, streamed from M's
-    ``vectors`` where it has them."""
-    return M.vectors() if M.vectors is not None else map(E.split, M.columns)
+def select(items: Iterable, cols: Optional[Sequence[int]]) -> Iterable:
+    """The items at the ascending indices cols, or all of them for None;
+    it reads no item past the last index."""
+    if cols is None:
+        return items
+    flags = bytearray(cols[-1] + 1 if cols else 0)
+    for j in cols:
+        flags[j] = 1
+    return compress(items, flags)
+
+
+def _vectors(M: SparseMatrix, E, cols: Optional[Sequence[int]] = None) -> Iterable:
+    """M's columns in order as vectors of E's engine, or only those at the
+    ascending indices cols, streamed from M's ``vectors`` where it has them."""
+    if M.vectors is not None:
+        return M.vectors(cols)
+    return map(E.split, select(M.columns, cols))
 
 
 def _eliminate(M: SparseMatrix, track: bool):
@@ -482,10 +499,7 @@ class QuotientSpace:
         p = self.p = out.p
         kernel = _eliminate(out, True)[1]
         E = _engine(p)
-        flags = bytearray(into.ncols)
-        for j in pivot_columns(into):
-            flags[j] = 1
-        self.image_basis = list(compress(_vectors(into, E), flags))
+        self.image_basis = list(_vectors(into, E, pivot_columns(into)))
         n = len(self.image_basis)
         pivots = E.feed(chain(self.image_basis, (c for _, c in kernel)), False)[0]
         if len(pivots) != len(kernel):

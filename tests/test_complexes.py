@@ -1,14 +1,17 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from tatebv import linalg
-from tatebv.complexes import DComplex, GroupComplex, WindowError, class_of_index, dim_degree
-from tatebv.groups import (conjugacy_classes, generated_subgroup, preset_group, trivial_subgroup,
-                           whole_group)
+from tatebv.complexes import (DComplex, GroupComplex, WindowError, boundary_vectors, class_faces,
+                              class_of_index, coboundary_vectors, d_coboundary_terms, dim_degree)
+from tatebv.groups import (class_list, conjugacy_classes, generated_subgroup, preset_group,
+                           trivial_subgroup, whole_group)
 from tatebv.harness import make_group
-from tatebv.linalg import SparseMatrix, add_scaled_inplace, kernel_basis, pivot_columns, rank
+from tatebv.linalg import (QuotientSpace, SparseMatrix, add_scaled_inplace, kernel_basis,
+                           pivot_columns, rank)
 from conftest import MutatedDComplex
 
 
@@ -233,14 +236,16 @@ def test_face_built_columns_equal_template(group, top, p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_face_built_rows_are_transposed_coboundaries(group, p):
     """At p <= 3 the boundary out of degree -n-2 streams its rows from the
-    coboundary out of n in the chain layout (``coboundary_vectors`` with
-    ``rows``), column j at bit ncols-1-j.  For n = 0..3, on DComplex and
-    the GroupComplex of the whole group, a proper subgroup (where G has
-    one) and the trivial subgroup, the rows equal the split rows of the
-    dict template in that reversed layout as a multiset, up to one global
-    sign, and rank and pivot_columns through them equal those through the
-    dict columns (up to 5000 columns: all but the D-side degree -5
-    matrices of the groups of order 8, to keep the test short)."""
+    coboundary out of n in the layout of rows (``coboundary_vectors`` on
+    ``FaceTables`` with ``rows``), column j at bit ncols-1-j, and its
+    columns from ``boundary_vectors``, without building dict columns.
+    For n = 0..3, on DComplex and the GroupComplex of the whole group, a
+    proper subgroup (where G has one) and the trivial subgroup, the rows
+    equal the split rows of the dict template in that reversed layout as
+    a multiset, up to one global sign, and the streamed columns, rank and
+    pivot_columns equal those of the dict columns (up to 5000 columns:
+    all but the D-side degree -5 matrices of the groups of order 8, to
+    keep the test short)."""
     G = preset_group(*group)
     E = linalg._BITSETS[p]
     proper = [H for g in G.nontrivial if (H := generated_subgroup(G, [g])).order < G.order][:1]
@@ -249,7 +254,7 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
     for C in complexes:
         for n in range(4):
             M = C.matrix(-n - 2)
-            assert M.rows is not None and M.vectors is None
+            assert M.rows is not None and M.vectors is not None and M._columns is None
             got = Counter(M.rows())
             negated = Counter({(N, P): k for (P, N), k in got.items()}) if p == 3 else got
             reversed_rows = [{} for _ in range(M.nrows)]
@@ -259,10 +264,103 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
             assert Counter(map(E.split, reversed_rows)) in (got, negated)
             if M.ncols > 5000:
                 continue
+            assert list(M.vectors()) == [E.split(col) for col in M.columns]
             D = SparseMatrix(M.nrows, M.ncols, p, build=lambda: M.columns)
             assert D.rows is None
             assert pivot_columns(M) == pivot_columns(D)
             assert C.rank(-n - 2) == rank(D)
+
+
+def _block_columns(G, K, n, p):
+    """The dict columns of the class block C^*(G, k[K]) out of degree n,
+    read off the kG template ``d_coboundary_terms``: the block is the kG
+    coboundary in the basis (args, y), y = prod(args)^-1 h, restricted to
+    y in K, with (args, y) at index idx(args)*|K| + K.index(y)."""
+    at = {y: i for i, y in enumerate(K)}
+    index = {args: k for k, args in enumerate(itertools.product(G.nontrivial, repeat=n + 1))}
+    cols = []
+    for args in itertools.product(G.nontrivial, repeat=n):
+        for y in K:
+            col = {}
+            for (a, h), c in d_coboundary_terms(G, (args, G.mult[G.prod(args)][y]), n, {}, 1).items():
+                if c % p:
+                    col[index[a] * len(K) + at[G.mult[G.inv[G.prod(a)]][h]]] = c % p
+            cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("group", ["symmetric:3", "dihedral:4", "quaternion8", "cyclic:2", "cyclic:3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_run_built_coboundary_vectors_equal_template(group, p):
+    """``coboundary_vectors`` builds each run of q sibling columns from one
+    prefix per value; for n = 0..4 its columns equal the split dict
+    columns of the template on the whole-group tables (q = 1 for C2 and 2
+    for C3), on the trivial subgroup's (q = 0), on the kG tables (n <= 3
+    for the groups of order 8, to keep the test short) and, against the kG
+    template in the basis of the class blocks, on each ``class_faces``
+    block (n <= 3 for the groups of order 8 there too)."""
+    G = make_group(group)
+    E = linalg._BITSETS[p]
+    D = DComplex(G, p, (0, 5))
+    F = D.coboundary_faces()[0]
+    for n in range(5):
+        for C in (GroupComplex(whole_group(G), p), GroupComplex(trivial_subgroup(G), p), D):
+            if C is D and n == 4 and G.order == 8:
+                continue
+            got = list(coboundary_vectors(*C.coboundary_faces(), n, p))
+            assert got == [E.split(col) for col in C._columns(n)]
+        for K in class_list(G) if n < 4 or G.order < 8 else ():
+            got = list(coboundary_vectors(*class_faces(F, K), n, p))
+            assert got == [E.split(col) for col in _block_columns(G, K, n, p)]
+
+
+@pytest.mark.parametrize("group", ["symmetric:3", "quaternion8", "cyclic:2", "cyclic:3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_boundary_vectors_equal_template(group, p):
+    """``boundary_vectors`` reads the signed boundary out of d <= -2 off
+    index arithmetic; for d = -2..-6 its columns, all of them and a seeded
+    subset, equal the split dict columns of the template, on DComplex and
+    on the GroupComplex of the whole group and of the trivial subgroup
+    (the D side of Q8 stops at d = -4 and its group side at d = -5, to keep
+    the test short)."""
+    G = make_group(group)
+    E = linalg._BITSETS[p]
+    rng = random.Random(p)
+    complexes = [DComplex(G, p, (-7, 0)), GroupComplex(whole_group(G), p),
+                 GroupComplex(trivial_subgroup(G), p)]
+    for C in complexes:
+        for d in range(-2, -7, -1):
+            if G.order == 8 and d < (-4 if C is complexes[0] else -5):
+                continue
+            faces = C.coboundary_faces()
+            want = [E.split(col) for col in C._columns(d)]
+            assert list(boundary_vectors(*faces, -d - 1, p)) == want
+            cols = sorted(rng.sample(range(len(want)), min(len(want), 40)))
+            assert list(boundary_vectors(*faces, -d - 1, p, cols)) == [want[j] for j in cols]
+            assert list(C.matrix(d).vectors(cols)) == [want[j] for j in cols]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_quotients_out_of_negative_degrees_match_dict_columns(s3, p):
+    """A ``QuotientSpace`` out of n <= -2 reads its kernel and its image
+    basis off ``boundary_vectors``; its representatives and its project
+    equal those of the same quotient built on dict-column copies of both
+    matrices, for n = -2..-4 on DComplex and on the GroupComplex of the
+    whole group."""
+    rng = random.Random(p)
+    for C in (DComplex(s3, p, (-5, 0)), GroupComplex(whole_group(s3), p)):
+        for n in range(-2, -5, -1):
+            out, into = C.matrix(n), C.matrix(n - 1)
+            copies = [SparseMatrix(M.nrows, M.ncols, p, build=lambda d=d: C._columns(d))
+                      for d, M in ((n, out), (n - 1, into))]
+            got, want = QuotientSpace(out, into), QuotientSpace(*copies)
+            assert out._columns is into._columns is None
+            assert got.representatives == want.representatives
+            for _ in range(4):
+                v = {}
+                for rep in want.representatives + rng.sample(copies[1].columns, min(3, into.ncols)):
+                    add_scaled_inplace(v, rep, rng.randrange(p), p)
+                assert got.project(v) == want.project(v)
 
 
 @pytest.mark.parametrize("group,top", [
@@ -355,16 +453,18 @@ def test_overridden_unsigned_terms_keeps_template(s3):
 
 @pytest.mark.parametrize("group,p", [(("dihedral", 4), 2), (("symmetric", 3), 3)])
 def test_face_built_matrices_keep_no_columns(group, p):
-    """cohomology reads kernels and image vectors off the streamed vectors:
-    afterwards no face-built matrix holds per-column storage (dict columns
-    or a list of vectors), only the callables that regenerate them."""
+    """cohomology reads kernels and image vectors off the streamed vectors,
+    out of negative degrees too: afterwards no face-built matrix holds
+    per-column storage (dict columns or a list of vectors), only the
+    callables that regenerate them.  Degrees -1..2 read matrices -2..2, of
+    which all but the trace, matrix(-1), are face-built."""
     G = preset_group(*group)
     complexes = [DComplex(G, p, (-2, 3)), GroupComplex(whole_group(G), p)]
     for C in complexes:
         for n in range(-1, 3):
             C.cohomology(n)
         built = [M for M in C._matrix.values() if M.vectors is not None]
-        assert len(built) == 3
+        assert len(built) == 4
         for M in built:
             held = [getattr(M, s) for s in type(M).__slots__] + list(getattr(M, "__dict__", {}).values())
             assert M._columns is None and callable(M.vectors)

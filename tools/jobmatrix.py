@@ -58,6 +58,9 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # the seeded recomputation of the cups tables fills from the other order.
 # selftest S4 p=2 -4..4 and verify-appendix-b S5 p=2 are refused by the
 # decomposition cost cap before they build a complex: both exit 3.
+# dims C2 p=2 -6..6 and tables C3 p=3 -4..4 stream runs of one and of two
+# sibling coboundary columns (q = 1, 2), and quotients out of d <= -2 on a
+# small q.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
@@ -86,6 +89,8 @@ JOBS = [
     ("tables", "cyclic:6", 3, "-4..4", False, 0),
     ("tables", "dihedral:6", 2, "-3..3", False, 0),
     ("tables", "dihedral:6", 3, "-3..3", False, 0),
+    ("dims", "cyclic:2", 2, "-6..6", True, 0),
+    ("tables", "cyclic:3", 3, "-4..4", True, 0),
 ]
 
 
