@@ -23,10 +23,11 @@ cross-checks of ``dims`` and ``tables`` do, and ``verify-s3`` for its
 direct dims.
 
 ``dims`` reads dimensions only.  It reads those of each distinct
-centralizer C on a Sylow p-subgroup P of C: all zero if P = 1, the guarded
-ranks of C's own complex if P = C, and otherwise the rank of res o cor on
-the cohomology of P, as cor o res is multiplication by the unit [C:P]; then
-no cochain over C is built and no complex of C is eliminated.
+centralizer C on a Sylow p-subgroup P of C: all zero if P = 1, the ranks
+of a guarded minimal free resolution of F_p over F_p[C] if P = C, and
+otherwise the rank of res o cor on the cohomology of P, as cor o res is
+multiplication by the unit [C:P].  No complex of C is built or eliminated;
+only the Sylow route builds complexes, those of P.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bv import CohClass, class_of, cup
 from .complexes import DComplex, GroupTateElement, dim_degree, group_dim_degree, sign_pow
 from .decomposition import ClassDecomposition, b_tilde, delta_tilde
-from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes,
+from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes, generated_subgroup,
                      group_from_mult_table, group_from_permutations, parse_cycles,
                      preset_group, sylow_subgroup)
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, _eliminate, _engine, rank
 from .transfer import TransferContext
 
 DIRECT_COLUMN_CAP = 200_000
@@ -120,9 +122,21 @@ class JobConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
 
     def hash(self) -> str:
-        import hashlib
         blob = json.dumps([self.group, self.p, list(self.window), self.seed], sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _sha256()(blob.encode()).hexdigest()[:16]
+
+
+def _sha256():
+    """hashlib's sha256 if hashlib is loaded, else that of CPython's builtin
+    module: the same digest, without loading OpenSSL's _hashlib, which
+    takes milliseconds of a job that hashes one short config."""
+    if "hashlib" not in sys.modules:
+        try:
+            return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+        except ImportError:  # an interpreter built without it
+            pass
+    import hashlib
+    return hashlib.sha256
 
 
 def _provenance(cfg: JobConfig) -> Dict:
@@ -493,11 +507,71 @@ def sylow_dims(ctx: TransferContext, C: Subgroup, P: Subgroup, degrees: Sequence
     return dims
 
 
+def _minimal_generators(p: int, K: List, KI: List, n: int) -> List:
+    """The vectors of K, a basis of the submodule K_(n-1), that one feed of
+    KI, vectors spanning K_(n-1)·I, and then K keeps as pivots: they lift a
+    basis of K_(n-1)/K_(n-1)·I, so by Nakayama they generate K_(n-1), and
+    minimally.  As K_(n-1)·I lies in K_(n-1), the feed must find exactly
+    len(K) pivots."""
+    pivots = _engine(p).feed(KI + K, False)[0]
+    if len(pivots) != len(K):
+        raise VerificationError(f"resolution at degree {n}: the feed finds {len(pivots)} "
+                                f"pivots in a submodule of dimension {len(K)}")
+    return [K[j - len(KI)] for j in pivots if j >= len(KI)]
+
+
+def resolution_dims(C: Subgroup, p: int, degrees: Sequence[int]) -> List[int]:
+    """dim of Tate cohomology of a nontrivial p-group C in each degree n,
+    read off the ranks r_n of a minimal free resolution F_n = A^(r_n) of
+    F_p over A = F_p[C] (Green, LNM 1828): Hom(F_n, F_p) has zero
+    differential, so dim Ĥ^n = dim H^n = r_n for n >= 1, dim Ĥ^0 = 1 = r_0,
+    and Tate duality Ĥ^(-n-1) = (Ĥ^n)^* gives r_(-n-1) for n <= -1 (Brown
+    VI.7).
+
+    The resolution is built in the engine's vector format up to degree
+    max(hi, -lo-1).  Index i*m + a of F_n (m = |C|) is e_i times the a-th
+    member of C, so right multiplication by a member permutes the indices
+    inside each block.  K_0 is the augmentation ideal I.  For n >= 1, d_n
+    sends e_i g to generator_i g, where ``_minimal_generators`` picks the
+    generators of K_(n-1) against K_(n-1)·I, which the v(s-1) span for v
+    in the basis of K_(n-1) and s in a generating set of C; then
+    K_n = ker d_n.  Guards, each a VerificationError: rank d_n =
+    dim K_(n-1) (exactness), and every vector of K_n has entry sum 0 in
+    each block, so K_n lies in F_n·I (minimality: the differential of
+    Hom(F, F_p) is zero)."""
+    m, mult = C.order, C.parent.mult
+    where = {g: a for a, g in enumerate(C.members)}
+    right = [[where[mult[g][h]] for g in C.members] for h in C.members]  # [b][a]: member a times b
+    S: List[int] = []  # the indices of a generating set of C
+    for b in range(1, m):
+        if C.members[b] not in generated_subgroup(C.parent, [C.members[s] for s in S]):
+            S.append(b)
+    E = _engine(p)
+    K = [E.split({0: p - 1, a: 1}) for a in range(1, m)]  # the basis g - 1 of K_0 = I
+    ranks = [1]
+    for n in range(1, max(max(degrees), -min(degrees) - 1) + 1):
+        acts = [[i * m + a for i in range(ranks[-1]) for a in row] for row in right]
+        gens = _minimal_generators(p, K, [E.sub(E.permute(v, acts[s]), v) for v in K for s in S], n)
+        d = SparseMatrix(ranks[-1] * m, len(gens) * m, p, None,
+                         vectors=lambda _: (E.permute(g, act) for g in gens for act in acts))
+        pivots, kernel = _eliminate(d, True)
+        if len(pivots) != len(K):
+            raise VerificationError(f"resolution at degree {n}: d_{n} has rank {len(pivots)}, "
+                                    f"not dim K_{n - 1} = {len(K)}")
+        K = [c for _, c in kernel]
+        if any(any(E.block_sums(c, m)) for c in K):
+            raise VerificationError(f"resolution at degree {n}: ker d_{n} is not in F_{n}·I, "
+                                    "so the resolution is not minimal")
+        ranks.append(len(gens))
+    return [ranks[n if n >= 0 else -n - 1] for n in degrees]
+
+
 def cmd_dims(cfg: JobConfig) -> Dict:
     """dim HH^n(kG) as the sum over conjugacy classes of dim Ĥ^n(C_k), each
-    distinct centralizer read once by the route its Sylow p-subgroup picks
-    (module docstring); the direct path, where it fits DIRECT_COLUMN_CAP,
-    must agree on the inner degrees."""
+    distinct centralizer read once by the route its Sylow p-subgroup P
+    picks (module docstring): zeros for P = 1, ``resolution_dims`` for
+    P = C and ``sylow_dims`` otherwise; the direct path, where it fits
+    DIRECT_COLUMN_CAP, must agree on the inner degrees."""
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
@@ -513,7 +587,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
         if P.order == 1:
             dims[C.members] = [0] * len(degrees)
         elif P.order == C.order:
-            dims[C.members] = checked_dims(ctx.complex_for(C), degrees, rng)
+            dims[C.members] = resolution_dims(C, cfg.p, degrees)
         else:
             dims[C.members] = sylow_dims(ctx, C, P, degrees, rng)
     per_class = [dims[C.members] for C in cd.centralizers]

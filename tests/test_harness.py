@@ -5,14 +5,15 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
 from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
-from tatebv.complexes import DComplex, _BaseComplex
+from tatebv.complexes import DComplex, GroupComplex, _BaseComplex
 from tatebv.decomposition import ClassDecomposition
-from tatebv.groups import CosetSystem, conjugacy_classes, preset_group, sylow_subgroup
+from tatebv.groups import CosetSystem, conjugacy_classes, preset_group, sylow_subgroup, whole_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
                             VerificationError, check_decomposition_cost, checked_dims, cmd_dims,
                             cmd_tables, direct_fits, make_group)
@@ -151,10 +152,13 @@ def _is_p_group(order, p):
 @pytest.mark.parametrize("group,p,window,digest", RANK_ONLY_DIMS,
                          ids=[f"{g}-p{p}" for g, p, _, _ in RANK_ONLY_DIMS])
 def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, digest):
-    """dims opens cohomology spaces only on the Sylow side: with no
-    centralizer C whose Sylow P has 1 < P < C (D8, Q8, S3 at p = 5) it builds
-    no QuotientSpace at all; otherwise (S4 at p = 2, S3 at p = 3) every space
-    it opens is on a p-group complex, and no complex of such a C is ranked."""
+    """dims ranks no GroupComplex at all: a centralizer that is a p-group
+    is read off a minimal resolution, so the only complex ranked is the
+    D-complex of the direct path, by its class blocks.  It opens cohomology
+    spaces only on the Sylow side: with no centralizer C whose Sylow P has
+    1 < P < C (D8, Q8, S3 at p = 5) it builds no QuotientSpace at all;
+    otherwise (S4 at p = 2, S3 at p = 3) every space it opens is on a
+    p-group complex."""
     G = make_group(group)
     sylow_side = {C.members for C in conjugacy_classes(G).centralizers
                   if 1 < sylow_subgroup(C, p).order < C.order}
@@ -163,9 +167,7 @@ def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, 
     cohomology, rank = _BaseComplex.cohomology, _BaseComplex.rank
     monkeypatch.setattr(_BaseComplex, "cohomology",
                         lambda self, n: opened.append(self.subgroup) or cohomology(self, n))
-    monkeypatch.setattr(_BaseComplex, "rank",
-                        lambda self, d: ranked.append(getattr(self, "subgroup", None))
-                        or rank(self, d))
+    monkeypatch.setattr(_BaseComplex, "rank", lambda self, d: ranked.append(self) or rank(self, d))
     if not sylow_side:
         def no_quotient(*args):
             raise AssertionError("dims built a QuotientSpace")
@@ -175,7 +177,7 @@ def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, 
     assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
     assert bool(opened) == bool(sylow_side)
     assert all(_is_p_group(H.order, p) for H in opened)
-    assert ranked and not any(H.members in sylow_side for H in ranked if H is not None)
+    assert ranked and all(type(cplx) is DComplex for cplx in ranked)
 
 
 # (group, p, window) where the rank route on each centralizer is cheap
@@ -186,6 +188,77 @@ SYLOW_PAIRS = [
     ("dihedral:7", 7, (-2, 2)),
     ("perms:(0 1 2),(0 1)(2 3)", 2, (-3, 3)), ("perms:(0 1 2),(0 1)(2 3)", 3, (-3, 3)),
 ]
+
+
+# (group, p): p-groups whose bar complex is cheap to rank on -4..4
+RESOLUTION_GROUPS = [
+    ("cyclic:2", 2), ("cyclic:4", 2), ("klein_four", 2), ("dihedral:4", 2), ("quaternion8", 2),
+    ("cyclic:3", 3), ("cyclic:9", 3), ("perms:(0 1 2),(3 4 5)", 3), ("cyclic:5", 5), ("cyclic:7", 7),
+]
+
+
+@pytest.mark.parametrize("group,p", RESOLUTION_GROUPS, ids=[f"{g}-p{p}" for g, p in RESOLUTION_GROUPS])
+def test_resolution_dims_equal_the_rank_route(group, p):
+    """The minimal resolution gives the guarded ranks of the group's own
+    Tate complex in every degree of -4..4."""
+    C = whole_group(make_group(group))
+    degrees = range(-4, 5)
+    assert harness.resolution_dims(C, p, degrees) == checked_dims(GroupComplex(C, p), degrees,
+                                                                  random.Random(0))
+
+
+def test_resolution_dims_closed_forms():
+    """dim Ĥ^n is n + 1 for D8 and V4 (n >= 0), has period 4 for Q8 and is 1
+    for cyclic p-groups, and Tate duality gives dim Ĥ^(-n-1) = dim Ĥ^n."""
+    def dims(group, p):
+        return dict(zip(range(-8, 8), harness.resolution_dims(whole_group(make_group(group)), p,
+                                                              range(-8, 8))))
+    for group, p, want in [("dihedral:4", 2, lambda n: n + 1), ("klein_four", 2, lambda n: n + 1),
+                           ("quaternion8", 2, lambda n: (1, 2, 2, 1)[n % 4]),
+                           ("cyclic:4", 2, lambda n: 1), ("cyclic:9", 3, lambda n: 1),
+                           ("cyclic:5", 5, lambda n: 1)]:
+        d = dims(group, p)
+        assert [d[n] for n in range(8)] == [want(n) for n in range(8)], group
+        assert all(d[-n - 1] == d[n] for n in range(8)), group
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (lambda gens, KI: gens[:-1], r"^resolution at degree 2: d_2 has rank"),
+    (lambda gens, KI: gens + [next(v for v in KI if v)], r"^resolution at degree 2: .*not minimal"),
+], ids=["drop-last-generator", "add-generator-from-KI"])
+def test_resolution_guards_refuse_wrong_generators(monkeypatch, mutate, match):
+    """Generators of K_1 that miss one (the resolution is not exact at
+    degree 2) or add one from K_1·I (it is not minimal) fail the dims job."""
+    generators = harness._minimal_generators
+
+    def mutated(p, K, KI, n):
+        gens = generators(p, K, KI, n)
+        return mutate(gens, KI) if n == 2 else gens
+    monkeypatch.setattr(harness, "_minimal_generators", mutated)
+    with pytest.raises(VerificationError, match=match):
+        cmd_dims(JobConfig(group="dihedral:4", p=2, window=(-2, 2)))
+
+
+def test_minimal_generators_refuse_a_basis_of_no_submodule():
+    """In F_2[C2], with index 1 for the generator s, K = span{1} is no
+    submodule: 1·(s - 1) = 1 + s lies outside it, and the feed of K·I then
+    K finds two pivots in a space of dimension one."""
+    with pytest.raises(VerificationError, match="the feed finds 2 pivots in a submodule of dimension 1"):
+        harness._minimal_generators(2, [0b01], [0b11], 1)
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["hashlib-loaded", "builtin"])
+def test_config_hash_is_hashlib_sha256(monkeypatch, loaded):
+    """config_hash is the first 16 hex digits of hashlib's SHA-256 of the
+    config blob, whether hashlib computes it or, when no code has loaded
+    hashlib, CPython's builtin sha256 module."""
+    if not loaded:
+        monkeypatch.delitem(sys.modules, "hashlib")
+        assert harness._sha256() is not hashlib.sha256
+    for cfg in (JobConfig(), JobConfig(group="dihedral:4", p=2, window=(-5, 5), seed=7),
+                JobConfig(group="perms:(0 1 2),(3 4 5)", p=3, window=(-1, 1), seed=2**40)):
+        blob = json.dumps([cfg.group, cfg.p, list(cfg.window), cfg.seed], sort_keys=True)
+        assert cfg.hash() == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("group,p,window", SYLOW_PAIRS,

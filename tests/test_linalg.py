@@ -505,6 +505,21 @@ def test_gf3_engine_on_s3_complex():
     assert pivot_columns(M) == reducer_run(M)[0]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_module_steps_match_column_reducer(p):
+    """The bitset ``permute``, ``sub`` and ``block_sums`` that build free
+    module vectors equal the ColumnReducer's on seeded dicts."""
+    rng = random.Random(p)
+    E, R = linalg._engine(p), ColumnReducer(p)
+    for _ in range(200):
+        v, w = ({i: rng.randrange(1, p) for i in rng.sample(range(24), rng.randrange(8))}
+                for _ in range(2))
+        pos = rng.sample(range(24), 24)
+        assert E.entries(E.permute(E.split(v), pos)) == dict(sorted(R.permute(v, pos).items()))
+        assert E.entries(E.sub(E.split(v), E.split(w))) == dict(sorted(R.sub(v, w).items()))
+        assert E.block_sums(E.split(v), 6) == R.block_sums(v, 6)
+
+
 def test_gf3_push_refuses_unnormalized_pivot():
     """A p = 3 pivot holding 2 at its lowest row would make ``reduce`` loop
     forever on any vector set there; ``push`` refuses it instead."""

@@ -60,7 +60,8 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # decomposition cost cap before they build a complex: both exit 3.
 # dims C2 p=2 -6..6 and tables C3 p=3 -4..4 stream runs of one and of two
 # sibling coboundary columns (q = 1, 2), and quotients out of d <= -2 on a
-# small q.
+# small q.  dims C9 p=3 -4..4 and V4 p=2 -6..6 read p-group centralizers
+# off their minimal resolutions, at p = 3 and on a wide window.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
@@ -91,6 +92,8 @@ JOBS = [
     ("tables", "dihedral:6", 3, "-3..3", False, 0),
     ("dims", "cyclic:2", 2, "-6..6", True, 0),
     ("tables", "cyclic:3", 3, "-4..4", True, 0),
+    ("dims", "cyclic:9", 3, "-4..4", True, 0),
+    ("dims", "klein_four", 2, "-6..6", True, 0),
 ]
 
 
