@@ -33,14 +33,12 @@ bitsets from face-map tables (``coboundary_vectors``, a run of q sibling
 columns from one shared prefix), and the matrix out of a degree d <= -2
 its rows, by that transpose, and its columns, read off the same tables by
 index arithmetic (``boundary_vectors``), for the kernels and image bases
-of ``cohomology``.  A complex builds its ``FaceTables`` once per layout,
-and every degree and class block shares them.  ``cohomology_dim``
-needs only ranks, each eliminated once and kept on the complex;
-``cohomology`` builds a ``QuotientSpace``.  On face tables the D side
-reads its ranks out of d >= 0 class block by class block: kG = sum_K
+of ``cohomology``, which builds a ``QuotientSpace``.  A complex builds its
+``FaceTables`` once per layout, and every degree shares them.  kG = sum_K
 k[K] as G-modules under conjugation, so in the basis (args, y), y =
-prod(args)^-1 h (what ``class_of_index`` reads), the coboundary is block
-diagonal, one block C^*(G, k[K]) per conjugacy class K (``class_faces``).
+prod(args)^-1 h (what ``class_of_index`` reads), the D-side coboundary is
+block diagonal, one block C^*(G, k[K]) per conjugacy class K
+(``class_faces``); the group side is the identity class's block.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ import itertools
 from functools import cached_property
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .groups import ConjugacyData, Group, Subgroup, class_list
-from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, rank as matrix_rank, select
+from .groups import ConjugacyData, Group, Subgroup
+from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, select
 
 Key = Hashable
 
@@ -282,11 +280,6 @@ def boundary_vectors(F: FaceTables, V: int, left, right, s: int, p: int,
         yield P, N
 
 
-def _streamed(faces: tuple, n: int, p: int):
-    """The ``vectors`` of a matrix out of degree n >= 0 on face tables."""
-    return lambda cols=None: select(coboundary_vectors(*faces, n, p), cols)
-
-
 def class_faces(F: FaceTables, K: Sequence[int]) -> tuple:
     """The arguments of ``coboundary_vectors`` before the degree for the
     block C^*(G, k[K]) of a conjugacy class K, listed as its members: the
@@ -480,7 +473,6 @@ class _BaseComplex:
         self._index: Dict[int, Dict[Key, int]] = {}
         self._matrix: Dict[int, SparseMatrix] = {}
         self._cohomology: Dict[int, CohomologySpace] = {}
-        self._rank: Dict[int, int] = {}
         self._faces: Dict[bool, tuple] = {}
 
     # subclass API --------------------------------------------------------
@@ -511,11 +503,10 @@ class _BaseComplex:
         return self._basis[d]
 
     def index(self, d: int) -> Dict[Key, int]:
-        # the one key cache, which ``basis`` lists.  Unchecked: ``rank``
-        # indexes degrees outside the window.  Neither this nor ``_columns``
-        # calls ``basis``: perfbench's tracer opens a span there, and its
-        # span observers, which hold the tracer's lock, may read a matrix's
-        # lazy ``columns``
+        # the one key cache, which ``basis`` lists.  Neither this nor
+        # ``_columns`` calls ``basis``: perfbench's tracer opens a span
+        # there, and its span observers, which hold the tracer's lock, may
+        # read a matrix's lazy ``columns``
         if d not in self._index:
             self._index[d] = {k: i for i, k in enumerate(self.iter_basis(d))}
         return self._index[d]
@@ -553,56 +544,29 @@ class _BaseComplex:
             self._faces[rows] = self.new_faces(rows)
         return self._faces[rows]
 
-    def _new_matrix(self, d: int) -> SparseMatrix:
-        """matrix(d) without the window check or the cache; at p <= 3 it
-        streams from the face tables of the subclass's ``coboundary_faces``:
-        its columns out of d >= 0, and its columns and rows out of d <= -2."""
+    def matrix(self, d: int) -> SparseMatrix:
+        """Signed differential degree d -> d+1 over the canonical bases,
+        kept on the complex.  Its dict columns are built from
+        ``unsigned_terms`` on first read of ``columns``.  At p <= 3 it
+        streams from the face tables of the subclass's ``coboundary_faces``
+        instead, on every pass, and nothing holds them: its columns out of
+        d >= 0, and its columns and rows out of d <= -2."""
+        self.check_degree(d)
+        self.check_degree(d + 1)
+        if d in self._matrix:
+            return self._matrix[d]
         vectors = rows = None
         p = self.p
         if p <= 3 and d != -1:
             faces = self.coboundary_faces()
             if d >= 0:
-                vectors = _streamed(faces, d, p)
+                vectors = lambda cols=None: select(coboundary_vectors(*faces, d, p), cols)
             else:
                 vectors = lambda cols=None: boundary_vectors(*faces, -d - 1, p, cols)
                 rows = lambda: coboundary_vectors(*self.coboundary_faces(rows=True), -d - 2, p)
-        return SparseMatrix(self.dim(d + 1), self.dim(d), p,
-                            build=lambda: self._columns(d), vectors=vectors, rows=rows)
-
-    def matrix(self, d: int) -> SparseMatrix:
-        """Signed differential degree d -> d+1 over the canonical bases,
-        kept on the complex (``rank`` keeps none).
-
-        Its dict columns are built from ``unsigned_terms`` on first read of
-        ``columns``.  At p <= 3 the matrices come from the face tables
-        instead: each streams its columns, and out of d <= -2 its rows too,
-        on every pass, and nothing holds them."""
-        self.check_degree(d)
-        self.check_degree(d + 1)
-        if d not in self._matrix:
-            self._matrix[d] = self._new_matrix(d)
+        self._matrix[d] = SparseMatrix(self.dim(d + 1), self.dim(d), p,
+                                       build=lambda: self._columns(d), vectors=vectors, rows=rows)
         return self._matrix[d]
-
-    def rank(self, d: int) -> int:
-        """Rank of matrix(d), eliminated once per complex on a matrix that
-        the complex does not keep.  rank(d) for d <= -2 is rank(-d-2), which
-        need not lie in the window: matrix(d) is the transpose of
-        matrix(-d-2) up to the order and signs of its rows and columns."""
-        self.check_degree(d)
-        self.check_degree(d + 1)
-        if d <= -2:
-            d = -d - 2
-        if d not in self._rank:
-            self._rank[d] = self._eliminated_rank(d)
-        return self._rank[d]
-
-    def _eliminated_rank(self, d: int) -> int:
-        return matrix_rank(self._new_matrix(d))
-
-    def cohomology_dim(self, n: int) -> int:
-        """dim C^n - rank d_n - rank d_{n-1}: the dimension of cohomology(n)
-        if d_n d_{n-1} = 0, which ``cohomology`` checks and this does not."""
-        return self.dim(n) - self.rank(n) - self.rank(n - 1)
 
     def cohomology(self, n: int) -> CohomologySpace:
         """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles."""
@@ -623,12 +587,9 @@ class _BaseComplex:
 
 
 class DComplex(_BaseComplex):
-    """The Tate-Hochschild cochain complex of kG over F_p on a degree window.
-
-    Its keys are (args, h) everywhere but in ``rank`` on face tables (p <=
-    3), which reads the rank out of d >= 0 in the basis (args, y), y =
-    prod(args)^-1 h, as a sum over the class blocks.  ``cohomology(n)``
-    needs n-1 and n+1 in the window, as matrix(n-1) and matrix(n) do."""
+    """The Tate-Hochschild cochain complex of kG over F_p on a degree window,
+    on the keys (args, h) of the module docstring.  ``cohomology(n)`` needs
+    n-1 and n+1 in the window, as matrix(n-1) and matrix(n) do."""
 
     element_cls = TateElement
 
@@ -671,21 +632,6 @@ class DComplex(_BaseComplex):
         """kG acts on both ends by G.mult."""
         G = self.group
         return FaceTables(G, G.nontrivial, rows), G.order, G.mult, G.mult
-
-    @cached_property
-    def _class_faces(self) -> List[tuple]:
-        F = self.coboundary_faces()[0]
-        return [class_faces(F, K) for K in class_list(self.group)]
-
-    def _eliminated_rank(self, d: int) -> int:
-        # d >= 0 may lie above the window: rank(-d-2)
-        if d < 0 or self.p > 3:
-            return super()._eliminated_rank(d)
-        p, q = self.p, len(self.group.nontrivial)
-        blocks = [SparseMatrix(f[1] * q ** (d + 1), f[1] * q ** d, p, build=None,
-                               vectors=_streamed(f, d, p))
-                  for f in self._class_faces]
-        return sum(map(matrix_rank, blocks))
 
 
 class GroupComplex(_BaseComplex):

@@ -19,19 +19,21 @@ they are, so no cohomology space of degree lo-1 is built.  ``tables`` and
 classes and computes each product of two basis classes and each BV image of
 one once per job; their brackets are read off those two tables by
 linearity.  Class arithmetic builds no D-complex of G: only the direct-path
-cross-checks of ``dims`` and ``tables`` do, and ``verify-s3`` for its
-direct dims.
+spot check of ``tables`` does.
 
 ``dims`` reads dimensions only.  It reads those of each distinct
 centralizer C on a Sylow p-subgroup P of C: all zero if P = 1, the ranks
 of a guarded minimal free resolution of F_p over F_p[C] if P = C, and
 otherwise the rank of res o cor on the cohomology of P, as cor o res is
-multiplication by the unit [C:P].  No complex of C is built or eliminated;
-only the Sylow route builds complexes, those of P.
+multiplication by the unit [C:P]; only the Sylow route builds complexes,
+those of P.  Its direct check reads dim Ĥ^n(G, k[K]) for each class K off
+a free resolution over F_p[G] (``direct_dims``), and compares it class by
+class; ``verify-s3`` sums it for its direct dims.  No code ranks a complex.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import random
@@ -43,7 +45,7 @@ from .complexes import DComplex, GroupTateElement, dim_degree, group_dim_degree,
 from .decomposition import ClassDecomposition, b_tilde, delta_tilde
 from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes, generated_subgroup,
                      group_from_mult_table, group_from_permutations, parse_cycles,
-                     preset_group, sylow_subgroup)
+                     preset_group, sylow_subgroup, whole_group)
 from .linalg import SparseMatrix, _eliminate, _engine, rank
 from .transfer import TransferContext
 
@@ -147,7 +149,7 @@ def _provenance(cfg: JobConfig) -> Dict:
 
 def direct_fits(G: Group, lo: int, hi: int) -> bool:
     """Whether every D-complex degree lo..hi has at most DIRECT_COLUMN_CAP
-    basis elements, so that the direct path may run on them."""
+    basis elements, the gate of the direct-path checks."""
     return max(dim_degree(G, d) for d in range(lo, hi + 1)) <= DIRECT_COLUMN_CAP
 
 
@@ -452,29 +454,16 @@ def _config_dict(cfg: JobConfig) -> Dict:
 
 
 def check_square(cplx, n: int, rng: random.Random) -> None:
-    """The guard of every dimension ``dims`` reads off cplx in degree n: the
-    rank formula and the quotient are right only if d_n d_{n-1} = 0, so
-    d(d(e)) = 0 is checked with the element-level differential on one seeded
-    basis element e of degree n-1 (drawn without building the basis)."""
+    """The guard of the quotient that ``sylow_dims`` reads off cplx in degree
+    n, right only if d_n d_{n-1} = 0: d(d(e)) = 0 is checked with the
+    element-level differential on one seeded basis element e of degree n-1
+    (drawn without building the basis)."""
     size = cplx.dim(n - 1)
     if size:
         key = next(itertools.islice(cplx.iter_basis(n - 1), rng.randrange(size), None))
         e = cplx.element(n - 1, {key: 1})
         if not cplx.differential(cplx.differential(e)).is_zero():
             raise VerificationError(f"d^2 != 0 out of degree {n - 1}")
-
-
-def checked_dims(cplx, degrees: Sequence[int], rng: random.Random) -> List[int]:
-    """``cohomology_dim`` of cplx in each degree, guarded by ``check_square``;
-    every dimension must be >= 0."""
-    dims = []
-    for n in degrees:
-        check_square(cplx, n, rng)
-        dim = cplx.cohomology_dim(n)
-        if dim < 0:
-            raise VerificationError(f"negative cohomology dimension {dim} at degree {n}")
-        dims.append(dim)
-    return dims
 
 
 def sylow_dims(ctx: TransferContext, C: Subgroup, P: Subgroup, degrees: Sequence[int],
@@ -502,8 +491,7 @@ def sylow_dims(ctx: TransferContext, C: Subgroup, P: Subgroup, degrees: Sequence
             square = [sum(M[k][i] * c for k, c in enumerate(col)) % p for i in range(len(col))]
             if square != [index * c % p for c in col]:
                 raise VerificationError(f"res o cor at degree {n} fails M^2 = [C:P] M")
-        dims.append(rank(SparseMatrix(len(M), len(M), p, build=lambda: [
-            {i: c for i, c in enumerate(col) if c} for col in M])))
+        dims.append(_rank_of(p, len(M), [dict(enumerate(col)) for col in M]))
     return dims
 
 
@@ -520,25 +508,29 @@ def _minimal_generators(p: int, K: List, KI: List, n: int) -> List:
     return [K[j - len(KI)] for j in pivots if j >= len(KI)]
 
 
-def resolution_dims(C: Subgroup, p: int, degrees: Sequence[int]) -> List[int]:
-    """dim of Tate cohomology of a nontrivial p-group C in each degree n,
-    read off the ranks r_n of a minimal free resolution F_n = A^(r_n) of
-    F_p over A = F_p[C] (Green, LNM 1828): Hom(F_n, F_p) has zero
-    differential, so dim Ĥ^n = dim H^n = r_n for n >= 1, dim Ĥ^0 = 1 = r_0,
-    and Tate duality Ĥ^(-n-1) = (Ĥ^n)^* gives r_(-n-1) for n <= -1 (Brown
-    VI.7).
+def _orbit_generators(p: int, K: List, orbit) -> List:
+    """For a C that is no p-group: the v in K, a basis of the submodule
+    K_(n-1), whose orbit(v) holds a pivot of one feed of the orbits of K in
+    turn.  Each other orbit lies in the span of those before, so they
+    generate K_(n-1); the feed stops at len(K) pivots, and a pick that spans
+    less fails the exactness guard of ``_resolution``."""
+    E, gens = _engine(p), []
+    for v in K:
+        if len(E.lead) < len(K) and E.feed(orbit(v), False)[0]:
+            gens.append(v)
+    return gens
 
-    The resolution is built in the engine's vector format up to degree
-    max(hi, -lo-1).  Index i*m + a of F_n (m = |C|) is e_i times the a-th
-    member of C, so right multiplication by a member permutes the indices
-    inside each block.  K_0 is the augmentation ideal I.  For n >= 1, d_n
-    sends e_i g to generator_i g, where ``_minimal_generators`` picks the
-    generators of K_(n-1) against K_(n-1)·I, which the v(s-1) span for v
-    in the basis of K_(n-1) and s in a generating set of C; then
-    K_n = ker d_n.  Guards, each a VerificationError: rank d_n =
-    dim K_(n-1) (exactness), and every vector of K_n has entry sum 0 in
-    each block, so K_n lies in F_n·I (minimality: the differential of
-    Hom(F, F_p) is zero)."""
+
+def _resolution(C: Subgroup, p: int, top: int) -> Tuple[List[int], List[List]]:
+    """A free resolution F_n = A^(r_n) of F_p over A = F_p[C] up to degree
+    top: the indices S of a generating set of C, and per n = 1..top the
+    images d_n(e_i) in F_(n-1), engine vectors whose index i*m + a is e_i
+    times the a-th member of C (m = |C|).  K_0 = I, d_n sends e_i g to
+    generator_i g, and K_n = ker d_n.  For a p-group C, F_p[C] is local and
+    ``_minimal_generators`` picks against K_(n-1)·I, which the v(s-1) span
+    (v in K_(n-1), s in S); for other C ``_orbit_generators`` picks.  Guards
+    (VerificationError): the pick's, rank d_n = dim K_(n-1) (exactness) and,
+    for a p-group, K_n in F_n·I, entry sum 0 in each block (minimality)."""
     m, mult = C.order, C.parent.mult
     where = {g: a for a, g in enumerate(C.members)}
     right = [[where[mult[g][h]] for g in C.members] for h in C.members]  # [b][a]: member a times b
@@ -546,32 +538,93 @@ def resolution_dims(C: Subgroup, p: int, degrees: Sequence[int]) -> List[int]:
     for b in range(1, m):
         if C.members[b] not in generated_subgroup(C.parent, [C.members[s] for s in S]):
             S.append(b)
+    local = pow(p, m, m) == 0  # m divides p^m: C is a p-group
     E = _engine(p)
     K = [E.split({0: p - 1, a: 1}) for a in range(1, m)]  # the basis g - 1 of K_0 = I
-    ranks = [1]
-    for n in range(1, max(max(degrees), -min(degrees) - 1) + 1):
-        acts = [[i * m + a for i in range(ranks[-1]) for a in row] for row in right]
-        gens = _minimal_generators(p, K, [E.sub(E.permute(v, acts[s]), v) for v in K for s in S], n)
-        d = SparseMatrix(ranks[-1] * m, len(gens) * m, p, None,
+    out: List[List] = []
+    for n in range(1, top + 1):
+        acts = [[i * m + a for i in range(len(out[-1]) if out else 1) for a in row] for row in right]
+        if local:
+            gens = _minimal_generators(p, K, [E.sub(E.permute(v, acts[s]), v) for v in K for s in S], n)
+        else:
+            gens = _orbit_generators(p, K, lambda v: [E.permute(v, act) for act in acts])
+        d = SparseMatrix(len(acts[0]), len(gens) * m, p, None,
                          vectors=lambda _: (E.permute(g, act) for g in gens for act in acts))
         pivots, kernel = _eliminate(d, True)
         if len(pivots) != len(K):
             raise VerificationError(f"resolution at degree {n}: d_{n} has rank {len(pivots)}, "
                                     f"not dim K_{n - 1} = {len(K)}")
         K = [c for _, c in kernel]
-        if any(any(E.block_sums(c, m)) for c in K):
+        if local and any(any(E.block_sums(c, m)) for c in K):
             raise VerificationError(f"resolution at degree {n}: ker d_{n} is not in F_{n}·I, "
                                     "so the resolution is not minimal")
-        ranks.append(len(gens))
+        out.append(gens)
+    return S, out
+
+
+def resolution_dims(C: Subgroup, p: int, degrees: Sequence[int]) -> List[int]:
+    """dim Ĥ^n of a nontrivial p-group C in each degree n: Hom(F_n, F_p) of
+    its minimal resolution has zero differential, so it is r_n for n >= 0,
+    and r_(-n-1) for n <= -1 by Tate duality (Green, LNM 1828; Brown VI.7)."""
+    ranks = [1] + [len(gens) for gens in _resolution(C, p, max(max(degrees), -min(degrees) - 1))[1]]
     return [ranks[n if n >= 0 else -n - 1] for n in degrees]
+
+
+def _rank_of(p: int, nrows: int, cols: List[Dict[int, int]]) -> int:
+    return rank(SparseMatrix(nrows, len(cols), p, lambda: [
+        {i: x % p for i, x in c.items() if x % p} for c in cols]))
+
+
+def _tate_ends(p: int, act: List[List[int]], S: Sequence[int]) -> Tuple[int, int]:
+    """(dim Ĥ^0, dim Ĥ^-1) = (dim M^G/N·M, dim ker N/M·I), M the permutation
+    module y g = act[g][y], by the ranks of N = sum_g g, of y -> (y s - y)_s
+    (kernel M^G) and of (s, y) -> y s - y (image M·I), s in the generators S."""
+    k = len(act[0])
+    moves = [[{} if act[s][y] == y else {act[s][y]: 1, y: -1} for y in range(k)] for s in S]
+    rank_n = _rank_of(p, k, [collections.Counter(row[y] for row in act) for y in range(k)])
+    fixed = k - _rank_of(p, len(S) * k, [{t * k + z: x for t, col in enumerate(moves)
+                                          for z, x in col[y].items()} for y in range(k)])
+    return fixed - rank_n, k - rank_n - _rank_of(p, k, [c for col in moves for c in col])
+
+
+def direct_dims(G: Group, p: int, cd: ConjugacyData, degrees: Sequence[int]) -> List[List[int]]:
+    """dim Ĥ^n(G, k[K]) for each class K of cd and degree n, k[K] under y g
+    = g^-1 y g, without Shapiro's lemma: the other side of ``dims``'s check.
+    On F from ``_resolution``, Hom_G(F_n, k[K]) = k[K]^(r_n); if d_(n+1) e_i
+    = sum_(j,a) c_ija e_j g_a, delta_n is r_(n+1)|K| x r_n|K| with blocks
+    (i, j) = sum_a c_ija rho(g_a), c_ija at row (i, y g_a) of column (j, y).
+    dim Ĥ^n = r_n|K| - rank delta_n - rank delta_(n-1) for n >= 1, n = 0,
+    -1 are ``_tate_ends``'s, and n <= -2 reads -n-1: k[K] is self-dual."""
+    m, mult, inv = G.order, G.mult, G.inv
+    top = max((max(n, -n - 1) for n in degrees), default=0)
+    S, gens = _resolution(whole_group(G), p, top + 1 if top else 0)
+    E, ranks = _engine(p), [1] + [len(gs) for gs in gens]
+    terms = [[(i, t // m, t % m, x) for i, g in enumerate(gs) for t, x in enumerate(E.coords(g, r * m))
+              if x] for r, gs in zip(ranks, gens)]  # per n, the (i, j, a, c_ija) of d_(n+1)
+    out = []
+    for K in cd.classes:
+        k, at = len(K), {y: i for i, y in enumerate(K)}
+        act = [[at[mult[mult[inv[g]][y]][g]] for y in K] for g in range(m)]
+        delta = []  # rank delta_n for n = 0..top
+        for r, r_next, cs in zip(ranks, ranks[1:], terms):
+            cols = [collections.Counter() for _ in range(r * k)]
+            for i, j, a, x in cs:
+                for y, z in enumerate(act[a]):
+                    cols[j * k + y][i * k + z] += x
+            delta.append(_rank_of(p, r_next * k, cols))
+        dims = dict(zip((0, -1), _tate_ends(p, act, S)))
+        dims.update((n, ranks[n] * k - delta[n] - delta[n - 1]) for n in range(1, top + 1))
+        out.append([dims[n if n >= -1 else -n - 1] for n in degrees])
+    return out
 
 
 def cmd_dims(cfg: JobConfig) -> Dict:
     """dim HH^n(kG) as the sum over conjugacy classes of dim Ĥ^n(C_k), each
     distinct centralizer read once by the route its Sylow p-subgroup P
     picks (module docstring): zeros for P = 1, ``resolution_dims`` for
-    P = C and ``sylow_dims`` otherwise; the direct path, where it fits
-    DIRECT_COLUMN_CAP, must agree on the inner degrees."""
+    P = C and ``sylow_dims`` otherwise; where the D-complex fits
+    DIRECT_COLUMN_CAP, ``direct_dims`` must agree with it class by class on
+    the inner degrees, and ``direct`` holds their totals."""
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
@@ -596,10 +649,12 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     direct: Optional[Dict[str, int]] = None
     if direct_fits(G, lo, hi):
         inner = range(lo + 1, hi)
-        direct = dict(zip(map(str, inner), checked_dims(DComplex(G, cfg.p, (lo, hi)), inner, rng)))
-        for n in inner:
-            if direct[str(n)] != totals[n - lo]:
-                raise VerificationError(f"direct and decomposition dims disagree at degree {n}")
+        by_class = direct_dims(G, cfg.p, cd, inner)
+        for n, k in ((n, k) for t, n in enumerate(inner) for k in range(cd.num_classes)
+                     if by_class[k][t] != per_class[k][n - lo]):
+            raise VerificationError(f"direct and decomposition dims disagree at degree {n} "
+                                    f"on class {G.label(cd.reps[k])}")
+        direct = {str(n): sum(col) for n, col in zip(inner, zip(*by_class))}
     return {
         "config": _config_dict(cfg),
         "dims": {"degrees": degrees, "total": totals,

@@ -23,7 +23,7 @@ from .decomposition import ClassDecomposition, b_tilde
 from .groups import conjugacy_classes, preset_group, whole_group
 from .harness import (ConfigError, DecClass, DecOps, JobConfig, TableOps, _config_dict,
                       _provenance, check_dec_window, check_decomposition_cost, direct_cup,
-                      direct_fits, make_group)
+                      direct_dims, direct_fits, make_group)
 from .linalg import kernel_basis
 
 
@@ -172,8 +172,7 @@ class S3Verifier:
         dims_dec = [sum(ops.cls_dim(c, n) for c in range(3)) for n in range(-4, 4)]
         ck.add("dims decomposition path -4..3", dims_dec == [2, 1, 1, 2, 2, 1, 1, 2],
                str(dims_dec))
-        dc = DComplex(ops.group, 3, (-4, 3))
-        dims_dir = [dc.cohomology_dim(n) for n in range(-3, 3)]
+        dims_dir = [sum(col) for col in zip(*direct_dims(ops.group, 3, ops.cd, range(-3, 3)))]
         ck.add("dims direct path -3..2", dims_dir == [1, 1, 2, 2, 1, 1], str(dims_dir))
 
         gen: Dict[str, DecClass] = {}

@@ -6,23 +6,31 @@ from tatebv.linalg import SparseMatrix, rank
 
 
 class _TemplateMatrices:
-    """Builds every matrix, and so every rank, from the dict columns of
-    ``unsigned_terms``, so that an override of that template reaches them;
-    the face tables stream the unchanged map."""
+    """Builds every matrix from the dict columns of ``unsigned_terms``, so
+    that an override of that template reaches them; the face tables stream
+    the unchanged map."""
 
-    def _new_matrix(self, d):
-        return SparseMatrix(self.dim(d + 1), self.dim(d), self.p, build=lambda: self._columns(d))
+    def matrix(self, d):
+        self.check_degree(d)
+        self.check_degree(d + 1)
+        if d not in self._matrix:
+            self._matrix[d] = SparseMatrix(self.dim(d + 1), self.dim(d), self.p,
+                                           build=lambda: self._columns(d))
+        return self._matrix[d]
 
-    def _eliminated_rank(self, d):
-        return rank(self._new_matrix(d))
+
+def ranked_dims(cplx, degrees):
+    """dim C^n - rank d_n - rank d_(n-1) of cplx in each degree n, each rank
+    by ``linalg.rank`` of the complex's own matrix: its cohomology
+    dimensions if d^2 = 0, which this does not check."""
+    return [cplx.dim(n) - rank(cplx.matrix(n)) - rank(cplx.matrix(n - 1)) for n in degrees]
 
 
 class MutatedDComplex(_TemplateMatrices, DComplex):
     """Corrupts one differential to prove the checks have teeth: every
     degree-0 column gains +1 at ((g1,), e), so d^2 != 0.  Its matrices come
-    from the override, not from the face tables, and its rank(d) for d <=
-    -2 reads its own corrupted rank(-d-2), so rank(-2) is that of the
-    corrupted degree-0 matrix."""
+    from the override, not from the face tables, so only matrix(0) is
+    corrupted."""
 
     def unsigned_terms(self, key, d, out, c):
         super().unsigned_terms(key, d, out, c)

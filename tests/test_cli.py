@@ -195,8 +195,9 @@ def test_failed_consistency_check_exits_one(monkeypatch, capsys, command, check)
     is one stderr line and exit 1, with no traceback."""
     from tatebv import harness
     if command == "dims":
-        real = harness.DComplex.cohomology_dim
-        monkeypatch.setattr(harness.DComplex, "cohomology_dim", lambda self, n: real(self, n) + 1)
+        real = harness.direct_dims
+        monkeypatch.setattr(harness, "direct_dims",
+                            lambda *args: [[x + 1 for x in row] for row in real(*args)])
     else:
         # the spot check compares cups on the direct path: make them all zero
         monkeypatch.setattr(harness, "cup", lambda a, b: a.complex.zero(a.degree + b.degree))

@@ -11,8 +11,8 @@ from tatebv.groups import (class_list, conjugacy_classes, generated_subgroup, pr
                            trivial_subgroup, whole_group)
 from tatebv.harness import make_group
 from tatebv.linalg import (QuotientSpace, SparseMatrix, add_scaled_inplace, kernel_basis,
-                           pivot_columns, rank)
-from conftest import MutatedDComplex
+                           pivot_columns, rank, select)
+from conftest import MutatedDComplex, ranked_dims
 
 
 def test_dim_degree(s3):
@@ -268,7 +268,7 @@ def test_face_built_rows_are_transposed_coboundaries(group, p):
             D = SparseMatrix(M.nrows, M.ncols, p, build=lambda: M.columns)
             assert D.rows is None
             assert pivot_columns(M) == pivot_columns(D)
-            assert C.rank(-n - 2) == rank(D)
+            assert rank(M) == rank(D)
 
 
 def _block_columns(G, K, n, p):
@@ -368,28 +368,26 @@ def test_quotients_out_of_negative_degrees_match_dict_columns(s3, p):
     ("cyclic:3", 3), ("cyclic:5", 3), ("cyclic:1", 3),
 ], ids=["S3", "D8", "Q8", "A4", "C3", "C5", "C1"])
 @pytest.mark.parametrize("p", [2, 3])
-def test_class_block_ranks_sum_to_whole_rank(monkeypatch, group, top, p):
-    """At p <= 3, DComplex.rank(n) for n >= 0 eliminates one block per
-    conjugacy class K, |K| q^n columns wide (q = |G| - 1), and their ranks
-    sum to the rank of the whole face-built matrix(n), for n = 0..top.  S3
-    and A4 fail with b y b^-1 in place of b^-1 y b (A4's classes of
-    3-cycles are not closed under inversion); C3 and C5 have one block per
-    element, none of them self-inverse but 1; C1 has q = 0.  A4 stops at
+def test_class_block_ranks_sum_to_whole_rank(group, top, p):
+    """At p <= 3 the class blocks of ``class_faces``, one per conjugacy
+    class K and |K| q^n columns wide (q = |G| - 1), stream matrices whose
+    ranks sum to the rank of the whole face-built matrix(n), for n =
+    0..top.  S3 and A4 fail with b y b^-1 in place of b^-1 y b (A4's classes
+    of 3-cycles are not closed under inversion); C3 and C5 have one block
+    per element, none of them self-inverse but 1; C1 has q = 0.  A4 stops at
     degree 2 to keep the test short (its degree-3 whole matrix takes
     seconds at p = 3)."""
     G = make_group(group)
-    sizes = sorted(len(K) for K in conjugacy_classes(G).classes)
+    classes = conjugacy_classes(G).classes
     q = G.order - 1
-    widths = []
-    real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate",
-                        lambda M, track: widths.append(M.ncols) or real(M, track))
     C = DComplex(G, p, (0, top + 1))
+    F = C.coboundary_faces()[0]
     for n in range(top + 1):
-        widths.clear()
-        got = C.rank(n)
-        assert sorted(widths) == [k * q ** n for k in sizes]
-        assert got == rank(C.matrix(n))
+        blocks = [SparseMatrix(len(K) * q ** (n + 1), len(K) * q ** n, p, build=None,
+                               vectors=lambda cols=None, f=class_faces(F, K): select(
+                                   coboundary_vectors(*f, n, p), cols))
+                  for K in classes]
+        assert sum(map(rank, blocks)) == rank(C.matrix(n))
 
 
 @pytest.mark.parametrize("group,p,window", [
@@ -412,23 +410,7 @@ def test_boundary_rank_is_coboundary_rank_at_p5_and_p7(group, p, window):
     for C, degrees in cases:
         assert list(degrees)
         for d in degrees:
-            assert rank(C.matrix(d)) == rank(C.matrix(-d - 2)) == C.rank(d)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_rank_raises_window_error_where_matrix_does(s3, p):
-    """rank(d) refuses exactly the degrees that matrix(d) refuses, although
-    rank(d <= -2) reads rank(-d-2), which may lie outside the window."""
-    for window in [(-4, 0), (-2, 2), (1, 3)]:
-        for d in range(window[0] - 2, window[1] + 2):
-            C = DComplex(s3, p, window)
-            try:
-                C.matrix(d)
-            except WindowError:
-                with pytest.raises(WindowError):
-                    C.rank(d)
-            else:
-                assert C.rank(d) == rank(C.matrix(d))
+            assert rank(C.matrix(d)) == rank(C.matrix(-d - 2))
 
 
 def test_overridden_unsigned_terms_keeps_template(s3):
@@ -498,30 +480,14 @@ def test_differential_matches_per_key_template_sums(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cohomology_dim_from_ranks_matches_quotient(s3, p):
-    """dim C^n - rank d_n - rank d_{n-1}, read on a fresh complex, equals
-    the dimension of the quotient that ``cohomology`` builds, on the
-    D-side complex and on the group side (whole group and a proper
-    subgroup), in both degree signs.  The ranks keep no matrix on the
-    complex."""
+    """dim C^n - rank d_n - rank d_{n-1} (``ranked_dims``), read on a fresh
+    complex, equals the dimension of the quotient that ``cohomology``
+    builds, on the D-side complex and on the group side (whole group and a
+    proper subgroup), in both degree signs.  The ranks open no cohomology
+    space on the complex."""
     make = [lambda: DComplex(s3, p, (-4, 3)), lambda: GroupComplex(whole_group(s3), p),
             lambda: GroupComplex(generated_subgroup(s3, [1]), p)]
     for new in make:
         ranked, quotient = new(), new()
-        for n in range(-3, 3):
-            assert ranked.cohomology_dim(n) == quotient.cohomology(n).dim
-        assert not ranked._cohomology and not ranked._matrix
-
-
-def test_rank_is_cached_on_the_complex(monkeypatch, s3):
-    """Each matrix is eliminated once per complex, however many degrees
-    read its rank, and rank(-d-2) shares the elimination of rank(d) at
-    every p: ranks -4..3 take five (0..3 and -1) at p = 2 and p = 5."""
-    calls = []
-    real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda M, track: calls.append(M) or real(M, track))
-    for p in (2, 5):
-        calls.clear()
-        C = GroupComplex(whole_group(s3), p)
-        dims = [C.cohomology_dim(n) for n in range(-3, 4)] + [C.cohomology_dim(n) for n in range(-3, 4)]
-        assert dims[:7] == dims[7:]
-        assert len(calls) == len({id(M) for M in calls}) == 5, p
+        assert ranked_dims(ranked, range(-3, 3)) == [quotient.cohomology(n).dim for n in range(-3, 3)]
+        assert not ranked._cohomology

@@ -11,16 +11,17 @@ import pytest
 
 from tatebv import bv, harness, linalg
 from tatebv.bv import bv_operator, class_of
-from tatebv.complexes import DComplex, GroupComplex, _BaseComplex
+from tatebv.cli import main
+from tatebv.complexes import DComplex, GroupComplex, _BaseComplex, class_of_index
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import CosetSystem, conjugacy_classes, preset_group, sylow_subgroup, whole_group
 from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
-                            VerificationError, check_decomposition_cost, checked_dims, cmd_dims,
-                            cmd_tables, direct_fits, make_group)
+                            VerificationError, check_decomposition_cost, cmd_dims, cmd_tables,
+                            direct_dims, direct_fits, make_group)
 from tatebv.transfer import TransferContext
 from tatebv.verify import S3Verifier
 
-from conftest import MutatedDComplex, MutatedGroupComplex
+from conftest import MutatedDComplex, MutatedGroupComplex, ranked_dims
 
 
 @pytest.fixture(scope="module")
@@ -152,22 +153,37 @@ def _is_p_group(order, p):
 @pytest.mark.parametrize("group,p,window,digest", RANK_ONLY_DIMS,
                          ids=[f"{g}-p{p}" for g, p, _, _ in RANK_ONLY_DIMS])
 def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, digest):
-    """dims ranks no GroupComplex at all: a centralizer that is a p-group
-    is read off a minimal resolution, so the only complex ranked is the
-    D-complex of the direct path, by its class blocks.  It opens cohomology
-    spaces only on the Sylow side: with no centralizer C whose Sylow P has
-    1 < P < C (D8, Q8, S3 at p = 5) it builds no QuotientSpace at all;
-    otherwise (S4 at p = 2, S3 at p = 3) every space it opens is on a
-    p-group complex."""
+    """dims ranks no complex at all: a centralizer that is a p-group is read
+    off a minimal resolution, the direct path off a resolution of G, and no
+    D-complex is built.  The only complex matrices it builds are those of
+    the cohomology spaces it opens, on the Sylow side: with no centralizer C
+    whose Sylow P has 1 < P < C (D8, Q8, S3 at p = 5) it builds no
+    QuotientSpace at all; otherwise (S4 at p = 2, S3 at p = 3) every space
+    it opens is on a p-group complex."""
     G = make_group(group)
     sylow_side = {C.members for C in conjugacy_classes(G).centralizers
                   if 1 < sylow_subgroup(C, p).order < C.order}
     assert bool(sylow_side) == (group in ("symmetric:4", "symmetric:3") and p < 5)
-    opened, ranked = [], []
-    cohomology, rank = _BaseComplex.cohomology, _BaseComplex.rank
-    monkeypatch.setattr(_BaseComplex, "cohomology",
-                        lambda self, n: opened.append(self.subgroup) or cohomology(self, n))
-    monkeypatch.setattr(_BaseComplex, "rank", lambda self, d: ranked.append(self) or rank(self, d))
+    opened, quotient = [], []
+    cohomology, matrix = _BaseComplex.cohomology, _BaseComplex.matrix
+
+    def opening(self, n):
+        opened.append(self.subgroup)
+        quotient.append(n)
+        try:
+            return cohomology(self, n)
+        finally:
+            quotient.pop()
+
+    def quotient_matrix(self, d):
+        assert quotient, "dims built a complex matrix outside a cohomology space"
+        return matrix(self, d)
+
+    def no_d_complex(*args):
+        raise AssertionError("dims built a D-complex")
+    monkeypatch.setattr(_BaseComplex, "cohomology", opening)
+    monkeypatch.setattr(_BaseComplex, "matrix", quotient_matrix)
+    monkeypatch.setattr(DComplex, "__init__", no_d_complex)
     if not sylow_side:
         def no_quotient(*args):
             raise AssertionError("dims built a QuotientSpace")
@@ -175,9 +191,9 @@ def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, 
     data = cmd_dims(JobConfig(group=group, p=p, window=window, fmt="json"))
     data.pop("provenance")
     assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
+    assert data["dims"]["direct"] is not None
     assert bool(opened) == bool(sylow_side)
     assert all(_is_p_group(H.order, p) for H in opened)
-    assert ranked and all(type(cplx) is DComplex for cplx in ranked)
 
 
 # (group, p, window) where the rank route on each centralizer is cheap
@@ -203,8 +219,7 @@ def test_resolution_dims_equal_the_rank_route(group, p):
     Tate complex in every degree of -4..4."""
     C = whole_group(make_group(group))
     degrees = range(-4, 5)
-    assert harness.resolution_dims(C, p, degrees) == checked_dims(GroupComplex(C, p), degrees,
-                                                                  random.Random(0))
+    assert harness.resolution_dims(C, p, degrees) == ranked_dims(GroupComplex(C, p), degrees)
 
 
 def test_resolution_dims_closed_forms():
@@ -274,7 +289,7 @@ def test_sylow_dims_equal_the_rank_route(group, p, window):
     sylow_side = 0
     for C in {C.members: C for C in cd.centralizers}.values():
         P = sylow_subgroup(C, p)
-        want = checked_dims(ctx.complex_for(C), degrees, random.Random(0))
+        want = ranked_dims(ctx.complex_for(C), degrees)
         if P.order == 1:
             assert want == [0] * len(degrees)
         elif P.order < C.order:
@@ -323,16 +338,95 @@ def test_dims_refuses_a_thread_sum_that_drops_a_coset(monkeypatch, group, p, win
 def test_dims_guard_catches_broken_differential(s3, p):
     """The rank formula silently gives wrong, non-negative dimensions on a
     complex whose differential breaks d^2 = 0 (the selftest's mutated
-    complex); the seeded d(d(e)) check refuses it."""
+    complex); the seeded d(d(e)) check of ``check_square``, which guards the
+    complexes that ``sylow_dims`` eliminates, refuses it."""
     window = (-4, 3)
     degrees = range(-3, 3)
-    wrong = [MutatedDComplex(s3, p, window).cohomology_dim(n) for n in degrees]
+    wrong = ranked_dims(MutatedDComplex(s3, p, window), degrees)
     assert min(wrong) >= 0
-    assert wrong != [harness.DComplex(s3, p, window).cohomology_dim(n) for n in degrees]
+    assert wrong != ranked_dims(harness.DComplex(s3, p, window), degrees)
+    rng = random.Random(0)
     with pytest.raises(VerificationError, match=r"d\^2 != 0"):
-        checked_dims(MutatedDComplex(s3, p, window), degrees, random.Random(0))
-    assert checked_dims(harness.DComplex(s3, p, window), degrees, random.Random(0)) == [
+        for n in degrees:
+            harness.check_square(MutatedDComplex(s3, p, window), n, rng)
+    for n in degrees:
+        harness.check_square(harness.DComplex(s3, p, window), n, rng)
+    assert ranked_dims(harness.DComplex(s3, p, window), degrees) == [
         harness.DComplex(s3, p, window).cohomology(n).dim for n in degrees]
+
+
+# (group, p, window) of the direct route against the D-complex: p | |G| at p = 2, 3, 5
+# and 7, with classes of 1 to 5 members and groups that are no p-group at p = 2, 3 and
+# 5, and S3 at p = 5, where p does not divide |G| and every value is 0
+DIRECT_CASES = [
+    ("symmetric:3", 2, (-4, 3)), ("symmetric:3", 3, (-4, 3)), ("dihedral:4", 2, (-3, 2)),
+    ("quaternion8", 2, (-3, 2)), ("cyclic:6", 3, (-3, 3)), ("dihedral:5", 5, (-3, 2)),
+    ("cyclic:7", 7, (-3, 2)), ("symmetric:3", 5, (-3, 3)),
+]
+
+
+def _class_block_rank(C, cd, d, k):
+    """The rank of the block of class k of the D-complex's matrix(d): its
+    columns, as the dict template builds them, restricted to the keys of
+    class k (``class_of_index``), a set that the differential keeps."""
+    keys = C.basis(d)
+    cols = [col for key, col in zip(keys, C.matrix(d).columns) if class_of_index(cd, d, key) == k]
+    return linalg.rank(linalg.SparseMatrix(C.dim(d + 1), len(cols), C.p, build=lambda: cols))
+
+
+@pytest.mark.parametrize("group,p,window", DIRECT_CASES, ids=[f"{g}-p{p}" for g, p, _ in DIRECT_CASES])
+def test_direct_dims_match_d_complex_ranks(group, p, window):
+    """The anchor of the dims check: class by class, ``direct_dims`` (a free
+    resolution of G with coefficients k[K]) equals dim - rank(matrix(n)) -
+    rank(matrix(n-1)) on the class blocks of the bar-type D-complex, and
+    its totals equal those of the whole D-complex, on the inner degrees of
+    the window."""
+    G = make_group(group)
+    cd = conjugacy_classes(G)
+    C = DComplex(G, p, window)
+    inner = range(window[0] + 1, window[1])
+    got = direct_dims(G, p, cd, inner)
+    for k in range(cd.num_classes):
+        want = [sum(class_of_index(cd, n, key) == k for key in C.basis(n))
+                - _class_block_rank(C, cd, n, k) - _class_block_rank(C, cd, n - 1, k) for n in inner]
+        assert got[k] == want, (k, got[k], want)
+    assert [sum(col) for col in zip(*got)] == ranked_dims(C, inner)
+    if p == 5 and group == "symmetric:3":
+        assert not any(map(any, got))
+
+
+def test_dims_refuses_a_resolution_of_g_that_drops_a_generator(monkeypatch, capsys):
+    """With the last generator that ``_orbit_generators`` picks for F_2 of
+    G = S3 dropped, d_2 of the G-resolution misses K_1: the exactness guard
+    fails the job, exit 1, before any comparison.  Only the resolution of G
+    is a non-p-group's, so the decomposition side is untouched."""
+    pick = harness._orbit_generators
+    calls = []
+
+    def dropped(p, K, orbit):
+        gens = pick(p, K, orbit)
+        calls.append(len(gens))
+        return gens[:-1] if len(calls) == 2 else gens
+    monkeypatch.setattr(harness, "_orbit_generators", dropped)
+    assert main(["dims", "--group", "symmetric:3", "--char", "3", "--window", "-3..3"]) == 1
+    err = capsys.readouterr().err
+    assert "resolution at degree 2: d_2 has rank" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shifts", [{3: 1}, {3: 1, 2: -1}], ids=["one-class", "totals-kept"])
+def test_dims_compares_the_direct_path_class_by_class(monkeypatch, shifts):
+    """An Ĥ^0 off by one on the class of size 3 of S3 fails the dims check,
+    even when the class of size 2 is off by minus one, so that every total
+    still agrees: the comparison is class by class."""
+    ends = harness._tate_ends
+
+    def shifted(p, act, S):
+        h0, h1 = ends(p, act, S)
+        return h0 + shifts.get(len(act[0]), 0), h1
+    monkeypatch.setattr(harness, "_tate_ends", shifted)
+    with pytest.raises(VerificationError, match=r"^direct and decomposition dims disagree at "
+                                                 r"degree 0 on class "):
+        cmd_dims(JobConfig(group="symmetric:3", p=3, window=(-2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ Per run it records the wall time from spawn to reap, the child's own peak
 RSS (``ru_maxrss`` from ``os.wait4``), its exit code, negative for the
 signal that killed it (``RLIMIT_CPU`` sends SIGXCPU; a job that runs out of
 address space exits 3), and ``out_sha256``, the SHA-256 of its stdout JSON
-without ``provenance`` (None if stdout is not JSON).  A job whose runs
+without ``provenance`` (None if stdout is not JSON).  It also records
+``scale`` and ``wall_s_scaled`` = ``wall_s`` * ``scale``: the ``Gauge`` of
+``perfbench/reference.py`` times a fixed reference computation in bursts
+before and after each run, and ``scale`` is ``REFERENCE_S`` over their
+mean, so that scaled times of different invocations, and files, compare
+across a drift in the machine's speed.  A job whose runs
 disagree on that digest, between trees or between repeats, prints a
 ``MISMATCH`` line, and a run whose exit code is not the one its job
 expects prints an ``UNEXPECTED EXIT`` line; either makes the tool exit 1,
@@ -25,9 +30,9 @@ untimed import.  The results go under ``runs[LABEL]`` of ``--out``; the
 other labels already in that file stay.
 
 Each printed line gives a job's median wall time and, with ``--repeat``
-above 1, the minimum and maximum of its samples in parentheses: on
-sub-second jobs the ranges of two trees often overlap, and then their
-medians show no difference.
+above 1, the minimum and maximum of its samples in parentheses, then the
+median scaled time: on sub-second jobs the ranges of two trees often
+overlap, and then their medians show no difference.
 """
 
 from __future__ import annotations
@@ -47,13 +52,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))  # perfbench is no package
+from reference import Gauge
+
 MEM_MB = 1024  # RLIMIT_AS of each child: tables S3 -7..7 reaches it in about 50 s
 CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes about 25 s
 
 # (command, group, char, window, in the quick subset, expected exit code);
 # verify-s3 needs no group.  dims S4 -5..5 is refused by the cost caps, and
 # tables S3 -7..7 runs out of the address space MEM_MB allows: both exit 3.
-# dims S3 p=5 -5..2 reads rank(-5) off rank(3), a degree outside its window.
+# dims S3 p=5 -5..2 reads its direct dims at -4 off degree 3 by duality, a
+# degree outside its window.  The p >= 5 dims rows run the direct path at
+# p = 5 and 7, S3 at p = 5 with p prime to |G|; dims S4 p=3 runs it on a
+# group that is no p-group, with classes of up to 8 members.
 # tables S4 p=2 -2..2 is over the direct-path cap: no spot check, so it runs
 # the seeded recomputation of the cups tables fills from the other order.
 # selftest S4 p=2 -4..4 and verify-appendix-b S5 p=2 are refused by the
@@ -80,12 +91,13 @@ JOBS = [
     ("dims", "quaternion8", 2, "-3..3", False, 0),
     ("dims", "symmetric:4", 2, "-3..3", True, 0),
     ("dims", "symmetric:4", 2, "-5..5", False, 3),
-    ("dims", "symmetric:3", 5, "-5..5", False, 0),
+    ("dims", "symmetric:3", 5, "-5..5", True, 0),
     ("dims", "symmetric:3", 5, "-5..2", True, 0),
     ("dims", "dihedral:5", 5, "-3..3", True, 0),
     ("dims", "dihedral:6", 3, "-3..3", True, 0),
-    ("dims", "cyclic:7", 7, "-4..4", False, 0),
-    ("dims", "dihedral:7", 7, "-3..3", False, 0),
+    ("dims", "cyclic:7", 7, "-4..4", True, 0),
+    ("dims", "dihedral:7", 7, "-3..3", True, 0),
+    ("dims", "symmetric:4", 3, "-2..2", True, 0),
     ("tables", "dihedral:5", 5, "-3..3", False, 0),
     ("tables", "cyclic:6", 3, "-4..4", False, 0),
     ("tables", "dihedral:6", 2, "-3..3", False, 0),
@@ -163,6 +175,7 @@ def main(argv=None):
         run_child(["-c", "import tatebv.cli"], src)
     machine = {"cpus": os.cpu_count(), "python": platform.python_version(),
                "platform": platform.platform()}
+    gauge = Gauge()
     limits = {"address_space_mb": MEM_MB, "cpu_s": CPU_S}
     runs = {label: {"machine": machine, "limits": limits, "repeat": args.repeat,
                     "jobs": []} for label in trees}
@@ -173,10 +186,14 @@ def main(argv=None):
         for rep in range(args.repeat):
             order = list(trees.items())
             for label, src in order[::-1] if rep % 2 else order:
-                samples[label].append(run_child(argv, src))
+                sample = run_child(argv, src)
+                sample["scale"] = round(gauge.factor(), 4)
+                sample["wall_s_scaled"] = round(sample["wall_s"] * sample["scale"], 3)
+                samples[label].append(sample)
         for label, got in samples.items():
             rec = {"job": job_name(*job), "argv": argv[2:],
                    "wall_s_median": round(statistics.median(s["wall_s"] for s in got), 3),
+                   "wall_s_scaled_median": round(statistics.median(s["wall_s_scaled"] for s in got), 3),
                    "peak_rss_mb_max": max(s["peak_rss_mb"] for s in got),
                    "exits": sorted({s["exit"] for s in got}), "expected_exit": expected,
                    "samples": got}
@@ -184,7 +201,8 @@ def main(argv=None):
             walls = [s["wall_s"] for s in got]
             spread = f" ({min(walls):.3f}-{max(walls):.3f})" if len(walls) > 1 else ""
             print(f"{label:>12}  {rec['job']:<34} wall {rec['wall_s_median']:7.3f} s{spread}  "
-                  f"rss {rec['peak_rss_mb_max']:7.1f} MB  exit {rec['exits']}", flush=True)
+                  f"scaled {rec['wall_s_scaled_median']:7.3f} s  rss {rec['peak_rss_mb_max']:7.1f} MB  "
+                  f"exit {rec['exits']}", flush=True)
             if rec["exits"] != [expected]:
                 failed = True
                 print(f"    UNEXPECTED EXIT  {label} {rec['job']}: {rec['exits']}, expected "
