@@ -175,6 +175,12 @@ def check_decomposition_cost(cd: ConjugacyData, window: Tuple[int, int]) -> None
 Entry = Tuple[str, object]
 
 
+def _label(cls: int, degree: int, entry: Entry) -> Optional[Tuple[int, int, Tuple[int, ...]]]:
+    """The name (class, degree, coords) under which a coordinate entry's lift
+    and its conjugated restrictions are shared; None for a representative."""
+    return (cls, degree, entry[1]) if entry[0] == "c" else None
+
+
 class DecClass:
     """A cohomology class as per-conjugacy-class components."""
 
@@ -289,17 +295,17 @@ class DecOps:
                 return val
             return self.ctx.corestrict_element(C, val).scale(
                 pow(C.order // val.subgroup.order, -1, self.p))
-        key = (cls, degree, val)
+        key = _label(cls, degree, entry)
         if key not in self._lifts:
             self._lifts[key] = self.space(cls, degree).lift(list(val))
         return self._lifts[key]
 
     def restrict_entry(self, cls: int, degree: int, entry: Entry) -> GroupTateElement:
-        """An entry's representative restricted to P_k."""
+        """An entry's representative restricted to P_k, a coordinate entry's
+        once per job (``TransferContext.cup_factor``)."""
         tag, val = entry
         elem = val if tag == "r" else self.lift_entry(cls, degree, entry)
-        P = self.sylow(cls)
-        return elem if elem.subgroup.order == P.order else self.ctx.restrict_element(P, elem)
+        return self.ctx.cup_factor(0, self.sylow(cls), elem, _label(cls, degree, entry))
 
     def cup(self, A: DecClass, B: DecClass) -> DecClass:
         deg = A.degree + B.degree
@@ -312,8 +318,9 @@ class DecOps:
                     rep = self.lift_entry if self.in_range(deg) else self.restrict_entry
                     reps = {0: self.ctx.group_cup_rep(rep(0, A.degree, ea), rep(0, B.degree, eb))}
                 else:
-                    reps = self.ctx.double_coset_cup_reps(i, j, self.lift_entry(i, A.degree, ea),
-                                                          self.lift_entry(j, B.degree, eb))
+                    reps = self.ctx.double_coset_cup_reps(
+                        i, j, self.lift_entry(i, A.degree, ea), self.lift_entry(j, B.degree, eb),
+                        (_label(i, A.degree, ea), _label(j, B.degree, eb)))
                 for k, gelem in reps.items():
                     entry = self._entry_from_elem(k, gelem)
                     if entry is not None:
@@ -562,11 +569,13 @@ def _resolution(C: Subgroup, p: int, top: int) -> Tuple[List[int], List[List]]:
     return S, out
 
 
-def resolution_dims(C: Subgroup, p: int, degrees: Sequence[int]) -> List[int]:
-    """dim Ĥ^n of a nontrivial p-group C in each degree n: Hom(F_n, F_p) of
-    its minimal resolution has zero differential, so it is r_n for n >= 0,
-    and r_(-n-1) for n <= -1 by Tate duality (Green, LNM 1828; Brown VI.7)."""
-    ranks = [1] + [len(gens) for gens in _resolution(C, p, max(max(degrees), -min(degrees) - 1))[1]]
+def resolution_dims(gens: List[List], degrees: Sequence[int]) -> List[int]:
+    """dim Ĥ^n of a nontrivial p-group C in each degree n, from the
+    generators ``gens`` that ``_resolution(C, p, top)`` picks for its
+    minimal resolution, top >= max(n, -n-1): Hom(F_n, F_p) has zero
+    differential, so it is r_n for n >= 0, and r_(-n-1) for n <= -1 by Tate
+    duality (Green, LNM 1828; Brown VI.7)."""
+    ranks = [1] + [len(g) for g in gens]
     return [ranks[n if n >= 0 else -n - 1] for n in degrees]
 
 
@@ -587,9 +596,12 @@ def _tate_ends(p: int, act: List[List[int]], S: Sequence[int]) -> Tuple[int, int
     return fixed - rank_n, k - rank_n - _rank_of(p, k, [c for col in moves for c in col])
 
 
-def direct_dims(G: Group, p: int, cd: ConjugacyData, degrees: Sequence[int]) -> List[List[int]]:
+def direct_dims(G: Group, p: int, cd: ConjugacyData, degrees: Sequence[int],
+                resolution: Optional[Tuple[List[int], List[List]]] = None) -> List[List[int]]:
     """dim Ĥ^n(G, k[K]) for each class K of cd and degree n, k[K] under y g
     = g^-1 y g, without Shapiro's lemma: the other side of ``dims``'s check.
+    ``resolution``, if given, is ``_resolution`` of G to a degree of at
+    least max(n, -n-1) + 1 over degrees, which is then not built again.
     On F from ``_resolution``, Hom_G(F_n, k[K]) = k[K]^(r_n); if d_(n+1) e_i
     = sum_(j,a) c_ija e_j g_a, delta_n is r_(n+1)|K| x r_n|K| with blocks
     (i, j) = sum_a c_ija rho(g_a), c_ija at row (i, y g_a) of column (j, y).
@@ -597,7 +609,9 @@ def direct_dims(G: Group, p: int, cd: ConjugacyData, degrees: Sequence[int]) -> 
     -1 are ``_tate_ends``'s, and n <= -2 reads -n-1: k[K] is self-dual."""
     m, mult, inv = G.order, G.mult, G.inv
     top = max((max(n, -n - 1) for n in degrees), default=0)
-    S, gens = _resolution(whole_group(G), p, top + 1 if top else 0)
+    depth = top + 1 if top else 0  # delta_top reads d_(top+1)
+    S, gens = resolution or _resolution(whole_group(G), p, depth)
+    gens = gens[:depth]
     E, ranks = _engine(p), [1] + [len(gs) for gs in gens]
     terms = [[(i, t // m, t % m, x) for i, g in enumerate(gs) for t, x in enumerate(E.coords(g, r * m))
               if x] for r, gs in zip(ranks, gens)]  # per n, the (i, j, a, c_ija) of d_(n+1)
@@ -624,7 +638,9 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     picks (module docstring): zeros for P = 1, ``resolution_dims`` for
     P = C and ``sylow_dims`` otherwise; where the D-complex fits
     DIRECT_COLUMN_CAP, ``direct_dims`` must agree with it class by class on
-    the inner degrees, and ``direct`` holds their totals."""
+    the inner degrees, and ``direct`` holds their totals.  If G is a
+    p-group, both sides read one resolution of G, as they need it to the
+    same degree max(hi, -lo-1)."""
     G = make_group(cfg.group)
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
@@ -633,6 +649,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     rng = random.Random(cfg.seed)
     degrees = list(range(lo, hi + 1))
     dims: Dict[Tuple[int, ...], List[int]] = {}
+    whole = None  # G's resolution, if G is a p-group
     for C in cd.centralizers:
         if C.members in dims:
             continue
@@ -640,7 +657,10 @@ def cmd_dims(cfg: JobConfig) -> Dict:
         if P.order == 1:
             dims[C.members] = [0] * len(degrees)
         elif P.order == C.order:
-            dims[C.members] = resolution_dims(C, cfg.p, degrees)
+            resolution = _resolution(C, cfg.p, max(hi, -lo - 1))
+            dims[C.members] = resolution_dims(resolution[1], degrees)
+            if C.order == G.order:
+                whole = resolution
         else:
             dims[C.members] = sylow_dims(ctx, C, P, degrees, rng)
     per_class = [dims[C.members] for C in cd.centralizers]
@@ -649,7 +669,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     direct: Optional[Dict[str, int]] = None
     if direct_fits(G, lo, hi):
         inner = range(lo + 1, hi)
-        by_class = direct_dims(G, cfg.p, cd, inner)
+        by_class = direct_dims(G, cfg.p, cd, inner, whole)
         for n, k in ((n, k) for t, n in enumerate(inner) for k in range(cd.num_classes)
                      if by_class[k][t] != per_class[k][n - lo]):
             raise VerificationError(f"direct and decomposition dims disagree at degree {n} "

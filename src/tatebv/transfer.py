@@ -22,12 +22,16 @@ accumulates the result per target conjugacy class.  Everything in it that
 depends only on the group is built once per context: the plan of each
 class pair (target class, conjugating elements, intersection subgroup and
 centralizer per double coset), the conjugation row and target complex of
-each (g, H), and (in CosetSystem) the coset step table of each g.
+each (g, H), and (in CosetSystem) the coset step table of each g.  So is
+each factor res_W conj_y a of a factor that its caller labels
+(``cup_factor``): DecOps labels each coordinate entry by its basis label,
+and a factor met in many double cosets of many class pairs is conjugated
+and restricted once per (label, y, W).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .complexes import GroupComplex, GroupTateElement, Key, _acc
 from .groups import (ConjugacyData, CosetSystem, Group, Subgroup, class_rep_and_witness,
@@ -47,6 +51,7 @@ class TransferContext:
         self._subgroups: Dict[Tuple[int, ...], Subgroup] = {}
         self._conjugations: Dict[Tuple[int, Tuple[int, ...]], Tuple[List[int], GroupComplex]] = {}
         self._plans: Dict[Tuple[int, int], List[Tuple[int, int, int, Subgroup, Subgroup]]] = {}
+        self._factors: Dict[Tuple[Hashable, int, Tuple[int, ...]], GroupTateElement] = {}
 
     def subgroup(self, members) -> Subgroup:
         key = tuple(sorted(members))
@@ -216,18 +221,40 @@ class TransferContext:
             self._plans[i, j] = plan
         return self._plans[i, j]
 
-    def double_coset_cup_reps(self, i: int, j: int, a: GroupTateElement,
-                              b: GroupTateElement) -> Dict[int, GroupTateElement]:
+    def cup_factor(self, y: int, W: Subgroup, elem: GroupTateElement,
+                   label: Optional[Hashable] = None) -> GroupTateElement:
+        """res_W conj_y elem, a factor of the double-coset product: y = 1
+        skips the conjugation, and a conjugate that already lives over W the
+        restriction, so (1, elem's own subgroup) gives elem itself.  With a
+        label, a name that fixes elem for the life of this context (DecOps
+        passes the basis label of a coordinate entry), the factor is built
+        once per (label, y, W) and shared, so no caller may mutate it;
+        without one (a representative entry) it is built and not kept."""
+        key = None if label is None else (label, y, W.members)
+        if key in self._factors:
+            return self._factors[key]
+        out = elem if y == 0 else self.conjugate_element(y, elem)
+        if out.subgroup.members != W.members:
+            out = self.restrict_element(W, out)
+        if key is not None:
+            self._factors[key] = out
+        return out
+
+    def double_coset_cup_reps(self, i: int, j: int, a: GroupTateElement, b: GroupTateElement,
+                              labels: Tuple[Optional[Hashable], Optional[Hashable]] = (None, None)
+                              ) -> Dict[int, GroupTateElement]:
         """Chain-level double-coset product of centralizer classes.
 
         a lives over the centralizer of the i-th class representative, b over
-        the j-th; the result collects one cocycle per target class k.
+        the j-th; the result collects one cocycle per target class k.  labels
+        name a and b for ``cup_factor``, which conjugates and restricts each
+        labelled factor once per (y, W) over all the products of a context.
         """
+        la, lb = labels
         out: Dict[int, GroupTateElement] = {}
         for k, y, yx, W, Hk in self.double_coset_plan(i, j):
-            ra = self.restrict_element(W, self.conjugate_element(y, a))
-            rb = self.restrict_element(W, self.conjugate_element(yx, b))
-            term = self.corestrict_element(Hk, self.group_cup_rep(ra, rb))
+            term = self.corestrict_element(Hk, self.group_cup_rep(self.cup_factor(y, W, a, la),
+                                                                  self.cup_factor(yx, W, b, lb)))
             if k in out:
                 out[k] = out[k].add(term)
             else:

@@ -25,8 +25,12 @@ the counts that change had to keep.  The digests of ``tables
 symmetric:4`` at p = 2 (over the direct-path cap, so its spot check checks
 no product) and ``tables cyclic:6`` at p = 3 on -3..3 were computed on
 commit 246fd70, before ``tables`` filled b.a and [b, a] from a.b and
-[a, b], so they pin the outputs that change had to keep.  Each job takes
-about a second or less in-process.
+[a, b], so they pin the outputs that change had to keep.  The digest of
+``tables dihedral:6`` at p = 2 on -2..2 (six classes, so many double
+cosets per class pair) was computed on commit 31ee64a, before
+``TransferContext.cup_factor`` shared each conjugated, restricted cup
+factor across products, so it pins the outputs that change had to keep.
+Each job takes about a second or less in-process.
 """
 
 import hashlib
@@ -79,6 +83,8 @@ GOLDEN = [
      "d1c13cf5b1cde2a109e2229d4519deb77a92b82bff56ed6d329a9d51969a0e8a"),
     (("tables", "--group", "cyclic:6", "--char", "3", "--window", "-3..3"),
      "6491fbfe569262ad9e10a3d6a5705bc14854eb57382331acfb2ff646aba4d143"),
+    (("tables", "--group", "dihedral:6", "--char", "2", "--window", "-2..2"),
+     "d28ed314258fa2818acf2fb973acf9f57ef767e867f463509ee58b350b98505e"),
 ]
 
 

@@ -219,15 +219,16 @@ def test_resolution_dims_equal_the_rank_route(group, p):
     Tate complex in every degree of -4..4."""
     C = whole_group(make_group(group))
     degrees = range(-4, 5)
-    assert harness.resolution_dims(C, p, degrees) == ranked_dims(GroupComplex(C, p), degrees)
+    gens = harness._resolution(C, p, 4)[1]
+    assert harness.resolution_dims(gens, degrees) == ranked_dims(GroupComplex(C, p), degrees)
 
 
 def test_resolution_dims_closed_forms():
     """dim Ĥ^n is n + 1 for D8 and V4 (n >= 0), has period 4 for Q8 and is 1
     for cyclic p-groups, and Tate duality gives dim Ĥ^(-n-1) = dim Ĥ^n."""
     def dims(group, p):
-        return dict(zip(range(-8, 8), harness.resolution_dims(whole_group(make_group(group)), p,
-                                                              range(-8, 8))))
+        gens = harness._resolution(whole_group(make_group(group)), p, 7)[1]
+        return dict(zip(range(-8, 8), harness.resolution_dims(gens, range(-8, 8))))
     for group, p, want in [("dihedral:4", 2, lambda n: n + 1), ("klein_four", 2, lambda n: n + 1),
                            ("quaternion8", 2, lambda n: (1, 2, 2, 1)[n % 4]),
                            ("cyclic:4", 2, lambda n: 1), ("cyclic:9", 3, lambda n: 1),
@@ -601,6 +602,64 @@ def test_memoized_lifts_survive_class_ops(s3_plain_ops):
     assert len(ops._lifts) >= len(basis)
     for (cls, d, coords), elem in ops._lifts.items():
         assert elem == ops.space(cls, d).lift(list(coords))
+
+
+@pytest.mark.parametrize("group,p,lo,hi", [("symmetric:3", 3, -4, 4), ("dihedral:4", 2, -2, 2)])
+def test_shared_cup_factors_do_not_depend_on_order(monkeypatch, group, p, lo, hi):
+    """Two fresh DecOps, one warmed over every basis pair whose cup and
+    bracket land in lo..hi in a seeded shuffled order and one in the reverse
+    order, give the same cup and bracket parts.  Every shared factor then
+    equals a fresh res_W conj_y of a fresh lift, so no consumer mutated one,
+    and a second pass conjugates and restricts nothing."""
+    G = make_group(group)
+    first, second = DecOps(G, p), DecOps(G, p)
+    labels = harness._basis_labels(first, range(lo, hi + 1))
+    pairs = [(a, b) for a in labels for b in labels if lo <= a[0] + b[0] - 1 and a[0] + b[0] <= hi]
+    random.Random(17).shuffle(pairs)
+
+    def warm(ops, order):
+        out = {}
+        for a, b in order:
+            A, B = (harness._dec_basis_class(ops, lab) for lab in (a, b))
+            out[a, b] = (ops.cup(A, B).parts, ops.bracket(A, B).parts)
+        return out
+    results = warm(first, pairs)
+    assert warm(second, pairs[::-1]) == results
+    assert any(cup for cup, _ in results.values())
+
+    for ops in (first, second):
+        ctx = ops.ctx
+        assert ctx._factors
+        for ((cls, d, coords), y, members), elem in ctx._factors.items():
+            fresh = ops.space(cls, d).lift(list(coords))
+            assert elem == ctx.restrict_element(ctx.subgroup(members), ctx.conjugate_element(y, fresh))
+
+    def refuse(*args):
+        raise AssertionError("a shared factor was conjugated or restricted again")
+    monkeypatch.setattr(TransferContext, "conjugate_element", refuse)
+    monkeypatch.setattr(TransferContext, "restrict_element", refuse)
+    assert warm(first, pairs) == results
+
+
+def test_representative_cup_factors_are_not_kept():
+    """A cup of representative entries, from a windowed DecOps, keeps no
+    factor, on the double-coset path and on the identity class alike; the
+    same classes as coordinates give the same product and keep factors under
+    their own labels only."""
+    ops = DecOps(make_group("symmetric:3"), 3, window=(0, 0))
+    rng = random.Random(8)
+    entries = {}
+    for cls, d in ((1, 2), (1, 1), (0, 3), (0, 4)):
+        z = _noisy_cocycle(ops, cls, d, rng)
+        entries[cls, d] = z, tuple(ops.space(cls, d).project(z))
+    for (i, da), (j, db) in (((1, 2), (0, 3)), ((0, 4), (1, 1)), ((0, 3), (0, 4))):
+        (za, ca), (zb, cb) = entries[i, da], entries[j, db]
+        got = ops.cup(DecClass(da, {i: ("r", za)}), DecClass(db, {j: ("r", zb)}))
+        assert ops.ctx._factors == {}
+        want = ops.cup(DecClass(da, {i: ("c", ca)}), DecClass(db, {j: ("c", cb)}))
+        assert ops.eq(got, want) and not ops.is_zero(want), ((i, da), (j, db))
+        assert {key[0] for key in ops.ctx._factors} == {(i, da, ca), (j, db, cb)}
+        ops.ctx._factors.clear()
 
 
 # ---------------------------------------------------------------------------

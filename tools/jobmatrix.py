@@ -72,7 +72,10 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job that finishes takes abo
 # dims C2 p=2 -6..6 and tables C3 p=3 -4..4 stream runs of one and of two
 # sibling coboundary columns (q = 1, 2), and quotients out of d <= -2 on a
 # small q.  dims C9 p=3 -4..4 and V4 p=2 -6..6 read p-group centralizers
-# off their minimal resolutions, at p = 3 and on a wide window.
+# off their minimal resolutions, at p = 3 and on a wide window.  tables D12
+# p=2 -3..3 runs the double-coset cup on six classes, so that its shared
+# conjugated and restricted factors (TransferContext.cup_factor) serve many
+# double cosets of many class pairs.
 JOBS = [
     ("verify-s3", None, 3, "-4..3", True, 0),
     ("selftest", "symmetric:3", 3, "-3..3", True, 0),
@@ -100,7 +103,7 @@ JOBS = [
     ("dims", "symmetric:4", 3, "-2..2", True, 0),
     ("tables", "dihedral:5", 5, "-3..3", False, 0),
     ("tables", "cyclic:6", 3, "-4..4", False, 0),
-    ("tables", "dihedral:6", 2, "-3..3", False, 0),
+    ("tables", "dihedral:6", 2, "-3..3", True, 0),
     ("tables", "dihedral:6", 3, "-3..3", False, 0),
     ("dims", "cyclic:2", 2, "-6..6", True, 0),
     ("tables", "cyclic:3", 3, "-4..4", True, 0),
