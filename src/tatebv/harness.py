@@ -316,7 +316,9 @@ class DecOps:
                     # products of identity components never leave it; outside the
                     # coordinate range they are formed on P_0, as res is a ring map
                     rep = self.lift_entry if self.in_range(deg) else self.restrict_entry
-                    reps = {0: self.ctx.group_cup_rep(rep(0, A.degree, ea), rep(0, B.degree, eb))}
+                    fa, fb = rep(0, A.degree, ea), rep(0, B.degree, eb)
+                    reps = {0: self.ctx.complex_for(fa.subgroup).element(
+                        deg, self.ctx.group_cup_rep(fa, fb, {}))}
                 else:
                     reps = self.ctx.double_coset_cup_reps(
                         i, j, self.lift_entry(i, A.degree, ea), self.lift_entry(j, B.degree, eb),

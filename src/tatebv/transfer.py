@@ -11,22 +11,30 @@ centralizer retracts, applied to an arbitrary pair H <= K):
 * cochain corestriction and chain restriction are the coset-threading
   sums over a fixed right transversal: over the coset paths of
   CosetSystem.paths, and over CosetSystem.thread from each coset.
+  Cochain corestriction has one routine, ``corestrict_terms``, which
+  ``corestrict_element`` and the double-coset product share; it reads the
+  slot tuples of each key's coset paths from a memo kept per coset system.
 
 The cup product is the identity-class component of bv.cup on D*(kH, kH),
-which the cup keeps, read directly on the subgroup's tuples.
+which the cup keeps, read directly on the subgroup's tuples;
+``group_cup_rep`` adds its terms into a dict its caller passes.
 
 The double-coset product (``double_coset_cup_reps``, which DecOps.cup
 reads into class coordinates) evaluates, for each double coset
 representative, conjugate-restrict-cup-corestrict at the chain level and
-accumulates the result per target conjugacy class.  Everything in it that
-depends only on the group is built once per context: the plan of each
-class pair (target class, conjugating elements, intersection subgroup and
-centralizer per double coset), the conjugation row and target complex of
-each (g, H), and (in CosetSystem) the coset step table of each g.  So is
-each factor res_W conj_y a of a factor that its caller labels
-(``cup_factor``): DecOps labels each coordinate entry by its basis label,
-and a factor met in many double cosets of many class pairs is conjugated
-and restricted once per (label, y, W).
+sums the terms of each target conjugacy class into one unreduced dict,
+which becomes one element at the end.  Where W = C_k (cor is the identity)
+or the product has negative degree (cor is the inclusion), the cup terms
+go straight into that dict.  Everything in it that depends only on the
+group is built once per context: the plan of each class pair (target
+class, conjugating elements, intersection subgroup and centralizer per
+double coset), the conjugation row and target complex of each (g, H), the
+coset-path slot tuples of each cochain key under each coset system, and
+(in CosetSystem) the coset step table of each g.  So is each factor
+res_W conj_y a of a factor that its caller labels (``cup_factor``): DecOps
+labels each coordinate entry by its basis label, and a factor met in many
+double cosets of many class pairs is conjugated and restricted once per
+(label, y, W).  No product is kept.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ class TransferContext:
         self._conjugations: Dict[Tuple[int, Tuple[int, ...]], Tuple[List[int], GroupComplex]] = {}
         self._plans: Dict[Tuple[int, int], List[Tuple[int, int, int, Subgroup, Subgroup]]] = {}
         self._factors: Dict[Tuple[Hashable, int, Tuple[int, ...]], GroupTateElement] = {}
+        self._paths: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[Key, Tuple[Key, ...]]] = {}
 
     def subgroup(self, members) -> Subgroup:
         key = tuple(sorted(members))
@@ -105,23 +114,34 @@ class TransferContext:
                         _acc(out, hs, c)
         return target.element(d, out)
 
+    def corestrict_terms(self, K: Subgroup, H: Subgroup, coeffs: Dict[Key, int],
+                         out: Dict[Key, int]) -> Dict[Key, int]:
+        """Adds the cochain corestriction cor^K_H of coeffs (terms of one
+        degree >= 0 over H < K) into out, unreduced: each key T goes to the
+        slot tuples of its coset paths (CosetSystem.paths).  Those tuples are
+        group data, kept per coset system and T for the life of this context,
+        so each key is threaded once however many products reach it."""
+        memo = self._paths.setdefault((K.members, H.members), {})
+        for T, c in coeffs.items():
+            slots = memo.get(T)
+            if slots is None:
+                slots = memo[T] = tuple([gs for _, gs in self.cosets_in(K, H).paths(T)])
+            for gs in slots:
+                _acc(out, gs, c)
+        return out
+
     def corestrict_element(self, K: Subgroup, elem: GroupTateElement) -> GroupTateElement:
-        """cor^K_H at the complex level; H is the subgroup elem lives over."""
+        """cor^K_H at the complex level; H is the subgroup elem lives over.
+        On chains cor is the inclusion and cor^K_K the identity, so both copy
+        the terms; otherwise they pass through ``corestrict_terms``."""
         H = elem.subgroup
         if not K.member_set.issuperset(H.members):
             raise ValueError("corestriction source is not a subgroup of the target")
-        target = self.complex_for(K)
         d = elem.degree
-        out: Dict[Key, int] = {}
-        if d < 0:
-            for T, c in elem.coeffs.items():
-                _acc(out, T, c)
-            return target.element(d, out)
-        cs = self.cosets_in(K, H)
-        for T, c in elem.coeffs.items():
-            for _, gs in cs.paths(T):
-                _acc(out, gs, c)
-        return target.element(d, out)
+        coeffs = elem.coeffs
+        if d >= 0 and H.members != K.members:
+            coeffs = self.corestrict_terms(K, H, coeffs, {})
+        return self.complex_for(K).element(d, coeffs)
 
     def res_cor(self, K: Subgroup, elems: Sequence[GroupTateElement]) -> List[GroupTateElement]:
         """res^K_H cor^K_H of elements of one degree over H, at the complex
@@ -148,11 +168,14 @@ class TransferContext:
 
     # -- cup products on subgroup tuples -------------------------------------
 
-    def group_cup_rep(self, a: GroupTateElement, b: GroupTateElement) -> GroupTateElement:
-        """Cup product of subgroup Tate cochains: bv.cup's six degree-sign
-        cases on the identity-class component of D*(kH, kH) (a cochain T as
-        (T, prod T), a chain T as ((prod T)^-1, T)), read on tuples in bv.cup's
-        loop order.  tests/test_transfer.py pins it to the ambient cup."""
+    def group_cup_rep(self, a: GroupTateElement, b: GroupTateElement,
+                      out: Dict[Key, int]) -> Dict[Key, int]:
+        """Adds the cup product of subgroup Tate cochains a and b, of degree
+        a.degree + b.degree over their common subgroup, into out, unreduced:
+        bv.cup's six degree-sign cases on the identity-class component of
+        D*(kH, kH) (a cochain T as (T, prod T), a chain T as ((prod T)^-1, T)),
+        read on tuples in bv.cup's loop order.  tests/test_transfer.py pins it
+        to the ambient cup."""
         H = a.subgroup
         if H.members != b.subgroup.members:
             raise ValueError("cup factors live over different subgroups")
@@ -160,7 +183,6 @@ class TransferContext:
         mult, inv = G.mult, G.inv
         da, db = a.degree, b.degree
         ac, bc = a.coeffs, b.coeffs
-        out: Dict[Key, int] = {}
         if da >= 0 and db >= 0:
             for A, ca in ac.items():
                 for B, cb in bc.items():
@@ -198,7 +220,7 @@ class TransferContext:
                     ca = ac.get(B[:s])
                     if ca:
                         _acc(out, B[s + 1:], ca * cb)
-        return self.complex_for(H).element(da + db, out)
+        return out
 
     # -- the double-coset product ---------------------------------------------
 
@@ -246,17 +268,24 @@ class TransferContext:
         """Chain-level double-coset product of centralizer classes.
 
         a lives over the centralizer of the i-th class representative, b over
-        the j-th; the result collects one cocycle per target class k.  labels
-        name a and b for ``cup_factor``, which conjugates and restricts each
-        labelled factor once per (y, W) over all the products of a context.
+        the j-th; the result collects one cocycle per target class k, summed
+        unreduced in one dict per k and reduced once.  labels name a and b
+        for ``cup_factor``, which conjugates and restricts each labelled
+        factor once per (y, W) over all the products of a context.  Where
+        cor^{C_k}_W is the identity (W = C_k) or the inclusion (a product of
+        negative degree), the cup terms go straight into k's dict; otherwise
+        they pass through ``corestrict_terms``.
         """
         la, lb = labels
-        out: Dict[int, GroupTateElement] = {}
+        d = a.degree + b.degree
+        sums: Dict[int, Dict[Key, int]] = {}
         for k, y, yx, W, Hk in self.double_coset_plan(i, j):
-            term = self.corestrict_element(Hk, self.group_cup_rep(self.cup_factor(y, W, a, la),
-                                                                  self.cup_factor(yx, W, b, lb)))
-            if k in out:
-                out[k] = out[k].add(term)
+            out = sums.setdefault(k, {})
+            fa, fb = self.cup_factor(y, W, a, la), self.cup_factor(yx, W, b, lb)
+            if d >= 0 and W.members != Hk.members:
+                self.corestrict_terms(Hk, W, self.group_cup_rep(fa, fb, {}), out)
             else:
-                out[k] = term
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                self.group_cup_rep(fa, fb, out)
+        elems = {k: self.complex_for(self.cd.centralizers[k]).element(d, out)
+                 for k, out in sums.items()}
+        return {k: v for k, v in elems.items() if not v.is_zero()}

@@ -41,10 +41,10 @@ def _refuse_whole_group_products(monkeypatch, ops):
     centralizer) whose degree sum lies outside ops' coordinate window."""
     cup_rep = TransferContext.group_cup_rep
 
-    def guarded(self, a, b):
+    def guarded(self, a, b, out):
         if a.subgroup.order == ops.group.order and not ops.in_range(a.degree + b.degree):
             raise AssertionError(f"degree {a.degree + b.degree} product built over the whole group")
-        return cup_rep(self, a, b)
+        return cup_rep(self, a, b, out)
     monkeypatch.setattr(TransferContext, "group_cup_rep", guarded)
 
 
@@ -728,7 +728,8 @@ def test_out_of_range_products_form_on_the_sylow_subgroup(shared_ops, group, p, 
                 continue
             a = _noisy_cocycle(ops, 0, da, rng)
             B = DecClass(db, {0: ("c", tuple(_nonzero_coords(ops, 0, db, rng)))})
-            built = ops.ctx.group_cup_rep(a, ops.lift_entry(0, db, B.parts[0]))
+            b = ops.lift_entry(0, db, B.parts[0])
+            built = a.complex.element(deg, ops.ctx.group_cup_rep(a, b, {}))
             want_p = cP.cohomology(deg).project(ops.ctx.restrict_element(P, built))
             want_c = ops.space(0, deg).project(built)
             got = ops.cup(DecClass(da, {0: ("r", a)}), B)

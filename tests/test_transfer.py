@@ -7,7 +7,8 @@ from tatebv.complexes import DComplex
 from tatebv.decomposition import ClassDecomposition
 from tatebv.groups import (Subgroup, class_rep_and_witness, conjugacy_classes,
                            conjugate_subgroup, double_cosets, generated_subgroup,
-                           intersect_subgroups, preset_group, sylow_subgroup)
+                           intersect_subgroups, preset_group, right_coset_system,
+                           sylow_subgroup)
 from tatebv.harness import DecOps
 from tatebv.transfer import TransferContext
 
@@ -36,6 +37,11 @@ def _class(elem):
 
 def _rep(c):
     return c.space.lift(list(c.coords))
+
+
+def _cup(ctx, a, b):
+    """group_cup_rep's terms as an element over the factors' subgroup."""
+    return ctx.complex_for(a.subgroup).element(a.degree + b.degree, ctx.group_cup_rep(a, b, {}))
 
 
 def test_conjugation_by_identity(ctx, ha):
@@ -170,8 +176,8 @@ def test_frobenius_identity(ctx, s3, ha):
             continue
         b = sb.representative(rng.randrange(sb.dim))
         a = sa.representative(rng.randrange(sa.dim))
-        lhs = ctx.corestrict_element(G, ctx.group_cup_rep(ctx.restrict_element(ha, b), a))
-        rhs = ctx.group_cup_rep(b, ctx.corestrict_element(G, a))
+        lhs = ctx.corestrict_element(G, _cup(ctx, ctx.restrict_element(ha, b), a))
+        rhs = _cup(ctx, b, ctx.corestrict_element(G, a))
         sp = cg.cohomology(na + nb)
         assert sp.project(lhs) == sp.project(rhs)
 
@@ -208,14 +214,14 @@ def test_group_cup_examples(ctx, ha):
     w1 = _cls(ca, 1)
     w2 = _cls(ca, 2)
     w2i = _cls(ca, -2)
-    assert not any(_class(ctx.group_cup_rep(_rep(w1), _rep(w1))).coords)
+    assert not any(_class(_cup(ctx, _rep(w1), _rep(w1))).coords)
     # w2 w2^-1 is a unit multiple of 1; rescaling makes it exactly 1
-    prod = _class(ctx.group_cup_rep(_rep(w2), _rep(w2i)))
+    prod = _class(_cup(ctx, _rep(w2), _rep(w2i)))
     unit = class_of(ca.cohomology(0), ca.element(0, {(): 1}))
     assert prod.coords != (0,)
     lam = prod.coords[0]
     inv = pow(lam, P - 2, P)
-    assert _class(ctx.group_cup_rep(_rep(w2), _rep(w2i.scale(inv)))).coords == unit.coords
+    assert _class(_cup(ctx, _rep(w2), _rep(w2i.scale(inv)))).coords == unit.coords
 
 
 def test_group_cup_unit(ctx, ha):
@@ -225,8 +231,8 @@ def test_group_cup_unit(ctx, ha):
         sp = ca.cohomology(n)
         for i in range(sp.dim):
             c = class_of(sp, sp.representative(i))
-            assert _class(ctx.group_cup_rep(_rep(unit), _rep(c))).coords == c.coords
-            assert _class(ctx.group_cup_rep(_rep(c), _rep(unit))).coords == c.coords
+            assert _class(_cup(ctx, _rep(unit), _rep(c))).coords == c.coords
+            assert _class(_cup(ctx, _rep(c), _rep(unit))).coords == c.coords
 
 
 def test_double_coset_identity_classes(ctx, s3):
@@ -239,7 +245,7 @@ def test_double_coset_identity_classes(ctx, s3):
     z = cg.cohomology(4).representative(0)
     out = ctx.double_coset_cup_reps(0, 0, x, z)
     assert set(out) <= {0}
-    direct = ctx.group_cup_rep(x, z)
+    direct = _cup(ctx, x, z)
     assert out[0].sub(direct).is_zero()
 
 
@@ -324,7 +330,7 @@ def test_group_cup_rep_matches_ambient_cup(group, param, p):
             for _ in range(4):
                 a = gc.random_element(da, rng, 8)
                 b = gc.random_element(db, rng, 8)
-                direct = ctx.group_cup_rep(a, b)
+                direct = _cup(ctx, a, b)
                 down = dec.retract_down(cup(dec.retract_up(0, a), dec.retract_up(0, b)))
                 assert set(down) <= {0}, case
                 amb = down.get(0, gc.element(da + db))
@@ -371,3 +377,50 @@ def test_double_coset_plans_are_built_once(monkeypatch, group, param, p):
             assert all(u in cd.centralizers[k] for u in W.members)
             fresh.append((k, y, yx, W, cd.centralizers[k]))
         assert ctx.double_coset_plan(i, j) == fresh
+
+
+def _unfused_cup_reps(ctx, i, j, a, b):
+    """The double-coset product term by term: each factor pair cupped into
+    an element of its own, corestricted on its own and added per class."""
+    out = {}
+    for k, y, yx, W, Hk in ctx.double_coset_plan(i, j):
+        fa, fb = ctx.cup_factor(y, W, a), ctx.cup_factor(yx, W, b)
+        term = ctx.corestrict_element(Hk, _cup(ctx, fa, fb))
+        out[k] = out[k].add(term) if k in out else term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("group,param,p,lo,hi", [("symmetric", 3, 3, -4, 4),
+                                                 ("dihedral", 6, 2, -2, 2),
+                                                 ("dihedral", 6, 3, -2, 2)])
+def test_double_coset_cup_reps_match_unfused_reference(group, param, p, lo, hi):
+    """On every basis pair whose product degree lies in lo..hi, the one-pass
+    product (one dict per target class, no identity corestriction, coset
+    paths from the context's memo) equals the unfused reference.  Both
+    W = C_k and W < C_k occur in both degree signs.  Every memo entry is the
+    slot tuples of a fresh CosetSystem.paths of its own coset system, and a
+    second pass threads no new key."""
+    G = preset_group(group, param)
+    ops = DecOps(G, p)
+    ctx = TransferContext(G, p, ops.cd)
+    basis = [(k, d, ops.space(k, d).representative(i), (k, d, i))
+             for d in range(lo, hi + 1) for k in range(ops.cd.num_classes)
+             for i in range(ops.cls_dim(k, d))]
+    pairs = [(x, z) for x in basis for z in basis if lo <= x[1] + z[1] <= hi]
+    cases = set()
+    for (i, da, a, la), (j, db, b, lb) in pairs:
+        got = ctx.double_coset_cup_reps(i, j, a, b, (la, lb))
+        assert got == _unfused_cup_reps(ctx, i, j, a, b), (la, lb)
+        cases.update((W.members == Hk.members, da + db >= 0)
+                     for _, _, _, W, Hk in ctx.double_coset_plan(i, j))
+    assert cases == {(True, True), (True, False), (False, True), (False, False)}
+
+    assert ctx._paths
+    for (K, H), memo in ctx._paths.items():
+        cs = right_coset_system(Subgroup(G, H), ambient=K)
+        for T, slots in memo.items():
+            assert slots == tuple(gs for _, gs in cs.paths(T)), (K, H, T)
+    sizes = {key: len(memo) for key, memo in ctx._paths.items()}
+    for (i, da, a, la), (j, db, b, lb) in pairs:
+        ctx.double_coset_cup_reps(i, j, a, b, (la, lb))
+    assert {key: len(memo) for key, memo in ctx._paths.items()} == sizes
