@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .groups import ConjugacyData, Group, Subgroup
-from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, select
+from .linalg import QuotientSpace, SparseMatrix, add_scaled_inplace, image_echelon, select
 
 Key = Hashable
 
@@ -466,6 +466,7 @@ class CohomologySpace:
 
 class _BaseComplex:
     element_cls = _Element
+    seed: Optional[Callable] = None  # see ``cohomology``
 
     def __init__(self, p: int):
         self.p = p
@@ -473,6 +474,7 @@ class _BaseComplex:
         self._index: Dict[int, Dict[Key, int]] = {}
         self._matrix: Dict[int, SparseMatrix] = {}
         self._cohomology: Dict[int, CohomologySpace] = {}
+        self._images: Dict[int, tuple] = {}  # degree n -> image_echelon(matrix(n - 1))
         self._faces: Dict[bool, tuple] = {}
 
     # subclass API --------------------------------------------------------
@@ -569,12 +571,44 @@ class _BaseComplex:
         return self._matrix[d]
 
     def cohomology(self, n: int) -> CohomologySpace:
-        """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles."""
+        """ker(d_n)/im(d_{n-1}) with deterministic representative cocycles,
+        built once per degree.  On that build ``seed(self, n)``, if the
+        complex has a seed, may return (cocycles, dim): elements of degree n
+        that span the cohomology mod im d_(n-1), and its dimension read
+        elsewhere.  The quotient then takes its representatives from them
+        without eliminating d_n (``QuotientSpace._seed``); they are the
+        same."""
         if n in self._cohomology:
             return self._cohomology[n]
-        space = CohomologySpace(self, n, QuotientSpace(self.matrix(n), self.matrix(n - 1)))
-        self._cohomology[n] = space
+        seeded = None if self.seed is None else self.seed(self, n)
+        if seeded is None:
+            quotient = QuotientSpace(self.matrix(n), self.matrix(n - 1))
+        else:
+            idx = self.index(n)
+            cocycles = [{idx[k]: x for k, x in z.coeffs.items()} for z in seeded[0]]
+            quotient = QuotientSpace(self.matrix(n), self.matrix(n - 1), cocycles, seeded[1])
+        space = self._cohomology[n] = CohomologySpace(self, n, quotient)
         return space
+
+    def built(self, n: int) -> bool:
+        """Whether ``cohomology(n)`` has been built."""
+        return n in self._cohomology
+
+    def bounding(self, elem):
+        """An element c of degree n-1 with d(c) = elem if the echelon of
+        im d_(n-1), kept per degree, clears elem to zero (elem lies in that
+        image exactly then), else None.  The caller certifies d(c) = elem."""
+        n = elem.degree
+        if n not in self._images:
+            self._images[n] = image_echelon(self.matrix(n - 1))
+        E, cols = self._images[n]
+        idx = self.index(n)
+        w, c = E.clear(E.split({idx[k]: x for k, x in elem.coeffs.items()}), E.split({}))
+        if E.support(w):
+            return None
+        basis = self.basis(n - 1)
+        return self.element(n - 1, {basis[i if cols is None else cols[i]]: -x
+                                    for i, x in E.entries(c).items()})
 
     def random_element(self, d: int, rng, terms: int = 3):
         basis = self.basis(d)

@@ -11,7 +11,10 @@ its Sylow p-subgroup P_k, and one is zero exactly when its restriction to
 P_k is.  An out-of-range identity-class product is formed on P_0 from the
 restricted factors (res is a ring map), never over G; an entry on P_k is
 lifted back to C_k, as [C_k:P_k]^-1 cor, only where a C_k cocycle is
-needed.  ``tables``
+needed.  Where 1 < P_k < C_k, the coordinate spaces of degree n >= 1 take
+their representatives from cor of P_k's (``DecOps._seed``) without
+eliminating the kernel of d_n, and ``is_zero`` decides a representative
+outside a built space by membership in the image of d.  ``tables``
 coordinatizes only the degrees lo..hi that it prints: the BV images at
 lo-1 inside its brackets stay representatives, which the next cup takes as
 they are, so no cohomology space of degree lo-1 is built.  ``tables`` and
@@ -208,9 +211,28 @@ class DecOps:
         self.window = window
         self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
         self._sylows: Dict[int, Subgroup] = {}
+        for C in self.cd.centralizers:  # whose cohomology caches ``space`` reads
+            self.ctx.complex_for(C).seed = self._seed
 
     def space(self, cls: int, n: int):
         return self.ctx.complex_for(self.cd.centralizers[cls]).cohomology(n)
+
+    def _seed(self, cplx, n: int):
+        """The seed of each centralizer's complex, so that ``space`` builds
+        Ĥ^n(C) without eliminating d_n where 1 < P < C for a Sylow
+        p-subgroup P of C and n >= 1: (cor^C_P z_j, dim Ĥ^n(C)) for the
+        representatives z_j of P's ``cohomology(n)``, C the subgroup of
+        cplx.  cor is onto, so they span Ĥ^n(C), and ``res_cor_rank`` reads
+        the dimension on P.  None where P = 1, P = C or n <= 0: for n <= -2
+        d_(n-1) is the larger matrix, so nothing is saved."""
+        C = cplx.subgroup
+        if n < 1:
+            return None
+        P = sylow_subgroup(C, self.p)
+        if not 1 < P.order < C.order:
+            return None
+        reps, dim = res_cor_rank(self.ctx, C, P, n)
+        return [self.ctx.corestrict_element(C, z) for z in reps], dim
 
     def cls_dim(self, cls: int, n: int) -> int:
         return self.space(cls, n).dim
@@ -368,18 +390,35 @@ class DecOps:
         """A representative entry v of class k is decided on a Sylow
         p-subgroup P of C = C_G(x_k): cor o res is multiplication by the unit
         [C:P] in every Tate degree, so [v] = 0 exactly when [res v] = 0 on P
-        (Brown III.9-10, VI.5; Cartan-Eilenberg XII.8-10).  project refuses a
-        res v with d(res v) != 0; an entry already on P is projected as it
-        is.  If P = 1, Tate cohomology of C vanishes."""
+        (Brown III.9-10, VI.5; Cartan-Eilenberg XII.8-10); an entry already
+        on P is decided as it is.  Where P's space of that degree is built,
+        it projects res v (and refuses a non-cocycle); elsewhere no space is
+        built: d(res v) = 0 is checked at element level (ValueError, as
+        project), and res v is zero exactly when it lies in im d, which
+        ``bounding`` decides; a c it finds must satisfy d(c) = res v
+        (VerificationError).  If P = 1, Tate cohomology of C vanishes."""
+        n = A.degree
         for cls, (tag, val) in A.parts.items():
             if tag == "c":
                 if any(val):
                     return False
                 continue
             P = self.sylow(cls)
-            if P.order > 1 and any(self.ctx.complex_for(P).cohomology(A.degree).project(
-                    self.restrict_entry(cls, A.degree, (tag, val)))):
+            if P.order == 1:
+                continue
+            cplx, w = self.ctx.complex_for(P), self.restrict_entry(cls, n, (tag, val))
+            if cplx.built(n):
+                if any(cplx.cohomology(n).project(w)):
+                    return False
+                continue
+            if not cplx.differential(w).is_zero():
+                raise ValueError("vector is not in the kernel span (not a cocycle)")
+            c = cplx.bounding(w)
+            if c is None:
                 return False
+            if cplx.differential(c) != w:
+                raise VerificationError(f"a degree {n} coboundary on the Sylow subgroup of class "
+                                        f"{self.group.label(self.cd.reps[cls])} fails d(c) = v")
         return True
 
     def eq(self, A: DecClass, B: DecClass) -> bool:
@@ -475,32 +514,39 @@ def check_square(cplx, n: int, rng: random.Random) -> None:
             raise VerificationError(f"d^2 != 0 out of degree {n - 1}")
 
 
+def res_cor_rank(ctx: TransferContext, C: Subgroup, P: Subgroup,
+                 n: int) -> Tuple[List[GroupTateElement], int]:
+    """The representatives z_j of P's ``cohomology(n)``, P a Sylow
+    p-subgroup of C, and dim Ĥ^n(C): cor o res is multiplication by the unit
+    [C:P], so Ĥ^n(C) is the image of res o cor on Ĥ^n(P), and its dimension
+    is the rank of the matrix M of res o cor in the basis of the z_j
+    (Cartan-Eilenberg XII.10; Brown III.9-10).  res o cor o res o cor =
+    [C:P] res o cor, so M^2 = [C:P] M is checked, and a res o cor image that
+    ``project`` refuses as a non-cocycle fails the job (VerificationError)."""
+    p = ctx.p
+    index = C.order // P.order % p
+    try:
+        space = ctx.complex_for(P).cohomology(n)
+        reps = [space.representative(j) for j in range(space.dim)]
+        M = [space.project(z) for z in ctx.res_cor(C, reps)]  # column j: res o cor(z_j)
+    except ValueError as exc:  # a quotient or projection refusing d^2 != 0
+        raise VerificationError(f"res o cor on the Sylow subgroup at degree {n}: {exc}") from exc
+    for col in M:
+        square = [sum(M[k][i] * c for k, c in enumerate(col)) % p for i in range(len(col))]
+        if square != [index * c % p for c in col]:
+            raise VerificationError(f"res o cor at degree {n} fails M^2 = [C:P] M")
+    return reps, _rank_of(p, len(M), [dict(enumerate(col)) for col in M])
+
+
 def sylow_dims(ctx: TransferContext, C: Subgroup, P: Subgroup, degrees: Sequence[int],
                rng: random.Random) -> List[int]:
     """dim of Tate cohomology of C in each degree n, read on a Sylow
-    p-subgroup P < C: cor o res is multiplication by the unit [C:P], so
-    Ĥ^n(C) is the image of res o cor on Ĥ^n(P), and its dimension is the
-    rank of the matrix M of res o cor in the basis of P's ``cohomology(n)``
-    (Cartan-Eilenberg XII.10; Brown III.9-10).  The P-complex, the one
-    eliminated, is guarded by ``check_square``; res o cor o res o cor =
-    [C:P] res o cor, so M^2 = [C:P] M is checked too, and a res o cor image
-    that ``project`` refuses as a non-cocycle fails the job."""
-    cplx, p = ctx.complex_for(P), ctx.p
-    index = C.order // P.order % p
+    p-subgroup P < C by ``res_cor_rank``; the P-complex, the one eliminated,
+    is guarded by ``check_square`` too."""
     dims = []
     for n in degrees:
-        check_square(cplx, n, rng)
-        try:
-            space = cplx.cohomology(n)
-            reps = [space.representative(j) for j in range(space.dim)]
-            M = [space.project(z) for z in ctx.res_cor(C, reps)]  # column j: res o cor(z_j)
-        except ValueError as exc:  # a quotient or projection refusing d^2 != 0
-            raise VerificationError(f"res o cor on the Sylow subgroup at degree {n}: {exc}") from exc
-        for col in M:
-            square = [sum(M[k][i] * c for k, c in enumerate(col)) % p for i in range(len(col))]
-            if square != [index * c % p for c in col]:
-                raise VerificationError(f"res o cor at degree {n} fails M^2 = [C:P] M")
-        dims.append(_rank_of(p, len(M), [dict(enumerate(col)) for col in M]))
+        check_square(ctx.complex_for(P), n, rng)
+        dims.append(res_cor_rank(ctx, C, P, n)[1])
     return dims
 
 

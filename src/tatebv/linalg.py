@@ -28,11 +28,14 @@ columns (a column is a pivot iff it is independent of the columns before
 it) and each free column's kernel vector (1 there, support only on
 earlier pivot columns) are unique; on rows, the leading rows of an
 echelon basis of the row space are the leftmost-greedy columns, reversed.
-``QuotientSpace`` picks its representatives with one more ``feed``.  Only
-its ``representatives``, ``project`` and ``lift`` read an echelon keyed
-by each pivot's lowest row (the steps ``reduce``, ``normalize`` and
-``push`` of both engines), because the lowest rows of that echelon are
-what they output.
+``QuotientSpace`` picks its representatives with one more ``feed``, or,
+seeded with cocycles, by ``clear``, which reduces a vector by a feed
+echelon at its leading rows, highest first; ``clear`` on
+``image_echelon`` also decides membership in an image.  Only
+``QuotientSpace``'s ``representatives``, ``project`` and ``lift`` read an
+echelon keyed by each pivot's lowest row (the steps ``reduce``,
+``normalize`` and ``push`` of both engines), because the lowest rows of
+that echelon are what they output.
 """
 
 from __future__ import annotations
@@ -225,6 +228,28 @@ class ColumnReducer:
         combination c."""
         self.pivots.append((min(v), v, c))
 
+    def scale(self, v: Dict[int, int], c: int) -> Dict[int, int]:
+        c %= self.p
+        return {k: x * c % self.p for k, x in v.items()} if c else {}
+
+    def pivot(self, row: int) -> Dict[int, int]:
+        return self.lead[row][0]
+
+    def clear(self, v: Dict[int, int], c: Optional[Dict[int, int]] = None,
+              below: Optional[int] = None):
+        """``_GF2.clear`` on dicts."""
+        p, lead = self.p, self.lead
+        v, c = dict(v), c if c is None else dict(c)
+        while True:
+            hit = [r for r in v if r in lead and (below is None or r < below)]
+            if not hit:
+                return v, c
+            top = max(hit)
+            x = -v[top]
+            add_scaled_inplace(v, lead[top][0], x, p)
+            if c is not None:
+                add_scaled_inplace(c, lead[top][1], x, p)
+
 
 def _bits(x: int) -> List[int]:
     """Positions of the set bits of x >= 0, ascending."""
@@ -257,6 +282,8 @@ class _Bitsets:
     ``reduce``, ``normalize`` and ``push`` key each pivot by its lowest
     set row, for the outputs of ``QuotientSpace`` that read that echelon:
     its representatives, ``project`` and ``lift``.
+    ``clear`` reduces a vector by the feed echelon (``pivot`` reads one of
+    its vectors, ``rows`` the bitset of its leading rows).
     ``reduce`` clears the lowest pivot row a vector has set until none is
     left, adding the same multiples of pivot combinations to a tracked one
     (a pivot has no set bit below its own row, so each step changes only
@@ -268,7 +295,8 @@ class _Bitsets:
     ``entries`` and ``coords`` read a vector back as a dict or a list.
     ``permute`` (indices moved by a table), ``sub`` and ``block_sums``
     (the entry sums of consecutive blocks) serve the free-module vectors
-    of ``harness.resolution_dims``, which read no vector back.
+    of ``harness.resolution_dims``, which read no vector back; ``sub`` and
+    ``scale`` (by a residue) serve ``_products`` too.
     Pivots are never back-substituted: Gauss-Jordan reduced pivots were
     measured 4-5x slower on the matrices of ``dims`` at p = 2.
     """
@@ -277,6 +305,18 @@ class _Bitsets:
         self.lead: Dict[int, tuple] = {}  # feed: leading row -> flat(vector, combination)
         self.at: List[Optional[tuple]] = []  # push: lowest row -> flat(vector, combination)
         self.mask = 0  # the lowest rows of the pivots in at, which reduce clears
+        self._rows = (0, 0)  # (len(lead), the bitset of lead's rows) when last read
+
+    def rows(self) -> int:
+        """The bitset of the leading rows of the feed echelon; a feed only
+        adds rows, so the count tells a stale one."""
+        n, mask = self._rows
+        if n != len(self.lead):
+            mask = 0
+            for t in self.lead:
+                mask |= 1 << t
+            self._rows = len(self.lead), mask
+        return mask
 
     def push(self, v, c) -> None:
         """Make v (nonzero, normalized, no set pivot row) the pivot at its
@@ -321,6 +361,30 @@ class _GF2(_Bitsets):
     twos = staticmethod(lambda v: 0)
     coords = staticmethod(lambda c, n: [c >> k & 1 for k in range(n)])
     normalize = flat = staticmethod(lambda v, c: (v, c))
+
+    scale = staticmethod(lambda v, c: v if c % 2 else 0)
+
+    def pivot(self, row: int) -> int:
+        return self.lead[row][0]
+
+    def clear(self, v: int, c: Optional[int] = None, below: Optional[int] = None):
+        """(v, c) less the multiples of the feed pivots that clear v's
+        leading rows, highest first, until v sets none of them (only those
+        under ``below`` if given); c (None: untracked) takes the same
+        multiples of their combinations.  A pivot sets no row above its
+        own, so each step sets only lower rows."""
+        lead, mask = self.lead, self.rows()
+        if below is not None:
+            mask &= (1 << below) - 1
+        track = c is not None
+        hit = v & mask
+        while hit:
+            q = lead[hit.bit_length() - 1]
+            v ^= q[0]
+            if track:
+                c ^= q[1]
+            hit = v & mask
+        return v, c
 
     def reduce(self, v: int, c: Optional[int]):
         at, mask = self.at, self.mask
@@ -392,6 +456,34 @@ class _GF3(_Bitsets):
         if v[1] & s & -s:
             return (v[1], v[0]), c if c is None else (c[1], c[0])
         return v, c
+
+    scale = staticmethod(lambda v, c: v if c % 3 == 1 else (v[1], v[0]) if c % 3 else (0, 0))
+
+    def pivot(self, row: int) -> Tuple[int, int]:
+        return self.lead[row][:2]
+
+    def clear(self, v: Tuple[int, int], c: Optional[Tuple[int, int]] = None,
+              below: Optional[int] = None):
+        """``_GF2.clear`` on bit-sliced pairs."""
+        lead, mask = self.lead, self.rows()
+        if below is not None:
+            mask &= (1 << below) - 1
+        P, N = v
+        track = c is not None
+        cp, cn = c if track else (0, 0)
+        hit = (P | N) & mask
+        while hit:
+            top = hit.bit_length() - 1
+            qp, qn, rp, rn = lead[top]
+            if P >> top & 1:  # entry 1: subtract the pivot, i.e. add its negation; entry 2: add it
+                qp, qn, rp, rn = qn, qp, rn, rp
+            t = (P | qn) ^ (N | qp)
+            P, N = (N | qn) ^ t, (P | qp) ^ t
+            if track:
+                t = (cp | rn) ^ (cn | rp)
+                cp, cn = (cn | rn) ^ t, (cp | rp) ^ t
+            hit = (P | N) & mask
+        return (P, N), (cp, cn) if track else None
 
     def reduce(self, v: Tuple[int, int], c: Optional[Tuple[int, int]]):
         at, mask = self.at, self.mask
@@ -469,6 +561,33 @@ def _vectors(M: SparseMatrix, E, cols: Optional[Sequence[int]] = None) -> Iterab
     return map(E.split, select(M.columns, cols))
 
 
+def _products(M: SparseMatrix, vectors: Sequence[Dict[int, int]]) -> List:
+    """M v for each dict vector v, as vectors of the engine for M.p, from
+    one pass over M's columns at the union of their supports."""
+    E = _engine(M.p)
+    out = [E.split({}) for _ in vectors]
+    cols = sorted(set().union(*vectors))
+    for j, col in zip(cols, _vectors(M, E, cols) if cols else ()):
+        for i, v in enumerate(vectors):
+            x = v.get(j)
+            if x:
+                out[i] = E.sub(out[i], E.scale(col, -x))
+    return out
+
+
+def image_echelon(M: SparseMatrix) -> Tuple[object, Optional[List[int]]]:
+    """(E, cols): E the tracked feed echelon, in the engine for M.p, of the
+    columns of M at the ascending indices cols, which are M's pivot columns
+    where M streams rows (they pick them cheaply), else None for all of
+    them.  Its leading rows are those of im M, and its ``clear`` leaves a
+    vector v zero exactly when v lies in im M, with a combination c, over
+    positions in cols, such that M c = -v."""
+    E = _engine(M.p)
+    cols = pivot_columns(M) if M.rows is not None else None
+    E.feed(_vectors(M, E, cols), True)
+    return E, cols
+
+
 def _eliminate(M: SparseMatrix, track: bool):
     """(pivot columns, kernel or None without track) of M, by ``feed`` on
     M's streamed rows if it has them and no kernel is asked for, else on its
@@ -528,12 +647,24 @@ class QuotientSpace:
     project() expresses any vector of the kernel span in the
     representative basis mod the image; lift() goes back.  Both use the
     full-space pivots of ``_echelon``, built on first use.
+
+    Those representatives are the kernel vectors k_f (1 at f, support only
+    on earlier pivot columns of ``out``) of the free columns f of ``out``
+    that are no leading row T of the image: every nonzero image vector has
+    a free column as its top row.  Given ``cocycles``, dict vectors of
+    ker(out) that span it mod the image, and ``dim``, the dimension of the
+    quotient read elsewhere, the second way takes the same k_f without
+    eliminating ``out`` (``_seed``).
     """
 
-    def __init__(self, out: SparseMatrix, into: SparseMatrix):
+    def __init__(self, out: SparseMatrix, into: SparseMatrix,
+                 cocycles: Optional[Sequence[Dict[int, int]]] = None, dim: Optional[int] = None):
         if (into.p, into.nrows) != (out.p, out.ncols):
             raise ValueError("out * into is undefined: field or shape mismatch")
         p = self.p = out.p
+        if cocycles is not None:
+            self._seed(out, into, cocycles, dim)
+            return
         kernel = _eliminate(out, True)[1]
         E = _engine(p)
         self.image_basis = list(_vectors(into, E, pivot_columns(into)))
@@ -543,6 +674,31 @@ class QuotientSpace:
             raise ValueError("image vector outside kernel span (d^2 != 0?)")
         self._reps = [kernel[j - n][1] for j in pivots[n:]]
         self.dim = len(self._reps)
+
+    def _seed(self, out: SparseMatrix, into: SparseMatrix, cocycles: Sequence[Dict[int, int]],
+              dim: int) -> None:
+        """The k_f from cocycles: one untracked feed of the columns of
+        ``into`` gives the echelon of the image keyed by its leading rows T,
+        whose pivots are the image basis (``_echelon``'s outputs depend only
+        on the image it spans).  A cocycle w cleared at the T rows,
+        highest first, is w'' = sum of w''[f] k_f over the free f outside T,
+        and the reduced row echelon form of the w'' at their top rows is the
+        set of k_f exactly when it has dim vectors.  Guards (ValueError):
+        every cocycle in ker(out), by one pass over the columns of ``out``;
+        exactly dim vectors; no representative set at a T row."""
+        E = _engine(self.p)
+        E.feed(_vectors(into, E), False)
+        self.image_basis = [E.pivot(t) for t in E.lead]
+        if any(E.support(v) for v in _products(out, cocycles)):
+            raise ValueError("a seed vector is not a cocycle")
+        R = _engine(self.p)
+        R.feed([E.clear(E.split(w))[0] for w in cocycles], False)
+        if len(R.lead) != dim:
+            raise ValueError(f"the seed vectors span {len(R.lead)} classes, not {dim}")
+        self._reps = [R.clear(R.pivot(t), below=t)[0] for t in sorted(R.lead)]
+        if any(E.clear(v)[0] != v for v in self._reps):
+            raise ValueError("a seeded representative is set at a leading row of the image")
+        self.dim = dim
 
     @cached_property
     def _echelon(self):

@@ -811,6 +811,157 @@ def test_verify_s3_builds_no_out_of_range_product_on_the_whole_group(monkeypatch
 
 
 # ---------------------------------------------------------------------------
+# Sylow-seeded spaces, and is_zero by membership in the image
+
+# (group, p, top): DecOps spaces on centralizers with 1 < P < C in degrees 1..top
+SEEDED_CASES = [("symmetric:3", 3, 5), ("symmetric:3", 2, 3), ("dihedral:6", 2, 3),
+                ("dihedral:6", 3, 3), ("symmetric:4", 2, 2), ("symmetric:4", 3, 2),
+                ("dihedral:5", 5, 3)]
+
+
+@pytest.mark.parametrize("group,p,top", SEEDED_CASES, ids=[f"{g}-p{p}" for g, p, _ in SEEDED_CASES])
+def test_seeded_spaces_match_quotient_space(monkeypatch, group, p, top):
+    """Each such space is seeded from cor of P's representatives, builds no
+    kernel of d_n (no tracked elimination, once P's own spaces exist), and
+    has the _reps and representatives of a QuotientSpace of its matrices."""
+    ops = DecOps(make_group(group), p)
+    seeded = [cls for cls, C in enumerate(ops.cd.centralizers) if 1 < ops.sylow(cls).order < C.order]
+    assert seeded
+    for cls in seeded:
+        for n in range(1, top + 1):
+            ops.ctx.complex_for(ops.sylow(cls)).cohomology(n)
+    eliminate = linalg._eliminate
+
+    def untracked(M, track):
+        assert not track, "a seeded space eliminated the kernel of d_n"
+        return eliminate(M, track)
+    monkeypatch.setattr(linalg, "_eliminate", untracked)
+    spaces = [ops.space(cls, n) for cls in seeded for n in range(1, top + 1)]
+    monkeypatch.undo()
+    for space in spaces:
+        cplx, n = space.complex, space.degree
+        want = linalg.QuotientSpace(cplx.matrix(n), cplx.matrix(n - 1))
+        assert space.quotient._reps == want._reps, (cplx.subgroup.order, n)
+        assert space.quotient.representatives == want.representatives, (cplx.subgroup.order, n)
+
+
+def test_seeded_quotient_guards():
+    """The seeded QuotientSpace refuses a seed vector outside ker d_n, a
+    seed that spans fewer classes than the dimension given, and a dimension
+    that its seed does not reach."""
+    ops = DecOps(make_group("symmetric:3"), 3)
+    cplx = ops.ctx.complex_for(ops.cd.centralizers[0])
+    out, into = cplx.matrix(4), cplx.matrix(3)
+    rep = cplx.cohomology(4).quotient.representatives[0]
+    with pytest.raises(ValueError, match="not a cocycle"):
+        linalg.QuotientSpace(out, into, [rep, {0: 1}], 1)
+    coboundary = into.columns[next(j for j, col in enumerate(into.columns) if col)]
+    with pytest.raises(ValueError, match="span 0 classes, not 1"):
+        linalg.QuotientSpace(out, into, [coboundary], 1)
+    with pytest.raises(ValueError, match="span 1 classes, not 2"):
+        linalg.QuotientSpace(out, into, [rep], 2)
+    assert linalg.QuotientSpace(out, into, [coboundary, rep], 1)._reps == cplx.cohomology(4).quotient._reps
+
+
+def test_seeded_space_refuses_a_cor_that_drops_a_coset(monkeypatch):
+    """With the paths from the last coset dropped from cochain cor, the
+    seeds are no cocycles (S3/F3) or span no class (S3/F2): DecOps.space
+    raises rather than build a space from them."""
+    paths = CosetSystem.paths
+    monkeypatch.setattr(CosetSystem, "paths", lambda self, elems, end=None: [
+        x for x in paths(self, elems, end) if x[0] != len(self.gamma) - 1])
+    for p, match in ((3, "not a cocycle"), (2, "span 0 classes, not 1")):
+        with pytest.raises(ValueError, match=match):
+            DecOps(make_group("symmetric:3"), p).space(0, 3)
+
+
+def test_is_zero_by_membership_matches_projection(monkeypatch):
+    """Every class that verify-s3 decides, its out-of-window representatives
+    included, gets the answer of projections on fresh QuotientSpaces of the
+    Sylow complexes; the membership route decides some of each answer."""
+    verifier = S3Verifier()
+    quotients, decided = {}, collections.Counter()
+    is_zero = DecOps.is_zero
+
+    def projected(self, A):
+        n, want, routes = A.degree, True, set()
+        for cls, (tag, val) in A.parts.items():
+            if tag == "c":
+                want &= not any(val)
+            elif self.sylow(cls).order > 1:
+                cplx = self.ctx.complex_for(self.sylow(cls))
+                routes.add("project" if cplx.built(n) else "membership")
+                if (cplx, n) not in quotients:
+                    quotients[cplx, n] = linalg.QuotientSpace(cplx.matrix(n), cplx.matrix(n - 1))
+                w = self.restrict_entry(cls, n, (tag, val))
+                idx = cplx.index(n)
+                want &= not any(quotients[cplx, n].project({idx[k]: x for k, x in w.coeffs.items()}))
+        got = is_zero(self, A)
+        assert got == want, A.parts
+        if routes == {"membership"}:
+            decided[got] += 1
+        return got
+    monkeypatch.setattr(DecOps, "is_zero", projected)
+    assert verifier.run()["passed"]
+    assert decided[True] and decided[False], decided
+    assert not any(cplx.built(n) for cplx, n in quotients if not -4 <= n <= 4)
+
+
+def test_verify_s3_builds_no_sylow_space_outside_its_window(monkeypatch, capsys):
+    """verify-s3 decides its classes outside -4..4 by membership: with every
+    QuotientSpace on the C3 complex outside -4..4 refused, its output keeps
+    the golden digest of tests/test_golden.py."""
+    building = []
+    cohomology, init = _BaseComplex.cohomology, linalg.QuotientSpace.__init__
+
+    def opening(self, n):
+        building.append((self, n))
+        try:
+            return cohomology(self, n)
+        finally:
+            building.pop()
+
+    def refusing(self, out, into, *seed):
+        cplx, n = building[-1]
+        if getattr(cplx, "subgroup", None) is not None and cplx.subgroup.order == 3:
+            assert -4 <= n <= 4, f"a QuotientSpace on C3 in degree {n}"
+        return init(self, out, into, *seed)
+    monkeypatch.setattr(_BaseComplex, "cohomology", opening)
+    monkeypatch.setattr(linalg.QuotientSpace, "__init__", refusing)
+    assert main(["verify-s3", "--char", "3", "--window", "-4..3", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data.pop("provenance")
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == (
+        "639f3cb4082ad86a5452a4e9fc32a963f678d3d3c8e33ab7406e4911bd9b575f")
+
+
+def test_is_zero_certificate_catches_a_corrupted_image_column():
+    """The membership route finds a coboundary's c on the columns of
+    d_(n-1) and certifies d(c) = v at element level: with two image
+    columns swapped, the c it finds fails that check (VerificationError);
+    a non-cocycle is refused before, as project refuses it."""
+    ops = DecOps(make_group("symmetric:3"), 3, window=(-4, 4))
+    cP = ops.ctx.complex_for(ops.sylow(0))
+    n = 6
+    e = cP.element(n - 1, {cP.basis(n - 1)[5]: 1})
+    with pytest.raises(ValueError, match="not a cocycle"):
+        ops.is_zero(DecClass(n - 1, {0: ("r", e)}))
+    v = cP.differential(e)
+    assert not v.is_zero() and not cP.built(n)
+    assert ops.is_zero(DecClass(n, {0: ("r", v)}))
+
+    ops = DecOps(make_group("symmetric:3"), 3, window=(-4, 4))
+    cP = ops.ctx.complex_for(ops.sylow(0))
+    M = cP.matrix(n - 1)
+    cols = list(M.vectors())
+    j = next(j for j, col in enumerate(cols) if col != cols[5] and any(col))
+    cols[5], cols[j] = cols[j], cols[5]
+    M.vectors = lambda sel=None: linalg.select(cols, sel)
+    with pytest.raises(VerificationError, match=r"fails d\(c\) = v"):
+        ops.is_zero(DecClass(n, {0: ("r", cP.element(n, v.coeffs))}))
+
+
+# ---------------------------------------------------------------------------
 # tables coordinatizes only the degrees it prints
 
 def _tables_json(group, p, window):
