@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import tatebv
 from tatebv import cli, linalg
 from tatebv.cli import main
 from tatebv.harness import ConfigError, JobConfig, check_dec_window, cmd_dims, cmd_tables
+
+from test_golden import GOLDEN
 
 
 def run_json(capsys, *args):
@@ -126,17 +129,18 @@ def _numpy_loaded_after(*jobs):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv + ['--format', 'json']) == 0, argv\n"
             "print('numpy' in sys.modules)\n")
-    return _fresh_child(code) == "True"
+    return _fresh_child("-c", code) == "True"
 
 
-def _fresh_child(code):
-    """Run code in a fresh interpreter that imports this tatebv; its stdout."""
+def _fresh_child(*argv, exit_code=0):
+    """Run a fresh interpreter on argv with this tatebv importable; its
+    stdout, once its exit code is checked."""
     src = os.path.dirname(os.path.dirname(tatebv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         x for x in (src, os.environ.get("PYTHONPATH")) if x))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return proc.stdout.strip()
 
 
@@ -155,7 +159,26 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
     # PYTHONDONTWRITEBYTECODE is set; dataclasses would add inspect, ast,
     # dis and tokenize to each start-up
     code = "import sys, tatebv.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    assert _fresh_child(code) == "[]"
+    assert _fresh_child("-c", code) == "[]"
+
+
+def test_only_the_cli_module_freezes_the_import_heap():
+    # gc.freeze() keeps every collection, the one at exit too, off the
+    # objects the imports built; a library import must not pin its caller's heap
+    assert _fresh_child("-c", "import gc, tatebv.cli\nprint(gc.get_freeze_count() > 0)") == "True"
+    assert _fresh_child("-c", "import gc, tatebv\nprint(gc.get_freeze_count())") == "0"
+
+
+def test_cli_child_output_and_exit_codes():
+    args = ("dims", "--group", "quaternion8", "--char", "2", "--window", "-3..3")
+    data = json.loads(_fresh_child("-m", "tatebv.cli", *args, "--format", "json"))
+    data.pop("provenance")
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == dict(GOLDEN)[args]
+    _fresh_child("-m", "tatebv.cli", "dims", "--group", "cyclic:2", "--char", "6",
+                 "--window", "-2..2", exit_code=2)
+    _fresh_child("-m", "tatebv.cli", "dims", "--group", "symmetric:4", "--char", "2",
+                 "--window", "-5..5", exit_code=3)
 
 
 def test_decomposition_window_refused_up_front(monkeypatch, capsys):

@@ -15,7 +15,7 @@ without ``provenance`` (None if stdout is not JSON).  It also records
 ``perfbench/reference.py`` times a fixed reference computation in bursts
 before and after each run, and ``scale`` is ``REFERENCE_S`` over their
 mean, so that scaled times of different invocations, and files, compare
-across a drift in the machine's speed.  A job whose runs
+across a drift in the machine's speed.  A job whose runs that exit 0
 disagree on that digest, between trees or between repeats, prints a
 ``MISMATCH`` line, and a run whose exit code is not the one its job
 expects prints an ``UNEXPECTED EXIT`` line; either makes the tool exit 1,
@@ -140,6 +140,17 @@ def output_digest(stdout: bytes):
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
+def digest_mismatch(samples):
+    """The short output digests of one job's runs that exit 0, per tree
+    label, if they are not all one digest; else None.  A run that exits
+    otherwise has no output to compare (its exit code is checked on its
+    own), so a job that one tree newly completes and another cannot run
+    is no mismatch, and it hides no real mismatch among the others."""
+    digests = {label: sorted({str(s["out_sha256"])[:12] for s in got if s["exit"] == 0})
+               for label, got in samples.items()}
+    return digests if len(set().union(*digests.values())) > 1 else None
+
+
 def run_child(argv, src):
     """One child run: wall seconds, peak RSS in MB, exit code, output
     digest, last stderr line."""
@@ -218,8 +229,8 @@ def main(argv=None):
                 failed = True
                 print(f"    UNEXPECTED EXIT  {label} {rec['job']}: {rec['exits']}, expected "
                       f"{expected}", flush=True)
-        digests = {label: sorted({str(s["out_sha256"])[:12] for s in got}) for label, got in samples.items()}
-        if len(set().union(*digests.values())) > 1:
+        digests = digest_mismatch(samples)
+        if digests:
             failed = True
             print(f"    MISMATCH  {job_name(*job)}: {digests}", flush=True)
 
