@@ -27,17 +27,16 @@ spot check of ``tables`` does.
 ``dims`` reads dimensions only.  It reads those of each distinct
 centralizer C on a Sylow p-subgroup P of C: all zero if P = 1, the ranks
 of a guarded minimal free resolution of F_p over F_p[C] if P = C, and
-otherwise the rank of res o cor on the cohomology of P, as cor o res is
-multiplication by the unit [C:P]; only the Sylow route builds complexes,
-those of P.  Its direct check reads dim Ĥ^n(G, k[K]) for each class K off
-a free resolution over F_p[G] (``direct_dims``), and compares it class by
+otherwise (``sylow_ranks``) the ranks of the idempotent [C:P]^-1 (norm o
+aug), lifted to P's minimal resolution induced up to C; it builds no
+complex.  Its direct check reads dim Ĥ^n(G, k[K]) for each class K off a
+free resolution over F_p[G] (``direct_dims``), and compares it class by
 class; ``verify-s3`` sums it for its direct dims.  No code ranks a complex.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import json
 import random
 import sys
@@ -48,7 +47,7 @@ from .complexes import DComplex, GroupTateElement, dim_degree, group_dim_degree,
 from .decomposition import ClassDecomposition, b_tilde, delta_tilde
 from .groups import (ConjugacyData, Group, Subgroup, conjugacy_classes, generated_subgroup,
                      group_from_mult_table, group_from_permutations, parse_cycles,
-                     preset_group, sylow_subgroup, whole_group)
+                     preset_group, right_coset_system, sylow_subgroup, whole_group)
 from .linalg import SparseMatrix, _eliminate, _engine, rank
 from .transfer import TransferContext
 
@@ -211,6 +210,7 @@ class DecOps:
         self.window = window
         self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
         self._sylows: Dict[int, Subgroup] = {}
+        self._ranks: Dict[Tuple[int, ...], List[int]] = {}  # sylow_ranks per centralizer
         for C in self.cd.centralizers:  # whose cohomology caches ``space`` reads
             self.ctx.complex_for(C).seed = self._seed
 
@@ -222,17 +222,23 @@ class DecOps:
         Ĥ^n(C) without eliminating d_n where 1 < P < C for a Sylow
         p-subgroup P of C and n >= 1: (cor^C_P z_j, dim Ĥ^n(C)) for the
         representatives z_j of P's ``cohomology(n)``, C the subgroup of
-        cplx.  cor is onto, so they span Ĥ^n(C), and ``res_cor_rank`` reads
-        the dimension on P.  None where P = 1, P = C or n <= 0: for n <= -2
-        d_(n-1) is the larger matrix, so nothing is saved."""
+        cplx.  cor is onto, so they span Ĥ^n(C); the dimension is
+        ``sylow_ranks``', computed without cor.  None where P = 1, P = C or
+        n <= 0: for n <= -2 d_(n-1) is the larger matrix, so nothing is
+        saved."""
         C = cplx.subgroup
         if n < 1:
             return None
         P = sylow_subgroup(C, self.p)
         if not 1 < P.order < C.order:
             return None
-        reps, dim = res_cor_rank(self.ctx, C, P, n)
-        return [self.ctx.corestrict_element(C, z) for z in reps], dim
+        space = self.ctx.complex_for(P).cohomology(n)
+        cors = [self.ctx.corestrict_element(C, space.representative(j)) for j in range(space.dim)]
+        ranks = self._ranks.get(C.members, [])
+        if len(ranks) <= n:  # built once per centralizer, to the window's top or n if higher
+            top = max(n, self.window[1]) if self.window else n
+            ranks = self._ranks[C.members] = sylow_ranks(C, P, self.p, top)
+        return cors, ranks[n]
 
     def cls_dim(self, cls: int, n: int) -> int:
         return self.space(cls, n).dim
@@ -501,55 +507,6 @@ def _config_dict(cfg: JobConfig) -> Dict:
             "seed": cfg.seed, "format": cfg.fmt, "threads": 1}  # every job runs in one thread
 
 
-def check_square(cplx, n: int, rng: random.Random) -> None:
-    """The guard of the quotient that ``sylow_dims`` reads off cplx in degree
-    n, right only if d_n d_{n-1} = 0: d(d(e)) = 0 is checked with the
-    element-level differential on one seeded basis element e of degree n-1
-    (drawn without building the basis)."""
-    size = cplx.dim(n - 1)
-    if size:
-        key = next(itertools.islice(cplx.iter_basis(n - 1), rng.randrange(size), None))
-        e = cplx.element(n - 1, {key: 1})
-        if not cplx.differential(cplx.differential(e)).is_zero():
-            raise VerificationError(f"d^2 != 0 out of degree {n - 1}")
-
-
-def res_cor_rank(ctx: TransferContext, C: Subgroup, P: Subgroup,
-                 n: int) -> Tuple[List[GroupTateElement], int]:
-    """The representatives z_j of P's ``cohomology(n)``, P a Sylow
-    p-subgroup of C, and dim Ĥ^n(C): cor o res is multiplication by the unit
-    [C:P], so Ĥ^n(C) is the image of res o cor on Ĥ^n(P), and its dimension
-    is the rank of the matrix M of res o cor in the basis of the z_j
-    (Cartan-Eilenberg XII.10; Brown III.9-10).  res o cor o res o cor =
-    [C:P] res o cor, so M^2 = [C:P] M is checked, and a res o cor image that
-    ``project`` refuses as a non-cocycle fails the job (VerificationError)."""
-    p = ctx.p
-    index = C.order // P.order % p
-    try:
-        space = ctx.complex_for(P).cohomology(n)
-        reps = [space.representative(j) for j in range(space.dim)]
-        M = [space.project(z) for z in ctx.res_cor(C, reps)]  # column j: res o cor(z_j)
-    except ValueError as exc:  # a quotient or projection refusing d^2 != 0
-        raise VerificationError(f"res o cor on the Sylow subgroup at degree {n}: {exc}") from exc
-    for col in M:
-        square = [sum(M[k][i] * c for k, c in enumerate(col)) % p for i in range(len(col))]
-        if square != [index * c % p for c in col]:
-            raise VerificationError(f"res o cor at degree {n} fails M^2 = [C:P] M")
-    return reps, _rank_of(p, len(M), [dict(enumerate(col)) for col in M])
-
-
-def sylow_dims(ctx: TransferContext, C: Subgroup, P: Subgroup, degrees: Sequence[int],
-               rng: random.Random) -> List[int]:
-    """dim of Tate cohomology of C in each degree n, read on a Sylow
-    p-subgroup P < C by ``res_cor_rank``; the P-complex, the one eliminated,
-    is guarded by ``check_square`` too."""
-    dims = []
-    for n in degrees:
-        check_square(ctx.complex_for(P), n, rng)
-        dims.append(res_cor_rank(ctx, C, P, n)[1])
-    return dims
-
-
 def _minimal_generators(p: int, K: List, KI: List, n: int) -> List:
     """The vectors of K, a basis of the submodule K_(n-1), that one feed of
     KI, vectors spanning K_(n-1)·I, and then K keeps as pivots: they lift a
@@ -617,14 +574,61 @@ def _resolution(C: Subgroup, p: int, top: int) -> Tuple[List[int], List[List]]:
     return S, out
 
 
-def resolution_dims(gens: List[List], degrees: Sequence[int]) -> List[int]:
-    """dim Ĥ^n of a nontrivial p-group C in each degree n, from the
-    generators ``gens`` that ``_resolution(C, p, top)`` picks for its
-    minimal resolution, top >= max(n, -n-1): Hom(F_n, F_p) has zero
-    differential, so it is r_n for n >= 0, and r_(-n-1) for n <= -1 by Tate
-    duality (Green, LNM 1828; Brown VI.7)."""
-    ranks = [1] + [len(g) for g in gens]
+def resolution_dims(ranks: List[int], degrees: Sequence[int]) -> List[int]:
+    """dim Ĥ^n(C) in each degree n, from ranks[k] = dim Ĥ^k(C) for k =
+    0..top, top >= max(n, -n-1): ranks[n] for n >= 0, and ranks[-n-1] for
+    n <= -1 by Tate duality (Green, LNM 1828; Brown VI.7)."""
     return [ranks[n if n >= 0 else -n - 1] for n in degrees]
+
+
+def sylow_ranks(C: Subgroup, P: Subgroup, p: int, top: int) -> List[int]:
+    """dim Ĥ^n(C) for n = 0..top, P a Sylow p-subgroup of C with 1 < P < C.
+    ``_resolution``'s minimal resolution of F_p over F_p[P], induced up to C
+    (the same generators, each d_n(e_i) re-indexed from P's members to
+    C's), resolves k[P\\C]; [C:P] is a unit, so phi = [C:P]^-1 (norm o aug)
+    is an idempotent on k[P\\C] with image k (Higman's criterion; Brown
+    III.9-10).  Its lift Phi has Phi_0(e) = [C:P]^-1 times the sum of the
+    right coset representatives, and Phi_n(e_i) the x with d_n x =
+    Phi_(n-1)(d_n e_i), which ``clear`` reads off one tracked feed of d_n
+    (it leaves c with d_n c = -v).  Hom_C(F_n, k) = k^(r_n) has zero
+    differential, as P's resolution is minimal, and Phi_n^* on it is the
+    matrix M_n whose column i is the block sums of Phi_n(e_i); so dim
+    Ĥ^n(C) = rank M_n for n >= 1, and Ĥ^0 = F_p.  Guards
+    (VerificationError): ``_resolution``'s, every solve leaving zero, and
+    M_n^2 = M_n."""
+    m, mult = C.order, C.parent.mult
+    where = {g: a for a, g in enumerate(C.members)}
+    right = [[where[mult[g][h]] for g in C.members] for h in C.members]  # [b][a]: member a times b
+    into = [where[g] for g in P.members]
+    E = _engine(p)
+    zero = E.split({})
+    cosets = dict.fromkeys([where[g] for g in right_coset_system(P, C.members).gamma], 1)
+    phi = [E.scale(E.split(cosets), pow(m // P.order, -1, p))]
+    ranks = [1]
+    for n, gens in enumerate(_resolution(P, p, top)[1], 1):
+        r = len(phi)  # r_(n-1)
+        acts = [[i * m + a for i in range(r) for a in row] for row in right]
+        d = [E.permute(g, [i * m + a for i in range(r) for a in into]) for g in gens]
+        echelon = _engine(p)
+        echelon.feed((E.permute(g, act) for g in d for act in acts), True)
+        phi_n = []
+        for g in gens:  # Phi_(n-1)(d_n e_i), read on P's indices
+            v = zero
+            for t, x in enumerate(E.coords(g, r * P.order)):
+                if x:
+                    v = E.sub(v, E.scale(E.permute(phi[t // P.order], acts[into[t % P.order]]), -x))
+            v, c = echelon.clear(v, zero)
+            if E.support(v):
+                raise VerificationError(f"induced resolution at degree {n}: Phi_{n - 1} d_{n} "
+                                        f"is not in im d_{n}")
+            phi_n.append(E.scale(c, -1))
+        M = [(E.block_sums(x, m) + [0] * len(gens))[:len(gens)] for x in phi_n]
+        for col in M:
+            if [sum(M[k][i] * c for k, c in enumerate(col)) % p for i in range(len(col))] != col:
+                raise VerificationError(f"induced resolution at degree {n}: M_{n}^2 != M_{n}")
+        ranks.append(_rank_of(p, len(M), [dict(enumerate(col)) for col in M]))
+        phi = phi_n
+    return ranks
 
 
 def _rank_of(p: int, nrows: int, cols: List[Dict[int, int]]) -> int:
@@ -683,8 +687,9 @@ def direct_dims(G: Group, p: int, cd: ConjugacyData, degrees: Sequence[int],
 def cmd_dims(cfg: JobConfig) -> Dict:
     """dim HH^n(kG) as the sum over conjugacy classes of dim Ĥ^n(C_k), each
     distinct centralizer read once by the route its Sylow p-subgroup P
-    picks (module docstring): zeros for P = 1, ``resolution_dims`` for
-    P = C and ``sylow_dims`` otherwise; where the D-complex fits
+    picks (module docstring): zeros for P = 1, and otherwise
+    ``resolution_dims`` of the ranks of C's minimal resolution for P = C,
+    or of ``sylow_ranks`` for P < C; no complex is built.  Where the D-complex fits
     DIRECT_COLUMN_CAP, ``direct_dims`` must agree with it class by class on
     the inner degrees, and ``direct`` holds their totals.  If G is a
     p-group, both sides read one resolution of G, as they need it to the
@@ -693,8 +698,7 @@ def cmd_dims(cfg: JobConfig) -> Dict:
     cd = conjugacy_classes(G)
     lo, hi = cfg.window
     check_decomposition_cost(cd, cfg.window)
-    ctx = TransferContext(G, cfg.p, cd)
-    rng = random.Random(cfg.seed)
+    top = max(hi, -lo - 1)
     degrees = list(range(lo, hi + 1))
     dims: Dict[Tuple[int, ...], List[int]] = {}
     whole = None  # G's resolution, if G is a p-group
@@ -705,12 +709,12 @@ def cmd_dims(cfg: JobConfig) -> Dict:
         if P.order == 1:
             dims[C.members] = [0] * len(degrees)
         elif P.order == C.order:
-            resolution = _resolution(C, cfg.p, max(hi, -lo - 1))
-            dims[C.members] = resolution_dims(resolution[1], degrees)
+            resolution = _resolution(C, cfg.p, top)
+            dims[C.members] = resolution_dims([1] + [len(g) for g in resolution[1]], degrees)
             if C.order == G.order:
                 whole = resolution
         else:
-            dims[C.members] = sylow_dims(ctx, C, P, degrees, rng)
+            dims[C.members] = resolution_dims(sylow_ranks(C, P, cfg.p, top), degrees)
     per_class = [dims[C.members] for C in cd.centralizers]
     totals = [sum(col) for col in zip(*per_class)] if per_class else []
 

@@ -295,8 +295,9 @@ class _Bitsets:
     ``entries`` and ``coords`` read a vector back as a dict or a list.
     ``permute`` (indices moved by a table), ``sub`` and ``block_sums``
     (the entry sums of consecutive blocks) serve the free-module vectors
-    of ``harness.resolution_dims``, which read no vector back; ``sub`` and
-    ``scale`` (by a residue) serve ``_products`` too.
+    of ``harness._resolution`` and ``harness.sylow_ranks``, which read
+    vectors back only through ``coords``; ``sub`` and ``scale`` (by a
+    residue) serve ``_products`` too.
     Pivots are never back-substituted: Gauss-Jordan reduced pivots were
     measured 4-5x slower on the matrices of ``dims`` at p = 2.
     """

@@ -3,7 +3,7 @@ import copy
 import hashlib
 import itertools
 import json
-import math
+import pathlib
 import random
 import sys
 
@@ -21,7 +21,7 @@ from tatebv.harness import (CostCapError, DecClass, DecOps, JobConfig, TableOps,
 from tatebv.transfer import TransferContext
 from tatebv.verify import S3Verifier
 
-from conftest import MutatedDComplex, MutatedGroupComplex, ranked_dims
+from conftest import MutatedDComplex, ranked_dims
 
 
 @pytest.fixture(scope="module")
@@ -146,54 +146,29 @@ RANK_ONLY_DIMS = [
 ]
 
 
-def _is_p_group(order, p):
-    return math.gcd(order, p ** order) == order
-
-
 @pytest.mark.parametrize("group,p,window,digest", RANK_ONLY_DIMS,
                          ids=[f"{g}-p{p}" for g, p, _, _ in RANK_ONLY_DIMS])
 def test_dims_reads_ranks_and_builds_no_quotient(monkeypatch, group, p, window, digest):
     """dims ranks no complex at all: a centralizer that is a p-group is read
-    off a minimal resolution, the direct path off a resolution of G, and no
-    D-complex is built.  The only complex matrices it builds are those of
-    the cohomology spaces it opens, on the Sylow side: with no centralizer C
-    whose Sylow P has 1 < P < C (D8, Q8, S3 at p = 5) it builds no
-    QuotientSpace at all; otherwise (S4 at p = 2, S3 at p = 3) every space
-    it opens is on a p-group complex."""
+    off a minimal resolution, one whose Sylow P has 1 < P < C (S4 at p = 2,
+    S3 at p = 3) off P's minimal resolution induced up to C, and the direct
+    path off a resolution of G.  No complex matrix, cohomology space,
+    D-complex or QuotientSpace is built."""
     G = make_group(group)
-    sylow_side = {C.members for C in conjugacy_classes(G).centralizers
-                  if 1 < sylow_subgroup(C, p).order < C.order}
-    assert bool(sylow_side) == (group in ("symmetric:4", "symmetric:3") and p < 5)
-    opened, quotient = [], []
-    cohomology, matrix = _BaseComplex.cohomology, _BaseComplex.matrix
+    sylow_side = any(1 < sylow_subgroup(C, p).order < C.order
+                     for C in conjugacy_classes(G).centralizers)
+    assert sylow_side == (group in ("symmetric:4", "symmetric:3") and p < 5)
 
-    def opening(self, n):
-        opened.append(self.subgroup)
-        quotient.append(n)
-        try:
-            return cohomology(self, n)
-        finally:
-            quotient.pop()
-
-    def quotient_matrix(self, d):
-        assert quotient, "dims built a complex matrix outside a cohomology space"
-        return matrix(self, d)
-
-    def no_d_complex(*args):
-        raise AssertionError("dims built a D-complex")
-    monkeypatch.setattr(_BaseComplex, "cohomology", opening)
-    monkeypatch.setattr(_BaseComplex, "matrix", quotient_matrix)
-    monkeypatch.setattr(DComplex, "__init__", no_d_complex)
-    if not sylow_side:
-        def no_quotient(*args):
-            raise AssertionError("dims built a QuotientSpace")
-        monkeypatch.setattr(linalg.QuotientSpace, "__init__", no_quotient)
+    def refuse(*args):
+        raise AssertionError("dims built a complex matrix, a cohomology space or a D-complex")
+    monkeypatch.setattr(_BaseComplex, "cohomology", refuse)
+    monkeypatch.setattr(_BaseComplex, "matrix", refuse)
+    monkeypatch.setattr(DComplex, "__init__", refuse)
+    monkeypatch.setattr(linalg.QuotientSpace, "__init__", refuse)
     data = cmd_dims(JobConfig(group=group, p=p, window=window, fmt="json"))
     data.pop("provenance")
     assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
     assert data["dims"]["direct"] is not None
-    assert bool(opened) == bool(sylow_side)
-    assert all(_is_p_group(H.order, p) for H in opened)
 
 
 # (group, p, window) where the rank route on each centralizer is cheap
@@ -219,16 +194,16 @@ def test_resolution_dims_equal_the_rank_route(group, p):
     Tate complex in every degree of -4..4."""
     C = whole_group(make_group(group))
     degrees = range(-4, 5)
-    gens = harness._resolution(C, p, 4)[1]
-    assert harness.resolution_dims(gens, degrees) == ranked_dims(GroupComplex(C, p), degrees)
+    ranks = [1] + [len(g) for g in harness._resolution(C, p, 4)[1]]
+    assert harness.resolution_dims(ranks, degrees) == ranked_dims(GroupComplex(C, p), degrees)
 
 
 def test_resolution_dims_closed_forms():
     """dim Ĥ^n is n + 1 for D8 and V4 (n >= 0), has period 4 for Q8 and is 1
     for cyclic p-groups, and Tate duality gives dim Ĥ^(-n-1) = dim Ĥ^n."""
     def dims(group, p):
-        gens = harness._resolution(whole_group(make_group(group)), p, 7)[1]
-        return dict(zip(range(-8, 8), harness.resolution_dims(gens, range(-8, 8))))
+        ranks = [1] + [len(g) for g in harness._resolution(whole_group(make_group(group)), p, 7)[1]]
+        return dict(zip(range(-8, 8), harness.resolution_dims(ranks, range(-8, 8))))
     for group, p, want in [("dihedral:4", 2, lambda n: n + 1), ("klein_four", 2, lambda n: n + 1),
                            ("quaternion8", 2, lambda n: (1, 2, 2, 1)[n % 4]),
                            ("cyclic:4", 2, lambda n: 1), ("cyclic:9", 3, lambda n: 1),
@@ -280,78 +255,103 @@ def test_config_hash_is_hashlib_sha256(monkeypatch, loaded):
 @pytest.mark.parametrize("group,p,window", SYLOW_PAIRS,
                          ids=[f"{g}-p{p}" for g, p, _ in SYLOW_PAIRS])
 def test_sylow_dims_equal_the_rank_route(group, p, window):
-    """Class by class, res o cor on a Sylow P of each centralizer C with
-    1 < P < C gives the guarded ranks of C's own complex, and a centralizer
-    with P = 1 has zero Tate cohomology in every degree."""
+    """Class by class, ``sylow_ranks`` (P's minimal resolution induced up
+    to C) on each centralizer C with 1 < P < C gives the guarded ranks of
+    C's own complex, and a centralizer with P = 1 has zero Tate cohomology
+    in every degree."""
     G = make_group(group)
     cd = conjugacy_classes(G)
-    ctx = TransferContext(G, p, cd)
     degrees = range(window[0], window[1] + 1)
+    top = max(window[1], -window[0] - 1)
     sylow_side = 0
     for C in {C.members: C for C in cd.centralizers}.values():
         P = sylow_subgroup(C, p)
-        want = ranked_dims(ctx.complex_for(C), degrees)
+        want = ranked_dims(GroupComplex(C, p), degrees)
         if P.order == 1:
             assert want == [0] * len(degrees)
         elif P.order < C.order:
-            assert harness.sylow_dims(ctx, C, P, degrees, random.Random(0)) == want
+            assert harness.resolution_dims(harness.sylow_ranks(C, P, p, top), degrees) == want
             sylow_side += 1
     assert sylow_side > 0 or p == 5
 
 
-def test_sylow_dims_guard_catches_a_broken_p_complex(monkeypatch):
-    """A Sylow complex whose differential breaks d^2 = 0 trips the seeded
-    d(d(e)) guard; with that guard off, the quotient's refusal is still a
-    VerificationError, never a bare ValueError."""
-    G = make_group("symmetric:3")
-    cd = conjugacy_classes(G)
-    C = cd.centralizers[0]
-    P = sylow_subgroup(C, 3)
-    assert 1 < P.order < C.order
-
-    def broken_ctx():
-        ctx = TransferContext(G, 3, cd)
-        ctx._complexes[P.members] = MutatedGroupComplex(P, 3)
-        return ctx
-
-    with pytest.raises(VerificationError, match=r"^d\^2 != 0 out of degree 0$"):
-        harness.sylow_dims(broken_ctx(), C, P, range(-2, 3), random.Random(0))
-    monkeypatch.setattr(harness, "check_square", lambda cplx, n, rng: None)
-    with pytest.raises(VerificationError, match="res o cor on the Sylow subgroup"):
-        harness.sylow_dims(broken_ctx(), C, P, range(-2, 3), random.Random(0))
+@pytest.mark.parametrize("p,other,want", [
+    (2, "symmetric:4", [2, 1, 1, 1, 1, 2, 3]), (3, "symmetric:3", [0, 0, 1, 1, 0, 0, 1]),
+    (5, None, [0, 0, 1, 1, 0, 0, 0]),
+], ids=["p2", "p3", "p5"])
+def test_sylow_ranks_of_s5(p, other, want):
+    """The identity class of S5 on -3..3, past the cost caps of the CLI: at
+    p = 2 it equals S4's whole-group values (Nakaoka), at p = 3 those of
+    S3, and at p = 5 those of the normalizer of order 20."""
+    def dims(group):
+        C = whole_group(make_group(group))
+        return harness.resolution_dims(harness.sylow_ranks(C, sylow_subgroup(C, p), p, 3), range(-3, 4))
+    assert dims("symmetric:5") == want
+    if other:
+        assert dims(other) == want
 
 
 @pytest.mark.parametrize("group,p,window,match", [
-    ("symmetric:3", 3, (-4, 4), r"fails M\^2 = \[C:P\] M"),
-    ("symmetric:4", 2, (-2, 2), "res o cor on the Sylow subgroup at degree 1: .*not a cocycle"),
-])
-def test_dims_refuses_a_thread_sum_that_drops_a_coset(monkeypatch, group, p, window, match):
-    """With the last coset dropped from every thread sum, res o cor is no
-    longer [C:P] times a projection: at p = 3 the matrix M fails
-    M^2 = [C:P] M, and on S4 at p = 2 an image is no cocycle; either way
-    dims raises VerificationError before its direct-path cross-check."""
-    monkeypatch.setattr(CosetSystem, "count", property(lambda self: len(self.gamma) - 1))
+    ("symmetric:3", 3, (-4, 3), r"^induced resolution at degree 1: M_1\^2 != M_1$"),
+    ("symmetric:4", 2, (-2, 2), r"^induced resolution at degree 1: Phi_0 d_1 is not in im d_1$"),
+], ids=["S3-p3", "S4-p2"])
+def test_dims_refuses_a_lift_that_drops_a_coset(monkeypatch, group, p, window, match):
+    """With Phi_0 built from all but one coset, Phi is no lift of an
+    idempotent: on S3 at p = 3 M_1 fails M^2 = M, and on S4 at p = 2
+    Phi_0 d_1 leaves im d_1, so the degree-1 solve fails; either way dims
+    raises VerificationError before its direct-path cross-check."""
+    cosets = harness.right_coset_system
+
+    def dropped(H, ambient=None):
+        cs = cosets(H, ambient)
+        cs.gamma = cs.gamma[:-1]
+        return cs
+    monkeypatch.setattr(harness, "right_coset_system", dropped)
     with pytest.raises(VerificationError, match=match):
         cmd_dims(JobConfig(group=group, p=p, window=window))
+
+
+def test_dims_refuses_a_lift_without_the_inverse_index(monkeypatch):
+    """With [C:P]^-1 dropped from Phi_0 (S3 at p = 3, [C:P] = 2), Phi lifts
+    2 (norm o aug), which is no idempotent: M_3 = 2 M fails M^2 = M, the
+    first degree where H^n(S3) is not zero."""
+    monkeypatch.setattr(harness, "pow", lambda x, e, m: 1 if e == -1 else pow(x, e, m), raising=False)
+    with pytest.raises(VerificationError, match=r"^induced resolution at degree 3: M_3\^2 != M_3$"):
+        cmd_dims(JobConfig(group="symmetric:3", p=3, window=(-4, 3)))
+
+
+@pytest.mark.parametrize("group,p,window", [
+    ("symmetric:4", 2, (-2, 2)), ("symmetric:3", 3, (-4, 3)), ("dihedral:6", 3, (-3, 3)),
+], ids=["S4-p2", "S3-p3", "D12-p3"])
+def test_dims_builds_no_bar_complex(monkeypatch, capsys, group, p, window):
+    """dims builds no TransferContext, so no bar complex of any subgroup:
+    it exits 0 with TransferContext refused, and S4/F2 -2..2 keeps the
+    golden digest of perfbench/golden.json."""
+    def refuse(*args):
+        raise AssertionError("dims built a TransferContext")
+    monkeypatch.setattr(TransferContext, "__init__", refuse)
+    assert main(["dims", "--group", group, "--char", str(p), "--window", f"{window[0]}..{window[1]}",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dims"]["direct"] is not None
+    if group == "symmetric:4":  # the digest of perfbench/run.py: no provenance, no seed
+        data.pop("provenance")
+        data["config"].pop("seed")
+        with open(pathlib.Path(__file__).parents[1] / "perfbench" / "golden.json", encoding="utf-8") as fh:
+            want = json.load(fh)["dims-s4"]
+        assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_dims_guard_catches_broken_differential(s3, p):
     """The rank formula silently gives wrong, non-negative dimensions on a
     complex whose differential breaks d^2 = 0 (the selftest's mutated
-    complex); the seeded d(d(e)) check of ``check_square``, which guards the
-    complexes that ``sylow_dims`` eliminates, refuses it."""
+    complex), and the right ones on the intact complex."""
     window = (-4, 3)
     degrees = range(-3, 3)
     wrong = ranked_dims(MutatedDComplex(s3, p, window), degrees)
     assert min(wrong) >= 0
     assert wrong != ranked_dims(harness.DComplex(s3, p, window), degrees)
-    rng = random.Random(0)
-    with pytest.raises(VerificationError, match=r"d\^2 != 0"):
-        for n in degrees:
-            harness.check_square(MutatedDComplex(s3, p, window), n, rng)
-    for n in degrees:
-        harness.check_square(harness.DComplex(s3, p, window), n, rng)
     assert ranked_dims(harness.DComplex(s3, p, window), degrees) == [
         harness.DComplex(s3, p, window).cohomology(n).dim for n in degrees]
 
@@ -822,7 +822,8 @@ SEEDED_CASES = [("symmetric:3", 3, 5), ("symmetric:3", 2, 3), ("dihedral:6", 2, 
 @pytest.mark.parametrize("group,p,top", SEEDED_CASES, ids=[f"{g}-p{p}" for g, p, _ in SEEDED_CASES])
 def test_seeded_spaces_match_quotient_space(monkeypatch, group, p, top):
     """Each such space is seeded from cor of P's representatives, builds no
-    kernel of d_n (no tracked elimination, once P's own spaces exist), and
+    kernel of d_n (no tracked elimination, once P's own spaces and C's
+    ``sylow_ranks`` exist), and
     has the _reps and representatives of a QuotientSpace of its matrices."""
     ops = DecOps(make_group(group), p)
     seeded = [cls for cls, C in enumerate(ops.cd.centralizers) if 1 < ops.sylow(cls).order < C.order]
@@ -830,6 +831,7 @@ def test_seeded_spaces_match_quotient_space(monkeypatch, group, p, top):
     for cls in seeded:
         for n in range(1, top + 1):
             ops.ctx.complex_for(ops.sylow(cls)).cohomology(n)
+        ops._seed(ops.ctx.complex_for(ops.cd.centralizers[cls]), top)  # C's sylow_ranks to top
     eliminate = linalg._eliminate
 
     def untracked(M, track):

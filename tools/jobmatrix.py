@@ -60,10 +60,12 @@ CPU_S = 120  # RLIMIT_CPU of each child: the slowest job, tables S3 -7..7, takes
 
 # (command, group, char, window, in the quick subset, expected exit code);
 # verify-s3 needs no group.  dims S4 -5..5 is refused by the cost caps: it
-# exits 3.  tables S3 -7..7 and tables S4 -3..3 at p = 2 and 3 build the
-# whole group's spaces in degrees n >= 1 from its Sylow subgroup's
-# (DecOps._seed), without eliminating the kernel of d_n: S3 -7..7, which ran
-# out of MEM_MB with that kernel (exit 3), now exits 0.
+# exits 3, though its route (harness.sylow_ranks) now costs milliseconds,
+# since the caps still count bar-complex columns.  tables S3 -7..7 and
+# tables S4 -3..3 at p = 2 and 3 build the whole group's spaces in degrees
+# n >= 1 from its Sylow subgroup's (DecOps._seed), without eliminating the
+# kernel of d_n: S3 -7..7, which ran out of MEM_MB with that kernel (exit
+# 3), now exits 0.
 # dims S3 p=5 -5..2 reads its direct dims at -4 off degree 3 by duality, a
 # degree outside its window.  The p >= 5 dims rows run the direct path at
 # p = 5 and 7, S3 at p = 5 with p prime to |G|; dims S4 p=3 runs it on a
