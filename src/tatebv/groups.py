@@ -323,16 +323,26 @@ def generated_subgroup(G: Group, gens: Sequence[int]) -> Subgroup:
 def sylow_subgroup(H: Subgroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of H, grown from the trivial group: adjoin the
     first member g of H for which <Q, g> is still a p-group, until |Q| is
-    the p-part of |H|.  It cannot stall below that, since N_S(Q) > Q for a
-    Sylow S containing a p-subgroup Q < S."""
+    the p-part of |H|.  Only a member of p-power order outside Q can make
+    <Q, g> a larger p-group, so no other is tried.  It cannot stall below
+    that, since N_S(Q) > Q for a Sylow S containing a p-subgroup Q < S."""
     part = math.gcd(H.order, p ** H.order)
+    mult = H.parent.mult
+    candidates = []
+    for g in H.nontrivial:
+        order, power = 1, g
+        while power:
+            order, power = order + 1, mult[power][g]
+        if part % order == 0:
+            candidates.append(g)
     Q = trivial_subgroup(H.parent)
     while Q.order < part:
-        for g in H.members:
-            R = generated_subgroup(H.parent, Q.members + (g,))
-            if R.order > Q.order and part % R.order == 0:
-                Q = R
-                break
+        for g in candidates:
+            if g not in Q:
+                R = generated_subgroup(H.parent, Q.members + (g,))
+                if part % R.order == 0:
+                    Q = R
+                    break
     return Q
 
 

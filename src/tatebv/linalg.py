@@ -18,28 +18,31 @@ and quotient representatives are bit-identical across runs.
   them and skips ``split``; its dict ``columns`` are built only on demand;
 * p >= 5: ``ColumnReducer``, the same steps on dict vectors.
 
-``_eliminate`` runs one loop, the engine's ``feed``: on a matrix's
-streamed ``rows`` (column j at bit ncols-1-j) for ``pivot_columns`` and
-``rank``, else on its columns.  ``feed`` reduces each vector by the pivot
-of its leading (top) row, one addition per step, and stops an independent
-vector at its first leading row that holds no pivot.  Which entry leads
-cannot move an output of ``feed``: the rank, the leftmost-greedy pivot
-columns (a column is a pivot iff it is independent of the columns before
-it) and each free column's kernel vector (1 there, support only on
-earlier pivot columns) are unique; on rows, the leading rows of an
-echelon basis of the row space are the leftmost-greedy columns, reversed.
-``QuotientSpace`` picks its representatives with one more ``feed``, or,
-seeded with cocycles, by ``clear``, which reduces a vector by a feed
-echelon at its leading rows, highest first; ``clear`` on
-``image_echelon`` also decides membership in an image.  Only
-``QuotientSpace``'s ``representatives``, ``project`` and ``lift`` read an
-echelon keyed by each pivot's lowest row (the steps ``reduce``,
-``normalize`` and ``push`` of both engines), because the lowest rows of
-that echelon are what they output.
+Every engine keeps one echelon form: each pivot is keyed by its leading
+(top) row and holds 1 there.  ``feed`` reduces each vector by the pivot
+of its top row, one addition per step, and stops an independent vector
+at its first top row that holds no pivot.  Which entry leads cannot
+move an output of ``feed``: the rank, the leftmost-greedy pivot columns
+(a column is a pivot iff it is independent of the columns before it)
+and each free column's kernel vector (1 there, support only on earlier
+pivot columns) are unique; on rows, the leading rows of an echelon basis
+of the row space are the leftmost-greedy columns, reversed.
+``_eliminate`` feeds a matrix's streamed ``rows`` (column j at bit
+ncols-1-j) for ``pivot_columns`` and ``rank``, else its columns.
+``clear`` reduces a vector at the leading rows it sets, highest first,
+until it sets none; on ``image_echelon`` it decides membership in an
+image.  ``insert`` makes a cleared vector the pivot at its top row, with
+a tag of the caller's in place of its combination.  ``QuotientSpace``
+picks its representatives with one more ``feed``, or, seeded with
+cocycles, by ``clear``.  Its coordinate echelon, which
+``representatives``, ``project`` and ``lift`` read, is built by
+``clear`` and ``insert`` on index-reversed vectors (i -> n-1-i), so that
+the lowest rows it outputs are top rows there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from functools import cached_property
 from itertools import chain, compress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -138,19 +141,27 @@ class SparseMatrix:
 class ColumnReducer:
     """Column echelon form on dict vectors with combination tracking, the
     engine for p >= 5.  It has the steps of ``_Bitsets`` on dicts, so
-    ``_eliminate`` and ``QuotientSpace`` drive both alike: the leading-row
-    ``feed``, and for ``QuotientSpace`` the lowest-row ``reduce``,
-    ``normalize`` and ``push``, which apply the pivots in creation order.
-    """
+    ``_eliminate`` and ``QuotientSpace`` drive both alike; ``tops`` keeps
+    the leading rows of ``lead`` ascending, for ``clear``."""
 
     def __init__(self, p: int):
         self.p = p
-        self.lead: Dict[int, tuple] = {}  # feed: leading row -> (vector, combination)
-        self.pivots: List[Tuple[int, Dict[int, int], Optional[Dict[int, int]]]] = []
+        self.lead: Dict[int, tuple] = {}  # leading row -> (vector, combination)
+        self.tops: List[int] = []  # the keys of lead, ascending
 
-    split = support = staticmethod(lambda v: v)
+    support = staticmethod(lambda v: v)
     coords = staticmethod(lambda c, n: [c.get(k, 0) for k in range(n)])
     permute = staticmethod(lambda v, pos: {pos[k]: x for k, x in v.items()})
+
+    @staticmethod
+    def reverse(v: Dict[int, int], n: int) -> Dict[int, int]:
+        m = n - 1
+        return {m - k: x for k, x in v.items()}
+
+    @staticmethod
+    def split(v: Dict[int, int], n: Optional[int] = None) -> Dict[int, int]:
+        """v itself, or given n, v with index k moved to n-1-k."""
+        return v if n is None else ColumnReducer.reverse(v, n)
 
     def sub(self, v: Dict[int, int], w: Dict[int, int]) -> Dict[int, int]:
         out = dict(v)
@@ -177,7 +188,7 @@ class ColumnReducer:
         multiple of that pivot's combination from its own, until its top
         row holds no pivot (it becomes the pivot there, scaled to 1 at that
         row) or it is zero."""
-        p, lead = self.p, self.lead
+        p, lead, tops = self.p, self.lead, self.tops
         pivots: List[int] = []
         kernel: List[tuple] = []
         for j, v in enumerate(vectors):
@@ -188,6 +199,7 @@ class ColumnReducer:
                 q = lead.get(top)
                 if q is None:
                     lead[top] = self.normalize(v, c, top)
+                    insort(tops, top)
                     pivots.append(j)
                     break
                 x = -v[top]
@@ -199,34 +211,22 @@ class ColumnReducer:
                     kernel.append((j, c))
         return pivots, kernel if track else None
 
-    def reduce(self, v: Dict[int, int], c: Optional[Dict[int, int]]):
-        """Copies of v minus the multiples of the pivots that clear their
-        rows and of c (None: untracked) minus the same multiples of their
-        combinations; v and c themselves are left as they are."""
+    def normalize(self, v: Dict[int, int], c: Optional[Dict[int, int]], row: int):
+        """(v, c) scaled so that v's entry at row is 1."""
         p = self.p
-        v = dict(v)
-        c = c if c is None else dict(c)
-        for row, w, d in self.pivots:
-            x = v.get(row)
-            if x:
-                add_scaled_inplace(v, w, -x, p)
-                if c is not None:
-                    add_scaled_inplace(c, d, -x, p)
-        return v, c
-
-    def normalize(self, v: Dict[int, int], c: Optional[Dict[int, int]], row: Optional[int] = None):
-        """(v, c) scaled so that v's entry at row, by default its lowest
-        row, is 1."""
-        p = self.p
-        inv = pow(v[min(v) if row is None else row], p - 2, p)
+        inv = pow(v[row], p - 2, p)
         if inv != 1:
             v, c = (u if u is None else {k: x * inv % p for k, x in u.items()} for u in (v, c))
         return v, c
 
-    def push(self, v: Dict[int, int], c: Optional[Dict[int, int]]) -> None:
-        """Make v, which holds 1 at its lowest row, the pivot there with
-        combination c."""
-        self.pivots.append((min(v), v, c))
+    def insert(self, v: Dict[int, int], c: Dict[int, int]) -> Dict[int, int]:
+        """``_GF2.insert`` on dicts: v is scaled to 1 at its top row, c is
+        kept as it is."""
+        top = max(v)
+        v = self.normalize(v, None, top)[0]
+        self.lead[top] = v, c
+        insort(self.tops, top)
+        return v
 
     def scale(self, v: Dict[int, int], c: int) -> Dict[int, int]:
         c %= self.p
@@ -237,18 +237,18 @@ class ColumnReducer:
 
     def clear(self, v: Dict[int, int], c: Optional[Dict[int, int]] = None,
               below: Optional[int] = None):
-        """``_GF2.clear`` on dicts."""
-        p, lead = self.p, self.lead
+        """``_GF2.clear`` on dicts, in one walk down the leading rows: a
+        step at a row changes only rows below it."""
+        p, lead, tops = self.p, self.lead, self.tops
         v, c = dict(v), c if c is None else dict(c)
-        while True:
-            hit = [r for r in v if r in lead and (below is None or r < below)]
-            if not hit:
-                return v, c
-            top = max(hit)
-            x = -v[top]
-            add_scaled_inplace(v, lead[top][0], x, p)
-            if c is not None:
-                add_scaled_inplace(c, lead[top][1], x, p)
+        for top in reversed(tops if below is None else tops[:bisect_left(tops, below)]):
+            x = v.get(top)
+            if x:
+                q = lead[top]
+                add_scaled_inplace(v, q[0], -x, p)
+                if c is not None:
+                    add_scaled_inplace(c, q[1], -x, p)
+        return v, c
 
 
 def _bits(x: int) -> List[int]:
@@ -262,37 +262,39 @@ def _bits(x: int) -> List[int]:
     return out
 
 
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed(x: int, n: int) -> int:
+    """The bitset x of width n with bit i moved to bit n-1-i: its bytes
+    reversed, each through a 256-byte table."""
+    m = (n + 7) // 8
+    return int.from_bytes(x.to_bytes(m, "little").translate(_BIT_REVERSED), "big") >> 8 * m - n
+
+
 class _Bitsets:
     """Pivots in row echelon form over F_2 or F_3 on Python-int bitsets,
-    the M4RI idea in pure Python; one instance per elimination.  An
-    instance holds one of two echelons, never both.
+    the M4RI idea in pure Python; one instance per elimination.
 
-    ``feed`` keys each pivot by its leading (top) set row, the echelon form
-    of M4RI (Albrecht, Bard & Hart, 2010): a vector subtracts the pivot of
-    its top row, so it shortens at every step at the cost of one addition,
-    until its top row holds no pivot (it becomes the pivot there, scaled to
-    1 at that row) or it is zero.  It gives ranks, pivot columns (by
-    columns, or the leading rows of a matrix's streamed rows) and kernels,
-    and ``QuotientSpace``'s kernel and representative pick.  None of these
+    Each pivot is keyed by its leading (top) set row, the echelon form of
+    M4RI (Albrecht, Bard & Hart, 2010), in ``lead``; ``tops`` is the bitset
+    of those rows.  ``feed`` reduces a vector by the pivot of its top row,
+    so it shortens at every step at the cost of one addition, until its
+    top row holds no pivot (it becomes the pivot there, scaled to 1 at
+    that row) or it is zero.  It gives ranks, pivot columns (by columns,
+    or the leading rows of a matrix's streamed rows) and kernels, and
+    ``QuotientSpace``'s kernel and representative pick.  None of these
     depends on which entry leads: the rank, the leftmost-greedy pivot
     columns (a column is a pivot iff it is independent of the columns
     before it) and the kernel vector of each free column (1 there, support
     only on earlier pivot columns) are each unique.
+    ``clear`` reduces a vector at every leading row it sets, highest
+    first, and ``insert`` makes a cleared vector the pivot at its top row
+    with a given tag; ``pivot`` reads a pivot's vector.
 
-    ``reduce``, ``normalize`` and ``push`` key each pivot by its lowest
-    set row, for the outputs of ``QuotientSpace`` that read that echelon:
-    its representatives, ``project`` and ``lift``.
-    ``clear`` reduces a vector by the feed echelon (``pivot`` reads one of
-    its vectors, ``rows`` the bitset of its leading rows).
-    ``reduce`` clears the lowest pivot row a vector has set until none is
-    left, adding the same multiples of pivot combinations to a tracked one
-    (a pivot has no set bit below its own row, so each step changes only
-    rows above it and applies every pivot at most once); ``normalize``
-    scales a vector to 1 at its lowest set row and ``push`` makes it the
-    pivot there.
-
-    Per field, ``split`` turns a dict of entries into a vector, and
-    ``entries`` and ``coords`` read a vector back as a dict or a list.
+    Per field, ``split`` turns a dict of entries into a vector, also in the
+    index-reversed layout, ``reverse`` reverses a vector, and ``entries``
+    and ``coords`` read a vector back as a dict or a list.
     ``permute`` (indices moved by a table), ``sub`` and ``block_sums``
     (the entry sums of consecutive blocks) serve the free-module vectors
     of ``harness._resolution`` and ``harness.sylow_ranks``, which read
@@ -303,34 +305,8 @@ class _Bitsets:
     """
 
     def __init__(self):
-        self.lead: Dict[int, tuple] = {}  # feed: leading row -> flat(vector, combination)
-        self.at: List[Optional[tuple]] = []  # push: lowest row -> flat(vector, combination)
-        self.mask = 0  # the lowest rows of the pivots in at, which reduce clears
-        self._rows = (0, 0)  # (len(lead), the bitset of lead's rows) when last read
-
-    def rows(self) -> int:
-        """The bitset of the leading rows of the feed echelon; a feed only
-        adds rows, so the count tells a stale one."""
-        n, mask = self._rows
-        if n != len(self.lead):
-            mask = 0
-            for t in self.lead:
-                mask |= 1 << t
-            self._rows = len(self.lead), mask
-        return mask
-
-    def push(self, v, c) -> None:
-        """Make v (nonzero, normalized, no set pivot row) the pivot at its
-        lowest set row, with combination c.  A pivot holding 2 there would
-        never clear that row in ``reduce``, so it is refused."""
-        s = self.support(v)
-        if self.twos(v) & s & -s:
-            raise AssertionError("pivot not normalized: its lowest entry is 2")
-        row = (s & -s).bit_length() - 1
-        if row >= len(self.at):
-            self.at.extend([None] * (row + 1 - len(self.at)))
-        self.at[row] = self.flat(v, c)
-        self.mask |= 1 << row
+        self.lead: Dict[int, tuple] = {}  # leading row -> (vector, combination), one 4-tuple at p = 3
+        self.tops = 0  # the bitset of lead's rows
 
     def entries(self, v, first: Optional[int] = None) -> Dict[int, int]:
         """v as {index: entry} ascending, or its largest index ``first`` first."""
@@ -343,10 +319,10 @@ class _Bitsets:
     def block_sums(self, v, m: int) -> List[int]:
         """The sums mod p of v's entries in each block of m consecutive
         indices, up to its last nonzero block."""
-        s, t, mask = self.support(v), self.twos(v), (1 << m) - 1
+        s, t, block = self.support(v), self.twos(v), (1 << m) - 1
         out = []
         while s:
-            out.append((bin(s & mask).count("1") + bin(t & mask).count("1")) % self.p)
+            out.append((bin(s & block).count("1") + bin(t & block).count("1")) % self.p)
             s, t = s >> m, t >> m
         return out
 
@@ -355,49 +331,54 @@ class _GF2(_Bitsets):
     """F_2: a vector is one bitset, and XOR is the whole row operation."""
 
     p = 2
-    split = staticmethod(lambda entries: sum(1 << i for i in entries))
     permute = staticmethod(lambda v, pos: sum(1 << pos[k] for k in _bits(v)))
+    reverse = staticmethod(_reversed)
     sub = staticmethod(lambda v, w: v ^ w)
     support = staticmethod(lambda v: v)
     twos = staticmethod(lambda v: 0)
     coords = staticmethod(lambda c, n: [c >> k & 1 for k in range(n)])
-    normalize = flat = staticmethod(lambda v, c: (v, c))
 
     scale = staticmethod(lambda v, c: v if c % 2 else 0)
+
+    @staticmethod
+    def split(entries, n: Optional[int] = None) -> int:
+        """The bitset of the indices of entries, or given n, of n-1 minus
+        each index."""
+        if n is None:
+            return sum(1 << i for i in entries)
+        m = n - 1
+        return sum(1 << (m - i) for i in entries)
 
     def pivot(self, row: int) -> int:
         return self.lead[row][0]
 
     def clear(self, v: int, c: Optional[int] = None, below: Optional[int] = None):
-        """(v, c) less the multiples of the feed pivots that clear v's
-        leading rows, highest first, until v sets none of them (only those
-        under ``below`` if given); c (None: untracked) takes the same
-        multiples of their combinations.  A pivot sets no row above its
-        own, so each step sets only lower rows."""
-        lead, mask = self.lead, self.rows()
+        """(v, c) less the multiples of the pivots that clear v's leading
+        rows, highest first, until v sets none of them (only those under
+        ``below`` if given); c (None: untracked) takes the same multiples of
+        their combinations.  A pivot sets no row above its own, so each step
+        sets only lower rows."""
+        lead, tops = self.lead, self.tops
         if below is not None:
-            mask &= (1 << below) - 1
+            tops &= (1 << below) - 1
         track = c is not None
-        hit = v & mask
+        hit = v & tops
         while hit:
             q = lead[hit.bit_length() - 1]
             v ^= q[0]
             if track:
                 c ^= q[1]
-            hit = v & mask
+            hit = v & tops
         return v, c
 
-    def reduce(self, v: int, c: Optional[int]):
-        at, mask = self.at, self.mask
-        track = c is not None
-        hit = v & mask
-        while hit:
-            w, d = at[(hit & -hit).bit_length() - 1]
-            v ^= w
-            if track:
-                c ^= d
-            hit = v & mask
-        return v, c
+    def insert(self, v: int, c: int) -> int:
+        """Make v (nonzero, no leading row set) the pivot at its top row
+        with the tag c as its combination, which ``clear`` collects; returns
+        the stored vector."""
+        top = v.bit_length() - 1
+        self.lead[top] = v, c
+        self.tops |= 1 << top
+        return v
 
     def feed(self, vectors: Iterable[int], track: bool):
         lead = self.lead
@@ -410,6 +391,7 @@ class _GF2(_Bitsets):
                 q = lead.get(top)
                 if q is None:
                     lead[top] = v, c
+                    self.tops |= 1 << top
                     pivots.append(j)
                     break
                 v ^= q[0]
@@ -430,17 +412,27 @@ class _GF3(_Bitsets):
     support = staticmethod(lambda v: v[0] | v[1])
     twos = staticmethod(lambda v: v[1])
     permute = staticmethod(lambda v, pos: (_GF2.permute(v[0], pos), _GF2.permute(v[1], pos)))
+    reverse = staticmethod(lambda v, n: (_reversed(v[0], n), _reversed(v[1], n)))
     coords = staticmethod(lambda c, n: [c[0] >> k & 1 | (c[1] >> k & 1) << 1 for k in range(n)])
-    flat = staticmethod(lambda v, c: (*v, *(c or (0, 0))))
 
     @staticmethod
-    def split(entries: Dict[int, int]) -> Tuple[int, int]:
+    def split(entries: Dict[int, int], n: Optional[int] = None) -> Tuple[int, int]:
+        """The pair of entries, or given n, with index i moved to n-1-i, in
+        a loop of its own, since ``project`` splits every vector so."""
         P = N = 0
+        if n is None:
+            for i, x in entries.items():
+                if x == 1:
+                    P |= 1 << i
+                else:
+                    N |= 1 << i
+            return P, N
+        m = n - 1
         for i, x in entries.items():
             if x == 1:
-                P |= 1 << i
+                P |= 1 << (m - i)
             else:
-                N |= 1 << i
+                N |= 1 << (m - i)
         return P, N
 
     @staticmethod
@@ -450,14 +442,6 @@ class _GF3(_Bitsets):
         t = (P | w[0]) ^ (N | w[1])
         return (N | w[0]) ^ t, (P | w[1]) ^ t
 
-    @staticmethod
-    def normalize(v: Tuple[int, int], c):
-        """(v, c), both negated if v's lowest entry is 2."""
-        s = v[0] | v[1]
-        if v[1] & s & -s:
-            return (v[1], v[0]), c if c is None else (c[1], c[0])
-        return v, c
-
     scale = staticmethod(lambda v, c: v if c % 3 == 1 else (v[1], v[0]) if c % 3 else (0, 0))
 
     def pivot(self, row: int) -> Tuple[int, int]:
@@ -466,13 +450,13 @@ class _GF3(_Bitsets):
     def clear(self, v: Tuple[int, int], c: Optional[Tuple[int, int]] = None,
               below: Optional[int] = None):
         """``_GF2.clear`` on bit-sliced pairs."""
-        lead, mask = self.lead, self.rows()
+        lead, tops = self.lead, self.tops
         if below is not None:
-            mask &= (1 << below) - 1
+            tops &= (1 << below) - 1
         P, N = v
         track = c is not None
         cp, cn = c if track else (0, 0)
-        hit = (P | N) & mask
+        hit = (P | N) & tops
         while hit:
             top = hit.bit_length() - 1
             qp, qn, rp, rn = lead[top]
@@ -483,27 +467,20 @@ class _GF3(_Bitsets):
             if track:
                 t = (cp | rn) ^ (cn | rp)
                 cp, cn = (cn | rn) ^ t, (cp | rp) ^ t
-            hit = (P | N) & mask
+            hit = (P | N) & tops
         return (P, N), (cp, cn) if track else None
 
-    def reduce(self, v: Tuple[int, int], c: Optional[Tuple[int, int]]):
-        at, mask = self.at, self.mask
+    def insert(self, v: Tuple[int, int], c: Tuple[int, int]) -> Tuple[int, int]:
+        """``_GF2.insert`` on bit-sliced pairs: v holding 2 at its top row
+        is stored negated, its tag c never is."""
         P, N = v
-        track = c is not None
-        cp, cn = c if track else (0, 0)
-        hit = (P | N) & mask
-        while hit:
-            low = hit & -hit
-            qp, qn, rp, rn = at[low.bit_length() - 1]
-            if P & low:  # entry 1: subtract the pivot, i.e. add its negation; entry 2: add it
-                qp, qn, rp, rn = qn, qp, rn, rp
-            t = (P | qn) ^ (N | qp)
-            P, N = (N | qn) ^ t, (P | qp) ^ t
-            if track:
-                t = (cp | rn) ^ (cn | rp)
-                cp, cn = (cn | rn) ^ t, (cp | rp) ^ t
-            hit = (P | N) & mask
-        return (P, N), (cp, cn) if track else None
+        lp, ln = P.bit_length(), N.bit_length()
+        if ln > lp:
+            P, N = N, P
+        top = max(lp, ln) - 1
+        self.lead[top] = P, N, *c
+        self.tops |= 1 << top
+        return P, N
 
     def feed(self, vectors: Iterable[Tuple[int, int]], track: bool):
         lead = self.lead
@@ -519,6 +496,7 @@ class _GF3(_Bitsets):
                     if ln > lp:  # entry 2 at the top row: store the negation
                         P, N, cp, cn = N, P, cn, cp
                     lead[top] = P, N, cp, cn
+                    self.tops |= 1 << top
                     pivots.append(j)
                     break
                 qp, qn, rp, rn = q
@@ -647,7 +625,7 @@ class QuotientSpace:
     in their span; any other count means d^2 != 0, and ValueError.
     project() expresses any vector of the kernel span in the
     representative basis mod the image; lift() goes back.  Both use the
-    full-space pivots of ``_echelon``, built on first use.
+    coordinate echelon ``_echelon``, built on first use.
 
     Those representatives are the kernel vectors k_f (1 at f, support only
     on earlier pivot columns of ``out``) of the free columns f of ``out``
@@ -663,6 +641,7 @@ class QuotientSpace:
         if (into.p, into.nrows) != (out.p, out.ncols):
             raise ValueError("out * into is undefined: field or shape mismatch")
         p = self.p = out.p
+        self._n = out.ncols
         if cocycles is not None:
             self._seed(out, into, cocycles, dim)
             return
@@ -703,35 +682,35 @@ class QuotientSpace:
 
     @cached_property
     def _echelon(self):
-        """Full-space pivots: the image vectors, then the representative
-        kernel vectors, each reduced by the earlier pivots and normalized to
-        1 at its lowest row.  Pivot k is the unique vector of (fed vector +
-        span of earlier pivots) that is zero at every earlier pivot row, so
-        neither it nor a coordinate of project() depends on the order in
-        which an engine clears those rows.  The combination of
-        representative k's pivot is -e_k, so that reducing a vector collects
-        its coordinates; an image pivot's is zero.  Returns the echelon and
-        its pivot vectors in the order fed."""
-        p = self.p
+        """The coordinate echelon, on vectors reversed over the n = out.ncols
+        indices (i -> n-1-i), so that their lowest rows are top rows: the
+        image vectors, then the representative kernel vectors, each cleared
+        by the pivots before it and inserted at its top row, scaled to 1
+        there.  Pivot k is the unique vector of (fed vector + span of
+        earlier pivots) that is zero at every earlier pivot row, so neither
+        it nor a coordinate of project() depends on the order in which an
+        engine clears those rows.  The tag of representative k's pivot is
+        -e_k, so that clearing a vector collects its coordinates; an image
+        pivot's is zero.  Returns the echelon, its zero vector and the
+        representatives' pivot vectors in order."""
+        p, n = self.p, self._n
         E = _engine(p)
-        fed = [(v, E.split({})) for v in self.image_basis]
-        fed += [(v, E.split({k: p - 1})) for k, v in enumerate(self._reps)]
-        pivots = []
-        for vec, tag in fed:
-            pivots.append(E.normalize(E.reduce(vec, None)[0], None)[0])
-            E.push(pivots[-1], tag)
-        return E, pivots
+        zero = E.split({})
+        for v in self.image_basis:
+            E.insert(E.clear(E.reverse(v, n))[0], zero)
+        return E, zero, [E.insert(E.clear(E.reverse(v, n))[0], E.split({k: p - 1}))
+                         for k, v in enumerate(self._reps)]
 
     @cached_property
     def representatives(self) -> List[Dict[int, int]]:
-        E, pivots = self._echelon
-        return [E.entries(v) for v in pivots[len(self.image_basis):]]
+        E, _, pivots = self._echelon
+        return [E.entries(E.reverse(v, self._n)) for v in pivots]
 
     def project(self, v: Dict[int, int]) -> List[int]:
         """Coordinates of the class of v, a dict of residues in 1..p-1;
         raises if v is not in the kernel span."""
-        E = self._echelon[0]
-        w, c = E.reduce(E.split(v), E.split({}))
+        E, zero, _ = self._echelon
+        w, c = E.clear(E.split(v, self._n), zero)
         if E.support(w):
             raise ValueError("vector is not in the kernel span (not a cocycle)")
         return E.coords(c, self.dim)

@@ -295,3 +295,27 @@ def test_sylow_subgroup_of_each_centralizer(spec, p):
                 order //= p
             assert order == 1, (G.label(g), p)
 
+
+
+def sylow_by_every_member(H, p):
+    """The loop ``sylow_subgroup`` ran before it tried only members of
+    p-power order outside Q: <Q, g> for every member g of H in turn."""
+    part = math.gcd(H.order, p ** H.order)
+    Q = trivial_subgroup(H.parent)
+    while Q.order < part:
+        for g in H.members:
+            R = generated_subgroup(H.parent, Q.members + (g,))
+            if R.order > Q.order and part % R.order == 0:
+                Q = R
+                break
+    return Q
+
+
+@pytest.mark.parametrize("spec", ["symmetric:5", "symmetric:4", "dihedral:6"])
+def test_sylow_subgroup_equals_the_every_member_loop(spec):
+    """Skipping the members that cannot pass changes no Sylow subgroup: on
+    the whole group and each centralizer, at p = 2, 3 and 5."""
+    G = make_group(spec)
+    for H in (whole_group(G), *conjugacy_classes(G).centralizers):
+        for p in (2, 3, 5):
+            assert sylow_subgroup(H, p) == sylow_by_every_member(H, p)

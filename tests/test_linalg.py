@@ -194,19 +194,50 @@ def seeded_sparse(p):
     return from_columns(40, p, columns)
 
 
+class LowestRow:
+    """The reference echelon on dict vectors, independent of the engines:
+    each pivot is keyed by its lowest row and holds 1 there, and a vector
+    is reduced by the pivots in creation order (a pivot is zero at every
+    earlier pivot's row, so one pass clears them all)."""
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = []  # (lowest row, vector, combination or None)
+
+    def reduce(self, v, c):
+        """Copies of v less the multiples of the pivots that clear their
+        rows, and of c (None: untracked) less the same multiples of their
+        combinations."""
+        v, c = dict(v), c if c is None else dict(c)
+        for row, w, d in self.pivots:
+            x = v.get(row)
+            if x:
+                add_scaled_inplace(v, w, -x, self.p)
+                if c is not None:
+                    add_scaled_inplace(c, d, -x, self.p)
+        return v, c
+
+    def push(self, v, c):
+        """Make v, reduced and nonzero, the pivot at its lowest row, with v
+        and c scaled to 1 there."""
+        p, row = self.p, min(v)
+        inv = pow(v[row], p - 2, p)
+        self.pivots.append((row, *(u if u is None else {k: x * inv % p for k, x in u.items()}
+                                   for u in (v, c))))
+
+
 def lowest_row_feed(E, vectors, track):
     """The reference column loop, independent of the engines' ``feed``:
-    each vector in order is reduced by the lowest-row steps of the echelon
-    E, which apply its pivots in creation order, and becomes the pivot at
-    its lowest row if anything is left.  Returns (indices of the vectors
-    that became pivots, [(index, combination)] of the others or None
-    without track)."""
+    each vector in order is reduced by the LowestRow echelon E and becomes
+    the pivot at its lowest row if anything is left.  Returns (indices of
+    the vectors that became pivots, [(index, combination)] of the others or
+    None without track)."""
     pivots = []
     kernel = []
     for j, v in enumerate(vectors):
         v, c = E.reduce(v, {j: 1} if track else None)
         if v:
-            E.push(*E.normalize(v, c))
+            E.push(v, c)
             pivots.append(j)
         elif track:
             kernel.append((j, c))
@@ -232,22 +263,18 @@ def with_streamed_rows(M):
 
 def lowest_row_by_rows(M):
     """The reference pivot search by rows, independent of ``feed``: M's
-    rows in order, with column j at index j, each reduced by the lowest-row
-    steps of the engine for p and pushed at its lowest set column if
-    anything is left.  The lowest set columns of that echelon basis of the
-    row space are M's leftmost-greedy independent columns."""
-    E = linalg._engine(M.p)
-    for v in map(E.split, transpose(M)):
-        v = E.reduce(v, None)[0]
-        if E.support(v):
-            E.push(*E.normalize(v, None))
-    return linalg._bits(E.mask) if M.p <= 3 else sorted(row for row, _, _ in E.pivots)
+    rows in order, with column j at index j, fed to a LowestRow echelon.
+    The lowest set columns of that echelon basis of the row space are M's
+    leftmost-greedy independent columns."""
+    E = LowestRow(M.p)
+    lowest_row_feed(E, transpose(M), False)
+    return sorted(row for row, _, _ in E.pivots)
 
 
 def reducer_run(M, track=True):
     """(pivot columns, kernel combinations) of the reference loop on M's
     columns in order."""
-    pivots, kernel = lowest_row_feed(ColumnReducer(M.p), M.columns, track)
+    pivots, kernel = lowest_row_feed(LowestRow(M.p), M.columns, track)
     return pivots, [c for _, c in kernel] if track else None
 
 
@@ -280,12 +307,12 @@ def test_engines_match_column_reducer(M):
 
 
 def test_engine_shape_rule(monkeypatch):
-    """``_eliminate`` runs one loop, the engine's leading-row ``feed``, for
-    every p and shape, and never the lowest-row steps ``reduce`` and
-    ``push``, which serve ``QuotientSpace`` alone.  pivot_columns and rank
-    of a matrix that streams its ``rows`` feed those rows, in which column
-    j is bit ncols-1-j; kernels, and every matrix without streamed rows
-    (wide ones too), feed the columns."""
+    """``_eliminate`` runs one loop, the engine's ``feed``, for every p and
+    shape, and never ``clear`` or ``insert``, which serve membership tests
+    and ``QuotientSpace``.  pivot_columns and rank of a matrix that streams
+    its ``rows`` feed those rows, in which column j is bit ncols-1-j;
+    kernels, and every matrix without streamed rows (wide ones too), feed
+    the columns."""
     calls = set()
     fed = []
 
@@ -299,7 +326,7 @@ def test_engine_shape_rule(monkeypatch):
         return recorded
 
     for cls in (*linalg._BITSETS.values(), ColumnReducer):
-        for step in ("feed", "reduce", "push"):
+        for step in ("feed", "clear", "insert"):
             monkeypatch.setattr(cls, step, record(f"{cls.__name__}.{step}", getattr(cls, step)))
 
     def paths(M, f):
@@ -388,7 +415,7 @@ def test_column_reducer_feed_scales_pivots(p):
 ], ids=["S3-p3", "D8-p2"])
 def test_face_built_kernels_match_column_reducer(group, p, shape):
     """The tracked kernel of the face-built whole-group matrix(3), streamed
-    from the coboundary face tables, equals the ColumnReducer's kernel on
+    from the coboundary face tables, equals the reference loop's kernel on
     the matrix's dict columns."""
     M = GroupComplex(whole_group(preset_group(*group)), p).matrix(3)
     assert (M.nrows, M.ncols) == shape and M.vectors is not None
@@ -401,7 +428,7 @@ def test_face_built_kernels_match_column_reducer(group, p, shape):
 ], ids=["S3-p3-degree-6", "D8-p2-degree-5"])
 def test_row_pivots_on_whole_group_matrices(group, p, degree, shape):
     """The row path on the widest whole-group matrices of the benchmark
-    jobs gives the ColumnReducer's pivot columns."""
+    jobs gives the reference loop's pivot columns."""
     M = GroupComplex(whole_group(preset_group(*group)), p).matrix(degree)
     assert (M.nrows, M.ncols) == shape
     pivots = reducer_run(M, track=False)[0]
@@ -440,7 +467,7 @@ def test_no_dict_elimination_at_p_2_and_3(monkeypatch, capsys):
     kernels, pivots and quotients all take the bitset core."""
     def refuse(*args, **kwargs):
         raise AssertionError("ColumnReducer used at p <= 3")
-    for step in ("feed", "reduce", "push"):
+    for step in ("feed", "clear", "insert"):
         monkeypatch.setattr(ColumnReducer, step, refuse)
     for group, p, window in (("symmetric:3", "3", "-3..3"), ("dihedral:4", "2", "-2..2")):
         assert main(["tables", "--group", group, "--char", p, "--window", window, "--format", "json"]) == 0
@@ -472,7 +499,7 @@ def test_gf3_engine_on_s3_complex():
     """The p = 3 bit-sliced engine on whole-group S3 differentials, with
     hundreds of rows and entries of both signs: the 625x125 kernel of
     degree 3 (entries and their order) and the 125x625 pivots of degree -5
-    equal the ColumnReducer's."""
+    equal the reference loop's."""
     C = GroupComplex(whole_group(preset_group("symmetric", 3)), 3)
     M = C.matrix(3)
     assert (M.nrows, M.ncols) == (625, 125)
@@ -503,27 +530,56 @@ def test_module_steps_match_column_reducer(p):
         assert E.block_sums(E.split(v), 6) == R.block_sums(v, 6)
 
 
-def test_gf3_push_refuses_unnormalized_pivot():
-    """A p = 3 pivot holding 2 at its lowest row would make ``reduce`` loop
-    forever on any vector set there; ``push`` refuses it instead."""
-    eng = linalg._GF3()
-    v = eng.split({1: 2, 4: 1})
-    with pytest.raises(AssertionError, match="not normalized"):
-        eng.push(v, None)
-    assert eng.mask == 0
-    eng.push(*eng.normalize(v, None))
-    assert eng.mask == 1 << 1
-    assert eng.reduce(eng.split({1: 1, 3: 2}), None) == (eng.split({3: 2, 4: 1}), None)
+def test_gf3_insert_negates_the_pivot_not_its_tag():
+    """A p = 3 vector holding 2 at its top row is stored negated, so that
+    the pivot holds 1 there, while its tag is stored as given: negating a
+    representative's tag -e_k with it would flip the sign of its
+    coordinate.  ``clear`` then collects minus the tag per unit of the
+    entry it clears."""
+    E = linalg._GF3()
+    tag = E.split({0: 2})
+    assert E.insert(E.split({1: 1, 4: 2}), tag) == E.split({1: 2, 4: 1})
+    assert E.lead == {4: (*E.split({1: 2, 4: 1}), *tag)}
+    assert E.tops == 1 << 4
+    assert E.clear(E.split({3: 1, 4: 1}), E.split({})) == (E.split({1: 1, 3: 1}), E.split({0: 1}))
+
+
+@st.composite
+def reversible(draw):
+    """(n, entries): a width n, not a multiple of 8 in most draws, and
+    entries at indices below n, up to 10^6."""
+    n = draw(st.one_of(st.integers(0, 70), st.integers(10 ** 6 - 9, 10 ** 6 + 1)))
+    return n, draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=20)) if n else {}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=100, deadline=None)
+@given(reversible())
+@example((0, {}))
+@example((13, {}))
+@example((10 ** 6 + 1, {0: 1, 10 ** 6: 4, 12_345: 2}))
+def test_reverse_is_index_arithmetic(p, case):
+    """Each engine's ``reverse`` of width n, and its ``split`` given n,
+    move index i to n-1-i, as index arithmetic on the dict does; reversing
+    twice is the identity."""
+    n, entries = case
+    entries = {i: x % p for i, x in entries.items() if x % p}
+    E = linalg._engine(p)
+    v = E.split(entries)
+    reversed_v = E.reverse(v, n)
+    assert E.entries(reversed_v) == {n - 1 - i: x for i, x in entries.items()}
+    assert E.split(entries, n) == reversed_v
+    assert E.reverse(reversed_v, n) == v
 
 
 def reference_quotient(p, kernel, image):
-    """The full-space quotient on ColumnReducer: raises ValueError if an
-    image vector is outside the kernel span, else returns the pivots of
-    feeding the image vectors, then the kernel vectors, as (row, vector,
-    tag) with tag None for image directions and k for representative k."""
-    span = ColumnReducer(p)
+    """The full-space quotient on LowestRow: raises ValueError if an image
+    vector is outside the kernel span, else returns the pivots of feeding
+    the image vectors, then the kernel vectors, as (row, vector, tag) with
+    tag None for image directions and k for representative k."""
+    span = LowestRow(p)
     lowest_row_feed(span, kernel, False)
-    red = ColumnReducer(p)
+    red = LowestRow(p)
     tags = []
     for v in image:
         if lowest_row_feed(span, [v], False)[0]:
@@ -547,19 +603,6 @@ def reference_project(p, pivots, v):
     return None if w else coords
 
 
-def quotient_pivots(q):
-    """q's full-space pivots as (row, entries, tag) like reference_quotient's,
-    read from its echelon (bitsets at p <= 3): the image directions first,
-    then representative k's pivot."""
-    E, vectors = q._echelon
-    images = len(vectors) - q.dim
-    out = []
-    for i, v in enumerate(vectors):
-        entries = E.entries(v)
-        out.append((min(entries), entries, None if i < images else i - images))
-    return out
-
-
 def combination(draw, p, vectors):
     out = {}
     for v in vectors:
@@ -572,15 +615,14 @@ def combination(draw, p, vectors):
 def test_quotient_matches_full_space_reference(A, data):
     """QuotientSpace(A, B), with B's columns drawn combinations of
     kernel_basis(A) (so d^2 = 0), gives the full-space reference's dim,
-    representatives, pivots and project coordinates; one drawn image
-    column outside the kernel must raise."""
+    representatives and project coordinates; one drawn image column
+    outside the kernel must raise."""
     p = A.p
     kern = kernel_basis(A)
     image = [combination(data.draw, p, kern) for _ in range(data.draw(st.integers(0, len(kern) + 1)))]
     q = QuotientSpace(A, from_columns(A.ncols, p, image))
     pivots = reference_quotient(p, kern, image)
     assert q.dim == sum(t is not None for _, _, t in pivots)
-    assert quotient_pivots(q) == pivots
     assert q.representatives == [c for _, c, t in pivots if t is not None]
     for _ in range(3):
         v = combination(data.draw, p, kern + image)

@@ -55,8 +55,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))  # perfbench is no package
 from reference import Gauge
 
-MEM_MB = 1024  # RLIMIT_AS of each child: tables S3 -7..7 peaks at about 610 MB under it
-CPU_S = 120  # RLIMIT_CPU of each child: the slowest job, tables S3 -7..7, takes about 32 s
+MEM_MB = 1024  # RLIMIT_AS of each child: tables S3 -7..7 peaks at about 595 MB under it
+CPU_S = 120  # RLIMIT_CPU of each child: the slowest job, tables S3 -7..7, takes 25-33 s
 
 # (command, group, char, window, in the quick subset, expected exit code);
 # verify-s3 needs no group.  dims S4 -5..5 is refused by the cost caps: it
