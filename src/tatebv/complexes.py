@@ -474,7 +474,7 @@ class _BaseComplex:
         self._index: Dict[int, Dict[Key, int]] = {}
         self._matrix: Dict[int, SparseMatrix] = {}
         self._cohomology: Dict[int, CohomologySpace] = {}
-        self._images: Dict[int, tuple] = {}  # degree n -> image_echelon(matrix(n - 1))
+        self._images: Dict[int, tuple] = {}  # degree n -> image_echelon(matrix(n - 1), True)
         self._faces: Dict[bool, tuple] = {}
 
     # subclass API --------------------------------------------------------
@@ -590,18 +590,14 @@ class _BaseComplex:
         space = self._cohomology[n] = CohomologySpace(self, n, quotient)
         return space
 
-    def built(self, n: int) -> bool:
-        """Whether ``cohomology(n)`` has been built."""
-        return n in self._cohomology
-
     def bounding(self, elem):
         """An element c of degree n-1 with d(c) = elem if the echelon of
         im d_(n-1), kept per degree, clears elem to zero (elem lies in that
         image exactly then), else None.  The caller certifies d(c) = elem."""
         n = elem.degree
         if n not in self._images:
-            self._images[n] = image_echelon(self.matrix(n - 1))
-        E, cols = self._images[n]
+            self._images[n] = image_echelon(self.matrix(n - 1), True)
+        E, cols, _ = self._images[n]
         idx = self.index(n)
         w, c = E.clear(E.split({idx[k]: x for k, x in elem.coeffs.items()}), E.split({}))
         if E.support(w):

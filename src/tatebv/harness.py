@@ -209,7 +209,7 @@ class DecOps:
         self.ctx = TransferContext(G, p, self.cd)
         self.window = window
         self._lifts: Dict[Tuple[int, int, Tuple[int, ...]], GroupTateElement] = {}
-        self._sylows: Dict[int, Subgroup] = {}
+        self._sylows: Dict[Tuple[int, ...], Subgroup] = {}  # per centralizer
         self._ranks: Dict[Tuple[int, ...], List[int]] = {}  # sylow_ranks per centralizer
         for C in self.cd.centralizers:  # whose cohomology caches ``space`` reads
             self.ctx.complex_for(C).seed = self._seed
@@ -229,7 +229,7 @@ class DecOps:
         C = cplx.subgroup
         if n < 1:
             return None
-        P = sylow_subgroup(C, self.p)
+        P = self._sylow(C)
         if not 1 < P.order < C.order:
             return None
         space = self.ctx.complex_for(P).cohomology(n)
@@ -247,10 +247,14 @@ class DecOps:
         return self.window is None or self.window[0] <= n <= self.window[1]
 
     def sylow(self, cls: int) -> Subgroup:
-        """A Sylow p-subgroup P_k of the centralizer C_k, found once per class."""
-        if cls not in self._sylows:
-            self._sylows[cls] = sylow_subgroup(self.cd.centralizers[cls], self.p)
-        return self._sylows[cls]
+        """A Sylow p-subgroup P_k of the centralizer C_k."""
+        return self._sylow(self.cd.centralizers[cls])
+
+    def _sylow(self, C: Subgroup) -> Subgroup:
+        """A Sylow p-subgroup of C, found once per centralizer."""
+        if C.members not in self._sylows:
+            self._sylows[C.members] = sylow_subgroup(C, self.p)
+        return self._sylows[C.members]
 
     def _entry_from_elem(self, cls: int, gelem: GroupTateElement) -> Optional[Entry]:
         if self.in_range(gelem.degree):
@@ -397,12 +401,11 @@ class DecOps:
         p-subgroup P of C = C_G(x_k): cor o res is multiplication by the unit
         [C:P] in every Tate degree, so [v] = 0 exactly when [res v] = 0 on P
         (Brown III.9-10, VI.5; Cartan-Eilenberg XII.8-10); an entry already
-        on P is decided as it is.  Where P's space of that degree is built,
-        it projects res v (and refuses a non-cocycle); elsewhere no space is
-        built: d(res v) = 0 is checked at element level (ValueError, as
-        project), and res v is zero exactly when it lies in im d, which
-        ``bounding`` decides; a c it finds must satisfy d(c) = res v
-        (VerificationError).  If P = 1, Tate cohomology of C vanishes."""
+        on P is decided as it is.  No space is built or read: d(res v) = 0
+        is checked at element level (ValueError, as project), and res v is
+        zero exactly when it lies in im d, which ``bounding`` decides; a c
+        it finds must satisfy d(c) = res v (VerificationError).  If P = 1,
+        Tate cohomology of C vanishes."""
         n = A.degree
         for cls, (tag, val) in A.parts.items():
             if tag == "c":
@@ -413,10 +416,6 @@ class DecOps:
             if P.order == 1:
                 continue
             cplx, w = self.ctx.complex_for(P), self.restrict_entry(cls, n, (tag, val))
-            if cplx.built(n):
-                if any(cplx.cohomology(n).project(w)):
-                    return False
-                continue
             if not cplx.differential(w).is_zero():
                 raise ValueError("vector is not in the kernel span (not a cocycle)")
             c = cplx.bounding(w)

@@ -30,21 +30,21 @@ of the row space are the leftmost-greedy columns, reversed.
 ``_eliminate`` feeds a matrix's streamed ``rows`` (column j at bit
 ncols-1-j) for ``pivot_columns`` and ``rank``, else its columns.
 ``clear`` reduces a vector at the leading rows it sets, highest first,
-until it sets none; on ``image_echelon`` it decides membership in an
-image.  ``insert`` makes a cleared vector the pivot at its top row, with
-a tag of the caller's in place of its combination.  ``QuotientSpace``
-picks its representatives with one more ``feed``, or, seeded with
-cocycles, by ``clear``.  Its coordinate echelon, which
-``representatives``, ``project`` and ``lift`` read, is built by
-``clear`` and ``insert`` on index-reversed vectors (i -> n-1-i), so that
-the lowest rows it outputs are top rows there.
+until it sets none; on an image's echelon it decides membership.
+``insert`` makes a cleared vector the pivot at its top row, with a tag
+of the caller's in place of its combination.  ``image_echelon`` builds
+every echelon of an image: ``QuotientSpace`` feeds the kernel vectors
+into it, or, seeded with cocycles, clears them in it.  The coordinate
+echelon that its ``representatives``, ``project`` and ``lift`` read is
+built by ``clear`` and ``insert`` on index-reversed vectors
+(i -> n-1-i), so that the lowest rows it outputs are top rows there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -554,17 +554,25 @@ def _products(M: SparseMatrix, vectors: Sequence[Dict[int, int]]) -> List:
     return out
 
 
-def image_echelon(M: SparseMatrix) -> Tuple[object, Optional[List[int]]]:
-    """(E, cols): E the tracked feed echelon, in the engine for M.p, of the
-    columns of M at the ascending indices cols, which are M's pivot columns
-    where M streams rows (they pick them cheaply), else None for all of
-    them.  Its leading rows are those of im M, and its ``clear`` leaves a
-    vector v zero exactly when v lies in im M, with a combination c, over
-    positions in cols, such that M c = -v."""
+def image_echelon(M: SparseMatrix, track: bool) -> Tuple[object, Optional[List[int]], Optional[List]]:
+    """(E, cols, basis): E the feed echelon (tracked if track), in the engine
+    for M.p, of M's columns at the ascending indices cols, which are M's
+    pivot columns where M streams rows (they pick them cheaply), else None
+    for all of them.  Its leading rows are those of im M, and its ``clear``
+    leaves v zero exactly when v lies in im M, tracked with a combination
+    c, over positions in cols, such that M c = -v.  Untracked, basis is
+    M's pivot columns as M streams them, kept as the feed meets them."""
     E = _engine(M.p)
     cols = pivot_columns(M) if M.rows is not None else None
-    E.feed(_vectors(M, E, cols), True)
-    return E, cols
+    basis = None if track else []
+
+    def kept():
+        for v in _vectors(M, E, cols):
+            yield v
+            if not track and len(E.lead) > len(basis):  # the feed made v a pivot
+                basis.append(v)
+    E.feed(kept(), track)
+    return E, cols, basis
 
 
 def _eliminate(M: SparseMatrix, track: bool):
@@ -616,13 +624,14 @@ class QuotientSpace:
     only at the edges: ``representatives``, ``lift`` and the argument of
     ``project``.
 
-    One ``feed`` of the image basis (the pivot columns of ``into``) and
-    then the kernel vectors of ``out`` picks the representatives: the
-    image vectors, being independent, take the first pivots, and a kernel
-    vector becomes a pivot exactly when it is independent of the image and
-    of the kernel vectors before it.  The kernel vectors are independent
-    too, so the feed finds len(kernel) pivots exactly when the image lies
+    The kernel vectors of ``out``, fed to the echelon of im(into) that
+    ``image_echelon`` builds, pick the representatives: a kernel vector
+    becomes a pivot exactly when it is independent of the image and of the
+    kernel vectors before it.  The kernel vectors are independent too, so
+    the echelon ends with len(kernel) pivots exactly when the image lies
     in their span; any other count means d^2 != 0, and ValueError.
+    ``image_basis``, which ``_echelon`` starts from, is the pivot columns
+    of ``into`` as it streams them, not the pivots stored for them.
     project() expresses any vector of the kernel span in the
     representative basis mod the image; lift() goes back.  Both use the
     coordinate echelon ``_echelon``, built on first use.
@@ -640,35 +649,30 @@ class QuotientSpace:
                  cocycles: Optional[Sequence[Dict[int, int]]] = None, dim: Optional[int] = None):
         if (into.p, into.nrows) != (out.p, out.ncols):
             raise ValueError("out * into is undefined: field or shape mismatch")
-        p = self.p = out.p
+        self.p = out.p
         self._n = out.ncols
         if cocycles is not None:
             self._seed(out, into, cocycles, dim)
             return
         kernel = _eliminate(out, True)[1]
-        E = _engine(p)
-        self.image_basis = list(_vectors(into, E, pivot_columns(into)))
-        n = len(self.image_basis)
-        pivots = E.feed(chain(self.image_basis, (c for _, c in kernel)), False)[0]
-        if len(pivots) != len(kernel):
+        E, _, self.image_basis = image_echelon(into, False)
+        pivots = E.feed((c for _, c in kernel), False)[0]
+        if len(E.lead) != len(kernel):
             raise ValueError("image vector outside kernel span (d^2 != 0?)")
-        self._reps = [kernel[j - n][1] for j in pivots[n:]]
+        self._reps = [kernel[j][1] for j in pivots]
         self.dim = len(self._reps)
 
     def _seed(self, out: SparseMatrix, into: SparseMatrix, cocycles: Sequence[Dict[int, int]],
               dim: int) -> None:
-        """The k_f from cocycles: one untracked feed of the columns of
-        ``into`` gives the echelon of the image keyed by its leading rows T,
-        whose pivots are the image basis (``_echelon``'s outputs depend only
-        on the image it spans).  A cocycle w cleared at the T rows,
-        highest first, is w'' = sum of w''[f] k_f over the free f outside T,
-        and the reduced row echelon form of the w'' at their top rows is the
-        set of k_f exactly when it has dim vectors.  Guards (ValueError):
-        every cocycle in ker(out), by one pass over the columns of ``out``;
-        exactly dim vectors; no representative set at a T row."""
-        E = _engine(self.p)
-        E.feed(_vectors(into, E), False)
-        self.image_basis = [E.pivot(t) for t in E.lead]
+        """The k_f from cocycles, in the echelon of the image that
+        ``image_echelon`` builds, keyed by its leading rows T.  A cocycle w
+        cleared at the T rows, highest first, is w'' = sum of w''[f] k_f
+        over the free f outside T, and the reduced row echelon form of the
+        w'' at their top rows is the set of k_f exactly when it has dim
+        vectors.  Guards (ValueError): every cocycle in ker(out), by one
+        pass over the columns of ``out``; exactly dim vectors; no
+        representative set at a T row."""
+        E, _, self.image_basis = image_echelon(into, False)
         if any(E.support(v) for v in _products(out, cocycles)):
             raise ValueError("a seed vector is not a cocycle")
         R = _engine(self.p)

@@ -892,7 +892,7 @@ def test_is_zero_by_membership_matches_projection(monkeypatch):
                 want &= not any(val)
             elif self.sylow(cls).order > 1:
                 cplx = self.ctx.complex_for(self.sylow(cls))
-                routes.add("project" if cplx.built(n) else "membership")
+                routes.add("project" if n in cplx._cohomology else "membership")
                 if (cplx, n) not in quotients:
                     quotients[cplx, n] = linalg.QuotientSpace(cplx.matrix(n), cplx.matrix(n - 1))
                 w = self.restrict_entry(cls, n, (tag, val))
@@ -906,7 +906,7 @@ def test_is_zero_by_membership_matches_projection(monkeypatch):
     monkeypatch.setattr(DecOps, "is_zero", projected)
     assert verifier.run()["passed"]
     assert decided[True] and decided[False], decided
-    assert not any(cplx.built(n) for cplx, n in quotients if not -4 <= n <= 4)
+    assert not any(n in cplx._cohomology for cplx, n in quotients if not -4 <= n <= 4)
 
 
 def test_verify_s3_builds_no_sylow_space_outside_its_window(monkeypatch, capsys):
@@ -949,7 +949,7 @@ def test_is_zero_certificate_catches_a_corrupted_image_column():
     with pytest.raises(ValueError, match="not a cocycle"):
         ops.is_zero(DecClass(n - 1, {0: ("r", e)}))
     v = cP.differential(e)
-    assert not v.is_zero() and not cP.built(n)
+    assert not v.is_zero() and n not in cP._cohomology
     assert ops.is_zero(DecClass(n, {0: ("r", v)}))
 
     ops = DecOps(make_group("symmetric:3"), 3, window=(-4, 4))
@@ -961,6 +961,31 @@ def test_is_zero_certificate_catches_a_corrupted_image_column():
     M.vectors = lambda sel=None: linalg.select(cols, sel)
     with pytest.raises(VerificationError, match=r"fails d\(c\) = v"):
         ops.is_zero(DecClass(n, {0: ("r", cP.element(n, v.coeffs))}))
+
+
+def test_is_zero_decides_by_membership_where_the_sylow_space_is_built(monkeypatch):
+    """With P's degree-n space built first, is_zero still decides each
+    representative entry by membership: its answers match projection on a
+    fresh QuotientSpace of the same matrices, and it never projects onto
+    P's built space."""
+    ops = DecOps(make_group("symmetric:3"), 3, window=(-4, 4))
+    cP = ops.ctx.complex_for(ops.sylow(0))
+    n = 6
+    space = cP.cohomology(n)
+    fresh = linalg.QuotientSpace(cP.matrix(n), cP.matrix(n - 1))
+    project = linalg.QuotientSpace.project
+
+    def refusing(self, v):
+        assert self is not space.quotient, "is_zero projected onto P's built space"
+        return project(self, v)
+    monkeypatch.setattr(linalg.QuotientSpace, "project", refusing)
+    rng, idx, answers = random.Random(7), cP.index(n), collections.Counter()
+    for c in (0, 1, 2) * 4:
+        v = space.representative(0).scale(c).add(cP.differential(cP.random_element(n - 1, rng)))
+        want = not any(fresh.project({idx[k]: x for k, x in v.coeffs.items()}))
+        assert ops.is_zero(DecClass(n, {0: ("r", v)})) == want
+        answers[want] += 1
+    assert answers[True] and answers[False], answers
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The job matrix's digest comparison, on made-up samples."""
+"""The job matrix's digest comparison, on made-up samples, and its peak
+RSS, which must be the job's and not the harness's."""
 
 import importlib.util
+import resource
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "jobmatrix.py"
@@ -28,3 +30,15 @@ def test_digests_compare_only_among_runs_that_exit_zero():
     assert mismatch({"change": [run(0, A), run(0, B)]}) == {"change": ["a" * 12, "b" * 12]}
     assert mismatch({"parent": [run(0, None)], "change": [run(0, A)]}) == {
         "parent": ["None"], "change": ["a" * 12]}
+
+
+def test_peak_rss_is_the_jobs_not_the_harness():
+    """After the harness has touched 50 MB of ballast, a ``python -c pass``
+    child still reads its own peak RSS (about 13 MB), far under the
+    harness's: it is forked from the small launcher, not from the harness.
+    Forked from the harness it read the harness's whole RSS."""
+    ballast = b"x" * (50 << 20)
+    harness_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    got = jobmatrix.run_child(["-c", "pass"], jobmatrix.ROOT / "src")
+    assert got["exit"] == 0
+    assert got["peak_rss_mb"] < min(30, harness_mb - len(ballast) / 2 ** 21), (got, harness_mb)

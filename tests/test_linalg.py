@@ -9,6 +9,7 @@ from tatebv import linalg, preset_group, whole_group
 from tatebv.cli import main
 from tatebv.complexes import DComplex, GroupComplex
 from tatebv.groups import generated_subgroup
+from tatebv.harness import DecOps, make_group
 from tatebv.linalg import (ColumnReducer, QuotientSpace, SparseMatrix, add_scaled_inplace, is_prime,
                            kernel_basis, pivot_columns, rank)
 
@@ -640,3 +641,34 @@ def test_quotient_matches_full_space_reference(A, data):
             reference_quotient(p, kern, image)
         with pytest.raises(ValueError, match="outside kernel span"):
             QuotientSpace(A, from_columns(A.ncols, p, image))
+
+
+# (group, p, n): a seeded space (whole group S3, 1 < P < G, n >= 1), an
+# unseeded one whose image matrix streams no rows (D8, P = G) and one whose
+# image matrix, out of degree n-1 <= -2, picks its pivot columns by rows
+IMAGE_BASIS_CASES = [("symmetric:3", 3, 4), ("dihedral:4", 2, 3), ("symmetric:3", 3, -4)]
+
+
+@pytest.mark.parametrize("group,p,n", IMAGE_BASIS_CASES,
+                         ids=[f"{g}-p{p}-n{n}" for g, p, n in IMAGE_BASIS_CASES])
+def test_image_basis_is_the_streamed_pivot_columns(monkeypatch, group, p, n):
+    """Every QuotientSpace build keeps as ``image_basis`` the pivot columns
+    of ``into`` as ``into`` streams them, never reduced pivots; a build
+    whose ``into`` streams no rows picks them in its one image echelon and
+    calls ``pivot_columns`` zero times."""
+    ops = DecOps(make_group(group), p)
+    cplx = ops.ctx.complex_for(ops.cd.centralizers[0])
+    into = cplx.matrix(n - 1)
+    seeded = n >= 1 and 1 < ops.sylow(0).order < ops.cd.centralizers[0].order
+    assert seeded == (group == "symmetric:3" and n > 0)
+    if seeded:  # P's spaces and C's ranks first, so that the build alone is counted
+        ops._seed(cplx, n)
+    calls = []
+    pivots = linalg.pivot_columns
+    monkeypatch.setattr(linalg, "pivot_columns", lambda M: calls.append(M) or pivots(M))
+    q = ops.space(0, n).quotient
+    assert calls == ([] if into.rows is None else [into])
+    monkeypatch.undo()
+    assert (into.rows is not None) == (n <= -1)
+    E = linalg._engine(p)
+    assert q.image_basis == list(linalg._vectors(into, E, pivot_columns(into)))

@@ -5,11 +5,17 @@
 
 Each job is ``python -m tatebv.cli ... --format json`` with ``PYTHONPATH``
 set to a source tree (``--src``, default this checkout's ``src``), started
-with ``RLIMIT_AS`` (address space) and ``RLIMIT_CPU`` set in the child.
-Per run it records the wall time from spawn to reap, the child's own peak
-RSS (``ru_maxrss`` from ``os.wait4``), its exit code, negative for the
-signal that killed it (``RLIMIT_CPU`` sends SIGXCPU; a job that runs out of
-address space exits 3), and ``out_sha256``, the SHA-256 of its stdout JSON
+by ``LAUNCHER``, a small ``python -S`` process with ``RLIMIT_AS`` (address
+space) and ``RLIMIT_CPU`` set, which forks, execs the job with those
+limits inherited, and reports through a pipe the job's ``os.wait4``
+rusage, its exit code and its wall time from fork to reap.  On Linux a
+process's ``ru_maxrss`` starts from the RSS of the process it was forked
+from, and exec keeps that high-water mark, so a job forked from the
+harness itself would read at least the harness's RSS; forked from the
+launcher it reads its own peak.  Per run it records that wall time, that
+peak RSS, the exit code, negative for the signal that killed the job
+(``RLIMIT_CPU`` sends SIGXCPU; a job that runs out of address space exits
+3), and ``out_sha256``, the SHA-256 of its stdout JSON
 without ``provenance`` (None if stdout is not JSON).  It also records
 ``scale`` and ``wall_s_scaled`` = ``wall_s`` * ``scale``: the ``Gauge`` of
 ``perfbench/reference.py`` times a fixed reference computation in bursts
@@ -48,7 +54,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,27 +158,47 @@ def digest_mismatch(samples):
     return digests if len(set().union(*digests.values())) > 1 else None
 
 
+# argv: the pipe's write end, then the job's argv; it writes "maxrss_kb exit wall_s"
+LAUNCHER = """
+import os, sys, time
+fd, argv = int(sys.argv[1]), sys.argv[2:]
+t0 = time.perf_counter()
+pid = os.fork()
+if not pid:
+    os.close(fd)
+    try:
+        os.execv(argv[0], argv)
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+os.write(fd, f"{usage.ru_maxrss} {os.waitstatus_to_exitcode(status)} {wall}".encode())
+"""
+
+
 def run_child(argv, src):
-    """One child run: wall seconds, peak RSS in MB, exit code, output
-    digest, last stderr line."""
+    """One child run through ``LAUNCHER``: wall seconds, peak RSS in MB,
+    exit code, output digest, last stderr line."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (MEM_MB << 20, MEM_MB << 20))
         resource.setrlimit(resource.RLIMIT_CPU, (CPU_S, CPU_S + 5))
 
     env = dict(os.environ, PYTHONPATH=str(src))
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable] + argv, env=env, cwd=ROOT, preexec_fn=limit,
-                                stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    r, w = os.pipe()
+    with os.fdopen(r) as report, tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        try:
+            subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER, str(w), sys.executable] + argv,
+                             env=env, cwd=ROOT, preexec_fn=limit, stdout=out, stderr=err,
+                             pass_fds=(w,)).wait()
+        finally:
+            os.close(w)
+        maxrss, code, wall = report.read().split()
         out.seek(0)
         err.seek(0)
         digest = output_digest(out.read())
         lines = err.read().decode(errors="replace").strip().splitlines()
-    return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit": proc.returncode, "out_sha256": digest,
+    return {"wall_s": round(float(wall), 3), "peak_rss_mb": round(int(maxrss) / 1024, 1),
+            "exit": int(code), "out_sha256": digest,
             "stderr": lines[-1][:200] if lines else ""}
 
 
